@@ -142,7 +142,7 @@ def run(argv=None) -> int:
     try:
         return _dispatch(args, started)
     except (DocumentError, ModelError, GenSpecError, NotAnEquivalenceError,
-            bench.DigestMismatch, KeyError, FileNotFoundError) as exc:
+            bench.DigestMismatch, KeyError, FileNotFoundError, RecursionError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 1

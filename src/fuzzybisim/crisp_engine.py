@@ -2,6 +2,7 @@
 system-level pipeline (transform, refine, keep the state blocks)."""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .graph import Flg, to_flg
@@ -24,7 +25,7 @@ class CrispEngineConfig:
 
     def trace(self, message: str):
         if self.verbose:
-            print(f"[crisp] {message}")
+            print(f"[crisp] {message}", file=sys.stderr)
 
 
 def greatest_crisp_bisim_partition_flg(g: Flg, config: CrispEngineConfig | None = None) -> CrispPartition:
@@ -45,26 +46,25 @@ def _refine_crisp(g: Flg, config: CrispEngineConfig) -> CrispPartition:
     # maps stay small and hashing avoids repeated Fraction comparisons.
     pool = sorted(set(g.edges.values()))
     rank = {d: i for i, d in enumerate(pool)}
-    ranked_out = {
-        v: [(r, y, rank[d]) for r, y, d in out[v]] for v in vertices
-    }
-    state = RefinableMap(vertices, preds)
-    state.split_all(lambda v: g.labels[v])
+    ranked_out = [[(r, y, rank[d]) for r, y, d in edges] for edges in out]
+    state = RefinableMap(range(len(vertices)), preds)
+    state.split_all(lambda x: g.labels[vertices[x]])
     config.trace(f"label grouping: {state.block_count()} initial blocks")
 
     assignment = state.assignment
 
-    def signature(v):
+    def signature(x):
         best = {}
-        for r, y, rk in ranked_out[v]:
+        for r, y, rk in ranked_out[x]:
             key = (r, assignment[y])
             if best.get(key, -1) < rk:
                 best[key] = rk
         return frozenset(best.items())
 
+    state.mark_all_dirty()
     state.refine(signature, trace=config.trace if config.verbose else None)
     config.trace(f"stable with {state.block_count()} blocks")
-    return CrispPartition(state.blocks.values())
+    return CrispPartition([vertices[x] for x in block] for block in state.blocks.values())
 
 
 def crisp_partition_system(model: Nfts, config: CrispEngineConfig | None = None) -> CrispPartition:

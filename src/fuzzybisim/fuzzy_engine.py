@@ -1,31 +1,39 @@
 """Greatest fuzzy bisimulation (Goedel semantics) of a graph as a compact
 fuzzy partition, and the system-level pipeline.
 
-The efficient strategy processes the degree pool in ascending order.  At
-threshold t it refines the running partition so that two vertices stay
-together iff their labels agree below t (all values >= t count as equal at
-this resolution) and they reach the same blocks over edges of degree >= t.
-The chain of partitions across thresholds is exactly the chain of cuts of
-the greatest fuzzy bisimulation, which the final tree encodes: a block that
-splits while processing threshold t gets the previous threshold (or 0) as
-its degree.
+The Goedel operators only compare degrees, so the efficient strategy works
+on dense vertex ids and on degree ranks: rank i is the i-th threshold of
+the sorted degree pool, with 1 always included.  It sweeps the levels
+i = 0, 1, ... in ascending order.  At level i two vertices stay together iff
+their labels agree, with every rank >= i in one bucket, and they reach the
+same blocks over edges of rank >= i.  Both conditions form one key; since
+the coarsest stable refinement is unique, this gives the same partition as
+splitting by labels first and then refining.
+
+The partition left by level i-1 is stable for its key, and at level i the
+key changes only for vertices with an out-edge or a label at rank i-1.  So
+level 0 queues the one initial block, and level i > 0 queues only the
+blocks of those vertices; each split then re-queues as `refinement`
+describes.
+
+The chain of partitions is the chain of cuts of the greatest fuzzy
+bisimulation.  The tree is built from the split events: a block that splits
+at level i becomes a node of degree thresholds[i-1] (0 at level 0), and
+later splits of its pieces at the same level add siblings under that node.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, List
 
-from .degrees import ZERO, ONE
-from .graph import Flg, to_flg, Vertex
+from .degrees import ZERO, ONE, format_degree
+from .graph import Flg, to_flg
 from .model import Nfts
-from .partition import Block, CompactFuzzyPartition, cfp_from_relation
+from .partition import Block, CompactFuzzyPartition, cfp_from_relation, fold_tree
 from .refinement import RefinableMap, adjacency
 from . import oracle
 
 STRATEGIES = ("efficient-refinement", "baseline-fixpoint")
-
-#: Bucket for label values at or above the current threshold.
-_CLIPPED = object()
 
 
 @dataclass
@@ -39,7 +47,7 @@ class FuzzyEngineConfig:
 
     def trace(self, message: str):
         if self.verbose:
-            print(f"[fuzzy] {message}")
+            print(f"[fuzzy] {message}", file=sys.stderr)
 
 
 def greatest_fuzzy_bisim_cfp_flg(g: Flg, config: FuzzyEngineConfig | None = None) -> CompactFuzzyPartition:
@@ -53,47 +61,62 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, config: FuzzyEngineConfig | None = None
 def _refine_fuzzy(g: Flg, config: FuzzyEngineConfig) -> CompactFuzzyPartition:
     vertices, out, preds = adjacency(g)
     thresholds = sorted(set(g.degree_pool()) | {ONE})
-    state = RefinableMap(vertices, preds)
+    rank = {d: i for i, d in enumerate(thresholds)}
+    edges = [[(r, y, rank[d]) for r, y, d in es] for es in out]
+    labels = [[(p, rank[d]) for p, d in g.labels[v].items()] for v in vertices]
+    # touched[i]: vertices whose key may change at level i.
+    touched = [[] for _ in range(len(thresholds) + 1)]
+    for x in range(len(vertices)):
+        for rk in {rk for _, _, rk in edges[x]} | {rk for _, rk in labels[x]}:
+            touched[rk + 1].append(x)
+    state = RefinableMap(range(len(vertices)), preds)
     assignment = state.assignment
-    chain: List[Dict[Vertex, int]] = []
+    levels: list = []
 
-    for threshold in thresholds:
+    for level, threshold in enumerate(thresholds):
 
-        def label_key(v):
-            return frozenset(
-                (p, d if d < threshold else _CLIPPED) for p, d in g.labels[v].items()
+        def key(x):
+            return (
+                frozenset((p, rk if rk < level else level) for p, rk in labels[x]),
+                frozenset((r, assignment[y]) for r, y, rk in edges[x] if rk >= level),
             )
 
-        def signature(v):
-            return frozenset(
-                (r, assignment[y]) for r, y, d in out[v] if d >= threshold
-            )
+        state.dirty.update(assignment[x] for x in touched[level])
+        state.refine(key)
+        levels += [level] * (len(state.events) - len(levels))
+        config.trace(f"threshold {format_degree(threshold)}: {state.block_count()} blocks")
 
-        state.split_all(label_key)
-        state.refine(signature)
-        chain.append(state.snapshot())
-        config.trace(f"threshold {threshold}: {state.block_count()} blocks")
-
-    return CompactFuzzyPartition(_tree_from_chain(vertices, chain, thresholds))
+    return CompactFuzzyPartition(_tree_from_events(state, levels, vertices, thresholds))
 
 
-def _tree_from_chain(vertices, chain, thresholds) -> Block:
-    """Nest the refinement chain into a compact-fuzzy-partition tree."""
+def _tree_from_events(state: RefinableMap, levels: list, vertices: list, thresholds: list) -> Block:
+    """Nest the split events of the sweep, tagged with their levels, into a tree."""
+    root = Block(ONE)
+    node_of = {0: root}  # block id -> the leaf holding its current members
+    born = {0: -1}  # block id -> level at which that leaf was made
+    internal = []
+    for level, (new, old) in zip(levels, state.events):
+        if born[old] < level:
+            node = node_of[old]
+            node.degree = thresholds[level - 1] if level else ZERO
+            node.subblocks = []
+            internal.append(node)
+            node_of[old] = _add_leaf(node)
+            born[old] = level
+        node_of[new] = _add_leaf(node_of[old].parent)
+        born[new] = level
+    for bid, members in state.blocks.items():
+        node_of[bid].elements = frozenset(vertices[x] for x in members)
+    for node in internal:
+        node.subblocks = tuple(node.subblocks)
+    return root
 
-    def build(elements: list, level: int) -> Block:
-        while level < len(chain):
-            assignment = chain[level]
-            groups: Dict[int, list] = {}
-            for v in elements:
-                groups.setdefault(assignment[v], []).append(v)
-            if len(groups) > 1:
-                degree = thresholds[level - 1] if level > 0 else ZERO
-                children = tuple(build(group, level + 1) for group in groups.values())
-                return Block(degree, subblocks=children)
-            level += 1
-        return Block(ONE, elements=frozenset(elements))
 
-    return build(list(vertices), 0)
+def _add_leaf(parent: Block) -> Block:
+    leaf = Block(ONE)
+    leaf.parent = parent
+    parent.subblocks.append(leaf)
+    return leaf
 
 
 def fuzzy_partition_system(model: Nfts, config: FuzzyEngineConfig | None = None) -> CompactFuzzyPartition:
@@ -121,6 +144,10 @@ def fuzzy_partition_system(model: Nfts, config: FuzzyEngineConfig | None = None)
 
 def _strip_vertices(block: Block) -> Block:
     """Rebuild a subtree with state vertices unwrapped to state identifiers."""
-    if block.is_crisp:
-        return Block(block.degree, elements=frozenset(v.key for v in block.elements))
-    return Block(block.degree, subblocks=tuple(_strip_vertices(c) for c in block.subblocks))
+
+    def strip(b: Block, children: list) -> Block:
+        if b.is_crisp:
+            return Block(b.degree, elements=frozenset(v.key for v in b.elements))
+        return Block(b.degree, subblocks=tuple(children))
+
+    return fold_tree(block, strip)

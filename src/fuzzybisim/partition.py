@@ -3,12 +3,15 @@
 A compact fuzzy partition represents a fuzzy equivalence relation (under the
 Goedel semantics) as a degree-annotated tree in linear space: the degree of a
 pair of elements is the degree stored at the lowest common ancestor of their
-leaves.  Queries use an Euler tour plus a sparse table, so a single degree
-lookup costs O(log n) at worst and O(1) after the tour is built.
+leaves.  Queries use an Euler tour plus a sparse table, built on the first
+query, so each degree lookup costs O(1) after that build.  Trees can be as
+deep as the number of distinct degrees, so every walk over one is
+iterative.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .degrees import Degree, ZERO, ONE, format_degree, parse_degree
 from .relations import FuzzyRelation, CrispRelation, relation_laws
@@ -123,12 +126,7 @@ class Block:
         return next(iter(block.elements))
 
     def all_elements(self) -> set:
-        if self.is_crisp:
-            return set(self.elements)
-        out = set()
-        for child in self.subblocks:
-            out |= child.all_elements()
-        return out
+        return {x for leaf in _leaves(self) for x in leaf.elements}
 
     def __repr__(self) -> str:
         return cfp_text_of_block(self)
@@ -150,12 +148,43 @@ def fuzzy_block(degree: Degree, subblocks: Iterable[Block]) -> Block:
     return Block(degree, subblocks=subblocks)
 
 
+_subblocks = attrgetter("subblocks")
+
+
+def fold_tree(root, combine: Callable, children: Callable = _subblocks):
+    """Post-order fold without recursion: ``combine(node, [child values])``."""
+    values: list = []
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            start = len(values) - len(children(node))
+            folded = combine(node, values[start:])
+            del values[start:]
+            values.append(folded)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children(node)))
+    return values[0]
+
+
+def _leaves(block: Block):
+    stack = [block]
+    while stack:
+        block = stack.pop()
+        if block.is_crisp:
+            yield block
+        else:
+            stack.extend(block.subblocks)
+
+
 def cfp_text_of_block(block: Block, name=str) -> str:
-    if block.is_crisp:
-        inner = ",".join(name(x) for x in sorted(block.elements))
-    else:
-        inner = ",".join(cfp_text_of_block(child, name) for child in block.subblocks)
-    return "{" + inner + "}:" + format_degree(block.degree)
+    def text(b: Block, inner: list) -> str:
+        if b.is_crisp:
+            inner = [name(x) for x in sorted(b.elements)]
+        return "{" + ",".join(inner) + "}:" + format_degree(b.degree)
+
+    return fold_tree(block, text)
 
 
 class CompactFuzzyPartition:
@@ -163,11 +192,8 @@ class CompactFuzzyPartition:
 
     def __init__(self, root: Block):
         self.root = _canonicalize(root)
-        self._nodes: List[Block] = []
-        self._leaf_of: Dict[object, int] = {}
-        self._validate()
-        self._build_lca()
-        self.universe = frozenset(self._leaf_of)
+        self.universe = self._validate()
+        self._table: Optional[List[List[int]]] = None
 
     # -- structure ----------------------------------------------------
 
@@ -191,10 +217,11 @@ class CompactFuzzyPartition:
                     if child.degree <= block.degree:
                         raise ValueError("degrees must strictly increase towards the leaves")
                     stack.append((child, block))
+        return frozenset(seen)
 
     def _build_lca(self):
-        # Iterative Euler tour; depth of a CFP tree is bounded by the number
-        # of distinct degrees, but large universes make iteration safer.
+        self._nodes: List[Block] = []
+        self._leaf_of: Dict[object, int] = {}
         index_of: Dict[int, int] = {}
         euler: List[int] = []
         depth: List[int] = []
@@ -249,6 +276,8 @@ class CompactFuzzyPartition:
 
     def degree_of(self, x, y) -> Degree:
         """The degree of the lowest common ancestor of the leaves holding x and y."""
+        if self._table is None:
+            self._build_lca()
         try:
             i = self._first[self._leaf_of[x]]
             j = self._first[self._leaf_of[y]]
@@ -266,14 +295,13 @@ class CompactFuzzyPartition:
         """The fuzzy equivalence relation this tree encodes (quadratic output)."""
         entries: Dict[tuple, Degree] = {}
 
-        def walk(block: Block) -> list:
+        def walk(block: Block, groups: list) -> list:
             if block.is_crisp:
                 members = list(block.elements)
                 for x in members:
                     for y in members:
                         entries[(x, y)] = ONE
                 return members
-            groups = [walk(child) for child in block.subblocks]
             if block.degree > ZERO:
                 for i, left in enumerate(groups):
                     for right in groups[i + 1 :]:
@@ -283,7 +311,7 @@ class CompactFuzzyPartition:
                                 entries[(y, x)] = block.degree
             return [x for group in groups for x in group]
 
-        walk(self.root)
+        fold_tree(self.root, walk)
         return FuzzyRelation(self.universe, self.universe, entries)
 
     def top_blocks(self) -> Tuple[Block, ...]:
@@ -293,40 +321,46 @@ class CompactFuzzyPartition:
         return self.root.subblocks
 
     def leaf_partition(self) -> CrispPartition:
-        return CrispPartition(b.elements for b in self._nodes if b.is_crisp)
+        return CrispPartition(leaf.elements for leaf in _leaves(self.root))
 
     def text(self, name=str) -> str:
         return cfp_text_of_block(self.root, name)
 
     def to_json(self, name=str) -> dict:
-        def encode(block: Block) -> dict:
+        def encode(block: Block, subblocks: list) -> dict:
             if block.is_crisp:
                 return {"degree": format_degree(block.degree), "elements": sorted(name(x) for x in block.elements)}
-            return {"degree": format_degree(block.degree), "subblocks": [encode(c) for c in block.subblocks]}
+            return {"degree": format_degree(block.degree), "subblocks": subblocks}
 
-        return encode(self.root)
+        return fold_tree(self.root, encode)
 
     @classmethod
     def from_json(cls, data: dict) -> "CompactFuzzyPartition":
-        def decode(node: dict) -> Block:
+        def decode(node: dict, subblocks: list) -> Block:
             degree = parse_degree(node["degree"])
             if "elements" in node:
                 return Block(degree, elements=frozenset(node["elements"]))
-            return Block(degree, subblocks=tuple(decode(c) for c in node["subblocks"]))
+            return Block(degree, subblocks=tuple(subblocks))
 
-        return cls(decode(data))
+        def children(node: dict) -> list:
+            return () if "elements" in node else node["subblocks"]
+
+        return cls(fold_tree(data, decode, children))
 
     def structurally_equal(self, other: "CompactFuzzyPartition") -> bool:
-        def eq(a: Block, b: Block) -> bool:
+        stack = [(self.root, other.root)]
+        while stack:
+            a, b = stack.pop()
             if a.degree != b.degree or a.is_crisp != b.is_crisp:
                 return False
             if a.is_crisp:
-                return a.elements == b.elements
-            return len(a.subblocks) == len(b.subblocks) and all(
-                eq(x, y) for x, y in zip(a.subblocks, b.subblocks)
-            )
-
-        return eq(self.root, other.root)
+                if a.elements != b.elements:
+                    return False
+            elif len(a.subblocks) != len(b.subblocks):
+                return False
+            else:
+                stack.extend(zip(a.subblocks, b.subblocks))
+        return True
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CompactFuzzyPartition) and self.structurally_equal(other)
@@ -340,15 +374,18 @@ class CompactFuzzyPartition:
 
 def _canonicalize(block: Block) -> Block:
     """Order subblocks by their least element so serialized output is stable."""
-    if block.is_crisp:
-        copy = Block(block.degree, elements=block.elements)
-        copy.least = min(block.elements)
-        return copy
-    children = [_canonicalize(child) for child in block.subblocks]
-    children.sort(key=lambda c: c.least)
-    copy = Block(block.degree, subblocks=tuple(children))
-    copy.least = children[0].least
-    return copy
+
+    def copy(b: Block, children: list) -> Block:
+        if b.is_crisp:
+            result = Block(b.degree, elements=b.elements)
+            result.least = min(b.elements)
+            return result
+        children.sort(key=lambda c: c.least)
+        result = Block(b.degree, subblocks=tuple(children))
+        result.least = children[0].least
+        return result
+
+    return fold_tree(block, copy)
 
 
 def cfp_from_relation(r: FuzzyRelation) -> CompactFuzzyPartition:

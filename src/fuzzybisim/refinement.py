@@ -1,25 +1,33 @@
 """Worklist-driven partition refinement over fuzzy labeled graphs.
 
-Both engines split blocks by per-vertex signatures computed against the
-current partition.  When a block splits, only the blocks of predecessors of
-its members can have stale signatures, so those are re-queued; the total
-number of splits is bounded by the number of vertices.
+Both engines split blocks by per-vertex keys computed against the current
+partition.  When a block splits, its largest group keeps the old block id
+and every other group gets a new one.  Keys refer to blocks by id, so only
+the predecessors of the re-numbered groups can see a changed key, and only
+their blocks are re-queued (Valmari, "Bisimilarity minimization in
+O(m log n) time", 2009).  Each split is recorded as a (new block, parent
+block) event, from which the fuzzy engine builds its tree.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, Hashable, Iterable, List, Set, Tuple
 
-from .graph import Flg, Vertex
+from .graph import Flg
 
 
 class RefinableMap:
-    """A mutable vertex -> block-id map with block extents and a dirty queue."""
+    """A mutable element -> block-id map with block extents and a dirty queue.
 
-    def __init__(self, vertices: List[Vertex], preds: Dict[Vertex, list]):
-        self.assignment: Dict[Vertex, int] = {v: 0 for v in vertices}
-        self.blocks: Dict[int, Set[Vertex]] = {0: set(vertices)}
+    The fresh map's single block is queued, so ``refine`` on it keys every
+    element.
+    """
+
+    def __init__(self, elements: Iterable[Hashable], preds):
+        self.assignment: Dict[Hashable, int] = {v: 0 for v in elements}
+        self.blocks: Dict[int, Set] = {0: set(self.assignment)}
         self.preds = preds
-        self.dirty: Set[int] = set()
+        self.dirty: Set[int] = {0}
+        self.events: List[Tuple[int, int]] = []
         self._next = 1
 
     def block_count(self) -> int:
@@ -28,12 +36,7 @@ class RefinableMap:
     def mark_all_dirty(self):
         self.dirty.update(self.blocks)
 
-    def _mark_preds(self, members):
-        for v in members:
-            for p in self.preds[v]:
-                self.dirty.add(self.assignment[p])
-
-    def split_block(self, bid: int, key_of: Callable[[Vertex], object]) -> bool:
+    def split_block(self, bid: int, key_of: Callable[[Hashable], object]) -> bool:
         """Split one block by a key function; returns True when it split."""
         members = self.blocks[bid]
         if len(members) == 1:
@@ -43,21 +46,25 @@ class RefinableMap:
             groups.setdefault(key_of(v), []).append(v)
         if len(groups) == 1:
             return False
-        # Keep the largest group under the old id to minimize reassignment.
-        ordered = sorted(groups.values(), key=len, reverse=True)
-        for group in ordered[1:]:
+        kept = max(groups.values(), key=len)
+        moved = [group for group in groups.values() if group is not kept]
+        assignment = self.assignment
+        for group in moved:
             new_bid = self._next
             self._next += 1
             self.blocks[new_bid] = set(group)
-            for v in group:
-                self.assignment[v] = new_bid
             members.difference_update(group)
-            self.dirty.add(new_bid)
-        self.dirty.add(bid)
-        self._mark_preds(self.blocks[bid] | {v for g in ordered[1:] for v in g})
+            for v in group:
+                assignment[v] = new_bid
+            self.events.append((new_bid, bid))
+        dirty, preds = self.dirty, self.preds
+        for group in moved:
+            for v in group:
+                for p in preds[v]:
+                    dirty.add(assignment[p])
         return True
 
-    def split_all(self, key_of: Callable[[Vertex], object]) -> int:
+    def split_all(self, key_of: Callable[[Hashable], object]) -> int:
         """Split every block by a key function (used for static label keys)."""
         splits = 0
         for bid in list(self.blocks):
@@ -65,21 +72,34 @@ class RefinableMap:
                 splits += 1
         return splits
 
-    def refine(self, signature_of: Callable[[Vertex], object], trace=None):
-        """Run signature splitting to a fixpoint, starting from the dirty set."""
-        self.mark_all_dirty()
+    def refine(self, key_of: Callable[[Hashable], object], trace=None):
+        """Split queued blocks until the queue is empty.
+
+        Every block outside the queue must already be uniform under
+        ``key_of``; the result is then the coarsest refinement of the
+        current partition on which ``key_of`` is uniform.
+        """
         while self.dirty:
             bid = self.dirty.pop()
-            if self.split_block(bid, signature_of) and trace is not None:
+            if self.split_block(bid, key_of) and trace is not None:
                 trace(f"block {bid} split; {self.block_count()} blocks now")
 
-    def snapshot(self) -> Dict[Vertex, int]:
+    def snapshot(self) -> Dict[Hashable, int]:
         return dict(self.assignment)
 
 
 def adjacency(g: Flg):
-    """(sorted vertices, out-edge lists, predecessor lists) for refinement runs."""
+    """Dense-id adjacency for refinement runs.
+
+    Returns the sorted vertices, the out-edges of vertex id i as
+    ``(symbol, target id, degree)`` and the predecessor ids of vertex id i.
+    """
     vertices = sorted(g.vertices)
-    out = {v: list(g.out_edges(v)) for v in vertices}
-    preds = {v: g.predecessors(v) for v in vertices}
+    index = {v: i for i, v in enumerate(vertices)}
+    out: List[list] = [[] for _ in vertices]
+    preds: List[list] = [[] for _ in vertices]
+    for (x, r, y), degree in g.edges.items():
+        i, j = index[x], index[y]
+        out[i].append((r, j, degree))
+        preds[j].append(i)
     return vertices, out, preds

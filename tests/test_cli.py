@@ -57,10 +57,39 @@ def test_json_result_schema(capsys, example_path):
 
 
 def test_verbose_prints_intermediate_partitions(capsys, example_path):
-    code, out, _ = invoke(capsys, "crisp-partition", str(example_path), "--verbose")
+    code, out, err = invoke(capsys, "crisp-partition", str(example_path), "--verbose")
     assert code == 0
-    assert "[crisp]" in out
-    assert out.strip().endswith(EXAMPLE_CRISP_TEXT)
+    assert "[crisp]" in err
+    assert out.strip() == EXAMPLE_CRISP_TEXT
+
+
+def test_verbose_json_output_stays_parseable(capsys, example_path):
+    code, out, err = invoke(capsys, "fuzzy-partition", str(example_path), "--json", "--verbose")
+    assert code == 0
+    assert json.loads(out)["command"] == "fuzzy-partition"
+    assert "[fuzzy] threshold 0.4:" in err
+    assert "2/5" not in err
+
+
+def test_deep_fuzzy_partition_is_not_a_recursion_error(capsys, tmp_path):
+    # 400 unconnected states with distinct label degrees: a CFP of depth 399
+    count = 400
+    doc = {
+        "kind": "nflts",
+        "states": [f"s{i}" for i in range(count)],
+        "actions": ["a"],
+        "transitions": [],
+        "label_alphabet": ["p"],
+        "state_labels": {f"s{i}": {"p": f"{(i + 1) / 1000:.3f}"} for i in range(count)},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = invoke(capsys, "fuzzy-partition", str(path))
+    assert code == 0
+    assert out.startswith("{{s0}:1,{{s1}:1,")
+    code, out, _ = invoke(capsys, "fuzzy-partition", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["degree"] == "0.001"
 
 
 def test_missing_file_is_a_domain_error(capsys):

@@ -87,4 +87,6 @@ def test_verbose_traces_do_not_change_the_result(capsys):
     config = CrispEngineConfig("efficient-refinement", verbose=True)
     partition = crisp_partition_system(make_example(), config)
     assert partition.text() == EXAMPLE_CRISP_TEXT
-    assert "[crisp]" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "[crisp]" in captured.err
+    assert captured.out == ""

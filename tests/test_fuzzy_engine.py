@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fuzzybisim import (
+    CompactFuzzyPartition,
     FuzzyEngineConfig,
     Nflts,
     Nfts,
+    as_nflts,
+    cfp_from_relation,
     fuzzy_partition_system,
     greatest_fuzzy_bisim_cfp_flg,
     to_flg,
@@ -112,4 +115,87 @@ def test_verbose_traces_do_not_change_the_result(capsys):
     config = FuzzyEngineConfig("efficient-refinement", verbose=True)
     cfp = fuzzy_partition_system(make_example(), config)
     assert cfp.text() == EXAMPLE_FUZZY_TEXT
-    assert "[fuzzy]" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "[fuzzy] threshold 0.4:" in captured.err
+    assert captured.out == ""
+
+
+# -- families where random models rarely give a deep tree ---------------------
+
+
+def assert_graph_cfp_matches_oracle(model):
+    g = to_flg(model)
+    expected = cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(g))
+    assert greatest_fuzzy_bisim_cfp_flg(g, EFFICIENT) == expected
+
+
+def planted_copies(rng: random.Random, copies: int = 5, size: int = 3) -> Nfts:
+    """Copies of one base model; copy j > 0 raises the j-th smallest base degree in one transition."""
+    pool = [Fraction(k, 10) for k in range(1, 10)]
+    base = []
+    for s in range(size):
+        targets = {(s + 1) % size: rng.choice(pool), rng.randrange(size): rng.choice(pool)}
+        base.append((s, rng.choice("ab"), targets))
+    used = sorted({d for _, _, targets in base for d in targets.values()})
+    transitions = []
+    for j in range(copies):
+        moved = used[j - 1] if 0 < j <= len(used) else None
+        for s, action, targets in base:
+            raised = {t: d + Fraction(1, 20) if d == moved else d for t, d in targets.items()}
+            if raised != targets:
+                moved = None  # one transition per copy
+            transitions.append((f"c{j}s{s}", action, {f"c{j}s{t}": d for t, d in raised.items()}))
+    states = [f"c{j}s{s}" for j in range(copies) for s in range(size)]
+    return Nfts(states, ["a", "b"], transitions)
+
+
+def test_planted_copies_match_the_oracle():
+    rng = random.Random(606)
+    for _ in range(8):
+        model = planted_copies(rng)
+        assert_graph_cfp_matches_oracle(model)
+        got = fuzzy_partition_system(model, EFFICIENT)
+        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
+
+
+def test_many_distinct_label_degrees_match_the_oracle():
+    rng = random.Random(707)
+    pool = [Fraction(k, 100) for k in range(1, 100)]
+    for _ in range(25):
+        states = [f"s{i}" for i in range(rng.randint(2, 7))]
+        transitions = [
+            (s, "a", {rng.choice(states): rng.choice(pool)})
+            for s in states
+            if rng.random() < 0.5
+        ]
+        labels = {s: {p: rng.choice(pool) for p in "pq" if rng.random() < 0.8} for s in states}
+        assert_graph_cfp_matches_oracle(Nflts(states, ["a"], transitions, ["p", "q"], labels))
+
+
+def test_models_without_transitions_match_the_oracle():
+    rng = random.Random(808)
+    pool = [Fraction(k, 100) for k in range(1, 101)]
+    for _ in range(25):
+        states = [f"s{i}" for i in range(rng.randint(1, 9))]
+        labels = {s: {p: rng.choice(pool) for p in "pq" if rng.random() < 0.7} for s in states}
+        model = Nflts(states, ["a"], [], ["p", "q"], labels)
+        assert_graph_cfp_matches_oracle(model)
+        got = fuzzy_partition_system(model, EFFICIENT)
+        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
+
+
+def test_renaming_states_renames_the_partition():
+    rng = random.Random(909)
+    for _ in range(30):
+        model = as_nflts(generate(random_spec(rng, max_states=6)))
+        rename = {s: f"t{len(model.states) - i}" for i, s in enumerate(sorted(model.states))}
+        renamed = Nflts(
+            [rename[s] for s in model.states],
+            model.actions,
+            [(rename[s], a, {rename[t]: d for t, d in mu.fuzzy.items()}) for s, a, mu in model.transitions],
+            model.label_alphabet,
+            {rename[s]: model.label_of(s) for s in model.states},
+        )
+        cfp = fuzzy_partition_system(model, EFFICIENT)
+        expected = CompactFuzzyPartition.from_json(cfp.to_json(name=rename.__getitem__))
+        assert fuzzy_partition_system(renamed, EFFICIENT) == expected

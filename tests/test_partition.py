@@ -174,3 +174,20 @@ def test_cfp_from_relation_is_stable(seed):
     once = cfp_from_relation(r)
     twice = cfp_from_relation(r)
     assert once.text() == twice.text()
+
+
+def test_deep_cfp_round_trips_without_recursion():
+    depth = 2000
+    names = [f"x{k:04d}" for k in range(depth + 1)]
+    block = crisp_block([names[depth]])
+    for k in range(depth - 1, -1, -1):
+        block = fuzzy_block(Fraction(k, depth + 1), [crisp_block([names[k]]), block])
+    cfp = CompactFuzzyPartition(block)
+    text = cfp.text()
+    assert text.startswith("{{x0000}:1,{{x0001}:1,{{x0002}:1,")
+    again = CompactFuzzyPartition.from_json(cfp.to_json())
+    assert again == cfp and again.text() == text
+    assert cfp.universe == frozenset(names) == cfp.root.all_elements()
+    assert len(cfp.leaf_partition()) == depth + 1
+    assert cfp.degree_of(names[0], names[depth]) == 0
+    assert cfp.degree_of(names[depth - 1], names[depth]) == Fraction(depth - 1, depth + 1)

@@ -49,10 +49,25 @@ def test_snapshot_is_independent():
     assert len(set(snap.values())) == 1
 
 
+def test_split_requeues_only_predecessors_of_new_groups():
+    elements = ["a", "b", "c", "p", "q"]
+    # p points only into a, q only into c
+    preds = {"a": ["p"], "b": [], "c": ["q"], "p": [], "q": []}
+    state = RefinableMap(elements, preds)
+    state.split_all(lambda v: v if v in "pq" else "abc")
+    state.dirty.clear()
+    bid = state.assignment["a"]
+    assert state.split_block(bid, lambda v: v == "c")
+    # the larger group {a, b} keeps the id, so p's signature is unchanged
+    assert state.assignment["a"] == state.assignment["b"] == bid
+    assert state.dirty == {state.assignment["q"]}
+    assert state.events[-1] == (state.assignment["c"], bid)
+
+
 def test_adjacency_matches_the_graph():
     g = to_flg(make_example())
     vertices, out, preds = adjacency(g)
     assert sorted(g.vertices) == vertices
-    for v in vertices:
-        assert out[v] == list(g.out_edges(v))
-        assert preds[v] == g.predecessors(v)
+    for i, v in enumerate(vertices):
+        assert sorted((r, vertices[j], d) for r, j, d in out[i]) == sorted(g.out_edges(v))
+        assert sorted(vertices[j] for j in preds[i]) == sorted(g.predecessors(v))
