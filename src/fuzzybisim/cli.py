@@ -31,11 +31,21 @@ from .simulation import (
     bisimulation_between_nflts,
     crisp_simulation_nflts,
     fuzzy_simulation_nflts,
+    on_states,
 )
 from . import oracle, bench
 from .generate import GenSpec, GenSpecError, generate
 
 ENGINE_STRATEGY = {"efficient": "efficient-refinement", "oracle": "baseline-fixpoint"}
+
+# (command, engine) -> the state-level simulation.  Names are looked up at call
+# time, so wrappers set on this module's globals (perfbench/tracer.py) apply.
+SIMULATIONS = {
+    ("crisp-sim", "efficient"): lambda a, b, verbose: crisp_simulation_nflts(a, b, verbose),
+    ("fuzzy-sim", "efficient"): lambda a, b, verbose: fuzzy_simulation_nflts(a, b, verbose),
+    ("crisp-sim", "oracle"): lambda a, b, _: on_states(a, b, oracle.gfp_crisp_sim_flg(to_flg(a), to_flg(b)).pairs),
+    ("fuzzy-sim", "oracle"): lambda a, b, _: on_states(a, b, oracle.gfp_fuzzy_sim_flg(to_flg(a), to_flg(b)).entries),
+}
 
 
 def _common_flags(parser: argparse.ArgumentParser):
@@ -52,32 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Bisimulations and simulations for fuzzy transition systems")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, help_text, **kwargs):
-        p = commands.add_parser(name, help=help_text, **kwargs)
+    def sub(name, help_text, *positionals):
+        p = commands.add_parser(name, help=help_text)
         _common_flags(p)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = sub("crisp-partition", "greatest crisp bisimulation of a model, as a partition")
-    p.add_argument("model")
-    p = sub("fuzzy-partition", "greatest fuzzy bisimulation of a model, as a compact fuzzy partition")
-    p.add_argument("model")
-    p = sub("degree", "fuzzy bisimilarity degree of two states")
-    p.add_argument("model")
-    p.add_argument("x")
-    p.add_argument("y")
-    p = sub("crisp-sim", "greatest crisp simulation between two models")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub("fuzzy-sim", "greatest fuzzy simulation between two models")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub("bisim-between", "greatest bisimulation between two models (disjoint union)")
-    p.add_argument("left")
-    p.add_argument("right")
+    sub("crisp-partition", "greatest crisp bisimulation of a model, as a partition", "model")
+    sub("fuzzy-partition", "greatest fuzzy bisimulation of a model, as a compact fuzzy partition", "model")
+    sub("degree", "fuzzy bisimilarity degree of two states", "model", "x", "y")
+    sub("crisp-sim", "greatest crisp simulation between two models", "left", "right")
+    sub("fuzzy-sim", "greatest fuzzy simulation between two models", "left", "right")
+    p = sub("bisim-between", "greatest bisimulation between two models (disjoint union)", "left", "right")
     p.add_argument("--mode", choices=["crisp", "fuzzy"], default="crisp")
-    p = sub("check", "check a relation against a bisimulation definition")
-    p.add_argument("model")
-    p.add_argument("relation")
+    p = sub("check", "check a relation against a bisimulation definition", "model", "relation")
     p.add_argument("--kind", choices=["crisp-bisim", "fuzzy-bisim"], required=True)
     p = sub("gen", "generate a reproducible random model document")
     p.add_argument("--states", type=int, default=5)
@@ -113,9 +112,39 @@ def _emit(args, payload, started: float, text: str):
             "engine": getattr(args, "engine", "efficient"),
             "wall_time_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         print(text)
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``; a document too deep for the recursive
+    encoder (a deep compact fuzzy partition) goes to ``_json_text_iterative``,
+    which is about twice as slow on wide documents such as big relations."""
+    try:
+        return json.dumps(doc, indent=2)
+    except RecursionError:
+        return _json_text_iterative(doc)
+
+
+def _json_text_iterative(doc) -> str:
+    """``json.dumps(doc, indent=2)`` for a document with string keys, written
+    from an explicit stack instead of recursion."""
+    out, todo = [], [(doc, "")]
+    while todo:
+        value, indent = todo.pop()
+        if indent is None:  # literal text
+            out.append(value)
+        elif value and isinstance(value, (dict, list, tuple)):
+            inner, is_dict = indent + "  ", isinstance(value, dict)
+            items = [(json.dumps(k) + ": ", v) for k, v in value.items()] if is_dict else [("", v) for v in value]
+            out.append("{" if is_dict else "[")
+            todo.append(("\n" + indent + ("}" if is_dict else "]"), None))
+            for i, (key, item) in reversed(list(enumerate(items))):
+                todo += [(item, inner), (("," if i else "") + "\n" + inner + key, None)]
+        else:
+            out.append(json.dumps(value))
+    return "".join(out)
 
 
 def _inputs(args):
@@ -126,12 +155,10 @@ def _inputs(args):
     return None
 
 
-def _crisp_relation_text(relation) -> str:
-    lines = [f"{x} {y}" for x, y in sorted(relation.pairs)]
-    return "\n".join(lines) if lines else "(empty relation)"
-
-
-def _fuzzy_relation_text(relation) -> str:
+def _relation_text(relation) -> str:
+    if isinstance(relation, CrispRelation):
+        lines = [f"{x} {y}" for x, y in sorted(relation.pairs)]
+        return "\n".join(lines) if lines else "(empty relation)"
     lines = [f"{x} {y} {format_degree(d)}" for (x, y), d in sorted(relation.entries.items())]
     return "\n".join(lines) if lines else "(zero relation)"
 
@@ -170,45 +197,19 @@ def _dispatch(args, started: float) -> int:
         _emit(args, value, started, value)
         return 0
 
-    if args.command in ("crisp-sim", "fuzzy-sim"):
+    if args.command in ("crisp-sim", "fuzzy-sim", "bisim-between"):
         left = as_nflts(parse_model(Path(args.left)))
         right = as_nflts(parse_model(Path(args.right)))
-        if args.command == "crisp-sim":
-            if strategy == "baseline-fixpoint":
-                Z = oracle.gfp_crisp_sim_flg(to_flg(left), to_flg(right))
-                kept = {(x.key, y.key) for x, y in Z.pairs if x.is_state and y.is_state}
-                relation = CrispRelation(left.states, right.states, kept)
-            else:
-                relation = crisp_simulation_nflts(left, right)
-            _emit(args, relation_to_document(relation), started, _crisp_relation_text(relation))
+        if args.command == "bisim-between":
+            relation = bisimulation_between_nflts(left, right, args.mode, verbose=args.verbose)
         else:
-            if strategy == "baseline-fixpoint":
-                Z = oracle.gfp_fuzzy_sim_flg(to_flg(left), to_flg(right))
-                relation = Z.restrict(
-                    {v for v in Z.left if v.is_state}, {v for v in Z.right if v.is_state}
-                )
-                relation = type(relation)(
-                    left.states, right.states,
-                    {(x.key, y.key): d for (x, y), d in relation.entries.items()},
-                )
-            else:
-                relation = fuzzy_simulation_nflts(left, right)
-            _emit(args, relation_to_document(relation), started, _fuzzy_relation_text(relation))
-        return 0
-
-    if args.command == "bisim-between":
-        left = as_nflts(parse_model(Path(args.left)))
-        right = as_nflts(parse_model(Path(args.right)))
-        relation = bisimulation_between_nflts(left, right, args.mode, verbose=args.verbose)
-        if args.mode == "crisp":
-            _emit(args, relation_to_document(relation), started, _crisp_relation_text(relation))
-        else:
-            _emit(args, relation_to_document(relation), started, _fuzzy_relation_text(relation))
+            relation = SIMULATIONS[args.command, args.engine](left, right, args.verbose)
+        _emit(args, relation_to_document(relation), started, _relation_text(relation))
         return 0
 
     if args.command == "check":
         model = parse_model(Path(args.model))
-        relation = parse_relation(Path(args.relation), model)
+        relation = parse_relation(Path(args.relation), model, args.kind.partition("-")[0])
         if args.kind == "crisp-bisim":
             report = oracle.is_crisp_bisim_nfts(relation, model)
         else:

@@ -20,8 +20,26 @@ class DegreeError(ValueError):
     """Raised for degree strings that are malformed or outside [0, 1]."""
 
 
+#: Largest decimal exponent accepted, the same as Python's default limit on
+#: the digits of an integer string.  "1e-99999999" would otherwise build a
+#: denominator of 10**99999999 before any range check could reject it.
+MAX_EXPONENT = 4300
+
+
+def _exponent(text: str) -> int:
+    """Magnitude of the decimal exponent written in ``text``; 0 if none is readable."""
+    if "e" not in text and "E" not in text:
+        return 0
+    try:
+        return abs(int(text.lower().partition("e")[2]))
+    except ValueError:
+        return 0
+
+
 def parse_degree(text: str) -> Degree:
     """Parse a decimal (or p/q) string into an exact degree in [0, 1]."""
+    if _exponent(text) > MAX_EXPONENT:
+        raise DegreeError(f"degree {text!r} has an exponent beyond {MAX_EXPONENT}")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

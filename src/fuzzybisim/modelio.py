@@ -73,6 +73,19 @@ def _model_from_json_text(text: str) -> Nfts:
     return model_from_document(doc)
 
 
+def _strings(doc: dict, field: str, non_empty: bool = False) -> list:
+    value = doc.get(field, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value) or non_empty and not value:
+        raise DocumentError(f"{field}: {'non-empty ' if non_empty else ''}list of strings required")
+    return value
+
+
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{context}: JSON object required")
+    return value
+
+
 def model_from_document(doc: dict) -> Nfts:
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
@@ -82,29 +95,34 @@ def model_from_document(doc: dict) -> Nfts:
     version = doc.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise DocumentError(f"format_version: unsupported version {version!r}")
-    for field in ("states", "actions"):
-        if not isinstance(doc.get(field), list) or not doc[field]:
-            raise DocumentError(f"{field}: non-empty list required")
+    states, actions = _strings(doc, "states", True), _strings(doc, "actions", True)
+    if not isinstance(doc.get("transitions", []), list):
+        raise DocumentError("transitions: list required")
     transitions = []
     for i, item in enumerate(doc.get("transitions", [])):
         context = f"transitions[{i}]"
         if not isinstance(item, dict) or not {"from", "action", "targets"} <= set(item):
             raise DocumentError(f"{context}: needs 'from', 'action' and 'targets'")
+        if not isinstance(item["from"], str) or not isinstance(item["action"], str):
+            raise DocumentError(f"{context}: 'from' and 'action' must be strings")
         targets = {
             state: _degree(d, f"{context}.targets[{state!r}]")
-            for state, d in item["targets"].items()
+            for state, d in _object(item["targets"], f"{context}.targets").items()
         }
         transitions.append((item["from"], item["action"], targets))
     try:
         if kind == "nfts":
             if "state_labels" in doc or "label_alphabet" in doc:
                 raise DocumentError("kind 'nfts' does not take labels")
-            return Nfts(doc["states"], doc["actions"], transitions)
+            return Nfts(states, actions, transitions)
         labels = {
-            state: {p: _degree(d, f"state_labels[{state!r}][{p!r}]") for p, d in label.items()}
-            for state, label in doc.get("state_labels", {}).items()
+            state: {
+                p: _degree(d, f"state_labels[{state!r}][{p!r}]")
+                for p, d in _object(label, f"state_labels[{state!r}]").items()
+            }
+            for state, label in _object(doc.get("state_labels", {}), "state_labels").items()
         }
-        return Nflts(doc["states"], doc["actions"], transitions, doc.get("label_alphabet", []), labels)
+        return Nflts(states, actions, transitions, _strings(doc, "label_alphabet"), labels)
     except ModelError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -196,8 +214,9 @@ def serialize_model(model: Nfts) -> str:
 # -- relation documents -----------------------------------------------------
 
 
-def parse_relation(source: Union[str, Path], model: Nfts):
-    """Parse a crisp or fuzzy relation over the model's states."""
+def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None = None):
+    """Parse a crisp or fuzzy relation over the model's states; ``expected``,
+    "crisp" or "fuzzy", makes a document of the other kind an error."""
     if isinstance(source, Path):
         text = source.read_text()
     elif source.lstrip().startswith("{"):
@@ -208,20 +227,26 @@ def parse_relation(source: Union[str, Path], model: Nfts):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DocumentError("relation document must be a JSON object")
     kind = doc.get("kind")
+    if kind not in ("crisp", "fuzzy") or expected not in (None, kind):
+        wanted = repr(expected) if expected else "'crisp' or 'fuzzy'"
+        raise DocumentError(f"kind: expected {wanted}, got {kind!r}")
     states = model.states
+    field, width = ("pairs", 2) if kind == "crisp" else ("degrees", 3)
+    rows = doc.get(field, [])
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width and all(isinstance(v, str) for v in row) for row in rows
+    ):
+        raise DocumentError(f"{field}: list of {width}-element lists of strings required")
     try:
         if kind == "crisp":
-            return CrispRelation(states, states, {tuple(p) for p in doc.get("pairs", [])})
-        if kind == "fuzzy":
-            entries = {
-                (x, y): _degree(d, f"degrees[{x!r}, {y!r}]")
-                for x, y, d in doc.get("degrees", [])
-            }
-            return FuzzyRelation(states, states, entries)
+            return CrispRelation(states, states, {tuple(p) for p in rows})
+        entries = {(x, y): _degree(d, f"degrees[{x!r}, {y!r}]") for x, y, d in rows}
+        return FuzzyRelation(states, states, entries)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    raise DocumentError(f"kind: expected 'crisp' or 'fuzzy', got {kind!r}")
 
 
 def relation_to_document(relation) -> dict:

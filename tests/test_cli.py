@@ -1,11 +1,24 @@
 """The command-line front end: golden outputs, schemas, exit codes."""
+import contextlib
+import io
 import json
+import re
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fuzzybisim.cli import run
+from fuzzybisim import (
+    as_nflts,
+    greatest_crisp_simulation_flg,
+    greatest_fuzzy_simulation_flg,
+    parse_model,
+    to_flg,
+)
+from fuzzybisim.cli import _json_text_iterative, run
 
-from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT
+from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
 
 
 def invoke(capsys, *argv):
@@ -194,3 +207,185 @@ def test_bench_command(capsys, tmp_path):
     assert code == 0
     assert csv_path.exists()
     assert "records" in out
+
+
+def test_json_writer_matches_json_dumps():
+    docs = [
+        {}, [], "x", 0, 1.5, None, True,
+        {"a": [], "b": {}, "c": [1, [2, [3, {}]]], "d": {"e": None, "f": "é\n\""}},
+        (1, (2, 3)), [float("nan"), float("inf"), -0.0],
+    ]
+    for doc in docs:
+        assert _json_text_iterative(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path):
+    example = str(example_path)
+    for argv in (
+        ["crisp-partition", example], ["fuzzy-partition", example], ["degree", example, "s1", "s5"],
+        ["crisp-sim", example, example], ["fuzzy-sim", example, example],
+        ["bisim-between", example, example, "--mode", "fuzzy"],
+    ):
+        code, out, _ = invoke(capsys, *argv, "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == _json_text_iterative(json.loads(out)) + "\n"
+
+
+def test_deep_fuzzy_partition_json_output_parses(capsys, tmp_path):
+    # 700 unconnected states with distinct label degrees: a CFP of depth 699,
+    # deeper than the json encoder's recursion allows
+    count = 700
+    doc = {
+        "kind": "nflts",
+        "states": [f"s{i}" for i in range(count)],
+        "actions": ["a"],
+        "transitions": [],
+        "label_alphabet": ["p"],
+        "state_labels": {f"s{i}": {"p": f"{(i + 1) / 1000:.3f}"} for i in range(count)},
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "fuzzy-partition", str(path), "--json")
+    assert code == 0, err
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * count)  # json.loads recurses once per nesting level
+    try:
+        result = json.loads(out)["result"]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result["degree"] == "0.001"
+    depth, stack = 0, [(result, 0)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in node.get("subblocks", ()))
+    assert depth == count - 1
+
+
+def _verbose_levels(err: str, prefix: str):
+    levels = []
+    for line in err.splitlines():
+        match = re.fullmatch(rf"\[{prefix}\] threshold ([0-9.]+): (\d+) pairs alive, (\d+) removed", line)
+        if match:
+            levels.append((Fraction(match[1]), int(match[2]), int(match[3])))
+    return levels
+
+
+def test_simulation_verbose_reports_each_level(capsys, example_path):
+    example = str(example_path)
+    g = to_flg(as_nflts(parse_model(example_path)))
+    fuzzy = greatest_fuzzy_simulation_flg(g, g)
+    crisp = greatest_crisp_simulation_flg(g, g)
+    for command, prefix in (("crisp-sim", "crisp-sim"), ("fuzzy-sim", "fuzzy-sim")):
+        _, quiet, _ = invoke(capsys, command, example, example)
+        code, out, err = invoke(capsys, command, example, example, "--verbose")
+        assert code == 0 and out == quiet
+        levels = _verbose_levels(err, prefix)
+        assert levels and len(levels) == len(err.splitlines())
+        if command == "crisp-sim":
+            assert [(t, alive) for t, alive, _ in levels] == [(1, len(crisp))]
+            continue
+        assert [t for t, _, _ in levels] == sorted(set(g.degree_pool()) | {1})
+        previous = len(g.vertices) ** 2
+        for threshold, alive, removed in levels:
+            assert alive == len(fuzzy.cut(threshold)) and removed == previous - alive
+            previous = alive
+
+
+def test_simulation_json_verbose_stdout_parses(capsys, example_path):
+    example = str(example_path)
+    for command in ("crisp-sim", "fuzzy-sim"):
+        code, out, err = invoke(capsys, command, example, example, "--json", "--verbose")
+        assert code == 0
+        assert json.loads(out)["command"] == command
+        assert f"[{command}] threshold 1:" in err
+
+
+# -- robustness: no user document may raise out of cli.run ------------------
+
+_STATES = ["s0", "s1", "s2"]
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_degrees = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "5e-1", "1/3", "1.5", "-0.1", "abc", "", "1/0", "nan", "inf",
+                     "1e-99999", "1e99999999", "1e-4300"]),
+    st.decimals(min_value=0, max_value=1, places=3).map(str),
+    _junk,
+)
+_refs = st.sampled_from(_STATES + ["zz"])  # "zz" is never a state
+
+
+@st.composite
+def _model_documents(draw):
+    kind = draw(st.sampled_from(["nfts", "nflts", "dfa"]))
+    doc = {
+        "format_version": draw(st.sampled_from(["1", "1", "2", 1])),
+        "kind": kind,
+        "states": draw(st.lists(st.sampled_from(_STATES), unique=True, max_size=3)),
+        "actions": draw(st.lists(st.sampled_from(["a", "b", "eps*"]), unique=True, max_size=2)),
+        "transitions": draw(st.lists(st.fixed_dictionaries({
+            "from": st.one_of(_refs, _junk),
+            "action": st.sampled_from(["a", "b", "c"]),
+            "targets": st.one_of(st.dictionaries(_refs, _degrees, max_size=3), _junk),
+        }), max_size=4)),
+    }
+    if kind != "nfts" or draw(st.booleans()):
+        doc["label_alphabet"] = draw(st.lists(st.sampled_from(["p", "q", "state*"]), unique=True, max_size=2))
+        doc["state_labels"] = draw(st.dictionaries(
+            _refs, st.one_of(st.dictionaries(st.sampled_from(["p", "q", "r"]), _degrees, max_size=2), _junk),
+            max_size=3))
+    if draw(st.booleans()):  # a deep label pool: one distinct label degree per state
+        count = draw(st.integers(1, 40))
+        doc.update(kind="nflts", states=[f"d{i}" for i in range(count)], label_alphabet=["p"],
+                   state_labels={f"d{i}": {"p": f"{(i + 1) / 100:.2f}"} for i in range(count)})
+    for field in draw(st.lists(st.sampled_from(sorted(doc)), unique=True, max_size=2)):
+        if draw(st.booleans()):
+            del doc[field]
+        else:
+            doc[field] = draw(_junk)
+    return json.dumps(doc)
+
+
+_text_documents = st.lists(st.sampled_from([
+    "kind nflts", "kind nfts", "kind dfa", "states s0 s1", "actions a", "labels p", "trans s0 a s1:0.5",
+    "trans s0 a zz:1", "trans s0", "trans s0 a s1", "label s0 p:2", "label s0 q:0.5", "label", "bogus",
+    "trans s0 a s1:1e-99999",
+]), max_size=6).map("\n".join)
+
+
+_example_states = st.sampled_from(["s1", "s2", "zz"])
+_relation_documents = st.fixed_dictionaries({
+    "kind": st.sampled_from(["crisp", "fuzzy", "other"]),
+    "pairs": st.one_of(st.lists(st.lists(st.one_of(_example_states, _junk), max_size=3), max_size=3), _junk),
+    "degrees": st.one_of(st.lists(st.lists(st.one_of(_example_states, _degrees), max_size=4), max_size=3), _junk),
+}).map(json.dumps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(text=st.one_of(_model_documents(), _text_documents), relation_text=_relation_documents)
+def test_malformed_and_extreme_documents_exit_cleanly(tmp_path_factory, text, relation_text):
+    folder = tmp_path_factory.mktemp("doc")
+    (folder / "model.txt").write_text(text)
+    (folder / "relation.json").write_text(relation_text)
+    model, relation = str(folder / "model.txt"), str(folder / "relation.json")
+    example = str(REPO_ROOT / "models" / "example.json")
+    for argv in (
+        ["crisp-partition", model], ["fuzzy-partition", model, "--json"], ["degree", model, "s0", "d1"],
+        ["crisp-sim", model, model], ["fuzzy-sim", model, model, "--json", "--verbose"],
+        ["check", model, model, "--kind", "fuzzy-bisim"],
+        ["check", example, relation, "--kind", "crisp-bisim"], ["check", example, relation, "--kind", "fuzzy-bisim"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and "--json" in argv:
+            json.loads(out.getvalue())

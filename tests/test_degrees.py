@@ -83,3 +83,11 @@ def test_inf_sup_defaults():
     assert sup([]) == ZERO
     assert inf([Fraction(1, 2), Fraction(1, 4)]) == Fraction(1, 4)
     assert sup([Fraction(1, 2), Fraction(1, 4)]) == Fraction(1, 2)
+
+
+def test_huge_exponents_are_rejected_before_they_are_expanded():
+    for text in ("1e-99999999", "1E+99999999", "0.5e-4301"):
+        with pytest.raises(DegreeError, match="exponent"):
+            parse_degree(text)
+    assert parse_degree("5e-1") == Fraction(1, 2)
+    assert parse_degree("1e-4300") == Fraction(1, 10**4300)

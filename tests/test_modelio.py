@@ -1,4 +1,5 @@
 """Model and relation documents: JSON and text parsing, round trips, errors."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from fuzzybisim import (
     relation_to_document,
     serialize_model,
 )
+from fuzzybisim.modelio import model_from_document
 
 from conftest import make_example
 
@@ -134,3 +136,32 @@ def test_relation_document_errors():
         parse_relation('{"kind": "crisp", "pairs": [["s1", "zz"]]}', model)
     with pytest.raises(DocumentError):
         parse_relation('{"kind": "fuzzy", "degrees": [["s1", "s2", "1.7"]]}', model)
+
+
+@pytest.mark.parametrize("doc", [
+    {"states": [["s"]], "actions": ["a"]},
+    {"states": [1], "actions": ["a"]},
+    {"states": ["s"], "actions": ["a"], "transitions": "abc"},
+    {"states": ["s"], "actions": ["a"], "transitions": [{"from": "s", "action": "a", "targets": ["s"]}]},
+    {"states": ["s"], "actions": ["a"], "transitions": [{"from": ["s"], "action": "a", "targets": {}}]},
+    {"kind": "nflts", "states": ["s"], "actions": ["a"], "label_alphabet": 5},
+    {"kind": "nflts", "states": ["s"], "actions": ["a"], "label_alphabet": ["p"], "state_labels": ["s"]},
+    {"kind": "nflts", "states": ["s"], "actions": ["a"], "label_alphabet": ["p"], "state_labels": {"s": ["p"]}},
+])
+def test_mistyped_model_fields_are_document_errors(doc):
+    with pytest.raises(DocumentError):
+        model_from_document(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [["s1", "s2"]],
+    {"kind": "crisp", "pairs": [1]},
+    {"kind": "crisp", "pairs": [[["s1"], "s2"]]},
+    {"kind": "fuzzy", "degrees": [5]},
+    {"kind": "fuzzy", "degrees": [["s1", "s2"]]},
+])
+def test_mistyped_relation_documents_are_document_errors(doc, tmp_path):
+    path = tmp_path / "relation.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError):
+        parse_relation(path, make_example())

@@ -5,18 +5,22 @@ from fractions import Fraction
 import pytest
 
 from fuzzybisim import (
+    ONE,
     ModelError,
     Nflts,
     Nfts,
     as_nflts,
     bisimulation_between_nflts,
+    disjoint_union,
     crisp_simulation_nflts,
     fuzzy_simulation_nflts,
     greatest_crisp_simulation_flg,
     greatest_fuzzy_simulation_flg,
     to_flg,
 )
-from fuzzybisim import oracle
+from fuzzybisim import oracle, simulation
+from fuzzybisim.degrees import inf, residuum
+from fuzzybisim.graph import dist_vertex, state_vertex
 from fuzzybisim.generate import GenSpec, generate
 
 from conftest import make_example
@@ -138,3 +142,99 @@ def test_simulation_outputs_pass_their_clause_checkers():
         ga, gb = to_flg(as_nflts(a)), to_flg(as_nflts(b))
         assert oracle.is_crisp_sim_flg(greatest_crisp_simulation_flg(ga, gb), ga, gb)
         assert oracle.is_fuzzy_sim_flg(greatest_fuzzy_simulation_flg(ga, gb), ga, gb)
+
+
+def _labeled_pair(rng, max_states=4):
+    pool, labels = rng.randint(3, 7), rng.randint(1, 2)
+
+    def one():
+        n = rng.randint(1, max_states)
+        return generate(GenSpec(state_count=n, support_size=(1, min(2, n)), value_pool_size=pool,
+                                label_alphabet_size=labels, label_density=0.6,
+                                seed=rng.getrandbits(32)))
+
+    return one(), one()
+
+
+def test_kernel_matches_the_oracles_on_labeled_systems():
+    rng = random.Random(909)
+    for _ in range(40):
+        a, b = _labeled_pair(rng)
+        ga, gb = to_flg(a), to_flg(b)
+        assert greatest_crisp_simulation_flg(ga, gb) == oracle.gfp_crisp_sim_flg(ga, gb)
+        assert greatest_fuzzy_simulation_flg(ga, gb) == oracle.gfp_fuzzy_sim_flg(ga, gb)
+
+
+def test_each_cut_is_the_kernel_on_the_edges_at_or_above_it():
+    # The t-cut of Z is the greatest crisp simulation, inside the cut below
+    # t and the pairs with label cap >= t, between the graphs that keep only
+    # the edges of degree >= t.
+    rng = random.Random(1010)
+    for _ in range(20):
+        a, b = _labeled_pair(rng)
+        ga, gb = to_flg(a), to_flg(b)
+        fuzzy = greatest_fuzzy_simulation_flg(ga, gb)
+        left, right = sorted(ga.vertices), sorted(gb.vertices)
+        index = {v: i for i, v in enumerate(left)}
+        index_prime = {v: i for i, v in enumerate(right)}
+        width = len(right)
+        previous = {(x, y) for x in left for y in right}
+        for t in sorted(set(ga.degree_pool()) | set(gb.degree_pool()) | {ONE}):
+            start = {
+                index[x] * width + index_prime[y]
+                for x, y in previous
+                if inf(residuum(d, gb.labels[y](p)) for p, d in ga.labels[x].items()) >= t
+            }
+            edges = [(index[x], r, index[y], 0) for (x, r, y), d in ga.edges.items() if d >= t]
+            edges_prime = [(index_prime[x], r, index_prime[y], 0) for (x, r, y), d in gb.edges.items() if d >= t]
+            alive = simulation._simulate(edges, edges_prime, start, width)
+            cut = {(left[p // width], right[p % width]) for p in alive}
+            assert cut == set(fuzzy.cut(t).pairs)
+            previous = cut
+
+
+def test_cuts_are_not_simulations_of_the_graphs_clipped_at_the_threshold():
+    a = Nflts(["x", "y"], ["a"], [("x", "a", {"y": H})], ["p"], {"y": {"p": ONE}})
+    b = Nflts(["x", "y"], ["a"], [("x", "a", {"y": H})], ["p"], {"y": {"p": H}})
+    ga, gb = to_flg(a), to_flg(b)
+    fuzzy = greatest_fuzzy_simulation_flg(ga, gb)
+    assert fuzzy == oracle.gfp_fuzzy_sim_flg(ga, gb)
+    mu = dist_vertex(0)
+    assert fuzzy(state_vertex("y"), state_vertex("y")) == H
+    assert fuzzy(mu, mu) == 1 and fuzzy(state_vertex("x"), state_vertex("x")) == 1
+    assert fuzzy_simulation_nflts(a, b).entries == {("x", "x"): ONE, ("y", "y"): H}
+    # Clipping at 1 changes no degree, and the crisp simulation of those
+    # graphs needs (y, y) for the 0.5-edge, so it drops (x, x) from the 1-cut.
+    assert ("x", "x") not in crisp_simulation_nflts(a, b).pairs
+
+
+def _renamed(model: Nflts, name) -> Nflts:
+    transitions = [(name(s), act, {name(t): d for t, d in mu.fuzzy.items()}) for s, act, mu in model.transitions]
+    labels = {name(s): dict(model.label_of(s).items()) for s in model.states}
+    return Nflts([name(s) for s in model.states], model.actions, transitions, model.label_alphabet, labels)
+
+
+def test_renaming_states_renames_both_simulations():
+    rng = random.Random(1111)
+    for _ in range(15):
+        a, b = _labeled_pair(rng)
+        a2, b2 = _renamed(a, lambda s: "left-" + s[::-1]), _renamed(b, lambda s: "right-" + s[::-1])
+        crisp, crisp2 = crisp_simulation_nflts(a, b), crisp_simulation_nflts(a2, b2)
+        assert crisp2.pairs == {("left-" + x[::-1], "right-" + y[::-1]) for x, y in crisp.pairs}
+        fuzzy, fuzzy2 = fuzzy_simulation_nflts(a, b), fuzzy_simulation_nflts(a2, b2)
+        assert fuzzy2.entries == {
+            ("left-" + x[::-1], "right-" + y[::-1]): d for (x, y), d in fuzzy.entries.items()
+        }
+
+
+def test_each_copy_in_a_disjoint_union_simulates_its_state_fully():
+    rng = random.Random(1212)
+    for _ in range(10):
+        a, _ = _labeled_pair(rng)
+        union, inject_a, inject_b = disjoint_union(a, a)
+        there, back = fuzzy_simulation_nflts(a, union), fuzzy_simulation_nflts(union, a)
+        crisp = crisp_simulation_nflts(a, union)
+        for s in a.states:
+            for copy in (inject_a[s], inject_b[s]):
+                assert there(s, copy) == 1 and back(copy, s) == 1
+                assert (s, copy) in crisp.pairs
