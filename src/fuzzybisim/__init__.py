@@ -13,8 +13,8 @@ from .partition import (
     cfp_from_relation,
     degree_query,
 )
-from .crisp_engine import CrispEngineConfig, crisp_partition_system, greatest_crisp_bisim_partition_flg
-from .fuzzy_engine import FuzzyEngineConfig, fuzzy_partition_system, greatest_fuzzy_bisim_cfp_flg
+from .crisp_engine import crisp_partition_oracle, crisp_partition_system, greatest_crisp_bisim_partition_flg
+from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system, greatest_fuzzy_bisim_cfp_flg
 from .simulation import (
     greatest_crisp_simulation_flg,
     greatest_fuzzy_simulation_flg,
@@ -41,8 +41,8 @@ __all__ = [
     "CrispRelation", "FuzzyRelation", "relation_laws",
     "CrispPartition", "CompactFuzzyPartition", "NotAnEquivalenceError",
     "cfp_from_relation", "degree_query",
-    "CrispEngineConfig", "crisp_partition_system", "greatest_crisp_bisim_partition_flg",
-    "FuzzyEngineConfig", "fuzzy_partition_system", "greatest_fuzzy_bisim_cfp_flg",
+    "crisp_partition_oracle", "crisp_partition_system", "greatest_crisp_bisim_partition_flg",
+    "fuzzy_partition_oracle", "fuzzy_partition_system", "greatest_fuzzy_bisim_cfp_flg",
     "greatest_crisp_simulation_flg", "greatest_fuzzy_simulation_flg",
     "crisp_simulation_nflts", "fuzzy_simulation_nflts", "bisimulation_between_nflts",
     "DocumentError", "parse_model", "parse_relation",

@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass, asdict
 from typing import Iterable, List, Optional
 
-from .crisp_engine import CrispEngineConfig, crisp_partition_system
-from .fuzzy_engine import FuzzyEngineConfig, fuzzy_partition_system
+from .crisp_engine import crisp_partition_oracle, crisp_partition_system
+from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
 from .generate import GenSpec, generate, RNG_ALGORITHM
 from .model import Nfts
 
@@ -60,12 +60,16 @@ def _metrics(model: Nfts, spec: GenSpec) -> dict:
     }
 
 
+# strategy -> the engine tag of its records and its crisp and fuzzy engines
+_RUNS = {
+    "efficient-refinement": ("efficient", crisp_partition_system, fuzzy_partition_system),
+    "baseline-fixpoint": ("oracle", crisp_partition_oracle, fuzzy_partition_oracle),
+}
+
+
 def _tasks(strategy: str):
-    tag = "efficient" if strategy == "efficient-refinement" else "oracle"
-    return [
-        (f"{tag}-crisp", lambda m: crisp_partition_system(m, CrispEngineConfig(strategy)).text()),
-        (f"{tag}-fuzzy", lambda m: fuzzy_partition_system(m, FuzzyEngineConfig(strategy)).text()),
-    ]
+    tag, crisp, fuzzy = _RUNS[strategy]
+    return [(f"{tag}-crisp", lambda m: crisp(m).text()), (f"{tag}-fuzzy", lambda m: fuzzy(m).text())]
 
 
 def run_instance(model: Nfts, spec: GenSpec, strategies: Iterable[str]) -> List[BenchRecord]:
@@ -121,10 +125,8 @@ def scaling_run(
                 seed=seed + 1000 * count + rep,
             )
             model = generate(spec)
-            strategies = ["efficient-refinement"]
-            if count <= oracle_max_states:
-                strategies.append("baseline-fixpoint")
-            records.extend(run_instance(model, spec, strategies))
+            strategies = list(_RUNS)  # the efficient engines, then the oracles
+            records.extend(run_instance(model, spec, strategies if count <= oracle_max_states else strategies[:1]))
     check_digests(records)
     if csv_path:
         write_csv(records, csv_path)

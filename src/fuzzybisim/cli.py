@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,8 +24,8 @@ from .modelio import (
     relation_to_document,
 )
 from .graph import to_flg, as_nflts
-from .crisp_engine import CrispEngineConfig, crisp_partition_system
-from .fuzzy_engine import FuzzyEngineConfig, fuzzy_partition_system
+from .crisp_engine import crisp_partition_oracle, crisp_partition_system
+from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
 from .partition import NotAnEquivalenceError
 from .relations import CrispRelation
 from .simulation import (
@@ -36,25 +37,29 @@ from .simulation import (
 from . import oracle, bench
 from .generate import GenSpec, GenSpecError, generate
 
-ENGINE_STRATEGY = {"efficient": "efficient-refinement", "oracle": "baseline-fixpoint"}
-
-# (command, engine) -> the state-level simulation.  Names are looked up at call
-# time, so wrappers set on this module's globals (perfbench/tracer.py) apply.
-SIMULATIONS = {
-    ("crisp-sim", "efficient"): lambda a, b, verbose: crisp_simulation_nflts(a, b, verbose),
-    ("fuzzy-sim", "efficient"): lambda a, b, verbose: fuzzy_simulation_nflts(a, b, verbose),
-    ("crisp-sim", "oracle"): lambda a, b, _: on_states(a, b, oracle.gfp_crisp_sim_flg(to_flg(a), to_flg(b)).pairs),
-    ("fuzzy-sim", "oracle"): lambda a, b, _: on_states(a, b, oracle.gfp_fuzzy_sim_flg(to_flg(a), to_flg(b)).entries),
+# command -> engine -> the function that runs it, called with the parsed
+# models and the verbose flag.  Names are looked up at call time, so wrappers
+# set on this module's globals (perfbench/tracer.py) apply.
+_FUZZY_PARTITION = {
+    "efficient": lambda m, verbose: fuzzy_partition_system(m, verbose),
+    "oracle": lambda m, _: fuzzy_partition_oracle(m),
 }
-
-
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--engine", choices=sorted(ENGINE_STRATEGY), default="efficient",
-                        help="efficient refinement or the brute-force oracle")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print intermediate partitions/relations")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the machine-readable result schema")
+ENGINES = {
+    "crisp-partition": {
+        "efficient": lambda m, verbose: crisp_partition_system(m, verbose),
+        "oracle": lambda m, _: crisp_partition_oracle(m),
+    },
+    "fuzzy-partition": _FUZZY_PARTITION,
+    "degree": _FUZZY_PARTITION,
+    "crisp-sim": {
+        "efficient": lambda a, b, verbose: crisp_simulation_nflts(a, b, verbose),
+        "oracle": lambda a, b, _: on_states(a, b, oracle.gfp_crisp_sim_flg(to_flg(a), to_flg(b)).pairs),
+    },
+    "fuzzy-sim": {
+        "efficient": lambda a, b, verbose: fuzzy_simulation_nflts(a, b, verbose),
+        "oracle": lambda a, b, _: on_states(a, b, oracle.gfp_fuzzy_sim_flg(to_flg(a), to_flg(b)).entries),
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sub(name, help_text, *positionals):
         p = commands.add_parser(name, help=help_text)
-        _common_flags(p)
+        if name in ENGINES:
+            p.add_argument("--engine", choices=sorted(ENGINES[name]), default="efficient",
+                           help="efficient refinement or the brute-force oracle")
+        p.add_argument("--verbose", action="store_true",
+                       help="print intermediate partitions/relations")
+        p.add_argument("--json", action="store_true", dest="as_json",
+                       help="emit the machine-readable result schema")
         for positional in positionals:
             p.add_argument(positional)
         return p
@@ -176,25 +187,15 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args, started: float) -> int:
-    strategy = ENGINE_STRATEGY.get(getattr(args, "engine", "efficient"))
-
-    if args.command == "crisp-partition":
-        model = parse_model(Path(args.model))
-        partition = crisp_partition_system(model, CrispEngineConfig(strategy, args.verbose))
-        _emit(args, [list(b) for b in partition.blocks], started, partition.text())
-        return 0
-
-    if args.command == "fuzzy-partition":
-        model = parse_model(Path(args.model))
-        cfp = fuzzy_partition_system(model, FuzzyEngineConfig(strategy, args.verbose))
-        _emit(args, cfp.to_json(), started, cfp.text())
-        return 0
-
-    if args.command == "degree":
-        model = parse_model(Path(args.model))
-        cfp = fuzzy_partition_system(model, FuzzyEngineConfig(strategy, args.verbose))
-        value = format_degree(cfp.degree_of(args.x, args.y))
-        _emit(args, value, started, value)
+    if args.command in ("crisp-partition", "fuzzy-partition", "degree"):
+        result = ENGINES[args.command][args.engine](parse_model(Path(args.model)), args.verbose)
+        if args.command == "crisp-partition":
+            _emit(args, [list(b) for b in result.blocks], started, result.text())
+        elif args.command == "fuzzy-partition":
+            _emit(args, result.to_json(), started, result.text())
+        else:
+            value = format_degree(result.degree_of(args.x, args.y))
+            _emit(args, value, started, value)
         return 0
 
     if args.command in ("crisp-sim", "fuzzy-sim", "bisim-between"):
@@ -203,7 +204,7 @@ def _dispatch(args, started: float) -> int:
         if args.command == "bisim-between":
             relation = bisimulation_between_nflts(left, right, args.mode, verbose=args.verbose)
         else:
-            relation = SIMULATIONS[args.command, args.engine](left, right, args.verbose)
+            relation = ENGINES[args.command][args.engine](left, right, args.verbose)
         _emit(args, relation_to_document(relation), started, _relation_text(relation))
         return 0
 
@@ -268,7 +269,15 @@ def _dispatch(args, started: float) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Python flushes stdout again at
+        # exit, so point it at /dev/null first to keep that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

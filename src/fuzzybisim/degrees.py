@@ -8,6 +8,7 @@ finite pool of degrees stays inside that pool extended with 0 and 1.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Degree = Fraction
@@ -24,6 +25,8 @@ class DegreeError(ValueError):
 #: the digits of an integer string.  "1e-99999999" would otherwise build a
 #: denominator of 10**99999999 before any range check could reject it.
 MAX_EXPONENT = 4300
+
+_LOG2_5 = math.log2(5)
 
 
 def _exponent(text: str) -> int:
@@ -59,16 +62,12 @@ def format_degree(d: Degree) -> str:
     num, den = d.numerator, d.denominator
     if den == 1:
         return str(num)
-    shift = 0
-    scaled = den
-    while scaled % 2 == 0:
-        scaled //= 2
-        shift += 1
-    fives = 0
-    while scaled % 5 == 0:
-        scaled //= 5
-        fives += 1
-    if scaled != 1:
+    shift = (den & -den).bit_length() - 1  # the factors 2 of den
+    odd = den >> shift
+    # 5**k has floor(k * log2(5)) + 1 bits; those intervals are wider than 1,
+    # so the bit length alone gives the only k for which odd can be 5**k.
+    fives = round((odd.bit_length() - 0.5) / _LOG2_5)
+    if 5**fives != odd:
         return f"{num}/{den}"
     digits = max(shift, fives)
     scaled_num = num * 10**digits // den

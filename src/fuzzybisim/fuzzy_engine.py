@@ -1,10 +1,10 @@
 """Greatest fuzzy bisimulation (Goedel semantics) of a graph as a compact
 fuzzy partition, and the system-level pipeline.
 
-The Goedel operators only compare degrees, so the efficient strategy works
-on dense vertex ids and on degree ranks: rank i is the i-th threshold of
-the sorted degree pool, with 1 always included.  It sweeps the levels
-i = 0, 1, ... in ascending order.  At level i two vertices stay together iff
+The Goedel operators only compare degrees, so the engine works on the dense
+vertex ids and degree ranks of ``refinement.adjacency``: rank i is the i-th
+threshold of the sorted degree pool, with 1 always included.  It sweeps the
+levels i = 0, 1, ... in ascending order.  At level i two vertices stay together iff
 their labels agree, with every rank >= i in one bucket, and they reach the
 same blocks over edges of rank >= i.  Both conditions form one key; since
 the coarsest stable refinement is unique, this gives the same partition as
@@ -20,11 +20,13 @@ The chain of partitions is the chain of cuts of the greatest fuzzy
 bisimulation.  The tree is built from the split events: a block that splits
 at level i becomes a node of degree thresholds[i-1] (0 at level 0), and
 later splits of its pieces at the same level add siblings under that node.
+
+``fuzzy_partition_oracle`` is the engine's naive twin: the definitional
+fixpoint of the graph, then the same restriction to states.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .degrees import ZERO, ONE, format_degree
 from .graph import Flg, to_flg
@@ -33,41 +35,19 @@ from .partition import Block, CompactFuzzyPartition, cfp_from_relation, fold_tre
 from .refinement import RefinableMap, adjacency
 from . import oracle
 
-STRATEGIES = ("efficient-refinement", "baseline-fixpoint")
+
+def _trace(message: str):
+    print(f"[fuzzy] {message}", file=sys.stderr)
 
 
-@dataclass
-class FuzzyEngineConfig:
-    strategy: str = "efficient-refinement"
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    def trace(self, message: str):
-        if self.verbose:
-            print(f"[fuzzy] {message}", file=sys.stderr)
-
-
-def greatest_fuzzy_bisim_cfp_flg(g: Flg, config: FuzzyEngineConfig | None = None) -> CompactFuzzyPartition:
+def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False) -> CompactFuzzyPartition:
     """Compact fuzzy partition of the greatest fuzzy bisimulation of a graph."""
-    config = config or FuzzyEngineConfig()
-    if config.strategy == "baseline-fixpoint":
-        return cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(g))
-    return _refine_fuzzy(g, config)
-
-
-def _refine_fuzzy(g: Flg, config: FuzzyEngineConfig) -> CompactFuzzyPartition:
-    vertices, out, preds = adjacency(g)
     thresholds = sorted(set(g.degree_pool()) | {ONE})
-    rank = {d: i for i, d in enumerate(thresholds)}
-    edges = [[(r, y, rank[d]) for r, y, d in es] for es in out]
-    labels = [[(p, rank[d]) for p, d in g.labels[v].items()] for v in vertices]
+    vertices, edges, preds, labels = adjacency(g, thresholds)
     # touched[i]: vertices whose key may change at level i.
     touched = [[] for _ in range(len(thresholds) + 1)]
     for x in range(len(vertices)):
-        for rk in {rk for _, _, rk in edges[x]} | {rk for _, rk in labels[x]}:
+        for rk in {rk for _, _, rk in edges[x]} | set(labels[x].values()):
             touched[rk + 1].append(x)
     state = RefinableMap(range(len(vertices)), preds)
     assignment = state.assignment
@@ -77,14 +57,15 @@ def _refine_fuzzy(g: Flg, config: FuzzyEngineConfig) -> CompactFuzzyPartition:
 
         def key(x):
             return (
-                frozenset((p, rk if rk < level else level) for p, rk in labels[x]),
+                frozenset((p, rk if rk < level else level) for p, rk in labels[x].items()),
                 frozenset((r, assignment[y]) for r, y, rk in edges[x] if rk >= level),
             )
 
         state.dirty.update(assignment[x] for x in touched[level])
         state.refine(key)
         levels += [level] * (len(state.events) - len(levels))
-        config.trace(f"threshold {format_degree(threshold)}: {state.block_count()} blocks")
+        if verbose:
+            _trace(f"threshold {format_degree(threshold)}: {state.block_count()} blocks")
 
     return CompactFuzzyPartition(_tree_from_events(state, levels, vertices, thresholds))
 
@@ -119,17 +100,26 @@ def _add_leaf(parent: Block) -> Block:
     return leaf
 
 
-def fuzzy_partition_system(model: Nfts, config: FuzzyEngineConfig | None = None) -> CompactFuzzyPartition:
-    """Compact fuzzy partition of the greatest fuzzy bisimulation of a system.
+def fuzzy_partition_system(model: Nfts, verbose: bool = False) -> CompactFuzzyPartition:
+    """Compact fuzzy partition of the greatest fuzzy bisimulation of a system."""
+    graph_cfp = greatest_fuzzy_bisim_cfp_flg(to_flg(model), verbose)
+    if verbose:
+        _trace(f"graph partition: {graph_cfp.text()}")
+    return _state_cfp(model, graph_cfp)
+
+
+def fuzzy_partition_oracle(model: Nfts) -> CompactFuzzyPartition:
+    """``fuzzy_partition_system`` by the naive graph fixpoint."""
+    return _state_cfp(model, cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(to_flg(model))))
+
+
+def _state_cfp(model: Nfts, graph_cfp: CompactFuzzyPartition) -> CompactFuzzyPartition:
+    """The state part of a graph partition.
 
     With no transitions the graph partition over V = S is returned directly;
     otherwise the top-level state blocks are collected under a degree-0 root
     (unless there is exactly one of them).
     """
-    config = config or FuzzyEngineConfig()
-    graph_cfp = greatest_fuzzy_bisim_cfp_flg(to_flg(model), config)
-    if config.verbose:
-        config.trace(f"graph partition: {graph_cfp.text()}")
     if not model.transitions:
         return CompactFuzzyPartition(_strip_vertices(graph_cfp.root))
     kept = [

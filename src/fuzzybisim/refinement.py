@@ -1,12 +1,17 @@
 """Worklist-driven partition refinement over fuzzy labeled graphs.
 
-Both engines split blocks by per-vertex keys computed against the current
-partition.  When a block splits, its largest group keeps the old block id
-and every other group gets a new one.  Keys refer to blocks by id, so only
-the predecessors of the re-numbered groups can see a changed key, and only
-their blocks are re-queued (Valmari, "Bisimilarity minimization in
-O(m log n) time", 2009).  Each split is recorded as a (new block, parent
-block) event, from which the fuzzy engine builds its tree.
+``adjacency`` gives all three engines (crisp, fuzzy, simulation) the same
+integer view of a graph: dense vertex ids, and degrees as ranks in a sorted
+pool.  The Goedel operators only compare degrees, so ranks are exact.
+
+Both bisimulation engines split blocks by per-vertex keys computed against
+the current partition.  When a block splits, its largest group keeps the
+old block id and every other group gets a new one.  Keys refer to blocks by
+id, so only the predecessors of the re-numbered groups can see a changed
+key, and only their blocks are re-queued (Valmari, "Bisimilarity
+minimization in O(m log n) time", 2009).  Each split is recorded as a
+(new block, parent block) event, from which the fuzzy engine builds its
+tree.
 """
 from __future__ import annotations
 
@@ -32,9 +37,6 @@ class RefinableMap:
 
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def mark_all_dirty(self):
-        self.dirty.update(self.blocks)
 
     def split_block(self, bid: int, key_of: Callable[[Hashable], object]) -> bool:
         """Split one block by a key function; returns True when it split."""
@@ -64,14 +66,6 @@ class RefinableMap:
                     dirty.add(assignment[p])
         return True
 
-    def split_all(self, key_of: Callable[[Hashable], object]) -> int:
-        """Split every block by a key function (used for static label keys)."""
-        splits = 0
-        for bid in list(self.blocks):
-            if self.split_block(bid, key_of):
-                splits += 1
-        return splits
-
     def refine(self, key_of: Callable[[Hashable], object], trace=None):
         """Split queued blocks until the queue is empty.
 
@@ -88,18 +82,24 @@ class RefinableMap:
         return dict(self.assignment)
 
 
-def adjacency(g: Flg):
-    """Dense-id adjacency for refinement runs.
+def adjacency(g: Flg, pool: list):
+    """Dense-id adjacency on degree ranks for refinement runs.
 
-    Returns the sorted vertices, the out-edges of vertex id i as
-    ``(symbol, target id, degree)`` and the predecessor ids of vertex id i.
+    ``pool`` is a sorted list holding every degree of ``g``; a degree is
+    replaced by its index there.  Returns the sorted vertices, the out-edges
+    of vertex id i as ``(symbol, target id, rank)``, the predecessor ids of
+    vertex id i, and the label of vertex id i as a symbol -> rank map.
     """
+    # Keyed by (numerator, denominator): hashing a Fraction costs several
+    # times as much, and this runs once per edge and label entry.
+    rank = {(d.numerator, d.denominator): i for i, d in enumerate(pool)}
     vertices = sorted(g.vertices)
     index = {v: i for i, v in enumerate(vertices)}
     out: List[list] = [[] for _ in vertices]
     preds: List[list] = [[] for _ in vertices]
     for (x, r, y), degree in g.edges.items():
         i, j = index[x], index[y]
-        out[i].append((r, j, degree))
+        out[i].append((r, j, rank[degree.numerator, degree.denominator]))
         preds[j].append(i)
-    return vertices, out, preds
+    labels = [{p: rank[d.numerator, d.denominator] for p, d in g.labels[v].items()} for v in vertices]
+    return vertices, out, preds, labels

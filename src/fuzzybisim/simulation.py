@@ -16,8 +16,8 @@ from .graph import Flg, to_flg, as_nflts, disjoint_union, ModelError
 from .model import Nfts, Nflts
 from .refinement import adjacency
 from .relations import CrispRelation, FuzzyRelation
-from .crisp_engine import crisp_partition_system, CrispEngineConfig
-from .fuzzy_engine import fuzzy_partition_system, FuzzyEngineConfig
+from .crisp_engine import crisp_partition_system
+from .fuzzy_engine import fuzzy_partition_system
 
 
 def _require_alphabets(a: Nflts, b: Nflts):
@@ -81,13 +81,10 @@ def _ranked(g: Flg, g_prime: Flg):
     if not g.same_signature(g_prime):
         raise ModelError("graphs must share vertex and edge alphabets")
     pool = sorted(set(g.degree_pool()) | set(g_prime.degree_pool()) | {ONE})
-    rank = {d: i for i, d in enumerate(pool)}
     sides = []
     for h in (g, g_prime):
-        vertices, out, _ = adjacency(h)
-        edges = [(x, r, y, rank[d]) for x, es in enumerate(out) for r, y, d in es]
-        labels = [{p: rank[d] for p, d in h.labels[v].items()} for v in vertices]
-        sides.append((vertices, edges, labels))
+        vertices, out, _, labels = adjacency(h, pool)
+        sides.append((vertices, [(x, r, y, rk) for x, es in enumerate(out) for r, y, rk in es], labels))
     (left, edges, labels), (right, edges_prime, labels_prime) = sides
     top = len(pool) - 1
     caps, rows = [], {}  # rows: the caps of one distinct label against every x'
@@ -173,7 +170,7 @@ def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: b
     _require_alphabets(a, b)
     union, inject_a, inject_b = disjoint_union(a, b)
     if mode == "crisp":
-        partition = crisp_partition_system(union, CrispEngineConfig(verbose=verbose))
+        partition = crisp_partition_system(union, verbose)
         pairs = {
             (s, t)
             for s in a.states
@@ -182,7 +179,7 @@ def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: b
         }
         return CrispRelation(a.states, b.states, pairs)
     if mode == "fuzzy":
-        cfp = fuzzy_partition_system(union, FuzzyEngineConfig(verbose=verbose))
+        cfp = fuzzy_partition_system(union, verbose)
         entries = {
             (s, t): cfp.degree_of(inject_a[s], inject_b[t])
             for s in a.states

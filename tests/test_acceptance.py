@@ -10,9 +10,7 @@ import time
 from fractions import Fraction
 
 from fuzzybisim import (
-    CrispEngineConfig,
     CrispPartition,
-    FuzzyEngineConfig,
     FuzzyRelation,
     as_nflts,
     cfp_from_relation,
@@ -44,17 +42,14 @@ from conftest import (
     seven_element_relation,
 )
 
-EFFICIENT_CRISP = CrispEngineConfig("efficient-refinement")
-EFFICIENT_FUZZY = FuzzyEngineConfig("efficient-refinement")
-
 
 def test_criterion_1(example_path):
     """Golden crisp partition, including the intermediate graph partition."""
     started = time.perf_counter()
     model = parse_model(example_path)
-    graph_partition = greatest_crisp_bisim_partition_flg(to_flg(model), EFFICIENT_CRISP)
+    graph_partition = greatest_crisp_bisim_partition_flg(to_flg(model))
     assert graph_partition.text(name=lambda v: v.name) == EXAMPLE_GRAPH_CRISP_TEXT
-    partition = crisp_partition_system(model, EFFICIENT_CRISP)
+    partition = crisp_partition_system(model)
     assert partition.text() == EXAMPLE_CRISP_TEXT
     assert time.perf_counter() - started < 1.0
 
@@ -63,7 +58,7 @@ def test_criterion_2(example_path):
     """Golden fuzzy partition and its exact 5x5 expanded relation."""
     started = time.perf_counter()
     model = parse_model(example_path)
-    cfp = fuzzy_partition_system(model, EFFICIENT_FUZZY)
+    cfp = fuzzy_partition_system(model)
     assert cfp.text() == EXAMPLE_FUZZY_TEXT
     expanded = cfp.to_relation()
     table = example_fuzzy_table()
@@ -88,7 +83,7 @@ def test_criterion_4():
     """Efficient crisp pipeline equals the brute-force oracle, 500 instances."""
     started = time.perf_counter()
     for model in _battery(500, max_states=8, seed=41):
-        got = crisp_partition_system(model, EFFICIENT_CRISP)
+        got = crisp_partition_system(model)
         expected = CrispPartition.from_relation(oracle.gfp_crisp_bisim_nfts(model))
         assert got == expected
     assert time.perf_counter() - started < 60.0
@@ -98,7 +93,7 @@ def test_criterion_5():
     """Efficient fuzzy pipeline equals the brute-force oracle, 300 instances."""
     started = time.perf_counter()
     for model in _battery(300, max_states=6, seed=42):
-        got = fuzzy_partition_system(model, EFFICIENT_FUZZY).to_relation()
+        got = fuzzy_partition_system(model).to_relation()
         expected = oracle.gfp_fuzzy_bisim_nfts(model)
         for s in model.states:
             for t in model.states:
@@ -129,11 +124,11 @@ def test_criterion_6():
 def test_criterion_7():
     """Every pipeline output passes its own definitional checker and laws."""
     for model in _battery(100, max_states=6, seed=44):
-        partition = crisp_partition_system(model, EFFICIENT_CRISP)
+        partition = crisp_partition_system(model)
         crisp = partition.to_relation()
         assert oracle.is_crisp_bisim_nfts(crisp, model)
 
-        cfp = fuzzy_partition_system(model, EFFICIENT_FUZZY)
+        cfp = fuzzy_partition_system(model)
         fuzzy = cfp.to_relation()
         assert relation_laws(fuzzy).is_equivalence
         assert oracle.is_fuzzy_bisim_nfts(fuzzy, model)
@@ -221,8 +216,6 @@ def test_criterion_9(request, tmp_path):
         f" oracle fuzzy {slope_oracle:.2f} (informational)"
     )
     request.config._acceptance_notes = notes
-    # store the largest fuzzy result for criterion 10
-    request.config.cache.set("acceptance/largest-m", max(r.m for r in efficient))
 
 
 def test_criterion_10(request):
@@ -236,7 +229,7 @@ def test_criterion_10(request):
         value_pool_size=6,
         seed=13 + 1000 * 800,
     ))
-    cfp = fuzzy_partition_system(model, EFFICIENT_FUZZY)
+    cfp = fuzzy_partition_system(model)
     expanded = cfp.to_relation()
     states = sorted(model.states)
     rng = random.Random(47)

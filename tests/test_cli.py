@@ -2,7 +2,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from fuzzybisim import (
     parse_model,
     to_flg,
 )
-from fuzzybisim.cli import _json_text_iterative, run
+from fuzzybisim.cli import ENGINES, _json_text_iterative, run
 
 from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
 
@@ -134,6 +136,49 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         run(["crisp-partition"])
     assert info.value.code == 2
+
+
+def test_engine_choices_come_from_the_engine_table(capsys, example_path):
+    example = str(example_path)
+    operands = {"crisp-partition": [example], "fuzzy-partition": [example], "degree": [example, "s1", "s5"],
+                "crisp-sim": [example, example], "fuzzy-sim": [example, example]}
+    assert set(ENGINES) == set(operands)
+    for command, engines in ENGINES.items():
+        assert sorted(engines) == ["efficient", "oracle"]
+        for engine in engines:
+            code, _, _ = invoke(capsys, command, *operands[command], "--engine", engine)
+            assert code == 0
+        with pytest.raises(SystemExit) as info:
+            run([command, *operands[command], "--engine", "quantum"])
+        assert info.value.code == 2
+
+
+def test_engine_flag_is_refused_where_no_engine_is_chosen(capsys, example_path, tmp_path):
+    example = str(example_path)
+    for argv in (
+        ["bisim-between", example, example], ["check", example, example, "--kind", "crisp-bisim"],
+        ["gen"], ["bench", "--out", str(tmp_path / "bench.csv")],
+    ):
+        with pytest.raises(SystemExit) as info:
+            run([*argv, "--engine", "oracle"])
+        assert info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_a_traceback(example_path):
+    # `fuzzybisim fuzzy-sim --json m m | head -1`, with the reader gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "fuzzybisim.cli", "fuzzy-sim", "--json", str(example_path), str(example_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 def test_bisim_between_modes(capsys, example_path):
@@ -375,7 +420,9 @@ def test_malformed_and_extreme_documents_exit_cleanly(tmp_path_factory, text, re
     example = str(REPO_ROOT / "models" / "example.json")
     for argv in (
         ["crisp-partition", model], ["fuzzy-partition", model, "--json"], ["degree", model, "s0", "d1"],
+        ["crisp-partition", model, "--engine", "oracle"], ["fuzzy-partition", model, "--engine", "oracle", "--json"],
         ["crisp-sim", model, model], ["fuzzy-sim", model, model, "--json", "--verbose"],
+        ["bisim-between", model, model, "--mode", "crisp"], ["bisim-between", model, model, "--mode", "fuzzy", "--json"],
         ["check", model, model, "--kind", "fuzzy-bisim"],
         ["check", example, relation, "--kind", "crisp-bisim"], ["check", example, relation, "--kind", "fuzzy-bisim"],
     ):

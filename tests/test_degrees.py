@@ -45,6 +45,42 @@ def test_format_fallback_for_non_decimal_denominators():
     assert format_degree(Fraction(1, 3)) == "1/3"
 
 
+def reference_format(d: Fraction) -> str:
+    """format_degree by dividing out one factor 2 or 5 at a time."""
+    num, den = d.numerator, d.denominator
+    if den == 1:
+        return str(num)
+    shift, scaled = 0, den
+    while scaled % 2 == 0:
+        scaled //= 2
+        shift += 1
+    fives = 0
+    while scaled % 5 == 0:
+        scaled //= 5
+        fives += 1
+    if scaled != 1:
+        return f"{num}/{den}"
+    digits = max(shift, fives)
+    text = str(num * 10**digits // den).rjust(digits + 1, "0")
+    whole, frac = text[:-digits], text[-digits:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
+def test_format_matches_the_reference_on_long_and_mixed_denominators():
+    exponents = [*range(1, 60), *range(60, 4300, 331), 4299, 4300]
+    for e in exponents:
+        for text in (f"1e-{e}", f"7{'0' * (e % 5)}3e-{min(e + 4, 4300)}", f"0.{'9' * min(e, 4290)}"):
+            value = parse_degree(text)
+            assert format_degree(value) == reference_format(value), text
+    for twos in (0, 1, 2, 7, 61, 1000):
+        for fives in (*range(0, 300, 1 if twos == 0 else 13), 431, 2999):
+            for rest in (1, 3, 2**64 + 1):
+                den = 2**twos * 5**fives * rest
+                for num in (1, den - 1):
+                    value = Fraction(num, max(den, 2))
+                    assert format_degree(value) == reference_format(value), (twos, fives, rest, num)
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_parse_format_round_trip(thousandths):
     value = Fraction(thousandths, 10**6)

@@ -2,15 +2,13 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from fuzzybisim import (
     CompactFuzzyPartition,
-    FuzzyEngineConfig,
     Nflts,
     Nfts,
     as_nflts,
     cfp_from_relation,
+    fuzzy_partition_oracle,
     fuzzy_partition_system,
     greatest_fuzzy_bisim_cfp_flg,
     to_flg,
@@ -25,32 +23,24 @@ from conftest import (
     make_example,
 )
 
-EFFICIENT = FuzzyEngineConfig("efficient-refinement")
-BASELINE = FuzzyEngineConfig("baseline-fixpoint")
-
 
 def test_golden_system_partition():
-    assert fuzzy_partition_system(make_example(), EFFICIENT).text() == EXAMPLE_FUZZY_TEXT
-    assert fuzzy_partition_system(make_example(), BASELINE).text() == EXAMPLE_FUZZY_TEXT
+    assert fuzzy_partition_system(make_example()).text() == EXAMPLE_FUZZY_TEXT
+    assert fuzzy_partition_oracle(make_example()).text() == EXAMPLE_FUZZY_TEXT
 
 
 def test_golden_graph_partition():
     g = to_flg(make_example())
-    cfp = greatest_fuzzy_bisim_cfp_flg(g, EFFICIENT)
+    cfp = greatest_fuzzy_bisim_cfp_flg(g)
     assert cfp.text(name=lambda v: v.name) == EXAMPLE_GRAPH_FUZZY_TEXT
 
 
 def test_expanded_relation_matches_the_table():
-    cfp = fuzzy_partition_system(make_example(), EFFICIENT)
+    cfp = fuzzy_partition_system(make_example())
     assert cfp.to_relation() == example_fuzzy_table()
     assert cfp.degree_of("s1", "s5") == Fraction("0.4")
     assert cfp.degree_of("s2", "s5") == 1
     assert cfp.degree_of("s1", "s3") == 0
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        FuzzyEngineConfig("quantum")
 
 
 def test_label_degrees_become_biresiduum_degrees():
@@ -59,21 +49,21 @@ def test_label_degrees_become_biresiduum_degrees():
         ["p"],
         {"s": {"p": Fraction("0.3")}, "t": {"p": Fraction(1)}},
     )
-    cfp = fuzzy_partition_system(model, EFFICIENT)
+    cfp = fuzzy_partition_system(model)
     assert cfp.degree_of("s", "t") == Fraction("0.3")
-    assert fuzzy_partition_system(model, BASELINE).text() == cfp.text()
+    assert fuzzy_partition_oracle(model).text() == cfp.text()
 
 
 def test_no_transitions_no_labels_is_one_leaf():
     model = Nfts(["s", "t"], ["a"], [])
-    cfp = fuzzy_partition_system(model, EFFICIENT)
+    cfp = fuzzy_partition_system(model)
     assert cfp.text() == "{s,t}:1"
     assert cfp.degree_of("s", "t") == 1
 
 
 def test_single_state():
     model = Nfts(["s"], ["a"], [("s", "a", {"s": Fraction(1, 2)})])
-    cfp = fuzzy_partition_system(model, EFFICIENT)
+    cfp = fuzzy_partition_system(model)
     assert cfp.text() == "{s}:1"
 
 
@@ -81,7 +71,7 @@ def test_matches_the_system_level_oracle():
     rng = random.Random(303)
     for _ in range(50):
         model = generate(random_spec(rng, max_states=5))
-        got = fuzzy_partition_system(model, EFFICIENT).to_relation()
+        got = fuzzy_partition_system(model).to_relation()
         assert got == oracle.gfp_fuzzy_bisim_nfts(model)
 
 
@@ -89,8 +79,8 @@ def test_strategies_agree_on_random_graphs():
     rng = random.Random(404)
     for _ in range(50):
         g = to_flg(generate(random_spec(rng, max_states=5)))
-        a = greatest_fuzzy_bisim_cfp_flg(g, EFFICIENT)
-        b = greatest_fuzzy_bisim_cfp_flg(g, BASELINE)
+        a = greatest_fuzzy_bisim_cfp_flg(g)
+        b = cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(g))
         assert a.structurally_equal(b)
 
 
@@ -98,13 +88,13 @@ def test_crisp_partition_refines_the_one_cut():
     # Crisp-bisimilar pairs always have fuzzy degree 1; the converse can
     # fail (a degree-1 pair may match transitions only through partially
     # related targets), so only this containment is asserted.
-    from fuzzybisim import CrispEngineConfig, crisp_partition_system
+    from fuzzybisim import crisp_partition_system
 
     rng = random.Random(505)
     for _ in range(30):
         model = generate(random_spec(rng, max_states=5))
-        cfp = fuzzy_partition_system(model, EFFICIENT)
-        crisp = crisp_partition_system(model, CrispEngineConfig())
+        cfp = fuzzy_partition_system(model)
+        crisp = crisp_partition_system(model)
         for s in model.states:
             for t in model.states:
                 if crisp.same_block(s, t):
@@ -112,8 +102,7 @@ def test_crisp_partition_refines_the_one_cut():
 
 
 def test_verbose_traces_do_not_change_the_result(capsys):
-    config = FuzzyEngineConfig("efficient-refinement", verbose=True)
-    cfp = fuzzy_partition_system(make_example(), config)
+    cfp = fuzzy_partition_system(make_example(), verbose=True)
     assert cfp.text() == EXAMPLE_FUZZY_TEXT
     captured = capsys.readouterr()
     assert "[fuzzy] threshold 0.4:" in captured.err
@@ -126,7 +115,7 @@ def test_verbose_traces_do_not_change_the_result(capsys):
 def assert_graph_cfp_matches_oracle(model):
     g = to_flg(model)
     expected = cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(g))
-    assert greatest_fuzzy_bisim_cfp_flg(g, EFFICIENT) == expected
+    assert greatest_fuzzy_bisim_cfp_flg(g) == expected
 
 
 def planted_copies(rng: random.Random, copies: int = 5, size: int = 3) -> Nfts:
@@ -154,7 +143,7 @@ def test_planted_copies_match_the_oracle():
     for _ in range(8):
         model = planted_copies(rng)
         assert_graph_cfp_matches_oracle(model)
-        got = fuzzy_partition_system(model, EFFICIENT)
+        got = fuzzy_partition_system(model)
         assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
 
 
@@ -180,7 +169,7 @@ def test_models_without_transitions_match_the_oracle():
         labels = {s: {p: rng.choice(pool) for p in "pq" if rng.random() < 0.7} for s in states}
         model = Nflts(states, ["a"], [], ["p", "q"], labels)
         assert_graph_cfp_matches_oracle(model)
-        got = fuzzy_partition_system(model, EFFICIENT)
+        got = fuzzy_partition_system(model)
         assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
 
 
@@ -196,6 +185,6 @@ def test_renaming_states_renames_the_partition():
             model.label_alphabet,
             {rename[s]: model.label_of(s) for s in model.states},
         )
-        cfp = fuzzy_partition_system(model, EFFICIENT)
+        cfp = fuzzy_partition_system(model)
         expected = CompactFuzzyPartition.from_json(cfp.to_json(name=rename.__getitem__))
-        assert fuzzy_partition_system(renamed, EFFICIENT) == expected
+        assert fuzzy_partition_system(renamed) == expected

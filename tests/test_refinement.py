@@ -19,7 +19,7 @@ def test_starts_as_one_block():
 
 def test_split_by_key():
     vertices, state = fresh_map()
-    state.split_all(lambda v: v.key in ("a", "b"))
+    assert state.split_block(0, lambda v: v.key in ("a", "b"))
     assert state.block_count() == 2
     assert state.assignment[vertices[0]] == state.assignment[vertices[1]]
     assert state.assignment[vertices[0]] != state.assignment[vertices[2]]
@@ -27,7 +27,7 @@ def test_split_by_key():
 
 def test_constant_key_is_a_no_op():
     vertices, state = fresh_map()
-    assert state.split_all(lambda v: 0) == 0
+    assert not state.split_block(0, lambda v: 0)
     assert state.block_count() == 1
     before = state.snapshot()
     state.refine(lambda v: "same")
@@ -45,7 +45,7 @@ def test_refine_reaches_a_fixpoint():
 def test_snapshot_is_independent():
     vertices, state = fresh_map()
     snap = state.snapshot()
-    state.split_all(lambda v: v.key)
+    state.split_block(0, lambda v: v.key)
     assert len(set(snap.values())) == 1
 
 
@@ -54,7 +54,7 @@ def test_split_requeues_only_predecessors_of_new_groups():
     # p points only into a, q only into c
     preds = {"a": ["p"], "b": [], "c": ["q"], "p": [], "q": []}
     state = RefinableMap(elements, preds)
-    state.split_all(lambda v: v if v in "pq" else "abc")
+    state.split_block(0, lambda v: v if v in "pq" else "abc")
     state.dirty.clear()
     bid = state.assignment["a"]
     assert state.split_block(bid, lambda v: v == "c")
@@ -66,8 +66,10 @@ def test_split_requeues_only_predecessors_of_new_groups():
 
 def test_adjacency_matches_the_graph():
     g = to_flg(make_example())
-    vertices, out, preds = adjacency(g)
+    pool = g.degree_pool()
+    vertices, out, preds, labels = adjacency(g, pool)
     assert sorted(g.vertices) == vertices
     for i, v in enumerate(vertices):
-        assert sorted((r, vertices[j], d) for r, j, d in out[i]) == sorted(g.out_edges(v))
+        assert sorted((r, vertices[j], pool[rk]) for r, j, rk in out[i]) == sorted(g.out_edges(v))
         assert sorted(vertices[j] for j in preds[i]) == sorted(g.predecessors(v))
+        assert {p: pool[rk] for p, rk in labels[i].items()} == dict(g.labels[v].items())
