@@ -4,7 +4,7 @@ transformation to fuzzy labeled graphs and partition refinement."""
 
 from .degrees import Degree, ZERO, ONE, parse_degree, format_degree, residuum, biresiduum
 from .model import FuzzySet, Distribution, Nfts, Nflts, ModelError
-from .graph import Flg, Vertex, nfts_to_flg, nflts_to_flg, to_flg, as_nflts, disjoint_union
+from .graph import Flg, Vertex, to_flg, as_nflts, disjoint_union
 from .relations import CrispRelation, FuzzyRelation, relation_laws
 from .partition import (
     CrispPartition,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Degree", "ZERO", "ONE", "parse_degree", "format_degree", "residuum", "biresiduum",
     "FuzzySet", "Distribution", "Nfts", "Nflts", "ModelError",
-    "Flg", "Vertex", "nfts_to_flg", "nflts_to_flg", "to_flg", "as_nflts", "disjoint_union",
+    "Flg", "Vertex", "to_flg", "as_nflts", "disjoint_union",
     "CrispRelation", "FuzzyRelation", "relation_laws",
     "CrispPartition", "CompactFuzzyPartition", "NotAnEquivalenceError",
     "cfp_from_relation", "degree_query",

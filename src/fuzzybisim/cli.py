@@ -27,7 +27,6 @@ from .graph import to_flg, as_nflts
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
 from .partition import NotAnEquivalenceError
-from .relations import CrispRelation
 from .simulation import (
     bisimulation_between_nflts,
     crisp_simulation_nflts,
@@ -114,18 +113,20 @@ def _range(text: str):
     return int(lo), int(hi or lo)
 
 
-def _emit(args, payload, started: float, text: str):
+def _emit(args, started: float, payload, text):
+    """Print the ``--json`` document of ``payload()``, or else ``text()``:
+    only the form being printed is rendered."""
     if args.as_json:
         doc = {
             "command": args.command,
             "input": _inputs(args),
-            "result": payload,
+            "result": payload(),
             "engine": getattr(args, "engine", "efficient"),
             "wall_time_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
         print(_json_text(doc))
     else:
-        print(text)
+        print(text())
 
 
 def _json_text(doc) -> str:
@@ -166,12 +167,11 @@ def _inputs(args):
     return None
 
 
-def _relation_text(relation) -> str:
-    if isinstance(relation, CrispRelation):
-        lines = [f"{x} {y}" for x, y in sorted(relation.pairs)]
-        return "\n".join(lines) if lines else "(empty relation)"
-    lines = [f"{x} {y} {format_degree(d)}" for (x, y), d in sorted(relation.entries.items())]
-    return "\n".join(lines) if lines else "(zero relation)"
+def _relation_doc_text(doc: dict) -> str:
+    """A relation document as text: one row per line, fields joined by spaces."""
+    if doc["kind"] == "crisp":
+        return "\n".join(map(" ".join, doc["pairs"])) or "(empty relation)"
+    return "\n".join(map(" ".join, doc["degrees"])) or "(zero relation)"
 
 
 def run(argv=None) -> int:
@@ -190,12 +190,12 @@ def _dispatch(args, started: float) -> int:
     if args.command in ("crisp-partition", "fuzzy-partition", "degree"):
         result = ENGINES[args.command][args.engine](parse_model(Path(args.model)), args.verbose)
         if args.command == "crisp-partition":
-            _emit(args, [list(b) for b in result.blocks], started, result.text())
+            _emit(args, started, lambda: [list(b) for b in result.blocks], result.text)
         elif args.command == "fuzzy-partition":
-            _emit(args, result.to_json(), started, result.text())
+            _emit(args, started, result.to_json, result.text)
         else:
             value = format_degree(result.degree_of(args.x, args.y))
-            _emit(args, value, started, value)
+            _emit(args, started, lambda: value, lambda: value)
         return 0
 
     if args.command in ("crisp-sim", "fuzzy-sim", "bisim-between"):
@@ -205,7 +205,8 @@ def _dispatch(args, started: float) -> int:
             relation = bisimulation_between_nflts(left, right, args.mode, verbose=args.verbose)
         else:
             relation = ENGINES[args.command][args.engine](left, right, args.verbose)
-        _emit(args, relation_to_document(relation), started, _relation_text(relation))
+        doc = relation_to_document(relation)
+        _emit(args, started, lambda: doc, lambda: _relation_doc_text(doc))
         return 0
 
     if args.command == "check":
@@ -221,7 +222,7 @@ def _dispatch(args, started: float) -> int:
             "witness": [str(w) for w in report.witness] if report.witness else None,
         }
         text = "holds" if report.holds else f"violates {report.clause} at {payload['witness']}"
-        _emit(args, payload, started, text)
+        _emit(args, started, lambda: payload, lambda: text)
         return 0
 
     if args.command == "gen":
@@ -238,7 +239,7 @@ def _dispatch(args, started: float) -> int:
         document = json.dumps(model_to_document(generate(spec)), indent=2)
         if args.out:
             Path(args.out).write_text(document + "\n")
-            _emit(args, {"written": args.out}, started, f"wrote {args.out}")
+            _emit(args, started, lambda: {"written": args.out}, lambda: f"wrote {args.out}")
         else:
             print(document)
         return 0
@@ -262,7 +263,7 @@ def _dispatch(args, started: float) -> int:
                 continue
             summary[engine + "-slope"] = round(slope, 3)
             lines.append(f"{engine}: log-log slope {slope:.3f}")
-        _emit(args, summary, started, "\n".join(lines))
+        _emit(args, started, lambda: summary, lambda: "\n".join(lines))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

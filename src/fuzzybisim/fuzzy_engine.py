@@ -71,20 +71,26 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False) -> CompactFuzzyP
 
 
 def _tree_from_events(state: RefinableMap, levels: list, vertices: list, thresholds: list) -> Block:
-    """Nest the split events of the sweep, tagged with their levels, into a tree."""
+    """Nest the split events of the sweep, tagged with their levels, into a
+    tree.  Each block id has a leaf for its members (``node_of``) hanging from
+    a node (``parent_of``).  A block's first split at a level turns its leaf
+    into a node of that level's degree, under which every piece split off at
+    that level, and the block itself, get a new leaf."""
     root = Block(ONE)
-    node_of = {0: root}  # block id -> the leaf holding its current members
-    born = {0: -1}  # block id -> level at which that leaf was made
+    node_of, parent_of = {0: root}, {0: None}
+    born = {0: -1}  # block id -> level at which its leaf was made
     internal = []
     for level, (new, old) in zip(levels, state.events):
         if born[old] < level:
-            node = node_of[old]
+            node = parent_of[old] = node_of[old]
             node.degree = thresholds[level - 1] if level else ZERO
-            node.subblocks = []
+            node_of[old] = Block(ONE)
+            node.subblocks = [node_of[old]]
             internal.append(node)
-            node_of[old] = _add_leaf(node)
             born[old] = level
-        node_of[new] = _add_leaf(node_of[old].parent)
+        parent_of[new] = parent_of[old]
+        node_of[new] = Block(ONE)
+        parent_of[new].subblocks.append(node_of[new])
         born[new] = level
     for bid, members in state.blocks.items():
         node_of[bid].elements = frozenset(vertices[x] for x in members)
@@ -93,43 +99,33 @@ def _tree_from_events(state: RefinableMap, levels: list, vertices: list, thresho
     return root
 
 
-def _add_leaf(parent: Block) -> Block:
-    leaf = Block(ONE)
-    leaf.parent = parent
-    parent.subblocks.append(leaf)
-    return leaf
-
-
 def fuzzy_partition_system(model: Nfts, verbose: bool = False) -> CompactFuzzyPartition:
     """Compact fuzzy partition of the greatest fuzzy bisimulation of a system."""
     graph_cfp = greatest_fuzzy_bisim_cfp_flg(to_flg(model), verbose)
     if verbose:
         _trace(f"graph partition: {graph_cfp.text()}")
-    return _state_cfp(model, graph_cfp)
+    return _state_cfp(graph_cfp)
 
 
 def fuzzy_partition_oracle(model: Nfts) -> CompactFuzzyPartition:
     """``fuzzy_partition_system`` by the naive graph fixpoint."""
-    return _state_cfp(model, cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(to_flg(model))))
+    return _state_cfp(cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(to_flg(model))))
 
 
-def _state_cfp(model: Nfts, graph_cfp: CompactFuzzyPartition) -> CompactFuzzyPartition:
-    """The state part of a graph partition.
-
-    With no transitions the graph partition over V = S is returned directly;
-    otherwise the top-level state blocks are collected under a degree-0 root
-    (unless there is exactly one of them).
-    """
-    if not model.transitions:
-        return CompactFuzzyPartition(_strip_vertices(graph_cfp.root))
+def _state_cfp(graph_cfp: CompactFuzzyPartition) -> CompactFuzzyPartition:
+    """The state part of a graph partition: the root's subblocks that hold
+    states (or the root itself when it is crisp) under the root's degree, or
+    the only one.  The state mark keeps each subblock pure and makes the root
+    degree 0 whenever distributions exist; their subtrees are never walked."""
+    root = graph_cfp.root
     kept = [
         _strip_vertices(block)
-        for block in graph_cfp.top_blocks()
+        for block in (root.subblocks or (root,))
         if block.any_element().is_state
     ]
     if len(kept) == 1:
         return CompactFuzzyPartition(kept[0])
-    return CompactFuzzyPartition(Block(ZERO, subblocks=tuple(kept)))
+    return CompactFuzzyPartition(Block(root.degree, subblocks=tuple(kept)))
 
 
 def _strip_vertices(block: Block) -> Block:

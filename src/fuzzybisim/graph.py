@@ -128,35 +128,21 @@ def _edges_of(model: Nfts) -> Dict[Tuple[Vertex, object, Vertex], Degree]:
     return edges
 
 
-def nfts_to_flg(model: Nfts) -> Flg:
-    """The graph corresponding to an NFTS: V = S + delta_o, |support(E)| = size(delta)."""
-    vertices = [state_vertex(s) for s in model.states]
-    vertices += [dist_vertex(mu.index) for mu in model.distributions]
-    state_label = FuzzySet({STATE_MARK: ONE})
-    labels = {state_vertex(s): state_label for s in model.states}
-    return Flg(vertices, _edges_of(model), labels, {STATE_MARK}, model.actions | {EPSILON})
-
-
-def nflts_to_flg(model: Nflts) -> Flg:
-    """As nfts_to_flg, but state vertices additionally carry their fuzzy label."""
+def to_flg(model: Nfts) -> Flg:
+    """The graph corresponding to a system: V = S + delta_o, |support(E)| =
+    size(delta).  State vertices carry the state mark and, in a labeled
+    system, their fuzzy label."""
     sigma = model.label_alphabet
     if STATE_MARK in sigma:
         raise ModelError(f"label alphabet uses the reserved vertex symbol {STATE_MARK!r}")
     vertices = [state_vertex(s) for s in model.states]
     vertices += [dist_vertex(mu.index) for mu in model.distributions]
+    marked = FuzzySet({STATE_MARK: ONE})
     labels = {}
     for s in model.states:
-        entries = dict(model.label_of(s).items())
-        entries[STATE_MARK] = ONE
-        labels[state_vertex(s)] = FuzzySet(entries)
+        label = model.label_of(s)
+        labels[state_vertex(s)] = FuzzySet([*label.items(), (STATE_MARK, ONE)]) if label else marked
     return Flg(vertices, _edges_of(model), labels, sigma | {STATE_MARK}, model.actions | {EPSILON})
-
-
-def to_flg(model: Nfts) -> Flg:
-    """Dispatch on the model kind; labeled systems keep their labels."""
-    if isinstance(model, Nflts):
-        return nflts_to_flg(model)
-    return nfts_to_flg(model)
 
 
 def as_nflts(model: Nfts) -> Nflts:

@@ -3,14 +3,18 @@
 A compact fuzzy partition represents a fuzzy equivalence relation (under the
 Goedel semantics) as a degree-annotated tree in linear space: the degree of a
 pair of elements is the degree stored at the lowest common ancestor of their
-leaves.  Queries use an Euler tour plus a sparse table, built on the first
-query, so each degree lookup costs O(1) after that build.  Trees can be as
-deep as the number of distinct degrees, so every walk over one is
-iterative.
+leaves.  The LCA of leaves i < j in depth-first order is the shallowest
+LCA of the consecutive leaves between them (Bender & Farach-Colton, LATIN
+2000).  Between two consecutive leaves the walk enters one non-first child,
+whose parent is their LCA, and ancestors precede descendants in pre-order,
+so the least pre-order number over a range of those gaps names the LCA
+exactly.  A sparse table over the gaps, built on the first query, answers
+each degree lookup in O(1).  Trees can be as deep as the number of distinct
+degrees, so every walk over one is iterative.
 """
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .degrees import Degree, ZERO, ONE, format_degree, parse_degree
@@ -106,14 +110,12 @@ class Block:
     at least two subblocks and a degree strictly below all of theirs.
     """
 
-    __slots__ = ("degree", "elements", "subblocks", "parent", "least")
+    __slots__ = ("degree", "elements", "subblocks")
 
     def __init__(self, degree: Degree, elements: Optional[frozenset] = None, subblocks: Tuple["Block", ...] = ()):
         self.degree = degree
         self.elements = elements
         self.subblocks = subblocks
-        self.parent: Optional[Block] = None
-        self.least = None
 
     @property
     def is_crisp(self) -> bool:
@@ -149,6 +151,7 @@ def fuzzy_block(degree: Degree, subblocks: Iterable[Block]) -> Block:
 
 
 _subblocks = attrgetter("subblocks")
+_second = itemgetter(1)
 
 
 def fold_tree(root, combine: Callable, children: Callable = _subblocks):
@@ -191,105 +194,70 @@ class CompactFuzzyPartition:
     """A validated, canonically ordered compact fuzzy partition with LCA queries."""
 
     def __init__(self, root: Block):
-        self.root = _canonicalize(root)
-        self.universe = self._validate()
+        seen: set = set()
+
+        def copy(b: Block, children: list) -> tuple:
+            """(canonical copy of b, least element below b), checking b."""
+            if b.is_crisp:
+                if b.degree != 1:  # an int operand takes Fraction's fast path
+                    raise ValueError("crisp block must have degree 1")
+                if not seen.isdisjoint(b.elements):
+                    raise ValueError(f"element {next(iter(seen & b.elements))!r} appears in two leaves")
+                seen.update(b.elements)
+                return Block(ONE, elements=b.elements), min(b.elements)
+            if len(children) < 2:
+                raise ValueError("fuzzy block needs at least two subblocks")
+            if any(child.degree <= b.degree for child, _ in children):
+                raise ValueError("degrees must strictly increase towards the leaves")
+            children.sort(key=_second)
+            return Block(b.degree, subblocks=tuple(child for child, _ in children)), children[0][1]
+
+        self.root = fold_tree(root, copy)[0]
+        self.universe = frozenset(seen)
         self._table: Optional[List[List[int]]] = None
 
-    # -- structure ----------------------------------------------------
-
-    def _validate(self):
-        seen = set()
-        stack = [(self.root, None)]
+    def _build_index(self):
+        """Leaf positions, and per gap between consecutive leaves the
+        pre-order number of their LCA, with a sparse table of range minima."""
+        self._position: Dict[object, int] = {}  # element -> its leaf's position
+        self._degrees: List[Degree] = []  # by pre-order number
+        gaps: List[int] = []
+        stack = [(self.root, None)]  # (node, parent's number unless a first child)
         while stack:
-            block, parent = stack.pop()
-            block.parent = parent
-            if block.is_crisp:
-                if block.degree != ONE:
-                    raise ValueError("crisp block must have degree 1")
-                overlap = seen & block.elements
-                if overlap:
-                    raise ValueError(f"element {next(iter(overlap))!r} appears in two leaves")
-                seen.update(block.elements)
+            node, gap = stack.pop()
+            if gap is not None:
+                gaps.append(gap)
+            number = len(self._degrees)
+            self._degrees.append(node.degree)
+            if node.is_crisp:
+                self._position.update(dict.fromkeys(node.elements, len(gaps)))
             else:
-                if len(block.subblocks) < 2:
-                    raise ValueError("fuzzy block needs at least two subblocks")
-                for child in block.subblocks:
-                    if child.degree <= block.degree:
-                        raise ValueError("degrees must strictly increase towards the leaves")
-                    stack.append((child, block))
-        return frozenset(seen)
-
-    def _build_lca(self):
-        self._nodes: List[Block] = []
-        self._leaf_of: Dict[object, int] = {}
-        index_of: Dict[int, int] = {}
-        euler: List[int] = []
-        depth: List[int] = []
-        first: List[int] = []
-        stack: List[tuple] = [(self.root, 0, iter(self.root.subblocks))]
-        self._register(self.root, index_of, first, euler, depth, 0)
-        while stack:
-            node, d, children = stack[-1]
-            child = next(children, None)
-            if child is None:
-                stack.pop()
-                if stack:
-                    parent, pd, _ = stack[-1]
-                    euler.append(index_of[id(parent)])
-                    depth.append(pd)
-                continue
-            self._register(child, index_of, first, euler, depth, d + 1)
-            stack.append((child, d + 1, iter(child.subblocks)))
-        self._euler = euler
-        self._depth = depth
-        self._first = first
-        size = len(euler)
-        logs = [0] * (size + 1)
-        for i in range(2, size + 1):
-            logs[i] = logs[i >> 1] + 1
-        self._logs = logs
-        table = [list(range(size))]
-        k = 1
-        while (1 << k) <= size:
-            prev = table[k - 1]
-            row = []
-            half = 1 << (k - 1)
-            for i in range(size - (1 << k) + 1):
-                a, b = prev[i], prev[i + half]
-                row.append(a if depth[a] <= depth[b] else b)
-            table.append(row)
-            k += 1
-        self._table = table
-
-    def _register(self, block: Block, index_of, first, euler, depth, d):
-        idx = len(self._nodes)
-        index_of[id(block)] = idx
-        self._nodes.append(block)
-        first.append(len(euler))
-        euler.append(idx)
-        depth.append(d)
-        if block.is_crisp:
-            for x in block.elements:
-                self._leaf_of[x] = idx
+                stack += [(child, number) for child in reversed(node.subblocks[1:])]
+                stack.append((node.subblocks[0], None))
+        self._table = [gaps]
+        while 2 ** len(self._table) <= len(gaps):
+            prev, half = self._table[-1], 2 ** (len(self._table) - 1)
+            self._table.append(list(map(min, prev, prev[half:])))
 
     # -- queries ------------------------------------------------------
 
     def degree_of(self, x, y) -> Degree:
         """The degree of the lowest common ancestor of the leaves holding x and y."""
         if self._table is None:
-            self._build_lca()
+            self._build_index()
         try:
-            i = self._first[self._leaf_of[x]]
-            j = self._first[self._leaf_of[y]]
+            i = self._position[x]
+            j = self._position[y]
         except KeyError as exc:
             raise KeyError(f"element {exc.args[0]!r} not in the partition") from exc
+        if i == j:
+            return ONE
         if i > j:
             i, j = j, i
-        k = self._logs[j - i + 1]
-        a = self._table[k][i]
-        b = self._table[k][j - (1 << k) + 1]
-        depth = self._depth
-        return self._nodes[self._euler[a if depth[a] <= depth[b] else b]].degree
+        k = (j - i).bit_length() - 1
+        row = self._table[k]
+        a, b = row[i], row[j - (1 << k)]
+        return self._degrees[a if a < b else b]
 
     def to_relation(self) -> FuzzyRelation:
         """The fuzzy equivalence relation this tree encodes (quadratic output)."""
@@ -313,12 +281,6 @@ class CompactFuzzyPartition:
 
         fold_tree(self.root, walk)
         return FuzzyRelation(self.universe, self.universe, entries)
-
-    def top_blocks(self) -> Tuple[Block, ...]:
-        """Subblocks of the root (or the root itself when it is crisp)."""
-        if self.root.is_crisp:
-            return (self.root,)
-        return self.root.subblocks
 
     def leaf_partition(self) -> CrispPartition:
         return CrispPartition(leaf.elements for leaf in _leaves(self.root))
@@ -370,22 +332,6 @@ class CompactFuzzyPartition:
 
     def __repr__(self) -> str:
         return self.text()
-
-
-def _canonicalize(block: Block) -> Block:
-    """Order subblocks by their least element so serialized output is stable."""
-
-    def copy(b: Block, children: list) -> Block:
-        if b.is_crisp:
-            result = Block(b.degree, elements=b.elements)
-            result.least = min(b.elements)
-            return result
-        children.sort(key=lambda c: c.least)
-        result = Block(b.degree, subblocks=tuple(children))
-        result.least = children[0].least
-        return result
-
-    return fold_tree(block, copy)
 
 
 def cfp_from_relation(r: FuzzyRelation) -> CompactFuzzyPartition:

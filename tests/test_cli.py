@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,13 +13,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fuzzybisim import (
+    CompactFuzzyPartition,
+    CrispPartition,
+    Nflts,
     as_nflts,
+    generate,
     greatest_crisp_simulation_flg,
     greatest_fuzzy_simulation_flg,
+    model_to_document,
     parse_model,
     to_flg,
 )
+from fuzzybisim import cli
 from fuzzybisim.cli import ENGINES, _json_text_iterative, run
+from fuzzybisim.generate import random_spec
 
 from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
 
@@ -47,7 +55,18 @@ def test_degree_golden(capsys, example_path):
     assert out.strip() == "0.4"
 
 
-def test_engines_produce_identical_output(capsys, example_path):
+def _generated_model_paths(tmp_path, count: int):
+    """Paths of `count` small generated models, plain and labeled alternately."""
+    rng = random.Random(5)
+    paths = []
+    for i in range(count):
+        path = tmp_path / f"model{i}.json"
+        path.write_text(json.dumps(model_to_document(generate(random_spec(rng, 5, labeled=i % 2 == 1)))))
+        paths.append(path)
+    return paths
+
+
+def test_engines_produce_identical_output(capsys, example_path, tmp_path):
     outputs = []
     for engine in ("efficient", "oracle"):
         for command in ("crisp-partition", "fuzzy-partition"):
@@ -58,6 +77,64 @@ def test_engines_produce_identical_output(capsys, example_path):
     for command, out in outputs:
         by_command.setdefault(command, set()).add(out)
     assert all(len(variants) == 1 for variants in by_command.values())
+
+    # Fuzzy partitions and degrees of generated models, text and --json,
+    # byte for byte apart from the engine name and the wall time.
+    masked = re.compile(r'"(engine|wall_time_ms)": [^\n]*')
+    for path in _generated_model_paths(tmp_path, 20):
+        states = json.loads(path.read_text())["states"]
+        argvs = [["fuzzy-partition", str(path)], ["degree", str(path), states[0], states[-1]]]
+        for argv in argvs + [[*argv, "--json"] for argv in argvs]:
+            outs = set()
+            for engine in ("efficient", "oracle"):
+                code, out, _ = invoke(capsys, *argv, "--engine", engine)
+                assert code == 0, argv
+                outs.add(masked.sub("", out))
+            assert len(outs) == 1, argv
+
+
+def test_json_output_renders_no_text(capsys, example_path, monkeypatch):
+    rendered = []
+
+    def renderer(name):
+        def render(*args, **kwargs):
+            rendered.append(name)
+            return ""
+        return render
+
+    monkeypatch.setattr(CrispPartition, "text", renderer("CrispPartition.text"))
+    monkeypatch.setattr(CompactFuzzyPartition, "text", renderer("CompactFuzzyPartition.text"))
+    monkeypatch.setattr(cli, "_relation_doc_text", renderer("_relation_doc_text"))
+    model = str(example_path)
+    argvs = [
+        ["crisp-partition", model], ["fuzzy-partition", model],
+        ["crisp-sim", model, model], ["fuzzy-sim", model, model],
+        ["bisim-between", model, model, "--mode", "crisp"], ["bisim-between", model, model, "--mode", "fuzzy"],
+    ]
+    for argv in argvs:
+        code, out, _ = invoke(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["result"], argv
+    assert rendered == []
+    for argv in argvs:  # the text form still goes through the renderers
+        assert invoke(capsys, *argv)[0] == 0
+    assert len(rendered) == len(argvs)
+
+
+def test_relations_without_entries_print_a_placeholder(capsys, tmp_path):
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    left.write_text(json.dumps(model_to_document(Nflts(["s"], ["a"], [], ["p"], {"s": {"p": 1}}))))
+    right.write_text(json.dumps(model_to_document(Nflts(["t"], ["a"], [], ["p"], {}))))
+    runs = [
+        (["crisp-sim"], "(empty relation)"), (["fuzzy-sim"], "(zero relation)"),
+        (["bisim-between", "--mode", "crisp"], "(empty relation)"),
+        (["bisim-between", "--mode", "fuzzy"], "(zero relation)"),
+    ]
+    for argv, text in runs:
+        code, out, _ = invoke(capsys, *argv, str(left), str(right))
+        assert code == 0 and out == text + "\n", argv
+        code, out, _ = invoke(capsys, *argv, str(left), str(right), "--json")
+        result = json.loads(out)["result"]
+        assert code == 0 and result.get("pairs", result.get("degrees")) == [], argv
 
 
 def test_json_result_schema(capsys, example_path):

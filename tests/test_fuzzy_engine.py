@@ -173,6 +173,30 @@ def test_models_without_transitions_match_the_oracle():
         assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
 
 
+def test_no_transitions_keeps_a_positive_root_over_many_top_blocks():
+    """Labels alone: every pair of top blocks meets at degree 0.5, so the
+    state partition is the graph partition with a root above 0."""
+    d = Fraction
+    labels = {
+        "x": {"p": d("0.5"), "q": d(1)},
+        "y": {"p": d(1), "q": d("0.5")},
+        "z": {"p": d(1), "q": d(1)},
+        "z2": {"p": d(1), "q": d(1)},
+        "v": {"p": d("0.7"), "q": d(1)},
+        "w": {"p": d("0.5"), "q": d("0.5")},
+    }
+    model = Nflts(list(labels), ["a"], [], ["p", "q"], labels)
+    cfp = fuzzy_partition_system(model)
+    assert cfp.root.degree == d("0.5") and len(cfp.root.subblocks) == 4
+    assert cfp == fuzzy_partition_oracle(model)
+    expanded = cfp.to_relation()
+    assert expanded == oracle.gfp_fuzzy_bisim_nfts(model)
+    for x in model.states:
+        for y in model.states:
+            assert cfp.degree_of(x, y) == expanded(x, y), (x, y)
+    assert cfp.degree_of("z", "z2") == 1 and cfp.degree_of("v", "z") == d("0.7")
+
+
 def test_renaming_states_renames_the_partition():
     rng = random.Random(909)
     for _ in range(30):

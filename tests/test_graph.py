@@ -1,9 +1,11 @@
 """The graph corresponding to a system: vertices, edges, labels, unions."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import ModelError, Nflts, Nfts, as_nflts, disjoint_union, to_flg
+from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts, as_nflts, disjoint_union, to_flg
+from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, state_vertex
 
 from conftest import make_example
@@ -71,6 +73,28 @@ def test_as_nflts_preserves_structure():
     assert view.label_alphabet == frozenset()
     assert view.size_of_delta() == model.size_of_delta()
     assert as_nflts(view) is view
+
+
+def test_plain_system_and_its_unlabeled_view_give_equal_graphs():
+    rng = random.Random(31)
+    models = [make_example()] + [generate(random_spec(rng, 6, labeled=False)) for _ in range(20)]
+    for model in models:
+        # One transition list for both, so distributions are numbered alike.
+        raw = [(s, a, mu.fuzzy) for s, a, mu in model.transitions]
+        plain = to_flg(Nfts(model.states, model.actions, raw))
+        view = to_flg(Nflts(model.states, model.actions, raw, ()))
+        assert plain.vertices == view.vertices
+        assert plain.edges == view.edges
+        assert plain.labels == view.labels
+        assert plain.vertex_alphabet == view.vertex_alphabet == {STATE_MARK}
+        assert plain.edge_alphabet == view.edge_alphabet
+        # every state vertex shares the one state-mark label
+        assert len({id(label) for label in plain.labels.values() if label}) == 1
+        # a labeled state keeps the mark next to its label
+        first = min(model.states)
+        labeled = to_flg(Nflts(model.states, model.actions, raw, ["p"], {first: {"p": H}}))
+        assert labeled.labels[state_vertex(first)] == FuzzySet({"p": H, STATE_MARK: 1})
+        assert labeled.edges == plain.edges
 
 
 def test_disjoint_union_shapes():

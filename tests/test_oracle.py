@@ -2,7 +2,15 @@
 import random
 from fractions import Fraction
 
-from fuzzybisim import CrispPartition, CrispRelation, FuzzyRelation, relation_laws, to_flg
+from fuzzybisim import (
+    CrispPartition,
+    CrispRelation,
+    FuzzyRelation,
+    greatest_crisp_bisim_partition_flg,
+    greatest_fuzzy_bisim_cfp_flg,
+    relation_laws,
+    to_flg,
+)
 from fuzzybisim import oracle
 from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.graph import state_vertex
@@ -191,6 +199,28 @@ def test_gfp_fuzzy_flg_restricts_to_the_table():
     for s in model.states:
         for t in model.states:
             assert Z(state_vertex(s), state_vertex(t)) == table(s, t)
+
+
+def test_graph_checkers_accept_the_greatest_bisimulations_and_nothing_larger():
+    rng = random.Random(41)
+    for _ in range(16):
+        g = to_flg(generate(random_spec(rng, max_states=5)))
+        vertices = sorted(g.vertices)
+        crisp = greatest_crisp_bisim_partition_flg(g).to_relation()
+        assert oracle.is_crisp_bisim_flg(crisp, g).holds
+        for pair in [(x, y) for x in vertices for y in vertices if (x, y) not in crisp.pairs]:
+            larger = CrispRelation(crisp.left, crisp.right, crisp.pairs | {pair})
+            assert not oracle.is_crisp_bisim_flg(larger, g).holds, pair
+
+        fuzzy = greatest_fuzzy_bisim_cfp_flg(g).to_relation()
+        assert oracle.is_fuzzy_bisim_flg(fuzzy, g).holds
+        degrees = sorted(set(g.degree_pool()) | {Fraction(1)})
+        below_one = [(x, y) for x in vertices for y in vertices if fuzzy(x, y) < 1]
+        for x, y in rng.sample(below_one, min(3, len(below_one))):
+            raised = dict(fuzzy.entries)
+            raised[(x, y)] = next(d for d in degrees if d > fuzzy(x, y))
+            larger = FuzzyRelation(fuzzy.left, fuzzy.right, raised)
+            assert not oracle.is_fuzzy_bisim_flg(larger, g).holds, (x, y)
 
 
 def test_gfp_crisp_sim_contains_identity():

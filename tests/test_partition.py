@@ -128,6 +128,19 @@ def test_tree_validation():
         )
 
 
+def test_tree_validation_names_the_broken_law():
+    cases = [
+        (Block(H, elements=frozenset("a")), "degree 1"),
+        (Block(H, subblocks=(crisp_block("a"),)), "two subblocks"),
+        (Block(H, subblocks=(crisp_block("a"), Block(H, subblocks=(crisp_block("b"), crisp_block("c"))))),
+         "strictly increase"),
+        (Block(H, subblocks=(crisp_block("ab"), crisp_block("bc"))), "'b' appears in two leaves"),
+    ]
+    for root, message in cases:
+        with pytest.raises(ValueError, match=message):
+            CompactFuzzyPartition(root)
+
+
 # -- randomized round trips ---------------------------------------------------
 
 
@@ -191,3 +204,25 @@ def test_deep_cfp_round_trips_without_recursion():
     assert len(cfp.leaf_partition()) == depth + 1
     assert cfp.degree_of(names[0], names[depth]) == 0
     assert cfp.degree_of(names[depth - 1], names[depth]) == Fraction(depth - 1, depth + 1)
+
+
+def test_leaf_order_index_on_a_deep_and_wide_tree():
+    """More than 64 leaves, so every sparse-table level is used: a caterpillar
+    40 deep whose spine nodes also hold wide nodes, shuffled so canonical
+    ordering moves subtrees, and leaves of several elements."""
+    rng = random.Random(13)
+    names = iter(f"e{k:03d}" for k in range(1000))
+    block = crisp_block([next(names), next(names)])
+    for level in range(39, -1, -1):
+        wide = [crisp_block([next(names) for _ in range(rng.randint(1, 2))]) for _ in range(rng.randint(2, 5))]
+        children = [block, crisp_block([next(names)])]
+        if level % 3 == 0:
+            children.append(fuzzy_block(Fraction(2 * level + 1, 100), wide))
+        rng.shuffle(children)
+        block = fuzzy_block(Fraction(level, 50), children)
+    cfp = CompactFuzzyPartition(block)
+    assert len(cfp.leaf_partition()) > 64
+    expanded = cfp.to_relation()
+    for x in cfp.universe:
+        for y in cfp.universe:
+            assert cfp.degree_of(x, y) == expanded(x, y), (x, y)
