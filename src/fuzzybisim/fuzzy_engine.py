@@ -42,7 +42,7 @@ def _trace(message: str):
 
 def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False) -> CompactFuzzyPartition:
     """Compact fuzzy partition of the greatest fuzzy bisimulation of a graph."""
-    thresholds = sorted(set(g.degree_pool()) | {ONE})
+    thresholds = g.degree_pool()  # holds 1, the degree of the state mark
     vertices, edges, preds, labels = adjacency(g, thresholds)
     # touched[i]: vertices whose key may change at level i.
     touched = [[] for _ in range(len(thresholds) + 1)]

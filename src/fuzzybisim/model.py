@@ -8,6 +8,7 @@ one canonical id.  All types are immutable after construction.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .degrees import Degree, ZERO, ONE, sup
@@ -25,14 +26,25 @@ class FuzzySet:
     def __init__(self, entries: Mapping[object, Degree] | Iterable[Tuple[object, Degree]] = ()):
         if isinstance(entries, Mapping):
             entries = entries.items()
-        data = {}
+        data, key = {}, {}
         for element, degree in entries:
-            if not ZERO <= degree <= ONE:
+            # A Fraction is range-checked and keyed by its integers: comparing
+            # one goes through the numbers.Rational ABC, and hashing one takes
+            # a modular inverse.  Other numbers are compared as they are.
+            if type(degree) is Fraction:
+                exact = degree
+            elif ZERO <= degree <= ONE:
+                exact = Fraction(degree)
+            else:
                 raise ModelError(f"degree {degree} of {element!r} outside [0, 1]")
-            if degree > ZERO:
+            n, q = exact.numerator, exact.denominator
+            if not 0 <= n <= q:
+                raise ModelError(f"degree {degree} of {element!r} outside [0, 1]")
+            if n:
                 data[element] = degree
+                key[element] = n, q
         self._entries = data
-        self._key = frozenset(data.items())
+        self._key = frozenset(key.items())
 
     def __call__(self, element) -> Degree:
         return self._entries.get(element, ZERO)
@@ -97,29 +109,6 @@ class Distribution:
         return f"mu{self.index + 1}"
 
 
-class DistributionPool:
-    """Interning table: structurally equal support maps share one Distribution."""
-
-    def __init__(self, states: frozenset):
-        self._states = states
-        self._by_set: Dict[FuzzySet, Distribution] = {}
-        self._all = []
-
-    def intern(self, fuzzy: FuzzySet) -> Distribution:
-        unknown = fuzzy.support - self._states
-        if unknown:
-            raise ModelError(f"distribution refers to unknown states {sorted(map(str, unknown))}")
-        found = self._by_set.get(fuzzy)
-        if found is None:
-            found = Distribution(len(self._all), fuzzy)
-            self._by_set[fuzzy] = found
-            self._all.append(found)
-        return found
-
-    def all(self) -> tuple:
-        return tuple(self._all)
-
-
 class Nfts:
     """A nondeterministic fuzzy transition system <S, A, delta>.
 
@@ -135,7 +124,7 @@ class Nfts:
             raise ModelError("state set must be non-empty")
         if not self.actions:
             raise ModelError("action set must be non-empty")
-        pool = DistributionPool(self.states)
+        interned: Dict[FuzzySet, Distribution] = {}
         delta = set()
         for source, action, target in transitions:
             if source not in self.states:
@@ -144,14 +133,16 @@ class Nfts:
                 raise ModelError(f"transition with unknown action {action!r}")
             if not isinstance(target, FuzzySet):
                 target = FuzzySet(target)
-            delta.add((source, action, pool.intern(target)))
+            mu = interned.get(target)
+            if mu is None:
+                unknown = target.support - self.states
+                if unknown:
+                    raise ModelError(f"distribution refers to unknown states {sorted(map(str, unknown))}")
+                mu = interned[target] = Distribution(len(interned), target)
+            delta.add((source, action, mu))
         self.transitions = frozenset(delta)
-        self._pool = pool
-
-    @property
-    def distributions(self) -> tuple:
-        """delta_o: the distinct distributions, in interning order."""
-        return self._pool.all()
+        #: delta_o: the distinct distributions, in interning order.
+        self.distributions = tuple(interned.values())
 
     def size_of_delta(self) -> int:
         """|delta| plus the summed support sizes over distinct distributions."""

@@ -51,6 +51,19 @@ def _degree(text, context: str):
         raise DocumentError(f"{context}: {exc}") from exc
 
 
+def _degree_map(value, context: str, seen: dict) -> dict:
+    """A JSON object of element -> degree string, as element -> Fraction.
+    ``seen`` holds the degree strings of the document parsed so far, so
+    each distinct string is parsed once and its Fraction is shared."""
+    degrees = {}
+    for element, text in _object(value, context).items():
+        degree = seen.get(text) if type(text) is str else None
+        if degree is None:
+            degree = seen[text] = _degree(text, f"{context}[{element!r}]")
+        degrees[element] = degree
+    return degrees
+
+
 def parse_model(source: Union[str, Path]) -> Nfts:
     """Parse a model from a path or from document text."""
     if isinstance(source, Path):
@@ -98,28 +111,21 @@ def model_from_document(doc: dict) -> Nfts:
     states, actions = _strings(doc, "states", True), _strings(doc, "actions", True)
     if not isinstance(doc.get("transitions", []), list):
         raise DocumentError("transitions: list required")
-    transitions = []
+    transitions, seen = [], {}
     for i, item in enumerate(doc.get("transitions", [])):
         context = f"transitions[{i}]"
         if not isinstance(item, dict) or not {"from", "action", "targets"} <= set(item):
             raise DocumentError(f"{context}: needs 'from', 'action' and 'targets'")
         if not isinstance(item["from"], str) or not isinstance(item["action"], str):
             raise DocumentError(f"{context}: 'from' and 'action' must be strings")
-        targets = {
-            state: _degree(d, f"{context}.targets[{state!r}]")
-            for state, d in _object(item["targets"], f"{context}.targets").items()
-        }
-        transitions.append((item["from"], item["action"], targets))
+        transitions.append((item["from"], item["action"], _degree_map(item["targets"], f"{context}.targets", seen)))
     try:
         if kind == "nfts":
             if "state_labels" in doc or "label_alphabet" in doc:
                 raise DocumentError("kind 'nfts' does not take labels")
             return Nfts(states, actions, transitions)
         labels = {
-            state: {
-                p: _degree(d, f"state_labels[{state!r}][{p!r}]")
-                for p, d in _object(label, f"state_labels[{state!r}]").items()
-            }
+            state: _degree_map(label, f"state_labels[{state!r}]", seen)
             for state, label in _object(doc.get("state_labels", {}), "state_labels").items()
         }
         return Nflts(states, actions, transitions, _strings(doc, "label_alphabet"), labels)
@@ -134,14 +140,18 @@ def _model_from_lines(text: str) -> Nfts:
     alphabet: list = []
     transitions = []
     labels = {}
+    seen = {}  # degree string -> its Fraction, parsed once per document
 
     def pairs_of(tokens, context):
         out = {}
         for token in tokens:
             if ":" not in token:
                 raise DocumentError(f"{context}: expected element:degree, got {token!r}")
-            element, _, degree = token.rpartition(":")
-            out[element] = _degree(degree, context)
+            element, _, text = token.rpartition(":")
+            degree = seen.get(text)
+            if degree is None:
+                degree = seen[text] = _degree(text, context)
+            out[element] = degree
         return out
 
     for number, raw in enumerate(text.splitlines(), start=1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .degrees import Degree, ZERO, ONE, residuum, biresiduum, sup, inf
+from .degrees import Degree, ZERO, residuum, biresiduum, sup, inf
 from .model import Nfts, FuzzySet, Distribution
 from .graph import Flg, ModelError
 from .relations import CrispRelation, FuzzyRelation
@@ -123,12 +123,7 @@ def gfp_crisp_bisim_nfts(model: Nfts) -> CrispRelation:
     """Greatest crisp bisimulation: start from the label-compatible pairs
     (all of S x S for a plain system) and remove violating ones until stable."""
     states = sorted(model.states)
-    pairs = {
-        (s, t)
-        for s in states
-        for t in states
-        if model.label_of(s) == model.label_of(t)
-    }
+    pairs = {(s, t) for s in states for t in states if model.label_of(s) == model.label_of(t)}
     changed = True
     while changed:
         changed = False
@@ -171,15 +166,9 @@ def gfp_fuzzy_bisim_nfts(model: Nfts) -> FuzzyRelation:
             s, s_prime = pair
             bound = values[pair]
             for a, mu in model.outgoing(s):
-                bound = min(
-                    bound,
-                    sup(lifted[(mu.index, mu2.index)] for _, mu2 in model.outgoing(s_prime, a)),
-                )
+                bound = min(bound, sup(lifted[mu.index, mu2.index] for _, mu2 in model.outgoing(s_prime, a)))
             for a, mu_prime in model.outgoing(s_prime):
-                bound = min(
-                    bound,
-                    sup(lifted[(mu2.index, mu_prime.index)] for _, mu2 in model.outgoing(s, a)),
-                )
+                bound = min(bound, sup(lifted[mu2.index, mu_prime.index] for _, mu2 in model.outgoing(s, a)))
             if bound < values[pair]:
                 values[pair] = bound
                 changed = True
@@ -197,12 +186,7 @@ def _check_signature(g: Flg, g_prime: Flg):
 
 def gfp_crisp_bisim_flg(g: Flg) -> CrispRelation:
     """Greatest crisp bisimulation of a graph, by removing violating pairs."""
-    pairs = {
-        (x, y)
-        for x in g.vertices
-        for y in g.vertices
-        if g.labels[x] == g.labels[y]
-    }
+    pairs = {(x, y) for x in g.vertices for y in g.vertices if g.labels[x] == g.labels[y]}
     changed = True
     while changed:
         changed = False
@@ -215,22 +199,14 @@ def gfp_crisp_bisim_flg(g: Flg) -> CrispRelation:
 
 def _crisp_edge_clauses_ok(g: Flg, g_prime: Flg, pair, pairs, both: bool) -> bool:
     x, x_prime = pair
-    for r, y, degree in g.out_edges(x):
-        if not any(
-            (y, y_prime) in pairs and degree <= d2
-            for r2, y_prime, d2 in g_prime.out_edges(x_prime)
-            if r2 == r
-        ):
-            return False
-    if both:
-        for r, y_prime, degree in g_prime.out_edges(x_prime):
-            if not any(
-                (y, y_prime) in pairs and degree <= d2
-                for r2, y, d2 in g.out_edges(x)
-                if r2 == r
-            ):
-                return False
-    return True
+    forward = all(
+        any((y, y_prime) in pairs and degree <= d2 for r2, y_prime, d2 in g_prime.out_edges(x_prime) if r2 == r)
+        for r, y, degree in g.out_edges(x)
+    )
+    return forward and (not both or all(
+        any((y, y_prime) in pairs and degree <= d2 for r2, y, d2 in g.out_edges(x) if r2 == r)
+        for r, y_prime, degree in g_prime.out_edges(x_prime)
+    ))
 
 
 def gfp_fuzzy_bisim_flg(g: Flg) -> FuzzyRelation:
@@ -260,35 +236,23 @@ def gfp_fuzzy_bisim_flg(g: Flg) -> FuzzyRelation:
 def _fuzzy_edge_bound(g: Flg, g_prime: Flg, pair, values, forward: bool) -> Degree:
     """Cap from the existential edge clause, via the Goedel adjunction."""
     x, x_prime = pair
-    bound = ONE
     if forward:
-        for r, y, degree in g.out_edges(x):
-            best = sup(
-                residuum(degree, min(d2, values.get((y, y_prime), ZERO)))
-                for r2, y_prime, d2 in g_prime.out_edges(x_prime)
-                if r2 == r
-            )
-            bound = min(bound, best)
-    else:
-        for r, y_prime, degree in g_prime.out_edges(x_prime):
-            best = sup(
-                residuum(degree, min(d2, values.get((y, y_prime), ZERO)))
-                for r2, y, d2 in g.out_edges(x)
-                if r2 == r
-            )
-            bound = min(bound, best)
-    return bound
+        return inf(
+            sup(residuum(degree, min(d2, values.get((y, y_prime), ZERO)))
+                for r2, y_prime, d2 in g_prime.out_edges(x_prime) if r2 == r)
+            for r, y, degree in g.out_edges(x)
+        )
+    return inf(
+        sup(residuum(degree, min(d2, values.get((y, y_prime), ZERO)))
+            for r2, y, d2 in g.out_edges(x) if r2 == r)
+        for r, y_prime, degree in g_prime.out_edges(x_prime)
+    )
 
 
 def gfp_crisp_sim_flg(g: Flg, g_prime: Flg) -> CrispRelation:
     """Greatest crisp simulation between two graphs over the same signature."""
     _check_signature(g, g_prime)
-    pairs = {
-        (x, y)
-        for x in g.vertices
-        for y in g_prime.vertices
-        if g.labels[x] <= g_prime.labels[y]
-    }
+    pairs = {(x, y) for x in g.vertices for y in g_prime.vertices if g.labels[x] <= g_prime.labels[y]}
     changed = True
     while changed:
         changed = False

@@ -1,8 +1,10 @@
 """Worklist-driven partition refinement over fuzzy labeled graphs.
 
-``adjacency`` gives all three engines (crisp, fuzzy, simulation) the same
-integer view of a graph: dense vertex ids, and degrees as ranks in a sorted
-pool.  The Goedel operators only compare degrees, so ranks are exact.
+All three engines (crisp, fuzzy, simulation) read a graph through
+``adjacency``: dense vertex ids, and degrees as ranks in a sorted pool.  The
+Goedel operators only compare degrees, so ranks are exact.  ``to_flg``
+fixes the ids and ranks once, so on the graph's own pool ``adjacency``
+returns the stored arrays; it only re-ranks for a joint pool of two graphs.
 
 Both bisimulation engines split blocks by per-vertex keys computed against
 the current partition.  When a block splits, its largest group keeps the
@@ -90,16 +92,10 @@ def adjacency(g: Flg, pool: list):
     of vertex id i as ``(symbol, target id, rank)``, the predecessor ids of
     vertex id i, and the label of vertex id i as a symbol -> rank map.
     """
-    # Keyed by (numerator, denominator): hashing a Fraction costs several
-    # times as much, and this runs once per edge and label entry.
-    rank = {(d.numerator, d.denominator): i for i, d in enumerate(pool)}
-    vertices = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    out: List[list] = [[] for _ in vertices]
-    preds: List[list] = [[] for _ in vertices]
-    for (x, r, y), degree in g.edges.items():
-        i, j = index[x], index[y]
-        out[i].append((r, j, rank[degree.numerator, degree.denominator]))
-        preds[j].append(i)
-    labels = [{p: rank[d.numerator, d.denominator] for p, d in g.labels[v].items()} for v in vertices]
-    return vertices, out, preds, labels
+    if pool == g.pool:
+        return g.by_id, g.out, g.preds, g.label_ranks
+    position = {d: k for k, d in enumerate(pool)}
+    new = [position[d] for d in g.pool]
+    out = [[(r, j, new[rk]) for r, j, rk in edges] for edges in g.out]
+    labels = [{p: new[rk] for p, rk in label.items()} for label in g.label_ranks]
+    return g.by_id, out, g.preds, labels

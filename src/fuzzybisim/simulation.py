@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 
-from .degrees import ONE, format_degree
+from .degrees import format_degree
 from .graph import Flg, to_flg, as_nflts, disjoint_union, ModelError
 from .model import Nfts, Nflts
 from .refinement import adjacency
@@ -80,7 +80,7 @@ def _ranked(g: Flg, g_prime: Flg):
     as (x, r, y, rank) and the label cap rank of each pair id (-1 for 0)."""
     if not g.same_signature(g_prime):
         raise ModelError("graphs must share vertex and edge alphabets")
-    pool = sorted(set(g.degree_pool()) | set(g_prime.degree_pool()) | {ONE})
+    pool = sorted(set(g.pool) | set(g_prime.pool))  # both hold 1
     sides = []
     for h in (g, g_prime):
         vertices, out, _, labels = adjacency(h, pool)

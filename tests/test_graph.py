@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts, as_nflts, disjoint_union, to_flg
+from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts, as_nflts, disjoint_union, parse_model, to_flg
 from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, state_vertex
+from fuzzybisim.refinement import adjacency
 
-from conftest import make_example
+from conftest import REPO_ROOT, make_example
 
 H = Fraction(1, 2)
 
@@ -120,3 +121,60 @@ def test_disjoint_union_requires_equal_alphabets():
     b = as_nflts(Nfts(["s"], ["b"], []))
     with pytest.raises(ModelError):
         disjoint_union(a, b)
+
+
+def _graph_by_definition(model):
+    """Vertices, edges and labels of the corresponding graph, from its definition."""
+    vertices = {state_vertex(s) for s in model.states} | {dist_vertex(mu.index) for mu in model.distributions}
+    edges = {(state_vertex(s), a, dist_vertex(mu.index)): 1 for s, a, mu in model.transitions}
+    for mu in model.distributions:
+        edges.update({(dist_vertex(mu.index), EPSILON, state_vertex(t)): d for t, d in mu.fuzzy.items()})
+    labels = {
+        v: FuzzySet([*model.label_of(v.key).items(), (STATE_MARK, 1)]) if v.is_state else FuzzySet()
+        for v in vertices
+    }
+    return vertices, edges, labels
+
+
+def test_dense_graph_invariants():
+    rng = random.Random(47)
+    models = [parse_model(REPO_ROOT / "models" / "example.json")]
+    models += [generate(random_spec(rng, 6, labeled=i % 2 == 1)) for i in range(60)]
+    for model in models:
+        g = to_flg(model)
+        vertices, edges, labels = _graph_by_definition(model)
+        # ids: the states by name, then the distributions by index
+        assert g.by_id == sorted(vertices)
+        assert [v.key for v in g.by_id[:len(model.states)]] == sorted(model.states)
+        assert g.pool == sorted(set(g.pool)) and g.pool[-1] == 1 and g.degree_pool() == g.pool
+        # the arrays and the views derived from them match the definition
+        assert {(g.by_id[i], r, g.by_id[j]): g.pool[rk] for i, out in enumerate(g.out) for r, j, rk in out} == edges
+        assert [sorted(sources) for sources in g.preds] == [
+            sorted(g.by_id.index(x) for (x, _, y) in edges if y == v) for v in g.by_id
+        ]
+        assert [{p: g.pool[rk] for p, rk in ranks.items()} for ranks in g.label_ranks] == [
+            dict(labels[v].items()) for v in g.by_id
+        ]
+        assert g.vertices == vertices and g.edges == edges and g.labels == labels
+        for v in g.by_id:
+            assert sorted(g.out_edges(v)) == sorted((r, y, d) for (x, r, y), d in edges.items() if x == v)
+            assert sorted(g.in_edges(v)) == sorted((r, x, d) for (x, r, y), d in edges.items() if y == v)
+            assert sorted(g.predecessors(v)) == sorted(x for (x, _, y) in edges if y == v)
+        # the engines' view of the graph's own pool is the stored arrays
+        by_id, out, preds, ranks = adjacency(g, g.degree_pool())
+        assert by_id is g.by_id and out is g.out and preds is g.preds and ranks is g.label_ranks
+        if not isinstance(model, Nflts):
+            assert to_flg(as_nflts(model)).edges == g.edges
+
+
+def test_adjacency_re_ranks_onto_a_joint_pool():
+    g = to_flg(make_example())
+    joint = sorted(set(g.pool) | {Fraction(1, 10), Fraction(3, 4)})
+    by_id, out, preds, ranks = adjacency(g, joint)
+    assert by_id is g.by_id and preds is g.preds
+    assert [[(r, j, joint[rk]) for r, j, rk in edges] for edges in out] == [
+        [(r, j, g.pool[rk]) for r, j, rk in edges] for edges in g.out
+    ]
+    assert [{p: joint[rk] for p, rk in label.items()} for label in ranks] == [
+        {p: g.pool[rk] for p, rk in label.items()} for label in g.label_ranks
+    ]

@@ -99,3 +99,21 @@ def test_nflts_label_validation():
         Nflts(["s"], ["a"], [], ["p"], {"x": {"p": H}})
     with pytest.raises(ModelError):
         Nflts(["s"], ["a"], [], ["p"], {"s": {"q": H}})
+
+
+def test_degree_range_checks(monkeypatch):
+    for bad in (Fraction(3, 2), Fraction(-1, 4), 2, -1, 1.5, -0.25, float("nan")):
+        with pytest.raises(ModelError, match="outside"):
+            FuzzySet({"x": bad})
+    f = FuzzySet({"x": Fraction(0), "y": 0, "z": 0.0, "w": H, "v": 1, "u": 0.25})
+    assert f.support == {"w", "v", "u"}
+    assert f == FuzzySet({"w": Fraction(1, 2), "v": Fraction(1), "u": Fraction(1, 4)})
+    # Fraction degrees are checked on their integers, without a Fraction
+    # comparison (which goes through the numbers.Rational ABC).
+    compared = []
+    real = Fraction._richcmp
+    monkeypatch.setattr(Fraction, "_richcmp", lambda a, b, op: compared.append(a) or real(a, b, op))
+    FuzzySet({f"x{i}": Fraction(i, 10) for i in range(11)})
+    assert compared == []
+    FuzzySet({"x": 0.5})
+    assert compared

@@ -15,6 +15,7 @@ from fuzzybisim import (
     relation_to_document,
     serialize_model,
 )
+from fuzzybisim import modelio
 from fuzzybisim.modelio import model_from_document
 
 from conftest import make_example
@@ -165,3 +166,62 @@ def test_mistyped_relation_documents_are_document_errors(doc, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DocumentError):
         parse_relation(path, make_example())
+
+
+def _counting_parse_degree(monkeypatch) -> list:
+    calls = []
+    real = modelio.parse_degree
+    monkeypatch.setattr(modelio, "parse_degree", lambda text: calls.append(text) or real(text))
+    return calls
+
+
+def test_each_distinct_degree_string_is_parsed_once(monkeypatch):
+    calls = _counting_parse_degree(monkeypatch)
+    strings = ["0.25", "0.5", "1"]
+    states = [f"s{i}" for i in range(100)]
+    transitions = [
+        {"from": states[i % 100], "action": "a",
+         "targets": {states[(i + k) % 100]: strings[(i + k) % 3] for k in range(10)}}
+        for i in range(500)
+    ]
+    doc = {"kind": "nflts", "states": states, "actions": ["a"], "transitions": transitions,
+           "label_alphabet": ["p"], "state_labels": {"s0": {"p": "0.5"}}}
+    assert sum(len(t["targets"]) for t in transitions) == 5000
+    model = model_from_document(doc)
+    assert sorted(calls) == strings
+    degrees = [d for mu in model.distributions for d in mu.fuzzy.degrees()]
+    assert len({id(d) for d in degrees}) == 3
+    assert model.label_of("s0")("p") is next(d for d in degrees if d == Fraction("0.5"))
+
+    calls.clear()
+    lines = ["states s t", "actions a"] + [f"trans s a s:0.5 t:{d}" for d in ("0.5", "0.7", "0.7", "0.5")]
+    parse_model("\n".join(lines))
+    assert sorted(calls) == ["0.5", "0.7"]
+
+
+@pytest.mark.parametrize("targets,labels,message", [
+    ({"t": "x"}, {}, "transitions[1].targets['t']: malformed degree 'x'"),
+    ({"t": "1.5"}, {}, "transitions[1].targets['t']: degree '1.5' outside [0, 1]"),
+    ({"t": "0.5"}, {"t": {"p": "2"}}, "state_labels['t']['p']: degree '2' outside [0, 1]"),
+    ({"t": "0.5"}, {"t": {"p": 0.5}}, "state_labels['t']['p']: degree must be a decimal string, got 0.5"),
+])
+def test_interned_degree_errors_keep_their_field_context(monkeypatch, targets, labels, message):
+    _counting_parse_degree(monkeypatch)
+    doc = {"kind": "nflts", "states": ["s", "t"], "actions": ["a"], "label_alphabet": ["p"],
+           "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5"}},
+                           {"from": "t", "action": "a", "targets": {"s": "0.5", **targets}}],
+           "state_labels": labels}
+    with pytest.raises(DocumentError) as info:
+        model_from_document(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line,message", [
+    ("trans t a t:0.5 s:y", "line 4: malformed degree 'y'"),
+    ("trans t a s:0.5 t:-1", "line 4: degree '-1' outside [0, 1]"),
+])
+def test_interned_text_degree_errors_keep_their_line(monkeypatch, line, message):
+    _counting_parse_degree(monkeypatch)
+    with pytest.raises(DocumentError) as info:
+        parse_model(f"states s t\nactions a\ntrans s a s:0.5\n{line}")
+    assert str(info.value) == message
