@@ -2,16 +2,19 @@
 
 Every subcommand loads models from JSON or text documents, runs the selected
 engine and prints a deterministic result; ``--json`` wraps it in the machine
-schema {command, input, result, engine, wall_time_ms}.  Exit codes: 0 on
-success, 1 on a domain error, 2 on a usage error.
+schema {command, input, result, engine, wall_time_ms}, written by one writer
+that never recurses, in the bytes of ``json.dumps(doc, indent=2)``.  Exit
+codes: 0 on success, 1 on a domain error, 2 on a usage error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .degrees import format_degree
@@ -130,33 +133,44 @@ def _emit(args, started: float, payload, text):
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``; a document too deep for the recursive
-    encoder (a deep compact fuzzy partition) goes to ``_json_text_iterative``,
-    which is about twice as slow on wide documents such as big relations."""
-    try:
-        return json.dumps(doc, indent=2)
-    except RecursionError:
-        return _json_text_iterative(doc)
-
-
-def _json_text_iterative(doc) -> str:
-    """``json.dumps(doc, indent=2)`` for a document with string keys, written
-    from an explicit stack instead of recursion."""
-    out, todo = [], [(doc, "")]
+    """``json.dumps(doc, indent=2)`` byte for byte, for string keys, from an explicit
+    stack (no depth is too deep: a compact fuzzy partition nests a level per degree);
+    each distinct string is encoded once, and a string list or table row in one join."""
+    strings = functools.lru_cache(maxsize=None)(encode_basestring_ascii)  # each distinct string once
+    out, todo = [], [("", doc, "")]  # (text before the value, value, its indent)
     while todo:
-        value, indent = todo.pop()
-        if indent is None:  # literal text
-            out.append(value)
-        elif value and isinstance(value, (dict, list, tuple)):
-            inner, is_dict = indent + "  ", isinstance(value, dict)
-            items = [(json.dumps(k) + ": ", v) for k, v in value.items()] if is_dict else [("", v) for v in value]
-            out.append("{" if is_dict else "[")
-            todo.append(("\n" + indent + ("}" if is_dict else "]"), None))
-            for i, (key, item) in reversed(list(enumerate(items))):
-                todo += [(item, inner), (("," if i else "") + "\n" + inner + key, None)]
-        else:
+        text, value, indent = todo.pop()
+        out.append(text)
+        if indent is None:  # the text closes a container
+            continue
+        if type(value) is str:
+            out.append(strings(value))
+        elif not value or not isinstance(value, (dict, list, tuple)):
             out.append(json.dumps(value))
+        elif not isinstance(value, dict) and (table := _table(value, indent, strings)):
+            out.append(table)
+        else:
+            inner, is_dict = indent + "  ", isinstance(value, dict)
+            items = [(strings(k) + ": ", v) for k, v in value.items()] if is_dict else [("", v) for v in value]
+            todo.append(("\n" + indent + ("}" if is_dict else "]"), None, None))
+            todo += [(",\n" + inner + key, item, inner) for key, item in reversed(items)]
+            todo[-1] = (("{\n" if is_dict else "[\n") + inner + items[0][0], items[0][1], inner)  # no comma
     return "".join(out)
+
+
+def _table(rows, indent: str, strings):
+    """JSON text at ``indent`` of a list of strings or of non-empty lists of strings, else None."""
+    types, row, cell = set(map(type, rows)), indent + "  ", indent + "    "
+    if types == {str}:
+        return f"[\n{row}" + f",\n{row}".join(map(strings, rows)) + f"\n{indent}]"
+    if not types <= {list, tuple} or not all(rows):
+        return None
+    join = (",\n" + cell).join
+    try:
+        texts = [join(map(strings, r)) for r in rows]
+    except TypeError:  # an item that is not a string
+        return None
+    return f"[\n{row}[\n{cell}" + f"\n{row}],\n{row}[\n{cell}".join(texts) + f"\n{row}]\n{indent}]"
 
 
 def _inputs(args):
@@ -236,7 +250,7 @@ def _dispatch(args, started: float) -> int:
             label_density=args.label_density,
             seed=args.seed,
         )
-        document = json.dumps(model_to_document(generate(spec)), indent=2)
+        document = _json_text(model_to_document(generate(spec)))
         if args.out:
             Path(args.out).write_text(document + "\n")
             _emit(args, started, lambda: {"written": args.out}, lambda: f"wrote {args.out}")

@@ -262,7 +262,8 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
 def relation_to_document(relation) -> dict:
     if isinstance(relation, CrispRelation):
         return {"kind": "crisp", "pairs": sorted(map(list, relation.pairs))}
-    return {
-        "kind": "fuzzy",
-        "degrees": [[x, y, format_degree(d)] for (x, y), d in sorted(relation.entries.items())],
-    }
+    texts, rows = {}, []  # texts: (numerator, denominator) -> format_degree, once per degree
+    for (x, y), d in sorted(relation.entries.items()):
+        key = d.numerator, d.denominator
+        rows.append([x, y, texts.get(key) or texts.setdefault(key, format_degree(d))])
+    return {"kind": "fuzzy", "degrees": rows}

@@ -73,9 +73,11 @@ class FuzzyRelation:
         for (x, y), degree in entries:
             if x not in self.left or y not in self.right:
                 raise ValueError(f"entry ({x!r}, {y!r}) outside the universes")
-            if not ZERO <= degree <= ONE:
+            # A Fraction is range-checked by its integers, as in model.FuzzySet.
+            n, q = (degree.numerator, degree.denominator) if type(degree) is Degree else (degree, 1)
+            if not 0 <= n <= q:
                 raise ValueError(f"degree {degree} outside [0, 1]")
-            if degree > ZERO:
+            if n:
                 self.entries[(x, y)] = degree
 
     def __call__(self, x, y) -> Degree:
@@ -99,11 +101,6 @@ class FuzzyRelation:
         """The crisp relation of pairs with degree >= threshold."""
         kept = {pair for pair, d in self.entries.items() if d >= threshold}
         return CrispRelation(self.left, self.right, kept)
-
-    def restrict(self, left: Iterable, right: Iterable) -> "FuzzyRelation":
-        left, right = frozenset(left), frozenset(right)
-        kept = {p: d for p, d in self.entries.items() if p[0] in left and p[1] in right}
-        return FuzzyRelation(left, right, kept)
 
     def __repr__(self) -> str:
         return f"<FuzzyRelation: {len(self.entries)} positive entries>"

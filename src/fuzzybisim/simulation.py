@@ -111,7 +111,7 @@ def _crisp_pairs(g: Flg, g_prime: Flg, verbose: bool = False):
 
 
 def _fuzzy_entries(g: Flg, g_prime: Flg, verbose: bool = False):
-    """Positive entries (x, x') -> degree of the greatest fuzzy simulation."""
+    """Positive entries (x, x') -> degree of the greatest fuzzy simulation, sorted."""
     pool, left, right, edges, edges_prime, caps = _ranked(g, g_prime)
     width = len(right)
     alive, last = set(range(len(caps))), {}
@@ -124,7 +124,7 @@ def _fuzzy_entries(g: Flg, g_prime: Flg, verbose: bool = False):
         if verbose:
             print(f"[fuzzy-sim] threshold {format_degree(threshold)}: {len(alive)} pairs alive, "
                   f"{before - len(alive)} removed", file=sys.stderr)
-    return {(left[pair // width], right[pair % width]): pool[k] for pair, k in last.items()}
+    return {(left[pair // width], right[pair % width]): pool[k] for pair, k in sorted(last.items())}
 
 
 def greatest_crisp_simulation_flg(g: Flg, g_prime: Flg) -> CrispRelation:
@@ -138,8 +138,8 @@ def greatest_fuzzy_simulation_flg(g: Flg, g_prime: Flg) -> FuzzyRelation:
 
 
 def on_states(a: Nflts, b: Nflts, relation):
-    """Graph-level vertex pairs, or a dict of them to degrees, restricted to
-    S x S' and keyed by state: the crisp or fuzzy relation between a and b."""
+    """Graph-level vertex pairs, or a dict of them to degrees (order kept),
+    restricted to S x S' and keyed by state: the relation between a and b."""
     if isinstance(relation, dict):
         kept = {(x.key, y.key): d for (x, y), d in relation.items() if x.is_state and y.is_state}
         return FuzzyRelation(a.states, b.states, kept)
@@ -170,20 +170,13 @@ def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: b
     _require_alphabets(a, b)
     union, inject_a, inject_b = disjoint_union(a, b)
     if mode == "crisp":
-        partition = crisp_partition_system(union, verbose)
-        pairs = {
-            (s, t)
-            for s in a.states
-            for t in b.states
-            if partition.same_block(inject_a[s], inject_b[t])
-        }
-        return CrispRelation(a.states, b.states, pairs)
+        # A block of the union pairs each of its states (0, s) of a with each (1, t) of b.
+        sides = ([[s for tag, s in block if tag == side] for side in (0, 1)]
+                 for block in crisp_partition_system(union, verbose).blocks)
+        return CrispRelation(a.states, b.states, [(s, t) for left, right in sides for s in left for t in right])
     if mode == "fuzzy":
-        cfp = fuzzy_partition_system(union, verbose)
-        entries = {
-            (s, t): cfp.degree_of(inject_a[s], inject_b[t])
-            for s in a.states
-            for t in b.states
-        }
+        cfp, right = fuzzy_partition_system(union, verbose), sorted(b.states)
+        # Entries in sorted-state order, so that sorting them for output is a single pass.
+        entries = {(s, t): cfp.degree_of(inject_a[s], inject_b[t]) for s in sorted(a.states) for t in right}
         return FuzzyRelation(a.states, b.states, entries)
     raise ValueError(f"unknown mode {mode!r}")

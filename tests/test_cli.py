@@ -25,10 +25,11 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import cli
-from fuzzybisim.cli import ENGINES, _json_text_iterative, run
+from fuzzybisim.cli import ENGINES, _json_text, run
 from fuzzybisim.generate import random_spec
 
 from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
+from test_cli_golden import _models, _runs
 
 
 def invoke(capsys, *argv):
@@ -258,6 +259,14 @@ def test_closed_stdout_exits_1_without_a_traceback(example_path):
     assert done.stderr == b""
 
 
+def test_python_dash_m_runs_the_cli(capsys, example_path):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "fuzzybisim", "crisp-partition", str(example_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == invoke(capsys, "crisp-partition", str(example_path))[1]
+
+
 def test_bisim_between_modes(capsys, example_path):
     code, out, _ = invoke(
         capsys, "bisim-between", str(example_path), str(example_path), "--mode", "fuzzy"
@@ -336,12 +345,16 @@ def test_json_writer_matches_json_dumps():
         {}, [], "x", 0, 1.5, None, True,
         {"a": [], "b": {}, "c": [1, [2, [3, {}]]], "d": {"e": None, "f": "é\n\""}},
         (1, (2, 3)), [float("nan"), float("inf"), -0.0],
+        # tables (lists of non-empty lists of strings) and lists that only look like one
+        [["s1", "s2", "0.5"], ["s1", "s3", "1"]], [[]], [["a", "b"], [], ["c"]], [["a"], [1]],
+        [("a", "b"), ("c",)], [["é\n\"", "x"], ["\\", "\u2028"]], {"kind": "fuzzy", "degrees": [["a", "b", "1"]]},
+        [["a", ["b"]]], [["a"], "bc"], [[None]], [["a", float("nan")]], [[{"k": "v"}]],
     ]
     for doc in docs:
-        assert _json_text_iterative(doc) == json.dumps(doc, indent=2)
+        assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
-def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path):
+def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path, tmp_path):
     example = str(example_path)
     for argv in (
         ["crisp-partition", example], ["fuzzy-partition", example], ["degree", example, "s1", "s5"],
@@ -351,7 +364,13 @@ def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path):
         code, out, _ = invoke(capsys, *argv, "--json")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert out == _json_text_iterative(json.loads(out)) + "\n"
+        assert out == _json_text(json.loads(out)) + "\n"
+    # every engine command on the generated models of the golden table
+    for model in _models(tmp_path):
+        for case, argv in _runs(*model):
+            code, out, _ = invoke(capsys, *argv, "--json")
+            assert code == 0, case
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", case
 
 
 def test_deep_fuzzy_partition_json_output_parses(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Model and relation documents: JSON and text parsing, round trips, errors."""
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from fuzzybisim import (
     relation_to_document,
     serialize_model,
 )
-from fuzzybisim import modelio
+from fuzzybisim import format_degree, modelio
 from fuzzybisim.modelio import model_from_document
 
 from conftest import make_example
@@ -127,6 +128,30 @@ def test_relation_documents_round_trip():
     fuzzy = FuzzyRelation(model.states, model.states, {("s1", "s2"): Fraction("0.4")})
     doc = relation_to_document(fuzzy)
     assert parse_relation(__import__("json").dumps(doc), model) == fuzzy
+
+
+def test_each_distinct_degree_is_formatted_once(monkeypatch):
+    calls = []
+
+    def counting_format_degree(d):
+        calls.append(d)
+        return format_degree(d)
+
+    monkeypatch.setattr(modelio, "format_degree", counting_format_degree)
+    states = [f"s{i}" for i in range(100)]
+    # 5,000 entries, each its own Fraction object, of the 3 values 1/4, 1/2 and 3/4
+    entries = [((x, y), Fraction((i + j) % 3 + 1, 4)) for i, x in enumerate(states) for j, y in enumerate(states[:50])]
+    relation = FuzzyRelation(states, states, entries)
+    doc = relation_to_document(relation)
+    assert len(relation.entries) == 5000
+    assert len(calls) == 3
+    # the per-entry expression that relation_to_document used to be
+    assert doc == {"kind": "fuzzy",
+                   "degrees": [[x, y, format_degree(d)] for (x, y), d in sorted(relation.entries.items())]}
+    rng = random.Random(5)
+    for _ in range(3):
+        rng.shuffle(entries)
+        assert relation_to_document(FuzzyRelation(states, states, entries)) == doc
 
 
 def test_relation_document_errors():

@@ -43,6 +43,23 @@ def test_fuzzy_relation_range_check():
         FuzzyRelation("a", "a", {("a", "a"): Fraction(3, 2)})
 
 
+@pytest.mark.parametrize("degree", [Fraction(3, 2), Fraction(-1, 2), 2, 1.5, float("nan")])
+def test_degrees_outside_the_unit_interval_are_refused(degree):
+    # Fractions are checked by their integers, other numbers by comparison
+    with pytest.raises(ValueError, match="outside"):
+        FuzzyRelation("a", "a", {("a", "a"): degree})
+
+
+@pytest.mark.parametrize("degree", [Fraction(0), 0, 0.0])
+def test_zero_degrees_of_every_type_are_dropped(degree):
+    assert FuzzyRelation("a", "a", {("a", "a"): degree}).entries == {}
+
+
+@pytest.mark.parametrize("degree", [1, 0.5])
+def test_degrees_are_kept_as_given(degree):
+    assert FuzzyRelation("a", "a", {("a", "a"): degree}).entries[("a", "a")] is degree
+
+
 def test_cut_is_antitone_in_threshold():
     r = FuzzyRelation("ab", "ab", {("a", "b"): H, ("a", "a"): Fraction(1)})
     assert r.cut(Fraction(1)).pairs == {("a", "a")}
