@@ -12,9 +12,9 @@ splitting by labels first and then refining.
 
 The partition left by level i-1 is stable for its key, and at level i the
 key changes only for vertices with an out-edge or a label at rank i-1.  So
-level 0 queues the one initial block, and level i > 0 queues only the
-blocks of those vertices; each split then re-queues as `refinement`
-describes.
+level 0 keys the one initial block, and level i > 0 marks only those
+vertices: the key of every other vertex changes by one shared bijection, so
+the unmarked members of each block still share one key (see `refinement`).
 
 The chain of partitions is the chain of cuts of the greatest fuzzy
 bisimulation.  The tree is built from the split events: a block that splits
@@ -61,7 +61,7 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False) -> CompactFuzzyP
                 frozenset((r, assignment[y]) for r, y, rk in edges[x] if rk >= level),
             )
 
-        state.dirty.update(assignment[x] for x in touched[level])
+        state.mark(touched[level])
         state.refine(key)
         levels += [level] * (len(state.events) - len(levels))
         if verbose:

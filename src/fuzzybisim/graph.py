@@ -160,6 +160,8 @@ def to_flg(model: Nfts) -> Flg:
         i, j = index[source], n + mu.index
         out[i].append((action, j, top))
         preds[j].append(i)
+    for sources in preds[n:]:
+        sources.sort()  # the transitions set iterates in hash order
     for i, mu in enumerate(dists, n):
         for target, degree in mu.fuzzy.items():
             j = index[target]

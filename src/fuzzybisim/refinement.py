@@ -7,50 +7,70 @@ fixes the ids and ranks once, so on the graph's own pool ``adjacency``
 returns the stored arrays; it only re-ranks for a joint pool of two graphs.
 
 Both bisimulation engines split blocks by per-vertex keys computed against
-the current partition.  When a block splits, its largest group keeps the
-old block id and every other group gets a new one.  Keys refer to blocks by
-id, so only the predecessors of the re-numbered groups can see a changed
-key, and only their blocks are re-queued (Valmari, "Bisimilarity
-minimization in O(m log n) time", 2009).  Each split is recorded as a
-(new block, parent block) event, from which the fuzzy engine builds its
-tree.
+the current partition (Paige and Tarjan, SIAM J. Comput. 1987; Valmari,
+"Bisimilarity minimization in O(m log n) time", 2009).  A block is queued
+with its marked members, the ones whose key may have changed; the unmarked
+members of every block share one key, so a split keys the marked members
+and one representative of the rest.  The largest group keeps the block id
+and every other group gets a new one.  If a marked group is the largest,
+the unmarked rest moves with its representative's group, and is smaller
+than the marked group, so a split costs O(marked).  Keys refer to blocks by
+id, so a vertex keeps its key unless it is a predecessor of a moved vertex;
+those predecessors are marked.  Each split is recorded as a (new block,
+parent block) event, from which the fuzzy engine builds its tree.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Dict, Hashable, Iterable, List, Set, Tuple
 
 from .graph import Flg
 
 
 class RefinableMap:
-    """A mutable element -> block-id map with block extents and a dirty queue.
-
-    The fresh map's single block is queued, so ``refine`` on it keys every
-    element.
-    """
+    """An element -> block-id map with block extents and a dirty queue,
+    block id -> marked members, which holds the fresh map's one block with
+    every element marked."""
 
     def __init__(self, elements: Iterable[Hashable], preds):
         self.assignment: Dict[Hashable, int] = {v: 0 for v in elements}
         self.blocks: Dict[int, Set] = {0: set(self.assignment)}
         self.preds = preds
-        self.dirty: Set[int] = {0}
+        self.dirty: Dict[int, Set] = defaultdict(set, {0: set(self.assignment)})
         self.events: List[Tuple[int, int]] = []
         self._next = 1
 
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def split_block(self, bid: int, key_of: Callable[[Hashable], object]) -> bool:
-        """Split one block by a key function; returns True when it split."""
+    def mark(self, elements: Iterable[Hashable]):
+        """Queue each element's block with the element marked; never a block of one."""
+        assignment, blocks, dirty = self.assignment, self.blocks, self.dirty
+        for v in elements:
+            bid = assignment[v]
+            if len(blocks[bid]) > 1:
+                dirty[bid].add(v)
+
+    def split_block(self, bid: int, key_of: Callable[[Hashable], object], marked=None) -> bool:
+        """Split a block by keying its ``marked`` members (all when None) and one
+        other member; returns True when it split."""
         members = self.blocks[bid]
         if len(members) == 1:
             return False
+        marked = members if marked is None else marked
+        rest = len(members) - len(marked)
         groups: Dict[object, list] = {}
-        for v in members:
+        for v in marked:
             groups.setdefault(key_of(v), []).append(v)
-        if len(groups) == 1:
+        if rest:  # the unmarked members, keyed through one representative
+            rest_group = groups.setdefault(key_of(next(v for v in members if v not in marked)), [])
+        if len(groups) < 2:
             return False
         kept = max(groups.values(), key=len)
+        if rest and len(rest_group) + rest > len(kept):
+            kept = rest_group
+        elif rest:  # the rest moves with its group, which is smaller than kept
+            rest_group += [v for v in members if v not in marked]
         moved = [group for group in groups.values() if group is not kept]
         assignment = self.assignment
         for group in moved:
@@ -61,23 +81,21 @@ class RefinableMap:
             for v in group:
                 assignment[v] = new_bid
             self.events.append((new_bid, bid))
-        dirty, preds = self.dirty, self.preds
-        for group in moved:
-            for v in group:
-                for p in preds[v]:
-                    dirty.add(assignment[p])
+        preds = self.preds
+        self.mark([p for group in moved for v in group for p in preds[v]])
         return True
 
     def refine(self, key_of: Callable[[Hashable], object], trace=None):
         """Split queued blocks until the queue is empty.
 
-        Every block outside the queue must already be uniform under
+        The unmarked members of every block must share one key under
         ``key_of``; the result is then the coarsest refinement of the
-        current partition on which ``key_of`` is uniform.
+        current partition on which ``key_of`` is uniform.  Each split keeps
+        the largest group's id and marks the predecessors of moved elements.
         """
         while self.dirty:
-            bid = self.dirty.pop()
-            if self.split_block(bid, key_of) and trace is not None:
+            bid, marked = self.dirty.popitem()
+            if self.split_block(bid, key_of, marked) and trace is not None:
                 trace(f"block {bid} split; {self.block_count()} blocks now")
 
     def snapshot(self) -> Dict[Hashable, int]:

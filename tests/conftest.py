@@ -1,5 +1,6 @@
-"""Shared fixtures: the five-state worked example, its expected results, and
-a terminal-summary hook that prints one line per acceptance criterion."""
+"""Shared fixtures: the five-state worked example, its expected results, the
+caterpillar families with deep partitions, and a terminal-summary hook that
+prints one line per acceptance criterion."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzybisim import Nfts, FuzzyRelation
+from fuzzybisim import Nflts, Nfts, FuzzyRelation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +80,34 @@ def seven_element_relation() -> FuzzyRelation:
 SEVEN_ELEMENT_TEXT = (
     "{{{{x1}:1,{{x2}:1,{x3,x4}:1}:0.6}:0.4,{{x5}:1,{x6}:1}:0.3}:0.1,{x7}:1}:0"
 )
+
+
+# -- caterpillars: one state leaves a big block at every degree level ----------
+
+
+def label_caterpillar(n: int) -> Nflts:
+    """No transitions; state s_i has label p at degree (i+1)/(n+1)."""
+    states = [f"s{i}" for i in range(n)]
+    labels = {s: {"p": Fraction(i + 1, n + 1)} for i, s in enumerate(states)}
+    return Nflts(states, ["a"], [], ["p"], labels)
+
+
+def edge_caterpillar(n: int, hubs: int = 0) -> Nfts:
+    """s_i -a-> {s_i: (i+1)/(n+1)}, plus ``hubs`` hub states with the same
+    n edges each."""
+    states = [f"s{i}" for i in range(n)]
+    loops = [{s: Fraction(i + 1, n + 1)} for i, s in enumerate(states)]
+    transitions = [(s, "a", mu) for s, mu in zip(states, loops)]
+    hub_states = [f"h{k}" for k in range(hubs)]
+    transitions += [(h, "a", mu) for h in hub_states for mu in loops]
+    return Nfts(states + hub_states, ["a"], transitions)
+
+
+CATERPILLARS = {
+    "label caterpillar": label_caterpillar,
+    "edge caterpillar": edge_caterpillar,
+    "two hubs": lambda n: edge_caterpillar(n, hubs=2),
+}
 
 
 @pytest.fixture

@@ -5,9 +5,11 @@ Each case runs one command with one engine three times: plain (text stdout),
 ``--verbose`` (stderr).  The models are the worked example and twelve small
 generated ones, plain and labeled; the two-model commands pair each model
 with itself or with a sibling drawn with the same alphabets.  Run this file
-as a script to print the table for the current code:
+as a script to print the table for the current code, or with ``--diff`` to
+print only the cases whose digests differ from ``GOLDEN``, naming which of
+the text, ``--json`` and stderr digests differ:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [--diff]
 """
 import contextlib
 import dataclasses
@@ -161,7 +163,7 @@ GOLDEN = {
     'gen2 degree oracle': ('9a271f2a916b', 'b68543458ea2', 'e3b0c44298fc'),
     'gen2 crisp-sim oracle': ('3170366d6fc3', '6ece51eb2919', 'e3b0c44298fc'),
     'gen2 fuzzy-sim oracle': ('dab627b6e0ec', '4ce9dcd264c9', 'e3b0c44298fc'),
-    'gen2 bisim-between crisp': ('18b2cbb79103', 'd525ea828f79', '1715ba62caaf'),
+    'gen2 bisim-between crisp': ('18b2cbb79103', 'd525ea828f79', 'c6acc75264b7'),
     'gen2 bisim-between fuzzy': ('4f2038fce79b', 'a1d49077bf25', '8b02fd92ae91'),
     'gen3 crisp-partition efficient': ('e8b080da64fa', '8c27ca9edaeb', '3a1c19a8bc27'),
     'gen3 fuzzy-partition efficient': ('98e43695c184', '8a66e37f2cbb', '3d84f542918f'),
@@ -187,7 +189,7 @@ GOLDEN = {
     'gen4 fuzzy-sim oracle': ('88be20c7475f', '420c2f3979b3', 'e3b0c44298fc'),
     'gen4 bisim-between crisp': ('94c760b92a17', 'ef429497c53a', '1756fd7a47cd'),
     'gen4 bisim-between fuzzy': ('612cc78826ef', '8c86d709d2dc', '08b57a7f6afc'),
-    'gen5 crisp-partition efficient': ('d74bcb02956b', '61aac632ec37', 'a8b34140ec66'),
+    'gen5 crisp-partition efficient': ('d74bcb02956b', '61aac632ec37', 'ca0dfedab0fc'),
     'gen5 fuzzy-partition efficient': ('b2822f762b75', '4d2dc2e9dfa0', 'c109beceea99'),
     'gen5 degree efficient': ('9a271f2a916b', 'd170a71ee0fe', 'c109beceea99'),
     'gen5 crisp-sim efficient': ('94c760b92a17', '55db0be4bb2b', '92a40f7636b3'),
@@ -197,7 +199,7 @@ GOLDEN = {
     'gen5 degree oracle': ('9a271f2a916b', '0131914311ca', 'e3b0c44298fc'),
     'gen5 crisp-sim oracle': ('94c760b92a17', '1dd0226bd7e8', 'e3b0c44298fc'),
     'gen5 fuzzy-sim oracle': ('97e0ca463c7a', '4c5d3955f6bc', 'e3b0c44298fc'),
-    'gen5 bisim-between crisp': ('94c760b92a17', 'b0ceef572be5', '405c35fb9631'),
+    'gen5 bisim-between crisp': ('94c760b92a17', 'b0ceef572be5', '0d1994a30a69'),
     'gen5 bisim-between fuzzy': ('a30f8142dcd3', '6c39c46c6c16', 'ff72a2b2a6c7'),
     'gen6 crisp-partition efficient': ('542c5af6d5cb', 'dd0adcdd8c5e', '94e125c5452f'),
     'gen6 fuzzy-partition efficient': ('921ef6ac61cf', '6ee4261a7bf5', '6b822a062a22'),
@@ -211,7 +213,7 @@ GOLDEN = {
     'gen6 fuzzy-sim oracle': ('d79468a10f84', '6196ecf4cee0', 'e3b0c44298fc'),
     'gen6 bisim-between crisp': ('c12bce042d75', '7e5814ef4fc2', 'e4c7b0bfdc17'),
     'gen6 bisim-between fuzzy': ('d79468a10f84', '6a9ed10dcced', '1cc758c5bf61'),
-    'gen7 crisp-partition efficient': ('62f30c14ac26', '22cc4ee198bc', '6e59b1b3d048'),
+    'gen7 crisp-partition efficient': ('62f30c14ac26', '22cc4ee198bc', '1eabb7a99f9d'),
     'gen7 fuzzy-partition efficient': ('70365f9543eb', 'a5b5dbfd40ec', '3868b5901f3c'),
     'gen7 degree efficient': ('9a271f2a916b', 'eba2e6e2c689', '3868b5901f3c'),
     'gen7 crisp-sim efficient': ('94c760b92a17', 'ee102fab66a9', 'f2630cfeb0cf'),
@@ -221,7 +223,7 @@ GOLDEN = {
     'gen7 degree oracle': ('9a271f2a916b', '5a548fa8d780', 'e3b0c44298fc'),
     'gen7 crisp-sim oracle': ('94c760b92a17', '2d896612714d', 'e3b0c44298fc'),
     'gen7 fuzzy-sim oracle': ('a30f8142dcd3', '10c251761517', 'e3b0c44298fc'),
-    'gen7 bisim-between crisp': ('94c760b92a17', '56996d67eb24', '902789bd5247'),
+    'gen7 bisim-between crisp': ('94c760b92a17', '56996d67eb24', '23d8bad4784e'),
     'gen7 bisim-between fuzzy': ('a30f8142dcd3', '8f83fc6a74b8', 'ce2c70746d25'),
     'gen8 crisp-partition efficient': ('de36187c5b8d', '0cc782bfc959', 'c38b1cd265e8'),
     'gen8 fuzzy-partition efficient': ('0196e46bf02a', 'e3875bb5ba8c', '201070f11f33'),
@@ -233,7 +235,7 @@ GOLDEN = {
     'gen8 degree oracle': ('4355a46b19d3', '52b30f6d2370', 'e3b0c44298fc'),
     'gen8 crisp-sim oracle': ('e1d1f9b99a5f', '9725b798358e', 'e3b0c44298fc'),
     'gen8 fuzzy-sim oracle': ('af028c81bb9b', '39a8b3796f6c', 'e3b0c44298fc'),
-    'gen8 bisim-between crisp': ('94c760b92a17', 'b7541f0c75fa', '3be81236f7ab'),
+    'gen8 bisim-between crisp': ('94c760b92a17', 'b7541f0c75fa', '6c69b6d84f49'),
     'gen8 bisim-between fuzzy': ('a30f8142dcd3', '42f77ce3a3b3', '3c3c4010690d'),
     'gen9 crisp-partition efficient': ('542c5af6d5cb', 'ade28336ac46', 'a8afb727aa5d'),
     'gen9 fuzzy-partition efficient': ('921ef6ac61cf', '9eff16a9ec43', '581d81bd860a'),
@@ -278,5 +280,15 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as directory:
-        for case, digests in _table(Path(directory)).items():
+        table = _table(Path(directory))
+    if "--diff" not in sys.argv[1:]:
+        for case, digests in table.items():
             print(f"    {case!r}: {digests!r},")
+        sys.exit()
+    for case in sorted(table.keys() | GOLDEN.keys()):
+        got, want = table.get(case), GOLDEN.get(case)
+        if got is None or want is None:
+            print(f"{case}: only in {'GOLDEN' if got is None else 'the current code'}")
+        elif got != want:
+            differ = [name for name, a, b in zip(("text", "--json", "stderr"), got, want) if a != b]
+            print(f"{case}: {', '.join(differ)} differ: {want!r} -> {got!r}")

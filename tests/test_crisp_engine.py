@@ -2,19 +2,23 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from fuzzybisim import (
     CrispPartition,
     Nflts,
     Nfts,
+    as_nflts,
     crisp_partition_oracle,
     crisp_partition_system,
+    disjoint_union,
     greatest_crisp_bisim_partition_flg,
     to_flg,
 )
 from fuzzybisim import oracle
 from fuzzybisim.generate import generate, random_spec
 
-from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, make_example
+from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, make_example
 
 H = Fraction(1, 2)
 
@@ -80,3 +84,23 @@ def test_verbose_traces_do_not_change_the_result(capsys):
     captured = capsys.readouterr()
     assert "[crisp]" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("family", sorted(CATERPILLARS))
+def test_caterpillars_match_the_oracle(family):
+    for n in range(1, 13):
+        model = CATERPILLARS[family](n)
+        g = to_flg(model)
+        assert greatest_crisp_bisim_partition_flg(g) == \
+            CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(g))
+        assert crisp_partition_system(model) == crisp_partition_oracle(model)
+
+
+@pytest.mark.parametrize("family", sorted(CATERPILLARS))
+def test_each_state_shares_a_block_with_its_copy(family):
+    for n in (1, 5, 12):
+        model = as_nflts(CATERPILLARS[family](n))
+        union, inject_a, inject_b = disjoint_union(model, model)
+        partition = crisp_partition_system(union)
+        for s in model.states:
+            assert partition.same_block(inject_a[s], inject_b[s]), (n, s)

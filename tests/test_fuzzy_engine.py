@@ -2,12 +2,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from fuzzybisim import (
     CompactFuzzyPartition,
     Nflts,
     Nfts,
     as_nflts,
     cfp_from_relation,
+    disjoint_union,
     fuzzy_partition_oracle,
     fuzzy_partition_system,
     greatest_fuzzy_bisim_cfp_flg,
@@ -17,6 +20,7 @@ from fuzzybisim import oracle
 from fuzzybisim.generate import generate, random_spec
 
 from conftest import (
+    CATERPILLARS,
     EXAMPLE_FUZZY_TEXT,
     EXAMPLE_GRAPH_FUZZY_TEXT,
     example_fuzzy_table,
@@ -195,6 +199,24 @@ def test_no_transitions_keeps_a_positive_root_over_many_top_blocks():
         for y in model.states:
             assert cfp.degree_of(x, y) == expanded(x, y), (x, y)
     assert cfp.degree_of("z", "z2") == 1 and cfp.degree_of("v", "z") == d("0.7")
+
+
+@pytest.mark.parametrize("family", sorted(CATERPILLARS))
+def test_caterpillars_match_the_oracle(family):
+    for n in range(1, 13):
+        model = CATERPILLARS[family](n)
+        assert_graph_cfp_matches_oracle(model)
+        assert fuzzy_partition_system(model) == fuzzy_partition_oracle(model)
+
+
+@pytest.mark.parametrize("family", sorted(CATERPILLARS))
+def test_each_state_has_degree_one_with_its_copy(family):
+    for n in (1, 5, 12):
+        model = as_nflts(CATERPILLARS[family](n))
+        union, inject_a, inject_b = disjoint_union(model, model)
+        cfp = fuzzy_partition_system(union)
+        for s in model.states:
+            assert cfp.degree_of(inject_a[s], inject_b[s]) == 1, (n, s)
 
 
 def test_renaming_states_renames_the_partition():

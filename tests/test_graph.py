@@ -98,6 +98,14 @@ def test_plain_system_and_its_unlabeled_view_give_equal_graphs():
         assert labeled.edges == plain.edges
 
 
+def test_sources_of_a_shared_distribution_are_in_id_order():
+    # the refinement kernel marks predecessors in list order, so this order
+    # must not follow the hash order of the transitions set
+    states = [f"s{i:02}" for i in range(40)]
+    g = to_flg(Nfts(states, ["a", "b"], [(s, a, {"s00": H}) for s in states for a in "ab"]))
+    assert g.preds[len(states)] == sorted(g.preds[len(states)]) == [i for i in range(40) for _ in "ab"]
+
+
 def test_disjoint_union_shapes():
     a = as_nflts(make_example())
     b = as_nflts(make_example())

@@ -1,9 +1,14 @@
 """The generic signature-refinement machinery used by both engines."""
-from fuzzybisim import Nfts, to_flg
+from fractions import Fraction
+
+import pytest
+
+from fuzzybisim import Nflts, fuzzy_partition_system, greatest_fuzzy_bisim_cfp_flg, to_flg
+from fuzzybisim.crisp_engine import greatest_crisp_bisim_partition_flg
 from fuzzybisim.graph import state_vertex
 from fuzzybisim.refinement import RefinableMap, adjacency
 
-from conftest import make_example
+from conftest import CATERPILLARS, make_example
 
 
 def fresh_map():
@@ -54,14 +59,122 @@ def test_split_requeues_only_predecessors_of_new_groups():
     # p points only into a, q only into c
     preds = {"a": ["p"], "b": [], "c": ["q"], "p": [], "q": []}
     state = RefinableMap(elements, preds)
-    state.split_block(0, lambda v: v if v in "pq" else "abc")
+    state.split_block(0, lambda v: "pq" if v in "pq" else "abc")
     state.dirty.clear()
     bid = state.assignment["a"]
     assert state.split_block(bid, lambda v: v == "c")
     # the larger group {a, b} keeps the id, so p's signature is unchanged
     assert state.assignment["a"] == state.assignment["b"] == bid
-    assert state.dirty == {state.assignment["q"]}
+    assert state.dirty == {state.assignment["q"]: {"q"}}
     assert state.events[-1] == (state.assignment["c"], bid)
+
+
+def counted(key):
+    calls = []
+
+    def key_of(v):
+        calls.append(v)
+        return key(v)
+
+    return key_of, calls
+
+
+def ten_in_one_block(preds=None):
+    elements = list(range(10))
+    state = RefinableMap(elements, preds or {v: [] for v in elements})
+    state.dirty.clear()
+    return state
+
+
+def test_split_keys_the_marked_members_and_one_representative():
+    state = ten_in_one_block()
+    key_of, calls = counted(lambda v: v < 2)
+    assert state.split_block(0, key_of, {0, 1, 2})
+    assert len(calls) == 4
+    # the unmarked rest {3, ..., 9} is the largest group and keeps the id
+    assert state.blocks[0] == {2, 3, 4, 5, 6, 7, 8, 9}
+    assert state.events == [(1, 0)] and state.blocks[1] == {0, 1}
+
+
+def test_unmarked_rest_moves_when_a_marked_group_is_largest():
+    state = ten_in_one_block()
+    key_of, calls = counted(lambda v: v < 7)
+    assert state.split_block(0, key_of, set(range(7)))
+    assert len(calls) == 8
+    assert state.blocks[0] == set(range(7))
+    assert state.blocks[1] == {7, 8, 9} and state.assignment[8] == 1
+    assert state.events == [(1, 0)]
+
+
+def test_one_event_per_moved_group():
+    state = ten_in_one_block()
+    assert state.split_block(0, lambda v: min(v, 3), {0, 1, 2})
+    assert state.blocks[0] == set(range(3, 10))
+    assert sorted(state.events) == [(1, 0), (2, 0), (3, 0)]
+    assert sorted(len(state.blocks[new]) for new, _ in state.events) == [1, 1, 1]
+
+
+def test_marked_members_agreeing_with_the_rest_do_not_split():
+    state = ten_in_one_block()
+    key_of, calls = counted(lambda v: "same")
+    assert not state.split_block(0, key_of, {4, 5})
+    assert len(calls) == 3 and state.block_count() == 1 and not state.events
+
+
+def test_singleton_blocks_are_never_queued():
+    # 9 points into 1; 9 and 2 point into 4
+    preds = {v: [] for v in range(10)}
+    preds[1], preds[4] = [9], [9, 2]
+    state = ten_in_one_block(preds)
+    assert state.split_block(0, lambda v: v if v in (1, 9) else -1)
+    assert state.block_count() == 3 and not state.dirty
+    state.mark([1, 9, 4])
+    assert state.dirty == {0: {4}}
+    assert state.split_block(0, lambda v: v == 4, state.dirty.pop(0))
+    assert state.dirty == {0: {2}}
+
+
+# -- work counts: keyed vertices stay linear on deep partitions ---------------
+
+
+def count_keys(monkeypatch):
+    """Count the ``key_of`` calls of every ``split_block``."""
+    calls = [0]
+    split = RefinableMap.split_block
+
+    def counting(self, bid, key_of, *args):
+        def key(v):
+            calls[0] += 1
+            return key_of(v)
+
+        return split(self, bid, key, *args)
+
+    monkeypatch.setattr(RefinableMap, "split_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(CATERPILLARS))
+@pytest.mark.parametrize("engine", [greatest_crisp_bisim_partition_flg, greatest_fuzzy_bisim_cfp_flg])
+def test_key_calls_are_linear_on_caterpillars(monkeypatch, family, engine):
+    calls = count_keys(monkeypatch)
+    counts = []
+    for n in (250, 500, 1000):
+        g = to_flg(CATERPILLARS[family](n))
+        calls[0] = 0
+        engine(g)
+        assert calls[0] <= 6 * len(g.by_id), (n, calls[0])
+        counts.append(calls[0])
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.2 * small, counts
+
+
+def test_deep_label_partition_keys_each_vertex_about_three_times(monkeypatch):
+    # 700 unconnected states with distinct label degrees: a CFP of depth 699
+    calls = count_keys(monkeypatch)
+    states = [f"s{i}" for i in range(700)]
+    model = Nflts(states, ["a"], [], ["p"], {s: {"p": Fraction(i + 1, 1000)} for i, s in enumerate(states)})
+    assert fuzzy_partition_system(model).root.degree == Fraction(1, 1000)
+    assert calls[0] <= 3 * len(to_flg(model).by_id)
 
 
 def test_adjacency_matches_the_graph():
