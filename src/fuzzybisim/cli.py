@@ -26,7 +26,7 @@ from .modelio import (
     parse_relation,
     relation_to_document,
 )
-from .graph import to_flg, as_nflts
+from .graph import to_flg, as_nflts, on_states
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
 from .partition import NotAnEquivalenceError
@@ -34,7 +34,6 @@ from .simulation import (
     bisimulation_between_nflts,
     crisp_simulation_nflts,
     fuzzy_simulation_nflts,
-    on_states,
 )
 from . import oracle, bench
 from .generate import GenSpec, GenSpecError, generate

@@ -20,18 +20,19 @@ The chain of partitions is the chain of cuts of the greatest fuzzy
 bisimulation.  The tree is built from the split events: a block that splits
 at level i becomes a node of degree thresholds[i-1] (0 at level 0), and
 later splits of its pieces at the same level add siblings under that node.
+The system's tree is built from the events of state blocks alone.
 
 ``fuzzy_partition_oracle`` is the engine's naive twin: the definitional
-fixpoint of the graph, then the same restriction to states.
+fixpoint of the graph, restricted to pairs of states.
 """
 from __future__ import annotations
 
 import sys
 
 from .degrees import ZERO, ONE, format_degree
-from .graph import Flg, to_flg
+from .graph import Flg, on_states, to_flg
 from .model import Nfts
-from .partition import Block, CompactFuzzyPartition, cfp_from_relation, fold_tree
+from .partition import Block, CompactFuzzyPartition, cfp_from_relation
 from .refinement import RefinableMap, adjacency
 from . import oracle
 
@@ -40,8 +41,10 @@ def _trace(message: str):
     print(f"[fuzzy] {message}", file=sys.stderr)
 
 
-def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False) -> CompactFuzzyPartition:
-    """Compact fuzzy partition of the greatest fuzzy bisimulation of a graph."""
+def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool = False) -> CompactFuzzyPartition:
+    """Compact fuzzy partition of the greatest fuzzy bisimulation of a graph,
+    or with ``states`` (for a graph built by ``to_flg``) of its states.
+    ``verbose`` traces the blocks per threshold, then the graph partition."""
     thresholds = g.degree_pool()  # holds 1, the degree of the state mark
     vertices, edges, preds, labels = adjacency(g, thresholds)
     # touched[i]: vertices whose key may change at level i.
@@ -67,73 +70,55 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False) -> CompactFuzzyP
         if verbose:
             _trace(f"threshold {format_degree(threshold)}: {state.block_count()} blocks")
 
-    return CompactFuzzyPartition(_tree_from_events(state, levels, vertices, thresholds))
+    if verbose or not states:
+        graph = CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, vertices.__getitem__, state.blocks))
+        if verbose:
+            _trace(f"graph partition: {graph.text()}")
+        if not states:
+            return graph
+    kept = {bid for bid, members in state.blocks.items() if vertices[next(iter(members))].is_state}
+    return CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, lambda x: vertices[x].key, kept))
 
 
-def _tree_from_events(state: RefinableMap, levels: list, vertices: list, thresholds: list) -> Block:
-    """Nest the split events of the sweep, tagged with their levels, into a
-    tree.  Each block id has a leaf for its members (``node_of``) hanging from
-    a node (``parent_of``).  A block's first split at a level turns its leaf
-    into a node of that level's degree, under which every piece split off at
-    that level, and the block itself, get a new leaf."""
+def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, element, kept) -> Block:
+    """Nest the sweep's split events, tagged with their levels, into a tree
+    of the block ids in ``kept`` with ``element(x)`` in the leaves.  Each block
+    id has a leaf (``node_of``) under a node (``parent_of``); its first split
+    at a level turns its leaf into a node of that level's degree, with a new
+    leaf for it and for each piece split off then.  The state mark splits
+    states from distributions at level 0, so only the root can lose subblocks
+    to ``kept``; left with one, it gives way."""
     root = Block(ONE)
     node_of, parent_of = {0: root}, {0: None}
     born = {0: -1}  # block id -> level at which its leaf was made
     internal = []
     for level, (new, old) in zip(levels, state.events):
+        if new not in kept:
+            continue
         if born[old] < level:
             node = parent_of[old] = node_of[old]
             node.degree = thresholds[level - 1] if level else ZERO
             node_of[old] = Block(ONE)
-            node.subblocks = [node_of[old]]
+            node.subblocks = [node_of[old]] if old in kept else []
             internal.append(node)
             born[old] = level
         parent_of[new] = parent_of[old]
         node_of[new] = Block(ONE)
         parent_of[new].subblocks.append(node_of[new])
         born[new] = level
-    for bid, members in state.blocks.items():
-        node_of[bid].elements = frozenset(vertices[x] for x in members)
+    for bid in kept:
+        node_of[bid].elements = frozenset(map(element, state.blocks[bid]))
     for node in internal:
         node.subblocks = tuple(node.subblocks)
-    return root
+    return root.subblocks[0] if len(root.subblocks) == 1 else root
 
 
 def fuzzy_partition_system(model: Nfts, verbose: bool = False) -> CompactFuzzyPartition:
     """Compact fuzzy partition of the greatest fuzzy bisimulation of a system."""
-    graph_cfp = greatest_fuzzy_bisim_cfp_flg(to_flg(model), verbose)
-    if verbose:
-        _trace(f"graph partition: {graph_cfp.text()}")
-    return _state_cfp(graph_cfp)
+    return greatest_fuzzy_bisim_cfp_flg(to_flg(model), verbose, states=True)
 
 
 def fuzzy_partition_oracle(model: Nfts) -> CompactFuzzyPartition:
-    """``fuzzy_partition_system`` by the naive graph fixpoint."""
-    return _state_cfp(cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(to_flg(model))))
-
-
-def _state_cfp(graph_cfp: CompactFuzzyPartition) -> CompactFuzzyPartition:
-    """The state part of a graph partition: the root's subblocks that hold
-    states (or the root itself when it is crisp) under the root's degree, or
-    the only one.  The state mark keeps each subblock pure and makes the root
-    degree 0 whenever distributions exist; their subtrees are never walked."""
-    root = graph_cfp.root
-    kept = [
-        _strip_vertices(block)
-        for block in (root.subblocks or (root,))
-        if block.any_element().is_state
-    ]
-    if len(kept) == 1:
-        return CompactFuzzyPartition(kept[0])
-    return CompactFuzzyPartition(Block(root.degree, subblocks=tuple(kept)))
-
-
-def _strip_vertices(block: Block) -> Block:
-    """Rebuild a subtree with state vertices unwrapped to state identifiers."""
-
-    def strip(b: Block, children: list) -> Block:
-        if b.is_crisp:
-            return Block(b.degree, elements=frozenset(v.key for v in b.elements))
-        return Block(b.degree, subblocks=tuple(children))
-
-    return fold_tree(block, strip)
+    """``fuzzy_partition_system`` by the naive graph fixpoint, restricted to
+    the pairs of states before the tree is built."""
+    return cfp_from_relation(on_states(model, model, oracle.gfp_fuzzy_bisim_flg(to_flg(model)).entries))

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from .degrees import Degree, ZERO, ONE
 from .model import FuzzySet, Nfts, Nflts, ModelError
+from .relations import CrispRelation, FuzzyRelation
 
 #: Reserved edge symbol for distribution -> state edges; must not be an action.
 EPSILON = "eps*"
@@ -171,6 +172,15 @@ def to_flg(model: Nfts) -> Flg:
     label_ranks += [{} for _ in dists]
     by_id = [*map(state_vertex, states), *map(dist_vertex, range(len(dists)))]
     return Flg(by_id, out, preds, label_ranks, pool, sigma | {STATE_MARK}, model.actions | {EPSILON})
+
+
+def on_states(a: Nflts, b: Nflts, relation):
+    """Graph-level vertex pairs, or a dict of them to degrees (order kept),
+    restricted to S x S' and keyed by state: the relation between a and b."""
+    if isinstance(relation, dict):
+        kept = {(x.key, y.key): d for (x, y), d in relation.items() if x.is_state and y.is_state}
+        return FuzzyRelation(a.states, b.states, kept)
+    return CrispRelation(a.states, b.states, {(x.key, y.key) for x, y in relation if x.is_state and y.is_state})
 
 
 def as_nflts(model: Nfts) -> Nflts:

@@ -8,8 +8,9 @@ one canonical id.  All types are immutable after construction.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .degrees import Degree, ZERO, ONE, sup
 

@@ -262,8 +262,10 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
 def relation_to_document(relation) -> dict:
     if isinstance(relation, CrispRelation):
         return {"kind": "crisp", "pairs": sorted(map(list, relation.pairs))}
-    texts, rows = {}, []  # texts: (numerator, denominator) -> format_degree, once per degree
-    for (x, y), d in sorted(relation.entries.items()):
-        key = d.numerator, d.denominator
-        rows.append([x, y, texts.get(key) or texts.setdefault(key, format_degree(d))])
+    texts, rows, degrees = {}, [], relation.rows()  # texts: id(d), then (numerator, denominator) -> text
+    for x, y, d in degrees:  # `degrees` holds every d until the end, so no id is reused
+        if (text := texts.get(id(d))) is None:
+            key = d.numerator, d.denominator
+            text = texts[id(d)] = texts.get(key) or texts.setdefault(key, format_degree(d))
+        rows.append([x, y, text])
     return {"kind": "fuzzy", "degrees": rows}

@@ -14,6 +14,9 @@ degrees, so every walk over one is iterative.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -120,12 +123,6 @@ class Block:
     @property
     def is_crisp(self) -> bool:
         return self.elements is not None
-
-    def any_element(self):
-        block = self
-        while not block.is_crisp:
-            block = block.subblocks[0]
-        return next(iter(block.elements))
 
     def all_elements(self) -> set:
         return {x for leaf in _leaves(self) for x in leaf.elements}
@@ -241,46 +238,51 @@ class CompactFuzzyPartition:
 
     # -- queries ------------------------------------------------------
 
+    def _lca(self, i: int, j: int) -> int:
+        """Pre-order number of the LCA of the leaves at positions i <= j; for
+        i == j, that of the last node in pre-order: a leaf, so of degree 1."""
+        if i == j:
+            return len(self._degrees) - 1
+        k = (j - i).bit_length() - 1
+        row = self._table[k]
+        a, b = row[i], row[j - (1 << k)]
+        return a if a < b else b
+
     def degree_of(self, x, y) -> Degree:
         """The degree of the lowest common ancestor of the leaves holding x and y."""
         if self._table is None:
             self._build_index()
         try:
-            i = self._position[x]
-            j = self._position[y]
+            i, j = self._position[x], self._position[y]
         except KeyError as exc:
             raise KeyError(f"element {exc.args[0]!r} not in the partition") from exc
-        if i == j:
-            return ONE
-        if i > j:
-            i, j = j, i
-        k = (j - i).bit_length() - 1
-        row = self._table[k]
-        a, b = row[i], row[j - (1 << k)]
-        return self._degrees[a if a < b else b]
+        return self._degrees[self._lca(i, j) if i <= j else self._lca(j, i)]
+
+    def positive_rows(self, xs: list, ys: list) -> list:
+        """``(a, b, degree_of(x, y))`` for each (a, x) of ``xs``, then each
+        (b, y) of ``ys``, where the degree is positive, in O(|ys|) per x.  The
+        LCAs of consecutive distinct leaves of the ys are found once; outwards
+        from the leaf of x, their running minima give its LCA with each."""
+        if self._table is None:
+            self._build_index()
+        position, lca, rows = self._position, self._lca, []
+        leaves = sorted({position[y] for _, y in ys})
+        links, index = [*map(lca, leaves, leaves[1:])], {p: k for k, p in enumerate(leaves)}
+        names, at = [b for b, _ in ys], [index[position[y]] for _, y in ys]
+        degree = [d if d else None for d in self._degrees].__getitem__  # only the root can be 0
+        for a, x in xs:
+            i = position[x]
+            r = bisect_left(leaves, i)
+            before = [*accumulate([lca(leaves[r - 1], i), *reversed(links[: r - 1])], min)][::-1] if r else []
+            after = accumulate([lca(i, leaves[r]), *links[r:]], min) if r < len(leaves) else ()
+            at_leaf = [*map(degree, before), *map(degree, after)].__getitem__
+            rows += [(a, b, d) for b, d in zip(names, map(at_leaf, at)) if d is not None]
+        return rows
 
     def to_relation(self) -> FuzzyRelation:
         """The fuzzy equivalence relation this tree encodes (quadratic output)."""
-        entries: Dict[tuple, Degree] = {}
-
-        def walk(block: Block, groups: list) -> list:
-            if block.is_crisp:
-                members = list(block.elements)
-                for x in members:
-                    for y in members:
-                        entries[(x, y)] = ONE
-                return members
-            if block.degree > ZERO:
-                for i, left in enumerate(groups):
-                    for right in groups[i + 1 :]:
-                        for x in left:
-                            for y in right:
-                                entries[(x, y)] = block.degree
-                                entries[(y, x)] = block.degree
-            return [x for group in groups for x in group]
-
-        fold_tree(self.root, walk)
-        return FuzzyRelation(self.universe, self.universe, entries)
+        identity = {x: x for x in self.universe}
+        return CfpRelation(self, identity, identity)
 
     def leaf_partition(self) -> CrispPartition:
         return CrispPartition(leaf.elements for leaf in _leaves(self.root))
@@ -332,6 +334,25 @@ class CompactFuzzyPartition:
 
     def __repr__(self) -> str:
         return self.text()
+
+
+class CfpRelation(FuzzyRelation):
+    """The fuzzy relation that a compact fuzzy partition encodes between two
+    universes, each mapped into its elements by an injection (a dict).  Its
+    sorted rows come off the LCA index in one pass; ``entries`` on first use."""
+
+    def __init__(self, cfp: CompactFuzzyPartition, inject_left: dict, inject_right: dict):
+        if cfp.root.degree < 0:  # the tree's degrees rise from the root's to 1
+            raise ValueError(f"degree {cfp.root.degree} outside [0, 1]")
+        self.cfp, self.inject_left, self.inject_right = cfp, inject_left, inject_right
+        self.left, self.right = frozenset(inject_left), frozenset(inject_right)
+
+    def rows(self) -> list:
+        return self.cfp.positive_rows(*(sorted(inject.items()) for inject in (self.inject_left, self.inject_right)))
+
+    @cached_property
+    def entries(self) -> Dict[tuple, Degree]:
+        return {(x, y): d for x, y, d in self.rows()}
 
 
 def cfp_from_relation(r: FuzzyRelation) -> CompactFuzzyPartition:

@@ -7,8 +7,9 @@ equivalence relations.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .degrees import Degree, ZERO, ONE
 
@@ -82,6 +83,10 @@ class FuzzyRelation:
 
     def __call__(self, x, y) -> Degree:
         return self.entries.get((x, y), ZERO)
+
+    def rows(self) -> list:
+        """The positive entries as (x, y, degree), sorted by (x, y)."""
+        return [(x, y, d) for (x, y), d in sorted(self.entries.items())]
 
     def __eq__(self, other) -> bool:
         return (

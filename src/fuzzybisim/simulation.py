@@ -12,8 +12,9 @@ import sys
 from collections import defaultdict
 
 from .degrees import format_degree
-from .graph import Flg, to_flg, as_nflts, disjoint_union, ModelError
+from .graph import Flg, to_flg, as_nflts, disjoint_union, on_states, ModelError
 from .model import Nfts, Nflts
+from .partition import CfpRelation
 from .refinement import adjacency
 from .relations import CrispRelation, FuzzyRelation
 from .crisp_engine import crisp_partition_system
@@ -137,15 +138,6 @@ def greatest_fuzzy_simulation_flg(g: Flg, g_prime: Flg) -> FuzzyRelation:
     return FuzzyRelation(g.vertices, g_prime.vertices, _fuzzy_entries(g, g_prime))
 
 
-def on_states(a: Nflts, b: Nflts, relation):
-    """Graph-level vertex pairs, or a dict of them to degrees (order kept),
-    restricted to S x S' and keyed by state: the relation between a and b."""
-    if isinstance(relation, dict):
-        kept = {(x.key, y.key): d for (x, y), d in relation.items() if x.is_state and y.is_state}
-        return FuzzyRelation(a.states, b.states, kept)
-    return CrispRelation(a.states, b.states, {(x.key, y.key) for x, y in relation if x.is_state and y.is_state})
-
-
 def crisp_simulation_nflts(a: Nfts, b: Nfts, verbose: bool = False) -> CrispRelation:
     """Greatest crisp simulation between two systems, over S x S'."""
     a, b = as_nflts(a), as_nflts(b)
@@ -175,8 +167,5 @@ def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: b
                  for block in crisp_partition_system(union, verbose).blocks)
         return CrispRelation(a.states, b.states, [(s, t) for left, right in sides for s in left for t in right])
     if mode == "fuzzy":
-        cfp, right = fuzzy_partition_system(union, verbose), sorted(b.states)
-        # Entries in sorted-state order, so that sorting them for output is a single pass.
-        entries = {(s, t): cfp.degree_of(inject_a[s], inject_b[t]) for s in sorted(a.states) for t in right}
-        return FuzzyRelation(a.states, b.states, entries)
+        return CfpRelation(fuzzy_partition_system(union, verbose), inject_a, inject_b)
     raise ValueError(f"unknown mode {mode!r}")

@@ -6,6 +6,7 @@ import pytest
 
 from fuzzybisim import (
     CompactFuzzyPartition,
+    FuzzyRelation,
     Nflts,
     Nfts,
     as_nflts,
@@ -21,6 +22,7 @@ from fuzzybisim.generate import generate, random_spec
 
 from conftest import (
     CATERPILLARS,
+    REPO_ROOT,
     EXAMPLE_FUZZY_TEXT,
     EXAMPLE_GRAPH_FUZZY_TEXT,
     example_fuzzy_table,
@@ -234,3 +236,100 @@ def test_renaming_states_renames_the_partition():
         cfp = fuzzy_partition_system(model)
         expected = CompactFuzzyPartition.from_json(cfp.to_json(name=rename.__getitem__))
         assert fuzzy_partition_system(renamed) == expected
+
+
+# -- the state tree straight from the split events of state blocks --------------
+
+
+def state_tree_by_restriction(model):
+    """The state tree by the definition: the graph tree's relation on pairs of
+    states, rebuilt as a tree."""
+    graph = greatest_fuzzy_bisim_cfp_flg(to_flg(model)).to_relation()
+    entries = {(x.key, y.key): d for (x, y), d in graph.entries.items() if x.is_state and y.is_state}
+    return cfp_from_relation(FuzzyRelation(model.states, model.states, entries))
+
+
+d = Fraction
+# name -> (model, its state tree's text, the graph partition line of --verbose)
+STATE_TREE_CASES = {
+    "no transitions": (Nfts(["s", "t", "u"], ["a"], []), "{s,t,u}:1", "{s,t,u}:1"),
+    "one state": (Nfts(["s"], ["a"], [("s", "a", {"s": d("0.5")})]), "{s}:1", "{{s}:1,{mu1}:1}:0"),
+    "labels only": (
+        Nflts(["x", "y", "z", "w"], ["a"], [], ["p", "q"],
+              {"x": {"p": d("0.5"), "q": d(1)}, "y": {"p": d(1), "q": d("0.5")},
+               "z": {"p": d("0.5"), "q": d(1)}, "w": {"p": d("0.2")}}),
+        "{{w}:1,{{x,z}:1,{y}:1}:0.5}:0",
+        "{{w}:1,{{x,z}:1,{y}:1}:0.5}:0",
+    ),
+    "all bisimilar": (
+        Nfts(["s", "t", "u"], ["a"], [(x, "a", {"s": d("0.5"), "t": d("0.5"), "u": d("0.5")}) for x in "stu"]),
+        "{s,t,u}:1",
+        "{{s,t,u}:1,{mu1}:1}:0",
+    ),
+    "edge caterpillar": (
+        CATERPILLARS["edge caterpillar"](4),
+        "{{s0}:1,{{s1}:1,{{s2}:1,{s3}:1}:0.6}:0.4}:0.2",
+        "{{{s0}:1,{{s1}:1,{{s2}:1,{s3}:1}:0.6}:0.4}:0.2,{{mu1}:1,{{mu2}:1,{{mu3}:1,{mu4}:1}:0.6}:0.4}:0.2}:0",
+    ),
+    "label caterpillar": (
+        CATERPILLARS["label caterpillar"](4),
+        "{{s0}:1,{{s1}:1,{{s2}:1,{s3}:1}:0.6}:0.4}:0.2",
+        "{{s0}:1,{{s1}:1,{{s2}:1,{s3}:1}:0.6}:0.4}:0.2",
+    ),
+    "two hubs": (
+        CATERPILLARS["two hubs"](4),
+        "{{h0,h1}:1,{s0}:1,{{s1}:1,{{s2}:1,{s3}:1}:0.6}:0.4}:0.2",
+        "{{{h0,h1}:1,{s0}:1,{{s1}:1,{{s2}:1,{s3}:1}:0.6}:0.4}:0.2,"
+        "{{mu1}:1,{{mu2}:1,{{mu3}:1,{mu4}:1}:0.6}:0.4}:0.2}:0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_TREE_CASES))
+def test_state_tree_matches_the_recorded_text_and_the_oracle(case, capsys):
+    model, text, graph_text = STATE_TREE_CASES[case]
+    cfp = fuzzy_partition_system(model, verbose=True)
+    assert cfp.text() == text
+    assert cfp == fuzzy_partition_oracle(model) == state_tree_by_restriction(model)
+    assert f"[fuzzy] graph partition: {graph_text}\n" in capsys.readouterr().err
+
+
+def test_a_crisp_root_over_all_states_is_the_whole_tree():
+    model = STATE_TREE_CASES["all bisimilar"][0]
+    root = fuzzy_partition_system(model).root
+    assert root.is_crisp and root.elements == model.states
+
+
+@pytest.mark.parametrize("family", sorted(CATERPILLARS))
+def test_caterpillar_state_trees_are_the_restricted_graph_trees(family):
+    for n in range(1, 13):
+        model = CATERPILLARS[family](n)
+        assert fuzzy_partition_system(model) == state_tree_by_restriction(model), n
+
+
+def test_state_trees_of_random_models_are_the_restricted_graph_trees():
+    rng = random.Random(1212)
+    for i in range(60):
+        model = generate(random_spec(rng, max_states=6, labeled=i % 2 == 1))
+        assert fuzzy_partition_system(model) == state_tree_by_restriction(model)
+
+
+def test_verbose_cli_prints_the_graph_partition(capsys):
+    from fuzzybisim.cli import run
+
+    example = str(REPO_ROOT / "models" / "example.json")
+    assert run(["fuzzy-partition", example, "--verbose"]) == 0
+    assert f"[fuzzy] graph partition: {EXAMPLE_GRAPH_FUZZY_TEXT}\n" in capsys.readouterr().err
+
+
+def test_one_tree_is_built_per_system_query(monkeypatch):
+    built = []
+    real = CompactFuzzyPartition.__init__
+    monkeypatch.setattr(CompactFuzzyPartition, "__init__", lambda self, root: built.append(1) or real(self, root))
+    rng = random.Random(1313)
+    models = [make_example(), *(model for model, _, _ in STATE_TREE_CASES.values())]
+    models += [generate(random_spec(rng, max_states=6, labeled=i % 2 == 1)) for i in range(10)]
+    for model in models:
+        built.clear()
+        fuzzy_partition_system(model)
+        assert len(built) == 1

@@ -1,6 +1,7 @@
 """Crisp partitions and compact fuzzy partitions (construction, queries,
 round trips, validation)."""
 import random
+from itertools import accumulate
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,12 @@ from fuzzybisim import (
     CrispPartition,
     FuzzyRelation,
     NotAnEquivalenceError,
+    ZERO,
     cfp_from_relation,
     degree_query,
 )
-from fuzzybisim.partition import Block, crisp_block, fuzzy_block
+from fuzzybisim import partition
+from fuzzybisim.partition import Block, CfpRelation, crisp_block, fuzzy_block
 
 from conftest import SEVEN_ELEMENT_TEXT, example_fuzzy_table, seven_element_relation
 
@@ -226,3 +229,62 @@ def test_leaf_order_index_on_a_deep_and_wide_tree():
     for x in cfp.universe:
         for y in cfp.universe:
             assert cfp.degree_of(x, y) == expanded(x, y), (x, y)
+
+
+def test_relation_view_range_checks_the_root_degree():
+    # Degrees rise from the root to the leaves, so the root bounds them all.
+    tree = CompactFuzzyPartition(Block(Fraction(-1, 2), subblocks=(crisp_block(["a"]), crisp_block(["b"]))))
+    with pytest.raises(ValueError, match="outside"):
+        CfpRelation(tree, {"a": "a"}, {"b": "b"})
+    view = CfpRelation(CompactFuzzyPartition(fuzzy_block(ZERO, [crisp_block(["a"]), crisp_block(["b"])])),
+                       {"a": "a"}, {"a": "a", "b": "b"})
+    assert view.rows() == [("a", "a", 1)] and view.entries == {("a", "a"): 1}
+
+
+def _degree_by_paths(root: Block):
+    """Brute-force LCA degrees: the last block the two root-to-leaf paths share."""
+    paths, stack = {}, [(root, ())]
+    while stack:
+        block, path = stack.pop()
+        path += (block,)
+        if block.is_crisp:
+            paths.update(dict.fromkeys(block.elements, path))
+        else:
+            stack += [(child, path) for child in block.subblocks]
+    return lambda x, y: [a for a, b in zip(paths[x], paths[y]) if a is b][-1].degree
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_positive_rows_match_a_walk_of_root_to_leaf_paths(seed):
+    rng = random.Random(seed)
+    cfp = cfp_from_relation(random_equivalence(rng, rng.randint(1, 12)))
+    degree, universe = _degree_by_paths(cfp.root), sorted(cfp.universe)
+    for _ in range(6):
+        many = rng.sample(universe, rng.randint(0, len(universe)))
+        few = rng.sample(universe, rng.randint(0, min(2, len(universe))))
+        for xs, ys in ((many, few), (few, many), (many, many)):
+            xs, ys = sorted((("l", x), x) for x in xs), sorted((("r", y), y) for y in ys)
+            expected = [(a, b, degree(x, y)) for a, x in xs for b, y in ys if degree(x, y) > 0]
+            assert cfp.positive_rows(xs, ys) == expected
+
+
+def test_positive_rows_work_follows_the_ys_not_the_leaves(monkeypatch):
+    """Many xs against one y on a chain of 400 leaves: each x reads a running
+    minimum per distinct leaf of the ys, not per leaf of the tree."""
+    names = [f"x{k:03d}" for k in range(400)]
+    block = crisp_block([names[-1]])
+    for k in range(398, -1, -1):
+        block = fuzzy_block(Fraction(k, 400), [crisp_block([names[k]]), block])
+    cfp = CompactFuzzyPartition(block)
+    read = []
+
+    def counted(items, func):
+        items = list(items)
+        read.append(len(items))
+        return accumulate(items, func)
+
+    monkeypatch.setattr(partition, "accumulate", counted)
+    xs, ys = [(x, x) for x in names], [("y", names[200])]
+    rows = cfp.positive_rows(xs, ys)
+    assert rows == [(x, "y", cfp.degree_of(x, names[200])) for x in names[1:]]
+    assert sum(read) <= 2 * len(xs)

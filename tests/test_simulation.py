@@ -1,4 +1,7 @@
 """Simulations between systems and between-system bisimulations."""
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +9,9 @@ import pytest
 
 from fuzzybisim import (
     ONE,
+    ZERO,
+    CompactFuzzyPartition,
+    FuzzyRelation,
     ModelError,
     Nflts,
     Nfts,
@@ -13,17 +19,21 @@ from fuzzybisim import (
     bisimulation_between_nflts,
     disjoint_union,
     crisp_simulation_nflts,
+    fuzzy_partition_system,
     fuzzy_simulation_nflts,
     greatest_crisp_simulation_flg,
     greatest_fuzzy_simulation_flg,
+    model_to_document,
+    relation_to_document,
     to_flg,
 )
 from fuzzybisim import oracle, simulation
+from fuzzybisim.cli import run
 from fuzzybisim.degrees import inf, residuum
 from fuzzybisim.graph import dist_vertex, state_vertex
 from fuzzybisim.generate import GenSpec, generate
 
-from conftest import make_example
+from conftest import edge_caterpillar, label_caterpillar, make_example
 
 H = Fraction(1, 2)
 
@@ -123,6 +133,68 @@ def test_between_system_bisimulation_fuzzy():
     assert Z("s1", "s3") == 0
     # symmetric because both sides are the same system
     assert Z.converse() == Z
+
+
+def _between_pairs(count: int, seed: int):
+    """Generated pairs with shared alphabets and different state counts."""
+    rng = random.Random(seed)
+    for i in range(count):
+        labels = 2 * (i % 2)
+        sizes = rng.sample(range(1, 7), 2)
+        yield tuple(
+            as_nflts(generate(GenSpec(state_count=n, support_size=(1, min(2, n)), value_pool_size=rng.randint(3, 7),
+                                      label_alphabet_size=labels, label_density=0.5 if labels else 0.0,
+                                      seed=rng.getrandbits(32))))
+            for n in sizes
+        )
+
+
+def test_fuzzy_between_view_equals_the_pairwise_relation():
+    zero_pairs = 0
+    for a, b in _between_pairs(40, 1414):
+        view = bisimulation_between_nflts(a, b, mode="fuzzy")
+        union, inject_a, inject_b = disjoint_union(a, b)
+        cfp = fuzzy_partition_system(union)
+        pairwise = FuzzyRelation(a.states, b.states, {
+            (s, t): cfp.degree_of(inject_a[s], inject_b[t]) for s in a.states for t in b.states
+        })
+        doc = relation_to_document(view)
+        assert "entries" not in vars(view)  # the document is read off the rows
+        assert doc == relation_to_document(pairwise)
+        assert view.entries == pairwise.entries
+        assert view == pairwise and pairwise == view and hash(view) == hash(pairwise)
+        assert all(view(s, t) == pairwise(s, t) for s in a.states for t in b.states)
+        for threshold in {ZERO, ONE, *pairwise.entries.values()}:
+            assert view.cut(threshold) == pairwise.cut(threshold)
+        assert view.converse() == pairwise.converse()
+        zero_pairs += len(a.states) * len(b.states) - len(pairwise.entries)
+    assert zero_pairs > 0
+
+
+def test_fuzzy_between_view_on_systems_of_very_different_sizes():
+    # Deep caterpillars: the big side has a leaf per state and about as many degrees.
+    pairs = [(as_nflts(family(60)), as_nflts(family(2))) for family in (edge_caterpillar, label_caterpillar)]
+    for a, b in pairs + [pair[::-1] for pair in pairs]:
+        union, inject_a, inject_b = disjoint_union(a, b)
+        cfp = fuzzy_partition_system(union)
+        pairwise = FuzzyRelation(a.states, b.states, {
+            (s, t): cfp.degree_of(inject_a[s], inject_b[t]) for s in a.states for t in b.states
+        })
+        view = bisimulation_between_nflts(a, b, mode="fuzzy")
+        assert relation_to_document(view) == relation_to_document(pairwise) and view == pairwise
+
+
+def test_fuzzy_between_json_makes_no_degree_queries(monkeypatch, tmp_path):
+    calls = []
+    real = CompactFuzzyPartition.degree_of
+    monkeypatch.setattr(CompactFuzzyPartition, "degree_of", lambda *args: calls.append(1) or real(*args))
+    for i, (a, b) in enumerate(_between_pairs(6, 1515)):
+        paths = [tmp_path / f"{i}-{side}.json" for side in "ab"]
+        for path, model in zip(paths, (a, b)):
+            path.write_text(json.dumps(model_to_document(model)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["bisim-between", "--mode", "fuzzy", "--json", *map(str, paths)]) == 0
+    assert calls == []
 
 
 def test_between_system_bisimulation_bad_mode():
