@@ -63,6 +63,7 @@ ENGINES = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fuzzybisim",
                                      description="Bisimulations and simulations for fuzzy transition systems")

@@ -1,18 +1,15 @@
-"""Greatest crisp/fuzzy simulations between two graphs or systems, and
-between-system bisimulations via disjoint union.
-
-Both simulations run one counter-based kernel (Henzinger, Henzinger & Kopke,
-FOCS 1995) on dense vertex ids and degree ranks: the crisp one once, the fuzzy
-one once per threshold of the degree pool.  Step 4 of the README's "How it
-works" gives the sweep and why it is exact.
-"""
+"""Greatest crisp/fuzzy simulations between two graphs or systems, by one
+counter-based kernel (Henzinger, Henzinger & Kopke, FOCS 1995; README "How it
+works", step 4), and between-system bisimulations via disjoint union."""
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
+from itertools import compress, count
 
 from .degrees import format_degree
-from .graph import Flg, to_flg, as_nflts, disjoint_union, on_states, ModelError
+from .graph import Flg, to_flg, as_nflts, disjoint_union, ModelError
 from .model import Nfts, Nflts
 from .partition import CfpRelation
 from .refinement import adjacency
@@ -28,128 +25,160 @@ def _require_alphabets(a: Nflts, b: Nflts):
         raise ModelError("systems must share the label alphabet")
 
 
+class _Kernel:
+    """The greatest simulation inside a seed of pair ids x * width + x'.
+
+    (x, x') lives while each g-edge (x, r, y, rank) is matched by a g'-edge
+    (x', r, y', rank') with (y, y') alive: rank' >= rank in one run (``levels``
+    1); at level k of a sweep, rank' >= k for the edges of rank >= k.  A
+    constraint (y, r, need) counts its matches per x' with an r-edge; at 0 its
+    sources bound at the level die.  ``dies[pair]``: the level the pair dies
+    at, 0 if unseeded, ``levels`` while alive."""
+
+    def __init__(self, edges, edges_prime, rows: list, width: int, levels: int = 1):
+        self.width, self.levels, height = width, levels, len(rows)
+        constraints, needs = defaultdict(list), [set() for _ in rows]
+        for x, r, y, rank in edges:
+            constraints[y, r, rank if levels == 1 else 0].append((rank, x))
+            needs[x].add(r)
+        # r -> x' -> its counter slot and r-edges; y' -> r -> its r-in-edges by falling rank; rank -> g'-edges.
+        self.posts, self.dropped = defaultdict(dict), defaultdict(list)
+        self.into = [defaultdict(list) for _ in range(width)]
+        for x_prime, r, y_prime, rank in sorted(edges_prime, key=lambda edge: edge[3], reverse=True):
+            slot, out = self.posts[r].setdefault(x_prime, (len(self.posts[r]), []))
+            out.append((rank, y_prime))
+            self.into[y_prime][r].append((rank, x_prime, slot))
+            self.dropped[rank].append((x_prime, r, y_prime, slot))
+        # y -> its constraints (r, need, first counter, sources); r -> (y * width, first counter, sources).
+        self.constraints, self.by_symbol, base = [[] for _ in range(height)], defaultdict(list), 0
+        for (y, r, need), sources in constraints.items():
+            sources.sort(reverse=True)
+            self.constraints[y].append((r, need, base, sources))
+            self.by_symbol[r].append((y * width, base, sources))
+            base += len(self.posts[r])
+        # Row x is seeded with the x' of rows[x] that have an edge for each symbol x has one for.
+        self.counts, seeds = array("i", [0]) * base, {}
+        self.dies = array("B" if levels < 256 else "I", [0]) * (height * width)
+        for x, candidates in enumerate(rows):
+            key = candidates, frozenset(needs[x])
+            if key not in seeds:
+                seeds[key] = array(self.dies.typecode, [levels if c and all(x_prime in self.posts[r] for r in key[1])
+                                                        else 0 for x_prime, c in enumerate(candidates)])
+            self.dies[x * width:(x + 1) * width] = seeds[key]
+
+    def advance(self, level: int) -> array:
+        """Prune to the cut at ``level`` (0, 1, ... in turn) and return ``dies``: set
+        the counters or take out the g'-edges of rank level-1, then propagate."""
+        dies, width, live, counts, matches = self.dies, self.width, self.levels, self.counts, {}
+        for y, constraints in enumerate(self.constraints if not level else ()):
+            row_of_y = dies[y * width:(y + 1) * width].__getitem__
+            for r, need, base, sources in constraints:
+                if (r, need) not in matches:
+                    matches[r, need] = [[y_prime for rank, y_prime in out if rank >= need]
+                                        for _, out in self.posts[r].values()]
+                counts[base:base + len(matches[r, need])] = array("i", [sum(map(row_of_y, ys)) // live
+                                                                        for ys in matches[r, need]])
+        zeros = [] if level else (  # read lazily: no counter moves before the first propagation
+            (sources, x_prime) for constraints in self.constraints for r, _, base, sources in constraints
+            for x_prime, (slot, _) in self.posts[r].items() if not counts[base + slot])
+        for x_prime, r, y_prime, slot in self.dropped[level - 1]:
+            for row, base, sources in self.by_symbol[r]:
+                if dies[row + y_prime] == live:
+                    counts[base + slot] -= 1
+                    if not counts[base + slot]:
+                        zeros.append((sources, x_prime))
+        dead = array("q")  # no int object per pair
+        while zeros or dead:
+            for sources, x_prime in zeros:  # a counter at 0: its sources still bound at the level die
+                for rank, x in sources:
+                    if rank < level:
+                        break
+                    pair = x * width + x_prime
+                    if dies[pair] == live:
+                        dies[pair] = level
+                        dead.append(pair)
+            zeros = []
+            while dead:
+                y, y_prime = divmod(dead.pop(), width)
+                for r, need, base, sources in self.constraints[y]:
+                    for rank, x_prime, slot in self.into[y_prime].get(r, ()):
+                        if rank < (need or level):  # one of them is 0
+                            break
+                        counts[base + slot] -= 1
+                        if not counts[base + slot]:
+                            zeros.append((sources, x_prime))
+        return dies
+
+
 def _simulate(edges, edges_prime, alive: set, width: int) -> set:
-    """Prune ``alive`` (pair ids x * width + x') to the greatest simulation in
-    it: each g-edge (x, r, y, need) must be matched by a g'-edge (x', r, y',
-    rank >= need) with (y, y') alive.  count[c * width + x'] counts the matches
-    of constraint c = (y, r, need) at x'; one at 0 kills (x, x') for its x."""
-    grouped, needs, into = defaultdict(list), defaultdict(lambda: defaultdict(list)), defaultdict(list)
-    for x, r, y, need in edges:
-        grouped[y, r, need].append(x)
-    sources = list(grouped.values())  # constraint c -> the x of its g-edges
-    for c, (y, r, need) in enumerate(grouped):
-        needs[y][r].append((need, c))
-    for x_prime, r, y_prime, rank in edges_prime:
-        into[y_prime].append((x_prime, r, rank))
-
-    def feed(pairs, step: int) -> list:
-        """Add ``step`` to every counter the pairs feed; the counters now at 0."""
-        partners, zeros = defaultdict(list), []
-        for pair in pairs:
-            partners[pair // width].append(pair % width)
-        for y, ys_prime in partners.items():
-            targets = needs.get(y)
-            for y_prime in ys_prime if targets else ():
-                for x_prime, r, rank in into.get(y_prime, ()):
-                    for need, c in targets.get(r, ()):
-                        if need <= rank:
-                            key = c * width + x_prime
-                            count[key] += step
-                            if not count[key]:
-                                zeros.append(key)
-        return zeros
-
-    def kill(pairs):
-        doomed = alive.intersection(pairs)
-        alive.difference_update(doomed)
-        dead.extend(doomed)
-
-    count, dead = [0] * (len(sources) * width), []
-    feed(alive, 1)
-    for c, xs in enumerate(sources):
-        unmatched = [x_prime for x_prime, n in enumerate(count[c * width:(c + 1) * width]) if not n]
-        kill([x * width + x_prime for x in xs for x_prime in unmatched])
-    while dead:
-        batch, dead = dead, []
-        for c, x_prime in (divmod(key, width) for key in feed(batch, -1)):
-            kill([x * width + x_prime for x in sources[c]])
-    return alive
+    """The kernel's single run inside ``alive``, on edges (x, r, y, need) and (x', r, y', rank)."""
+    height = 1 + max([pair // width for pair in alive] + [max(x, y) for x, _, y, _ in edges], default=-1)
+    rows = [bytes(x * width + x_prime in alive for x_prime in range(width)) for x in range(height)]
+    return set(compress(count(), _Kernel(edges, edges_prime, rows, width).advance(0)))
 
 
-def _ranked(g: Flg, g_prime: Flg):
-    """The joint degree pool (with 1), both sorted vertex lists, both edge lists
-    as (x, r, y, rank) and the label cap rank of each pair id (-1 for 0)."""
+def _simulation(g: Flg, g_prime: Flg, graded: bool, states=None, verbose: bool = False):
+    """The pairs of the greatest crisp simulation, or (``graded``) the positive
+    entries of the fuzzy one, in pair order: over all vertices, or over S x S'
+    with ``states`` = (|S|, |S'|).  A pair that dies at level k has degree
+    ``pool[k - 1]``; one that never dies, 1."""
     if not g.same_signature(g_prime):
         raise ModelError("graphs must share vertex and edge alphabets")
     pool = sorted(set(g.pool) | set(g_prime.pool))  # both hold 1
-    sides = []
-    for h in (g, g_prime):
-        vertices, out, _, labels = adjacency(h, pool)
-        sides.append((vertices, [(x, r, y, rk) for x, es in enumerate(out) for r, y, rk in es], labels))
-    (left, edges, labels), (right, edges_prime, labels_prime) = sides
-    top = len(pool) - 1
-    caps, rows = [], {}  # rows: the caps of one distinct label against every x'
-    for label in labels:
-        key = frozenset(label.items())
-        if key not in rows:
-            # inf_p residuum(L(x)(p), L'(x')(p)) on ranks: top where L(x)(p) <= L'(x')(p).
-            rows[key] = [min((top if rk <= other.get(p, -1) else other.get(p, -1) for p, rk in label.items()),
-                             default=top) for other in labels_prime]
-        caps += rows[key]
-    return pool, left, right, edges, edges_prime, caps
-
-
-def _crisp_pairs(g: Flg, g_prime: Flg, verbose: bool = False):
-    """Vertex pairs of the greatest crisp simulation."""
-    pool, left, right, edges, edges_prime, caps = _ranked(g, g_prime)
-    width = len(right)
-    start = [pair for pair, cap in enumerate(caps) if cap == len(pool) - 1]
-    alive = _simulate(edges, edges_prime, set(start), width)
-    if verbose:
-        print(f"[crisp-sim] threshold 1: {len(alive)} pairs alive, "
-              f"{len(start) - len(alive)} removed", file=sys.stderr)
-    return ((left[pair // width], right[pair % width]) for pair in alive)
-
-
-def _fuzzy_entries(g: Flg, g_prime: Flg, verbose: bool = False):
-    """Positive entries (x, x') -> degree of the greatest fuzzy simulation, sorted."""
-    pool, left, right, edges, edges_prime, caps = _ranked(g, g_prime)
-    width = len(right)
-    alive, last = set(range(len(caps))), {}
-    for level, threshold in enumerate(pool):
-        before = len(alive)
-        needed = [(x, r, y, level) for x, r, y, rk in edges if rk >= level]
-        matching = [edge for edge in edges_prime if edge[3] >= level]
-        alive = _simulate(needed, matching, {pair for pair in alive if caps[pair] >= level}, width)
-        last.update(dict.fromkeys(alive, level))
+    sides = [adjacency(h, pool) for h in (g, g_prime)]
+    # A label p of degree d is an edge (x, (p,), sink, d) into the sink pair, seeded alone in its row
+    # and column, which never dies: the edge's clause is the label's (a cap below k kills at level k).
+    edges, edges_prime = ([(x, r, y, rk) for x, es in enumerate(out) for r, y, rk in es]
+                          + [(x, (p,), len(out), rk) for x, label in enumerate(labels) for p, rk in label.items()]
+                          for _, out, _, labels in sides)
+    (left, _, _, labels), (right, _, _, labels_prime) = sides
+    width, levels = len(right) + 1, len(pool) if graded else 1
+    n, n_prime = states or (len(left), len(right))
+    rows = [b"\1" * len(right) + b"\0"] * len(left) + [bytes(len(right)) + b"\1"]
+    kernel = _Kernel(edges, edges_prime, rows, width, levels)
+    before = len(left) * len(right)
+    if verbose and not graded:  # the crisp run starts from the pairs of label dominance
+        kinds = [(dict(kind), m) for kind, m in Counter(frozenset(label.items()) for label in labels_prime).items()]
+        before = sum(m for label in labels for other, m in kinds
+                     if all(rk <= other.get(p, -1) for p, rk in label.items()))
+    for level in range(levels):
+        dies = kernel.advance(level)
         if verbose:
-            print(f"[fuzzy-sim] threshold {format_degree(threshold)}: {len(alive)} pairs alive, "
-                  f"{before - len(alive)} removed", file=sys.stderr)
-    return {(left[pair // width], right[pair % width]): pool[k] for pair, k in sorted(last.items())}
+            alive = dies.count(levels) - 1  # not the sink pair
+            print(f"[{'fuzzy' if graded else 'crisp'}-sim] threshold {format_degree(pool[level] if graded else 1)}: "
+                  f"{alive} pairs alive, {before - alive} removed", file=sys.stderr)
+            before = alive
+    names, names_prime = ([v.key for v in side] for side in (left, right)) if states else (left, right)
+    found = [((names[x], names_prime[x_prime]), row[x_prime]) for x in range(n)
+             for row in [dies[x * width:x * width + n_prime]] for x_prime in compress(range(n_prime), row)]
+    return [(pair, pool[k - 1]) for pair, k in found] if graded else [pair for pair, _ in found]
+
+
+def _on_systems(a: Nfts, b: Nfts, graded: bool, verbose: bool):
+    a, b = as_nflts(a), as_nflts(b)
+    _require_alphabets(a, b)
+    found = _simulation(to_flg(a), to_flg(b), graded, (len(a.states), len(b.states)), verbose)
+    return (FuzzyRelation if graded else CrispRelation)(a.states, b.states, found)
 
 
 def greatest_crisp_simulation_flg(g: Flg, g_prime: Flg) -> CrispRelation:
     """Greatest Z with label dominance and forward edge matching; may be empty."""
-    return CrispRelation(g.vertices, g_prime.vertices, _crisp_pairs(g, g_prime))
+    return CrispRelation(g.vertices, g_prime.vertices, _simulation(g, g_prime, graded=False))
 
 
 def greatest_fuzzy_simulation_flg(g: Flg, g_prime: Flg) -> FuzzyRelation:
     """Greatest fuzzy Z under the label residuum bound and the edge clause."""
-    return FuzzyRelation(g.vertices, g_prime.vertices, _fuzzy_entries(g, g_prime))
+    return FuzzyRelation(g.vertices, g_prime.vertices, _simulation(g, g_prime, graded=True))
 
 
 def crisp_simulation_nflts(a: Nfts, b: Nfts, verbose: bool = False) -> CrispRelation:
     """Greatest crisp simulation between two systems, over S x S'."""
-    a, b = as_nflts(a), as_nflts(b)
-    _require_alphabets(a, b)
-    return on_states(a, b, _crisp_pairs(to_flg(a), to_flg(b), verbose))
+    return _on_systems(a, b, False, verbose)
 
 
 def fuzzy_simulation_nflts(a: Nfts, b: Nfts, verbose: bool = False) -> FuzzyRelation:
     """Greatest fuzzy simulation between two systems, over S x S'."""
-    a, b = as_nflts(a), as_nflts(b)
-    _require_alphabets(a, b)
-    return on_states(a, b, _fuzzy_entries(to_flg(a), to_flg(b), verbose))
+    return _on_systems(a, b, True, verbose)
 
 
 def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: bool = False):

@@ -267,6 +267,52 @@ def test_python_dash_m_runs_the_cli(capsys, example_path):
     assert done.stdout == invoke(capsys, "crisp-partition", str(example_path))[1]
 
 
+def _fresh_process(*argv):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "fuzzybisim", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _comparable(argv, out: str):
+    """stdout with the ``--json`` document's wall time taken out."""
+    if "--json" not in argv:
+        return out
+    doc = json.loads(out)
+    del doc["wall_time_ms"]
+    return doc
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, example_path):
+    # The parser is built once per process, so no flag of one call may reach
+    # a later one: each call prints what a fresh process prints.
+    example = str(example_path)
+    calls = [
+        ["crisp-sim", example],  # a usage error: the right model is missing
+        ["fuzzy-sim", example, example, "--verbose"],
+        ["fuzzy-sim", example, example],
+        ["crisp-sim", example, example, "--engine", "oracle"],
+        ["bisim-between", example, example, "--mode", "fuzzy", "--json"],
+        ["crisp-sim", example, example],
+        ["fuzzy-partition", example, "--json", "--verbose"],
+        ["fuzzy-partition", example],
+    ]
+    cli.build_parser.cache_clear()
+    codes = []
+    for argv in calls:
+        try:
+            code = run(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        codes.append(code)
+        captured = capsys.readouterr()
+        fresh_code, fresh_out, fresh_err = _fresh_process(*argv)
+        assert (code, captured.err) == (fresh_code, fresh_err), argv
+        assert _comparable(argv, captured.out) == _comparable(argv, fresh_out), argv
+    assert codes == [2] + [0] * (len(calls) - 1)
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_bisim_between_modes(capsys, example_path):
     code, out, _ = invoke(
         capsys, "bisim-between", str(example_path), str(example_path), "--mode", "fuzzy"

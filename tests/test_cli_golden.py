@@ -2,12 +2,13 @@
 
 Each case runs one command with one engine three times: plain (text stdout),
 ``--json`` (stdout without ``wall_time_ms``, inputs by file name) and
-``--verbose`` (stderr).  The models are the worked example and twelve small
-generated ones, plain and labeled; the two-model commands pair each model
-with itself or with a sibling drawn with the same alphabets.  Run this file
-as a script to print the table for the current code, or with ``--diff`` to
-print only the cases whose digests differ from ``GOLDEN``, naming which of
-the text, ``--json`` and stderr digests differ:
+``--verbose`` (stderr).  The models are the worked example, a model with an
+empty-support distribution and twelve small generated ones, plain and
+labeled; the two-model commands pair each model with itself or with a
+sibling drawn with the same alphabets.  Run this file as a script to print
+the table for the current code, or with ``--diff`` to print only the cases
+whose digests differ from ``GOLDEN``, naming which of the text, ``--json``
+and stderr digests differ:
 
     PYTHONPATH=src python tests/test_cli_golden.py [--diff]
 """
@@ -28,11 +29,24 @@ from fuzzybisim.generate import random_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = REPO_ROOT / "models" / "example.json"
+# s1's distribution has an empty support, and so has s2's first one (its only
+# target has degree 0).  That one distribution simulates every state: the only
+# distribution-state pairs the simulations' --verbose counts include.
+EMPTY_SUPPORT = {
+    "format_version": "1", "kind": "nfts", "states": ["s1", "s2"], "actions": ["a"],
+    "transitions": [{"from": "s1", "action": "a", "targets": {}},
+                    {"from": "s2", "action": "a", "targets": {"s1": "0"}},
+                    {"from": "s2", "action": "a", "targets": {"s2": "0.5"}}],
+}
 
 
 def _models(directory: Path):
-    """(name, path, sibling path) of the example and twelve generated models."""
+    """(name, path, sibling path) of the example, the empty-support model and
+    twelve generated models."""
     yield "example", EXAMPLE, EXAMPLE
+    path = directory / "empty-support.json"
+    path.write_text(json.dumps(EMPTY_SUPPORT))
+    yield "empty-support", path, path
     rng = random.Random(20261018)
     for i in range(12):
         spec = random_spec(rng, 6, labeled=i % 2 == 1)
@@ -129,6 +143,18 @@ GOLDEN = {
     'example fuzzy-sim oracle': ('cf6ee96dab5d', 'e74b36b68080', 'e3b0c44298fc'),
     'example bisim-between crisp': ('7ee8011703b1', 'be8a12adff97', '4a48c51807b6'),
     'example bisim-between fuzzy': ('9bd763a73497', 'bfe38294e1dd', '5c3288aa219b'),
+    'empty-support crisp-partition efficient': ('7a3937d8ac31', '2e21a4077fed', '6a0f140eb832'),
+    'empty-support fuzzy-partition efficient': ('294a23854cc3', 'd59a3fba8889', 'fd330b5b40a3'),
+    'empty-support degree efficient': ('9a271f2a916b', '297c08b78e62', 'fd330b5b40a3'),
+    'empty-support crisp-sim efficient': ('16636762a6ba', '1e111c9d881b', '2e64d288bf3e'),
+    'empty-support fuzzy-sim efficient': ('0ea86c5ef471', '568e6d24f520', '14db460e50a3'),
+    'empty-support crisp-partition oracle': ('7a3937d8ac31', 'd4b35ba871b1', 'e3b0c44298fc'),
+    'empty-support fuzzy-partition oracle': ('294a23854cc3', 'c45d5a554c87', 'e3b0c44298fc'),
+    'empty-support degree oracle': ('9a271f2a916b', 'cb776ce2e8ce', 'e3b0c44298fc'),
+    'empty-support crisp-sim oracle': ('16636762a6ba', '2c1b1af8f10d', 'e3b0c44298fc'),
+    'empty-support fuzzy-sim oracle': ('0ea86c5ef471', 'b90a184b5dc2', 'e3b0c44298fc'),
+    'empty-support bisim-between crisp': ('2acde3ef1003', '295270cf8caa', '4849a9fcb574'),
+    'empty-support bisim-between fuzzy': ('ead2042dc4fd', '1cc8f654d4df', '5dea413ddefc'),
     'gen0 crisp-partition efficient': ('e8b080da64fa', 'c02cf848db60', 'c5cc69a0e068'),
     'gen0 fuzzy-partition efficient': ('98e43695c184', 'be312a0463fb', 'e627a6f18c00'),
     'gen0 degree efficient': ('9a271f2a916b', '8e37bff604aa', 'e627a6f18c00'),

@@ -30,7 +30,7 @@ from fuzzybisim import (
 from fuzzybisim import oracle, simulation
 from fuzzybisim.cli import run
 from fuzzybisim.degrees import inf, residuum
-from fuzzybisim.graph import dist_vertex, state_vertex
+from fuzzybisim.graph import dist_vertex, on_states, state_vertex
 from fuzzybisim.generate import GenSpec, generate
 
 from conftest import edge_caterpillar, label_caterpillar, make_example
@@ -310,3 +310,69 @@ def test_each_copy_in_a_disjoint_union_simulates_its_state_fully():
             for copy in (inject_a[s], inject_b[s]):
                 assert there(s, copy) == 1 and back(copy, s) == 1
                 assert (s, copy) in crisp.pairs
+
+
+def _with_empty_support(model: Nflts, rng) -> Nflts:
+    """``model`` plus a transition of one state to the distribution of empty support."""
+    transitions = [(s, act, dict(mu.fuzzy.items())) for s, act, mu in model.transitions]
+    transitions.append((rng.choice(sorted(model.states)), rng.choice(sorted(model.actions)), {}))
+    labels = {s: dict(model.label_of(s).items()) for s in model.states}
+    return Nflts(model.states, model.actions, transitions, model.label_alphabet, labels)
+
+
+def test_the_system_path_equals_the_graph_path_on_states():
+    # Systems seed only same-kind pairs (and empty-support distributions
+    # against states) and read their rows off state ids; no state pair moves.
+    rng = random.Random(1616)
+    kinds = {"one state": 0, "empty support": 0}
+    for i in range(48):
+        a, b = _labeled_pair(rng, max_states=1 if i % 4 == 0 else 4)
+        if i % 3 == 0:
+            a, b = _with_empty_support(a, rng), (_with_empty_support(b, rng) if i % 2 else b)
+        kinds["one state"] += len(a.states) == 1 or len(b.states) == 1
+        kinds["empty support"] += any(not mu.fuzzy for mu in a.distributions)
+        ga, gb = to_flg(a), to_flg(b)
+        assert crisp_simulation_nflts(a, b) == on_states(a, b, greatest_crisp_simulation_flg(ga, gb).pairs)
+        assert fuzzy_simulation_nflts(a, b) == on_states(a, b, greatest_fuzzy_simulation_flg(ga, gb).entries)
+    assert min(kinds.values()) >= 10
+
+
+def test_a_simulation_query_builds_one_kernel(monkeypatch):
+    built = []
+
+    class Counted(simulation._Kernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.levels)
+
+    monkeypatch.setattr(simulation, "_Kernel", Counted)
+    for pool, states in ((3, 6), (8, 12), (40, 40)):
+        model = as_nflts(generate(GenSpec(state_count=states, value_pool_size=pool, seed=pool)))
+        levels = len(to_flg(model).pool)
+        assert levels >= min(pool - 1, 10)
+        built.clear()
+        fuzzy_simulation_nflts(model, model)
+        assert built == [levels]  # one kernel swept over every level
+        built.clear()
+        crisp_simulation_nflts(model, model)
+        assert built == [1]
+
+
+def test_one_level_per_degree_families_match_the_oracle():
+    for n in range(1, 9):
+        for family in (edge_caterpillar, label_caterpillar):
+            g = to_flg(as_nflts(family(n)))
+            assert len(g.pool) == n + 1
+            assert greatest_fuzzy_simulation_flg(g, g) == oracle.gfp_fuzzy_sim_flg(g, g)
+            assert greatest_crisp_simulation_flg(g, g) == oracle.gfp_crisp_sim_flg(g, g)
+
+
+def test_a_sweep_of_more_levels_than_a_byte_holds():
+    # Both caterpillars: s_i simulates s_j fully when i <= j, else to the
+    # degree (j+1)/(n+1) of s_j; 301 levels do not fit the one-byte death levels.
+    n = 300
+    expected = {(f"s{i}", f"s{j}"): ONE if i <= j else Fraction(j + 1, n + 1) for i in range(n) for j in range(n)}
+    for family in (edge_caterpillar, label_caterpillar):
+        model = as_nflts(family(n))
+        assert fuzzy_simulation_nflts(model, model).entries == expected
+        assert crisp_simulation_nflts(model, model).pairs == {pair for pair, d in expected.items() if d == ONE}
