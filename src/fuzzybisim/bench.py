@@ -44,14 +44,14 @@ def _digest(text: str) -> str:
 def _metrics(model: Nfts, spec: GenSpec) -> dict:
     used = set()
     for mu in model.distributions:
-        used.update(mu.fuzzy.degrees())
+        used.update(mu.degrees())
     for s in model.states:
         used.update(model.label_of(s).degrees())
     return {
         "seed": spec.seed,
         "states": len(model.states),
         "actions": len(model.actions),
-        "delta": len(model.transitions),
+        "delta": len(model.delta),
         "delta_o": len(model.distributions),
         "size_delta": model.size_of_delta(),
         "l": len(used) + 2,

@@ -94,15 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("gen", "generate a reproducible random model document")
     p.add_argument("--states", type=int, default=5)
     p.add_argument("--actions", type=int, default=2)
-    p.add_argument("--dists", type=str, default="0:2", help="min:max distributions per state/action")
-    p.add_argument("--support", type=str, default="1:2", help="min:max support size")
+    p.add_argument("--dists", type=_range, default="0:2", help="min:max distributions per state/action")
+    p.add_argument("--support", type=_range, default="1:2", help="min:max support size")
     p.add_argument("--pool", type=int, default=6, help="value pool size l (distinct degrees + 2)")
     p.add_argument("--labels", type=int, default=0, help="label alphabet size (0 for plain nfts)")
     p.add_argument("--label-density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p = sub("bench", "scaling run of efficient engines vs the naive oracle")
-    p.add_argument("--sizes", type=str, default="50,100,200", help="comma-separated state counts")
+    p.add_argument("--sizes", type=_sizes, default="50,100,200", help="comma-separated state counts")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--pool", type=int, default=6)
     p.add_argument("--oracle-max", type=int, default=30)
@@ -112,8 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _range(text: str):
+    """``min:max`` as two integers; ``n`` alone means ``n:n``."""
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi or lo)
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected min:max integers, got {text!r}") from None
+
+
+def _sizes(text: str):
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _emit(args, started: float, payload, text):
@@ -193,8 +204,10 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         return _dispatch(args, started)
+    except BrokenPipeError:
+        raise  # main() handles a reader that went away
     except (DocumentError, ModelError, GenSpecError, NotAnEquivalenceError,
-            bench.DigestMismatch, KeyError, FileNotFoundError, RecursionError) as exc:
+            bench.DigestMismatch, KeyError, OSError, UnicodeDecodeError, RecursionError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 1
@@ -243,8 +256,8 @@ def _dispatch(args, started: float) -> int:
         spec = GenSpec(
             state_count=args.states,
             action_count=args.actions,
-            distributions_per_state_action=_range(args.dists),
-            support_size=_range(args.support),
+            distributions_per_state_action=args.dists,
+            support_size=args.support,
             value_pool_size=args.pool,
             label_alphabet_size=args.labels,
             label_density=args.label_density,
@@ -259,9 +272,8 @@ def _dispatch(args, started: float) -> int:
         return 0
 
     if args.command == "bench":
-        sizes = [int(s) for s in args.sizes.split(",") if s]
         records = bench.scaling_run(
-            sizes,
+            args.sizes,
             repetitions=args.reps,
             value_pool_size=args.pool,
             oracle_max_states=args.oracle_max,

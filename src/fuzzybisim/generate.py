@@ -51,6 +51,10 @@ class GenSpec:
             raise GenSpecError("value pool size must be at least 3")
         if self.value_pool_size - 2 > 999:
             raise GenSpecError("value pool size too large for the decimal grid")
+        if self.label_alphabet_size < 0:
+            raise GenSpecError("label alphabet size must not be negative")
+        if not 0 <= self.label_density <= 1:
+            raise GenSpecError(f"label density {self.label_density} outside [0, 1]")
 
 
 def generate(spec: GenSpec) -> Nfts:

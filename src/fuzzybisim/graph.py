@@ -146,7 +146,7 @@ def to_flg(model: Nfts) -> Flg:
     # Rank each degree object once, keyed by id: a parsed document holds one
     # object per distinct degree, and the model keeps them all alive here.
     found = {id(ONE): ONE}
-    for entries in [mu.fuzzy.degrees() for mu in dists] + [label.degrees() for label in labels]:
+    for entries in [mu.degrees() for mu in dists] + [label.degrees() for label in labels]:
         found.update(zip(map(id, entries), entries))
     exact = {key: Fraction(d) for key, d in found.items()}
     pool = sorted(set(exact.values()))
@@ -157,14 +157,14 @@ def to_flg(model: Nfts) -> Flg:
     index = {s: i for i, s in enumerate(states)}
     out: list = [[] for _ in range(n + len(dists))]
     preds: list = [[] for _ in out]
-    for source, action, mu in model.transitions:
-        i, j = index[source], n + mu.index
+    for source, action, k in model.delta:
+        i, j = index[source], n + k
         out[i].append((action, j, top))
         preds[j].append(i)
     for sources in preds[n:]:
-        sources.sort()  # the transitions set iterates in hash order
+        sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
     for i, mu in enumerate(dists, n):
-        for target, degree in mu.fuzzy.items():
+        for target, degree in mu.items():
             j = index[target]
             out[i].append((EPSILON, j, rank[id(degree)]))
             preds[j].append(i)
@@ -184,18 +184,13 @@ def on_states(a: Nflts, b: Nflts, relation):
 
 
 def as_nflts(model: Nfts) -> Nflts:
-    """View a plain NFTS as an NFLTS with an empty label alphabet."""
+    """View a plain NFTS as an NFLTS with an empty label alphabet: a copy of
+    the instance that shares the model's storage."""
     if isinstance(model, Nflts):
         return model
-    raw = [(s, a, mu.fuzzy) for s, a, mu in _by_distribution(model)]
-    return Nflts(model.states, model.actions, raw)
-
-
-def _by_distribution(model: Nfts) -> list:
-    """The transitions in distribution-index order, so that a system built
-    from them numbers its distributions as ``model`` does, whatever the
-    iteration order of the ``transitions`` set."""
-    return sorted(model.transitions, key=lambda t: t[2].index)
+    view = object.__new__(Nflts)
+    view.__dict__.update(vars(model))
+    return view
 
 
 def disjoint_union(a: Nflts, b: Nflts):
@@ -211,14 +206,10 @@ def disjoint_union(a: Nflts, b: Nflts):
     inject_a = {s: (0, s) for s in a.states}
     inject_b = {s: (1, s) for s in b.states}
     states = [*inject_a.values(), *inject_b.values()]
-    transitions, labels = [], {}
+    transitions, labels = [], []
     for model, inject in ((a, inject_a), (b, inject_b)):
-        for source, action, mu in _by_distribution(model):
-            target = {inject[t]: d for t, d in mu.fuzzy.items()}
-            transitions.append((inject[source], action, target))
-        for s in model.states:
-            label = model.label_of(s)
-            if label:
-                labels[inject[s]] = label
+        targets = [FuzzySet({inject[t]: d for t, d in mu.items()}) for mu in model.distributions]
+        transitions += [(inject[source], action, targets[k]) for source, action, k in model.delta]
+        labels += [(inject[s], model.label_of(s)) for s in model.states if model.label_of(s)]
     union = Nflts(states, a.actions, transitions, a.label_alphabet, labels)
     return union, inject_a, inject_b

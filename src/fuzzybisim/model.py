@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, Tuple
 
 from .degrees import Degree, ZERO, ONE, sup
@@ -84,27 +85,19 @@ class FuzzySet:
         return "FuzzySet({%s})" % inside
 
 
-class Distribution:
-    """An interned transition target: a fuzzy set over states plus its canonical id."""
+class Distribution(FuzzySet):
+    """An interned transition target: the fuzzy set over states itself, plus
+    its canonical id.  Inside one system, equal sets are one distribution."""
 
-    __slots__ = ("index", "fuzzy")
+    __slots__ = ("index",)
 
     def __init__(self, index: int, fuzzy: FuzzySet):
         self.index = index
-        self.fuzzy = fuzzy
-
-    def __call__(self, state) -> Degree:
-        return self.fuzzy(state)
+        self._entries, self._key = fuzzy._entries, fuzzy._key
 
     @property
-    def support(self) -> frozenset:
-        return self.fuzzy.support
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Distribution) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(self.index)
+    def fuzzy(self) -> FuzzySet:
+        return self
 
     def __repr__(self) -> str:
         return f"mu{self.index + 1}"
@@ -114,8 +107,10 @@ class Nfts:
     """A nondeterministic fuzzy transition system <S, A, delta>.
 
     ``transitions`` entries are (state, action, target) where the target is a
-    FuzzySet or a plain mapping state -> degree.  Duplicate triples collapse
-    (delta is a set) and equal target maps are interned into one distribution.
+    FuzzySet or a plain mapping state -> degree.  Equal target maps are
+    interned into one distribution, numbered in first-use order, and
+    duplicate triples collapse: ``delta`` holds the distinct (state, action,
+    k) triples in input order, k the index of the target in ``distributions``.
     """
 
     def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple]):
@@ -126,7 +121,7 @@ class Nfts:
         if not self.actions:
             raise ModelError("action set must be non-empty")
         interned: Dict[FuzzySet, Distribution] = {}
-        delta = set()
+        delta = {}  # an ordered set
         for source, action, target in transitions:
             if source not in self.states:
                 raise ModelError(f"transition from unknown state {source!r}")
@@ -140,30 +135,33 @@ class Nfts:
                 if unknown:
                     raise ModelError(f"distribution refers to unknown states {sorted(map(str, unknown))}")
                 mu = interned[target] = Distribution(len(interned), target)
-            delta.add((source, action, mu))
-        self.transitions = frozenset(delta)
+            delta[source, action, mu.index] = None
+        self.delta = tuple(delta)
         #: delta_o: the distinct distributions, in interning order.
         self.distributions = tuple(interned.values())
+        self.label_alphabet = frozenset()
+        self._labels: Dict[object, FuzzySet] = {}
+
+    @cached_property
+    def transitions(self) -> frozenset:
+        """delta as a set of (state, action, distribution)."""
+        return frozenset((s, a, self.distributions[k]) for s, a, k in self.delta)
 
     def size_of_delta(self) -> int:
         """|delta| plus the summed support sizes over distinct distributions."""
-        return len(self.transitions) + sum(len(mu.support) for mu in self.distributions)
+        return len(self.delta) + sum(map(len, self.distributions))
 
     def outgoing(self, state, action=None):
         """Transitions leaving `state` (optionally restricted to one action)."""
-        for source, act, mu in self.transitions:
+        for source, act, k in self.delta:
             if source == state and (action is None or act == action):
-                yield act, mu
+                yield act, self.distributions[k]
 
     def label_of(self, state) -> FuzzySet:
-        return _EMPTY_LABEL
-
-    @property
-    def label_alphabet(self) -> frozenset:
-        return frozenset()
+        return self._labels.get(state, _EMPTY_LABEL)
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__}: {len(self.states)} states, {len(self.transitions)} transitions>"
+        return f"<{type(self).__name__}: {len(self.states)} states, {len(self.delta)} transitions>"
 
 
 _EMPTY_LABEL = FuzzySet()
@@ -174,8 +172,7 @@ class Nflts(Nfts):
 
     def __init__(self, states, actions, transitions, label_alphabet=(), state_labels: Mapping = ()):
         super().__init__(states, actions, transitions)
-        self._sigma = frozenset(label_alphabet)
-        labels: Dict[object, FuzzySet] = {}
+        self.label_alphabet = frozenset(label_alphabet)
         if isinstance(state_labels, Mapping):
             state_labels = state_labels.items()
         for state, label in state_labels:
@@ -183,15 +180,7 @@ class Nflts(Nfts):
                 raise ModelError(f"label on unknown state {state!r}")
             if not isinstance(label, FuzzySet):
                 label = FuzzySet(label)
-            if not label.support <= self._sigma:
+            if not label.support <= self.label_alphabet:
                 raise ModelError(f"label of {state!r} uses symbols outside the alphabet")
             if label:
-                labels[state] = label
-        self._labels = labels
-
-    @property
-    def label_alphabet(self) -> frozenset:
-        return self._sigma
-
-    def label_of(self, state) -> FuzzySet:
-        return self._labels.get(state, _EMPTY_LABEL)
+                self._labels[state] = label

@@ -195,9 +195,9 @@ def model_to_document(model: Nfts) -> dict:
         {
             "from": source,
             "action": action,
-            "targets": {t: format_degree(d) for t, d in sorted(mu.fuzzy.items())},
+            "targets": {t: format_degree(d) for t, d in sorted(model.distributions[k].items())},
         }
-        for source, action, mu in sorted(model.transitions, key=lambda t: (t[0], t[1], t[2].index))
+        for source, action, k in sorted(model.delta)
     ]
     doc = {
         "format_version": FORMAT_VERSION,

@@ -191,6 +191,27 @@ def test_missing_file_is_a_domain_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("role,bad", [
+    ("model", "directory"), ("model", "not utf-8"),
+    ("relation", "directory"), ("relation", "not utf-8"),
+    ("gen --out", "directory"),
+])
+def test_unreadable_file_is_a_domain_error(capsys, tmp_path, example_path, role, bad):
+    path = tmp_path / "bad"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    argv = {
+        "model": ["crisp-partition", str(path)],
+        "relation": ["check", str(example_path), str(path), "--kind", "crisp-bisim"],
+        "gen --out": ["gen", "--out", str(path)],
+    }[role]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_malformed_model_is_a_domain_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": ["s"], "actions": ["a"], '
@@ -214,6 +235,26 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         run(["crisp-partition"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--dists", "x"], ["gen", "--support", "1:x"], ["gen", "--dists", ":"], ["bench", "--sizes", "a"],
+])
+def test_malformed_numbers_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+
+def test_a_single_number_is_a_range_of_one():
+    assert cli.build_parser().parse_args(["gen", "--dists", "1"]).dists == (1, 1)
+
+
+def test_bad_label_settings_are_domain_errors(capsys):
+    for argv in (["gen", "--labels", "-1"], ["gen", "--labels", "1", "--label-density", "nan"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: "), argv
 
 
 def test_engine_choices_come_from_the_engine_table(capsys, example_path):

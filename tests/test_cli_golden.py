@@ -23,7 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fuzzybisim import generate, model_to_document, parse_model, to_flg, as_nflts
+from fuzzybisim import GenSpec, generate, model_to_document, parse_model, to_flg, as_nflts
 from fuzzybisim.cli import run
 from fuzzybisim.generate import random_spec
 
@@ -111,19 +111,29 @@ def test_cli_output_matches_the_recorded_digests(tmp_path):
     assert not wrong
 
 
-def _stderr_under_hash_seed(seed: int, *argv) -> str:
+def _output_under_hash_seed(seed: int, *argv) -> tuple:
     env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(REPO_ROOT / "src")}
     done = subprocess.run([sys.executable, "-m", "fuzzybisim.cli", *argv], capture_output=True,
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    return done.stderr
+    return done.stdout, done.stderr
 
 
-def test_verbose_traces_do_not_depend_on_the_hash_seed():
+def test_verbose_traces_do_not_depend_on_the_hash_seed(tmp_path):
+    # Few states and one degree, so most distributions have several sources.
+    shared = generate(GenSpec(state_count=6, distributions_per_state_action=(1, 3), support_size=(1, 1),
+                              value_pool_size=3, label_alphabet_size=1, label_density=0.5, seed=4))
+    assert len(shared.delta) >= 2 * len(shared.distributions)
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(model_to_document(shared)))
     model = str(EXAMPLE)
-    for argv in (["bisim-between", model, model, "--mode", "fuzzy"], ["crisp-sim", model, model]):
-        traces = {_stderr_under_hash_seed(seed, *argv, "--verbose") for seed in (1, 2, 3)}
-        assert len(traces) == 1, argv
+    for argv in (["bisim-between", model, model, "--mode", "fuzzy", "--verbose"],
+                 ["crisp-sim", model, model, "--verbose"],
+                 ["crisp-partition", str(path), "--verbose"],
+                 ["fuzzy-partition", str(path), "--verbose"],
+                 ["gen", "--states", "8", "--labels", "2", "--seed", "3"]):
+        outputs = {_output_under_hash_seed(seed, *argv) for seed in (1, 2, 3)}
+        assert len(outputs) == 1, argv
     m = parse_model(EXAMPLE)
     assert to_flg(as_nflts(m)).edges == to_flg(m).edges
 

@@ -38,6 +38,10 @@ def test_infeasible_support_rejected():
         dict(distributions_per_state_action=(3, 1)),
         dict(support_size=(2, 1)),
         dict(value_pool_size=2),
+        dict(label_alphabet_size=-1),
+        dict(label_alphabet_size=1, label_density=-0.1),
+        dict(label_alphabet_size=1, label_density=1.5),
+        dict(label_alphabet_size=1, label_density=float("nan")),
     ],
 )
 def test_bad_parameters_rejected(kwargs):

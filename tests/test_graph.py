@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts, as_nflts, disjoint_union, parse_model, to_flg
+from fuzzybisim import Distribution, FuzzySet, ModelError, Nflts, Nfts, as_nflts, disjoint_union, parse_model, to_flg
 from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, state_vertex
 from fuzzybisim.refinement import adjacency
@@ -76,6 +76,21 @@ def test_as_nflts_preserves_structure():
     assert as_nflts(view) is view
 
 
+def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
+    model = Nfts(["s", "t"], ["a"], [("s", "a", {"t": H}), ("t", "a", {"t": H})])
+    built = []
+    for cls in (FuzzySet, Distribution, Nfts, Nflts):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
+    view = as_nflts(model)
+    assert built == []
+    assert type(view) is Nflts and type(model) is Nfts
+    assert view.delta is model.delta and view.distributions is model.distributions
+    assert view.label_alphabet == frozenset() and not view.label_of("s")
+    Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
+    assert built == [Nfts, FuzzySet, Distribution]
+
+
 def test_plain_system_and_its_unlabeled_view_give_equal_graphs():
     rng = random.Random(31)
     models = [make_example()] + [generate(random_spec(rng, 6, labeled=False)) for _ in range(20)]
@@ -99,10 +114,10 @@ def test_plain_system_and_its_unlabeled_view_give_equal_graphs():
 
 
 def test_sources_of_a_shared_distribution_are_in_id_order():
-    # the refinement kernel marks predecessors in list order, so this order
-    # must not follow the hash order of the transitions set
+    # the refinement kernel marks predecessors in list order, and the crisp
+    # --verbose split trace follows it: the sources are in id order
     states = [f"s{i:02}" for i in range(40)]
-    g = to_flg(Nfts(states, ["a", "b"], [(s, a, {"s00": H}) for s in states for a in "ab"]))
+    g = to_flg(Nfts(states, ["a", "b"], [(s, a, {"s00": H}) for s in reversed(states) for a in "ab"]))
     assert g.preds[len(states)] == sorted(g.preds[len(states)]) == [i for i in range(40) for _ in "ab"]
 
 
