@@ -6,18 +6,13 @@ import csv
 import hashlib
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Iterable, List, Optional
 
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
 from .generate import GenSpec, generate, RNG_ALGORITHM
 from .model import Nfts
-
-CSV_COLUMNS = [
-    "seed", "states", "actions", "delta", "delta_o", "size_delta",
-    "l", "n", "m", "engine", "wall_time_ms", "digest", "rng",
-]
 
 
 @dataclass
@@ -37,25 +32,23 @@ class BenchRecord:
     rng: str = RNG_ALGORITHM
 
 
+CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _metrics(model: Nfts, spec: GenSpec) -> dict:
-    used = set()
-    for mu in model.distributions:
-        used.update(mu.degrees())
-    for s in model.states:
-        used.update(model.label_of(s).degrees())
     return {
         "seed": spec.seed,
         "states": len(model.states),
         "actions": len(model.actions),
         "delta": len(model.delta),
-        "delta_o": len(model.distributions),
+        "delta_o": len(model.targets),
         "size_delta": model.size_of_delta(),
-        "l": len(used) + 2,
-        "n": len(model.states) + len(model.distributions),
+        "l": len(model.pool) + 2,
+        "n": len(model.states) + len(model.targets),
         "m": model.size_of_delta(),
     }
 

@@ -6,18 +6,20 @@ degree 1 and epsilon edges (distribution -> state) carry the distribution's
 degree for that state.  A reserved vertex-label symbol marks state vertices,
 so no bisimulation can relate a state vertex with a distribution vertex.
 
-``to_flg`` builds the graph once, as dense arrays.  Vertex ids 0..|S|-1 are
-the states sorted by name and |S|+k is the distribution with index k, which
-is the sorted order of the ``Vertex`` objects.  Degrees are stored as ranks
-in the sorted pool of the graph's distinct degrees; the pool always holds 1,
-the degree of the state mark.  The engines read the arrays.  The object
+``to_flg`` reads the system's interned arrays into the graph's dense arrays
+in one pass.  Vertex ids 0..|S|-1 are the system's state ids (the states
+sorted by name) and |S|+k is distribution k, which is the sorted order of
+the ``Vertex`` objects.  Degrees are ranks in the system's sorted pool, with
+1, the degree of the state mark, appended when it is missing: 1 is the
+largest degree, so no rank moves.  The engines read the arrays.  The object
 views that the oracles and checkers read (``vertices``, ``edges``,
 ``labels``, ``out_edges``, ...) are derived from them on first access.
+``disjoint_union`` concatenates two systems' arrays.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .degrees import Degree, ZERO, ONE
@@ -140,37 +142,33 @@ def to_flg(model: Nfts) -> Flg:
         raise ModelError(f"label alphabet uses the reserved vertex symbol {STATE_MARK!r}")
     if EPSILON in model.actions:
         raise ModelError(f"action alphabet uses the reserved edge symbol {EPSILON!r}")
-    states = sorted(model.states)
-    dists = model.distributions
-    labels = [model.label_of(s) for s in states]
-    # Rank each degree object once, keyed by id: a parsed document holds one
-    # object per distinct degree, and the model keeps them all alive here.
-    found = {id(ONE): ONE}
-    for entries in [mu.degrees() for mu in dists] + [label.degrees() for label in labels]:
-        found.update(zip(map(id, entries), entries))
-    exact = {key: Fraction(d) for key, d in found.items()}
-    pool = sorted(set(exact.values()))
-    position = {d: k for k, d in enumerate(pool)}
-    rank = {key: position[d] for key, d in exact.items()}
+    names, targets, pool, rank = model.names, model.targets, model.pool, model.ranks
+    if not pool or pool[-1] != ONE:  # 1 is the largest degree: no rank moves
+        pool = [*pool, ONE]
     top = len(pool) - 1
-    n = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    out: list = [[] for _ in range(n + len(dists))]
-    preds: list = [[] for _ in out]
+    n = len(names)
+    index = {s: i for i, s in enumerate(names)}
+    out: list = [[] for _ in range(n)]
+    preds: list = [[] for _ in range(n + len(targets))]
     for source, action, k in model.delta:
-        i, j = index[source], n + k
-        out[i].append((action, j, top))
-        preds[j].append(i)
+        i = index[source]
+        out[i].append((action, n + k, top))
+        preds[n + k].append(i)
     for sources in preds[n:]:
         sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
-    for i, mu in enumerate(dists, n):
-        for target, degree in mu.items():
-            j = index[target]
-            out[i].append((EPSILON, j, rank[id(degree)]))
+    for i, entries in enumerate(targets, n):
+        edges = []
+        for j, d in entries.items():
+            edges.append((EPSILON, j, rank[d]))
             preds[j].append(i)
-    label_ranks = [{**{p: rank[id(d)] for p, d in label.items()}, STATE_MARK: top} for label in labels]
-    label_ranks += [{} for _ in dists]
-    by_id = [*map(state_vertex, states), *map(dist_vertex, range(len(dists)))]
+        out.append(edges)
+    label_ranks = [{STATE_MARK: top} for _ in range(n)] + [{} for _ in targets]
+    for i, ids in model.labels.items():
+        label_ranks[i] = {p: rank[d] for p, d in ids.items()}
+        label_ranks[i][STATE_MARK] = top
+    # Vertex tuples made in C: calling the class runs a Python-level __new__ per vertex.
+    by_id = [*map(tuple.__new__, repeat(Vertex), zip(repeat(_STATE), names)),
+             *map(tuple.__new__, repeat(Vertex), zip(repeat(_DIST), range(len(targets))))]
     return Flg(by_id, out, preds, label_ranks, pool, sigma | {STATE_MARK}, model.actions | {EPSILON})
 
 
@@ -197,19 +195,34 @@ def disjoint_union(a: Nflts, b: Nflts):
     """Tagged union of two systems sharing action and label alphabets.
 
     Returns (union, inject_a, inject_b) where the injections map original
-    states to the union's (tagged) states.
+    states to the union's (tagged) states.  The union's arrays are the two
+    systems' arrays one after the other, re-ranked onto the joint pool.
     """
     if a.actions != b.actions:
         raise ModelError("disjoint union requires equal action alphabets")
     if a.label_alphabet != b.label_alphabet:
         raise ModelError("disjoint union requires equal label alphabets")
-    inject_a = {s: (0, s) for s in a.states}
-    inject_b = {s: (1, s) for s in b.states}
-    states = [*inject_a.values(), *inject_b.values()]
-    transitions, labels = [], []
-    for model, inject in ((a, inject_a), (b, inject_b)):
-        targets = [FuzzySet({inject[t]: d for t, d in mu.items()}) for mu in model.distributions]
-        transitions += [(inject[source], action, targets[k]) for source, action, k in model.delta]
-        labels += [(inject[s], model.label_of(s)) for s in model.states if model.label_of(s)]
-    union = Nflts(states, a.actions, transitions, a.label_alphabet, labels)
-    return union, inject_a, inject_b
+    pool = sorted({*a.pool, *b.pool})
+    position = {x: r for r, x in enumerate(pool)}
+    given, targets, delta, labels, injects = {}, [], [], {}, []
+    interned: dict = {}  # as the constructor interns: one empty distribution can be in both systems
+    for tag, model in enumerate((a, b)):
+        offset, new = len(a.names) * tag, [position[model.pool[r]] for r in model.ranks]  # degree id -> joint rank
+        for d, degree in enumerate(model._given):
+            given.setdefault(new[d], degree)  # a's object for a value in both
+        k_of = []
+        for entries in model.targets:
+            moved = {offset + i: new[d] for i, d in entries.items()}
+            k_of.append(interned.setdefault(tuple(moved.items()), len(targets)))
+            if k_of[-1] == len(targets):
+                targets.append(moved)
+        inject = {s: (tag, s) for s in model.names}
+        delta += [(inject[s], action, k_of[k]) for s, action, k in model.delta]
+        labels.update((offset + i, {p: new[d] for p, d in ids.items()}) for i, ids in model.labels.items())
+        injects.append(inject)
+    union = object.__new__(Nflts)  # the arrays are interned as the constructor interns them
+    names = (*injects[0].values(), *injects[1].values())
+    union.__dict__.update(states=frozenset(names), actions=a.actions, names=names, delta=tuple(delta),
+                          targets=tuple(targets), labels=labels, label_alphabet=a.label_alphabet,
+                          pool=pool, ranks=list(range(len(pool))), _given=[given[r] for r in range(len(pool))])
+    return union, *injects

@@ -51,15 +51,18 @@ def _degree(text, context: str):
         raise DocumentError(f"{context}: {exc}") from exc
 
 
-def _degree_map(value, context: str, seen: dict) -> dict:
+def _degree_map(value, seen: dict, field: str, key) -> dict:
     """A JSON object of element -> degree string, as element -> Fraction.
     ``seen`` holds the degree strings of the document parsed so far, so
-    each distinct string is parsed once and its Fraction is shared."""
+    each distinct string is parsed once and its Fraction is shared.  An
+    error names the object as ``field.format(key)``, built only then."""
+    if not isinstance(value, dict):
+        _object(value, field.format(key))  # raises
     degrees = {}
-    for element, text in _object(value, context).items():
+    for element, text in value.items():
         degree = seen.get(text) if type(text) is str else None
         if degree is None:
-            degree = seen[text] = _degree(text, f"{context}[{element!r}]")
+            degree = seen[text] = _degree(text, f"{field.format(key)}[{element!r}]")
         degrees[element] = degree
     return degrees
 
@@ -72,18 +75,14 @@ def parse_model(source: Union[str, Path]) -> Nfts:
         text = source
     else:
         text = Path(source).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _model_from_json_text(text)
-    return _model_from_lines(text)
+    return model_from_document(_json(text)) if text.lstrip().startswith("{") else _model_from_lines(text)
 
 
-def _model_from_json_text(text: str) -> Nfts:
+def _json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return model_from_document(doc)
 
 
 def _strings(doc: dict, field: str, non_empty: bool = False) -> list:
@@ -113,33 +112,26 @@ def model_from_document(doc: dict) -> Nfts:
         raise DocumentError("transitions: list required")
     transitions, seen = [], {}
     for i, item in enumerate(doc.get("transitions", [])):
-        context = f"transitions[{i}]"
-        if not isinstance(item, dict) or not {"from", "action", "targets"} <= set(item):
-            raise DocumentError(f"{context}: needs 'from', 'action' and 'targets'")
-        if not isinstance(item["from"], str) or not isinstance(item["action"], str):
-            raise DocumentError(f"{context}: 'from' and 'action' must be strings")
-        transitions.append((item["from"], item["action"], _degree_map(item["targets"], f"{context}.targets", seen)))
-    try:
-        if kind == "nfts":
-            if "state_labels" in doc or "label_alphabet" in doc:
-                raise DocumentError("kind 'nfts' does not take labels")
-            return Nfts(states, actions, transitions)
-        labels = {
-            state: _degree_map(label, f"state_labels[{state!r}]", seen)
-            for state, label in _object(doc.get("state_labels", {}), "state_labels").items()
-        }
-        return Nflts(states, actions, transitions, _strings(doc, "label_alphabet"), labels)
-    except ModelError as exc:
-        raise DocumentError(str(exc)) from exc
+        if not isinstance(item, dict) or "from" not in item or "action" not in item or "targets" not in item:
+            raise DocumentError(f"transitions[{i}]: needs 'from', 'action' and 'targets'")
+        source, action = item["from"], item["action"]
+        if not isinstance(source, str) or not isinstance(action, str):
+            raise DocumentError(f"transitions[{i}]: 'from' and 'action' must be strings")
+        transitions.append((source, action, _degree_map(item["targets"], seen, "transitions[{}].targets", i)))
+    if kind == "nfts":
+        if "state_labels" in doc or "label_alphabet" in doc:
+            raise DocumentError("kind 'nfts' does not take labels")
+        return _system(states, actions, transitions)
+    labels = {
+        state: _degree_map(label, seen, "state_labels[{!r}]", state)
+        for state, label in _object(doc.get("state_labels", {}), "state_labels").items()
+    }
+    return _system(states, actions, transitions, _strings(doc, "label_alphabet"), labels)
 
 
 def _model_from_lines(text: str) -> Nfts:
-    kind = "nfts"
-    states: list = []
-    actions: list = []
-    alphabet: list = []
-    transitions = []
-    labels = {}
+    kind, transitions, labels = "nfts", [], {}
+    lists = {"states": [], "actions": [], "labels": []}  # the directives that list names
     seen = {}  # degree string -> its Fraction, parsed once per document
 
     def pairs_of(tokens, context):
@@ -164,12 +156,8 @@ def _model_from_lines(text: str) -> Nfts:
             if rest not in (["nfts"], ["nflts"]):
                 raise DocumentError(f"{context}: kind must be nfts or nflts")
             kind = rest[0]
-        elif word == "states":
-            states += rest
-        elif word == "actions":
-            actions += rest
-        elif word == "labels":
-            alphabet += rest
+        elif word in lists:
+            lists[word] += rest
         elif word == "trans":
             if len(rest) < 2:
                 raise DocumentError(f"{context}: trans needs a source and an action")
@@ -180,29 +168,33 @@ def _model_from_lines(text: str) -> Nfts:
             labels[rest[0]] = pairs_of(rest[1:], context)
         else:
             raise DocumentError(f"{context}: unknown directive {word!r}")
+    states, actions, alphabet = lists.values()
+    if kind == "nfts":
+        if labels or alphabet:
+            raise DocumentError("kind 'nfts' does not take labels")
+        return _system(states, actions, transitions)
+    return _system(states, actions, transitions, alphabet, labels)
+
+
+def _system(states, actions, transitions, *labeling) -> Nfts:
+    """An Nflts when ``labeling`` (alphabet, labels) is given, else an Nfts;
+    a ModelError becomes a DocumentError."""
     try:
-        if kind == "nfts":
-            if labels or alphabet:
-                raise DocumentError("kind 'nfts' does not take labels")
-            return Nfts(states, actions, transitions)
-        return Nflts(states, actions, transitions, alphabet, labels)
+        return Nflts(states, actions, transitions, *labeling) if labeling else Nfts(states, actions, transitions)
     except ModelError as exc:
         raise DocumentError(str(exc)) from exc
 
 
 def model_to_document(model: Nfts) -> dict:
+    names, texts = model.names, [format_degree(model.pool[r]) for r in model.ranks]  # by degree id, each once
     transitions = [
-        {
-            "from": source,
-            "action": action,
-            "targets": {t: format_degree(d) for t, d in sorted(model.distributions[k].items())},
-        }
+        {"from": source, "action": action, "targets": {names[i]: texts[d] for i, d in sorted(model.targets[k].items())}}
         for source, action, k in sorted(model.delta)
     ]
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "nfts",
-        "states": sorted(model.states),
+        "states": list(names),
         "actions": sorted(model.actions),
         "transitions": transitions,
     }
@@ -210,9 +202,7 @@ def model_to_document(model: Nfts) -> dict:
         doc["kind"] = "nflts"
         doc["label_alphabet"] = sorted(model.label_alphabet)
         doc["state_labels"] = {
-            s: {p: format_degree(d) for p, d in sorted(model.label_of(s).items())}
-            for s in sorted(model.states)
-            if model.label_of(s)
+            names[i]: {p: texts[d] for p, d in sorted(model.labels[i].items())} for i in sorted(model.labels)
         }
     return doc
 
@@ -233,10 +223,7 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
         text = source
     else:
         text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+    doc = _json(text)
     if not isinstance(doc, dict):
         raise DocumentError("relation document must be a JSON object")
     kind = doc.get("kind")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .degrees import Degree, ZERO, residuum, biresiduum, sup, inf
-from .model import Nfts, FuzzySet, Distribution
+from .model import Nfts
 from .graph import Flg, ModelError
 from .relations import CrispRelation, FuzzyRelation
 
@@ -29,13 +29,8 @@ class WitnessReport:
         return self.holds
 
 
-def _fuzzy_of(mu) -> FuzzySet:
-    return mu.fuzzy if isinstance(mu, Distribution) else mu
-
-
 def lifted_crisp(R: CrispRelation, mu, mu_prime) -> bool:
     """mu R-dagger mu': mu(s) <= mu'(R-image of s) and mu'(s') <= mu(R-preimage of s')."""
-    mu, mu_prime = _fuzzy_of(mu), _fuzzy_of(mu_prime)
     for s, d in mu.items():
         if d > mu_prime.value_of(R.forward(s)):
             return False
@@ -47,7 +42,6 @@ def lifted_crisp(R: CrispRelation, mu, mu_prime) -> bool:
 
 def witness_realizes_lifting(R: CrispRelation, mu, mu_prime) -> bool:
     """Check that e(s, s') = min(mu(s), mu'(s')) for s R s', else 0, realizes the lifting."""
-    mu, mu_prime = _fuzzy_of(mu), _fuzzy_of(mu_prime)
     states = R.left | R.right
 
     def e(s, s_prime):
@@ -64,7 +58,6 @@ def witness_realizes_lifting(R: CrispRelation, mu, mu_prime) -> bool:
 
 def lifted_fuzzy(R: FuzzyRelation, mu, mu_prime) -> Degree:
     """The lifted degree R-ddagger(mu, mu') under the Goedel semantics."""
-    mu, mu_prime = _fuzzy_of(mu), _fuzzy_of(mu_prime)
     forward = inf(
         residuum(d, sup(min(R(s, s_prime), mu_prime(s_prime)) for s_prime in R.right))
         for s, d in mu.items()

@@ -15,6 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fuzzybisim import (
     CompactFuzzyPartition,
     CrispPartition,
+    Distribution,
+    FuzzySet,
+    GenSpec,
     Nflts,
     as_nflts,
     generate,
@@ -619,3 +622,27 @@ def test_malformed_and_extreme_documents_exit_cleanly(tmp_path_factory, text, re
         assert "Traceback" not in err.getvalue()
         if code == 0 and "--json" in argv:
             json.loads(out.getvalue())
+
+
+def test_engine_commands_build_no_object_views(monkeypatch, capsys, tmp_path):
+    # The efficient engines read the interned arrays: parsing a model and
+    # running a command on it builds no FuzzySet and no Distribution.
+    labeled = generate(GenSpec(state_count=12, distributions_per_state_action=(1, 2), support_size=(1, 3),
+                               value_pool_size=5, label_alphabet_size=2, label_density=0.5, seed=8))
+    path = tmp_path / "labeled.json"
+    path.write_text(json.dumps(model_to_document(labeled)))
+    built = []
+    for cls in (FuzzySet, Distribution):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
+    for model in (str(REPO_ROOT / "models" / "example.json"), str(path)):
+        parse_model(model)
+        for argv in (["crisp-partition", model], ["fuzzy-partition", model], ["degree", model, "s1", "s2"],
+                     ["crisp-sim", model, model], ["fuzzy-sim", model, model],
+                     ["bisim-between", model, model, "--mode", "crisp"],
+                     ["bisim-between", model, model, "--mode", "fuzzy"]):
+            for extra in ([], ["--json"], ["--verbose"]):
+                assert invoke(capsys, *argv, *extra)[0] == 0, argv + extra
+    assert built == []
+    assert invoke(capsys, "crisp-partition", str(path), "--engine", "oracle")[0] == 0
+    assert built  # the counters see the oracle's object views

@@ -8,7 +8,7 @@ labeled; the two-model commands pair each model with itself or with a
 sibling drawn with the same alphabets.  Run this file as a script to print
 the table for the current code, or with ``--diff`` to print only the cases
 whose digests differ from ``GOLDEN``, naming which of the text, ``--json``
-and stderr digests differ:
+and stderr digests differ, and to exit 1 if there is one:
 
     PYTHONPATH=src python tests/test_cli_golden.py [--diff]
 """
@@ -21,6 +21,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from fuzzybisim import GenSpec, generate, model_to_document, parse_model, to_flg, as_nflts
@@ -312,19 +313,48 @@ GOLDEN = {
 }
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as directory:
-        table = _table(Path(directory))
-    if "--diff" not in sys.argv[1:]:
-        for case, digests in table.items():
-            print(f"    {case!r}: {digests!r},")
-        sys.exit()
-    for case in sorted(table.keys() | GOLDEN.keys()):
-        got, want = table.get(case), GOLDEN.get(case)
+def diff(table: dict, golden: dict) -> list:
+    """One line per case whose digests differ from ``golden``, naming which
+    of them differ, or that only one of the two tables has."""
+    lines = []
+    for case in sorted(table.keys() | golden.keys()):
+        got, want = table.get(case), golden.get(case)
         if got is None or want is None:
-            print(f"{case}: only in {'GOLDEN' if got is None else 'the current code'}")
+            lines.append(f"{case}: only in {'GOLDEN' if got is None else 'the current code'}")
         elif got != want:
             differ = [name for name, a, b in zip(("text", "--json", "stderr"), got, want) if a != b]
-            print(f"{case}: {', '.join(differ)} differ: {want!r} -> {got!r}")
+            lines.append(f"{case}: {', '.join(differ)} differ: {want!r} -> {got!r}")
+    return lines
+
+
+def main(argv, golden=GOLDEN) -> int:
+    """Print the table for the current code; with ``--diff``, print the cases
+    that differ from ``golden`` and return 1 if there is one."""
+    with tempfile.TemporaryDirectory() as directory:
+        table = _table(Path(directory))
+    if "--diff" not in argv:
+        for case, digests in table.items():
+            print(f"    {case!r}: {digests!r},")
+        return 0
+    lines = diff(table, golden)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+def test_diff_exits_1_on_any_differing_case(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "_table", lambda directory: dict(GOLDEN))
+    changed, dropped = sorted(GOLDEN)[:2]
+    tampered = {**GOLDEN, changed: (GOLDEN[changed][0], "000000000000", GOLDEN[changed][2]), "added case": ("", "", "")}
+    del tampered[dropped]
+    assert main(["--diff"], tampered) == 1
+    assert capsys.readouterr().out.splitlines() == diff(GOLDEN, tampered) == [
+        "added case: only in GOLDEN",
+        f"{changed}: --json differ: {tampered[changed]!r} -> {GOLDEN[changed]!r}",
+        f"{dropped}: only in the current code",
+    ]
+    assert main(["--diff"], dict(GOLDEN)) == 0 and capsys.readouterr().out == ""
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

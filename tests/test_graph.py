@@ -1,4 +1,5 @@
 """The graph corresponding to a system: vertices, edges, labels, unions."""
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -85,10 +86,14 @@ def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
     view = as_nflts(model)
     assert built == []
     assert type(view) is Nflts and type(model) is Nfts
-    assert view.delta is model.delta and view.distributions is model.distributions
+    assert view.delta is model.delta and view.targets is model.targets and view.ranks is model.ranks
     assert view.label_alphabet == frozenset() and not view.label_of("s")
-    Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
-    assert built == [Nfts, FuzzySet, Distribution]
+    assert built == []
+    other = Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
+    assert built == [Nfts]
+    # the object views are built on first access, once per instance
+    assert view.distributions == model.distributions and len(other.distributions) == 1
+    assert built == [Nfts] + [FuzzySet, Distribution] * 3
 
 
 def test_plain_system_and_its_unlabeled_view_give_equal_graphs():
@@ -137,6 +142,48 @@ def test_disjoint_union_preserves_labels():
     union, inject_a, inject_b = disjoint_union(a, b)
     assert union.label_of(inject_a["s"])("p") == H
     assert not union.label_of(inject_b["s"])
+
+
+def _resolved(model):
+    """The targets and labels of a model with each degree id replaced by its degree."""
+    degree = [model.pool[r] for r in model.ranks]
+    return ([[(i, degree[d]) for i, d in entries.items()] for entries in model.targets],
+            {i: [(p, degree[d]) for p, d in ids.items()] for i, ids in model.labels.items()})
+
+
+def _union_by_definition(a, b):
+    """The disjoint union built by the constructor from the object views."""
+    transitions, labels = [], []
+    for tag, model in enumerate((a, b)):
+        transitions += [((tag, s), action, {(tag, t): d for t, d in model.distributions[k].items()})
+                        for s, action, k in model.delta]
+        labels += [((tag, s), model.label_of(s)) for s in model.states if model.label_of(s)]
+    return Nflts([(tag, s) for tag, m in enumerate((a, b)) for s in m.states], a.actions, transitions,
+                 a.label_alphabet, labels)
+
+
+def test_disjoint_union_concatenates_the_arrays():
+    rng = random.Random(53)
+    empty = Nfts(["s1", "s2"], ["a0"], [("s1", "a0", {}), ("s2", "a0", {"s1": 0}), ("s2", "a0", {"s2": H})])
+    pairs = [(empty, empty), (make_example(), make_example())]
+    for i in range(40):
+        spec = random_spec(rng, 6, labeled=i % 2 == 1)
+        sibling = dataclasses.replace(spec, seed=spec.seed + 1, state_count=rng.randint(1, 6))
+        sibling.support_size = (1, min(sibling.support_size[1], sibling.state_count))
+        pairs.append((generate(spec), generate(sibling)))
+    for a, b in pairs:
+        a, b = as_nflts(a), as_nflts(b)
+        union, inject_a, inject_b = disjoint_union(a, b)
+        expected = _union_by_definition(a, b)
+        for name in ("states", "names", "actions", "delta", "pool", "label_alphabet"):
+            assert getattr(union, name) == getattr(expected, name), name
+        # degree ids count values in first-use order: compare what they stand for
+        assert _resolved(union) == _resolved(expected)
+        assert [dict(mu.items()) for mu in union.distributions] == [dict(mu.items()) for mu in expected.distributions]
+        assert all(union.label_of(s) == expected.label_of(s) for s in union.states)
+        assert inject_a == {s: (0, s) for s in a.states} and inject_b == {s: (1, s) for s in b.states}
+        assert to_flg(union).out == to_flg(expected).out
+    assert len(disjoint_union(as_nflts(empty), as_nflts(empty))[0].targets) == 3  # one empty distribution
 
 
 def test_disjoint_union_requires_equal_alphabets():

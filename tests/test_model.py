@@ -1,11 +1,14 @@
 """Transition systems: construction, interning, sizes and validation."""
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts
+from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts, parse_model, to_flg
+from fuzzybisim.generate import generate, random_spec
 
-from conftest import make_example
+from conftest import REPO_ROOT, make_example
 
 H = Fraction(1, 2)
 
@@ -117,3 +120,101 @@ def test_degree_range_checks(monkeypatch):
     assert compared == []
     FuzzySet({"x": 0.5})
     assert compared
+
+
+# Inputs with two faults each, and the one error raised: transitions are
+# checked in input order (source, action, degrees in entry order, then the
+# unknown targets of a new distribution), labels after every transition, and
+# the reserved symbols only when the graph is built.
+@pytest.mark.parametrize("build,message", [
+    (lambda: Nfts(["s"], ["a"], [("x", "a", {"s": Fraction(3, 2)})]), "transition from unknown state 'x'"),
+    (lambda: Nfts(["s"], ["a"], [("s", "b", {"s": Fraction(3, 2)})]), "transition with unknown action 'b'"),
+    (lambda: Nfts(["s"], ["a"], [("s", "a", {"x": H, "s": 2})]), "degree 2 of 's' outside [0, 1]"),
+    (lambda: Nfts(["s", "t"], ["a"], [("s", "a", {"t": 1.5, "s": -1})]), "degree 1.5 of 't' outside [0, 1]"),
+    (lambda: Nfts(["s"], ["a"], [("s", "a", {"z": H, "x": H, "y": 0})]),
+     "distribution refers to unknown states ['x', 'z']"),
+    (lambda: Nfts(["s", "t"], ["a"], [("s", "a", {"t": H}), ("t", "a", {"t": H, "u": 0}), ("t", "a", {"q": H})]),
+     "distribution refers to unknown states ['q']"),
+    (lambda: Nflts(["s"], ["a"], [("s", "b", {"s": H})], ["p"], {"x": {"p": H}}), "transition with unknown action 'b'"),
+    (lambda: Nflts(["s"], ["a"], [], ["p"], {"x": {"p": 2}}), "label on unknown state 'x'"),
+    (lambda: Nflts(["s"], ["a"], [], ["p"], {"s": {"q": H, "p": 2}}), "degree 2 of 'p' outside [0, 1]"),
+    (lambda: Nflts(["s"], ["a"], [], ["p"], [("s", {"q": H}), ("x", {"p": H})]),
+     "label of 's' uses symbols outside the alphabet"),
+    (lambda: to_flg(Nflts(["s"], ["eps*"], [], ["state*"], {})),
+     "label alphabet uses the reserved vertex symbol 'state*'"),
+    (lambda: to_flg(Nfts(["s"], ["eps*"], [("s", "eps*", {"s": H})])),
+     "action alphabet uses the reserved edge symbol 'eps*'"),
+])
+def test_the_first_of_two_faults_is_reported(build, message):
+    with pytest.raises(ModelError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_zero_degree_to_an_unknown_state_is_accepted():
+    model = Nfts(["s"], ["a"], [("s", "a", {"s": H, "x": 0}), ("s", "a", {"s": H, "y": Fraction(0)})])
+    (mu,) = model.distributions
+    assert dict(mu.items()) == {"s": H} and model.delta == (("s", "a", 0),)
+    label = Nflts(["s"], ["a"], [], ["p"], {"s": {"p": H, "q": 0}}).label_of("s")
+    assert dict(label.items()) == {"p": H}
+
+
+def _views(model) -> str:
+    """The object views of a model as text: each degree with its type, and
+    the entries of each fuzzy set in their order."""
+    def fuzzy(f):
+        return [(repr(x), type(d).__name__, str(d)) for x, d in f.items()]
+    return repr((
+        [(mu.index, repr(mu), fuzzy(mu), mu.fuzzy is mu, mu == FuzzySet(dict(mu.items())))
+         for mu in model.distributions],
+        sorted((s, a, mu.index) for s, a, mu in model.transitions),
+        [(s, fuzzy(model.label_of(s))) for s in sorted(model.states)],
+        [(s, [(a, mu.index) for a, mu in model.outgoing(s)]) for s in sorted(model.states)],
+        model.size_of_delta(), model.delta, sorted(model.label_alphabet), type(model).__name__,
+    ))
+
+
+def test_object_views_are_what_the_object_constructor_gave():
+    # Digest of the views of the example and 60 generated models, plain and
+    # labeled, as the constructor gave them when it built the objects eagerly.
+    rng = random.Random(47)
+    models = [make_example(), parse_model(REPO_ROOT / "models" / "example.json")]
+    models += [generate(random_spec(rng, 6, labeled=i % 2 == 1)) for i in range(60)]
+    text = "\n".join(map(_views, models))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == VIEWS_DIGEST
+
+
+VIEWS_DIGEST = "239544e17cff9192"
+
+
+def _same_arrays(a, b):
+    g, h = to_flg(a), to_flg(b)
+    assert a.delta == b.delta and [dict(mu.items()) for mu in a.distributions] == [
+        dict(mu.items()) for mu in b.distributions]
+    assert (g.by_id, g.out, g.preds, g.label_ranks, g.pool) == (h.by_id, h.out, h.preds, h.label_ranks, h.pool)
+
+
+def test_degree_identity_does_not_leak_into_interning():
+    states = [f"s{i}" for i in range(10)]
+    shared = [Fraction(k, 4) for k in range(5)]
+
+    def items(degree):
+        for i in range(200):
+            yield states[i % 10], "a", {states[(i + 1) % 10]: degree(i // 10 % 5), states[(i + 3) % 10]: degree(2)}
+
+    reference = Nfts(states, ["a"], list(items(shared.__getitem__)))
+    assert len(reference.distributions) == 50 and len(reference.delta) == 50
+    # Equal degrees as distinct Fraction objects, each freed once its item is
+    # interned, so the next items' Fractions can reuse their addresses.
+    _same_arrays(Nfts(states, ["a"], items(lambda k: Fraction(k, 4))), reference)
+    # The same values as int, float and Fraction.
+    mixed = {0: 0, 1: 0.25, 2: Fraction(2, 4), 3: 0.75, 4: 1}
+    model = Nfts(states, ["a"], items(mixed.__getitem__))
+    _same_arrays(model, reference)
+    assert {type(d) for mu in model.distributions for d in mu.degrees()} == {float, Fraction, int}
+    labeled = [Nflts(states, ["a"], items(degree), ["p", "q"], {s: {"p": degree(i % 5), "q": degree(1)}
+                                                              for i, s in enumerate(states)})
+               for degree in (shared.__getitem__, lambda k: Fraction(k, 4), mixed.__getitem__)]
+    for model in labeled[1:]:
+        _same_arrays(model, labeled[0])
+        assert [model.label_of(s) for s in states] == [labeled[0].label_of(s) for s in states]

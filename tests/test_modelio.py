@@ -1,4 +1,5 @@
 """Model and relation documents: JSON and text parsing, round trips, errors."""
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ import pytest
 from fuzzybisim import (
     CrispRelation,
     DocumentError,
+    Distribution,
+    FuzzySet,
     FuzzyRelation,
     Nflts,
     model_to_document,
@@ -17,6 +20,7 @@ from fuzzybisim import (
     serialize_model,
 )
 from fuzzybisim import format_degree, modelio
+from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.modelio import model_from_document
 
 from conftest import make_example
@@ -250,3 +254,51 @@ def test_interned_text_degree_errors_keep_their_line(monkeypatch, line, message)
     with pytest.raises(DocumentError) as info:
         parse_model(f"states s t\nactions a\ntrans s a s:0.5\n{line}")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"states": ["s"], "actions": ["a"], "transitions": [{"from": "x", "action": "b", "targets": {"s": "0.5"}}]}',
+     "transition from unknown state 'x'"),
+    ('{"states": ["s"], "actions": ["a"], "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5"}}, '
+     '{"from": "s", "action": "a", "targets": {"s": "0.5", "u": "0.5"}}, {"from": "q", "action": "a", "targets": {}}]}',
+     "distribution refers to unknown states ['u']"),
+    ('{"kind": "nflts", "states": ["s"], "actions": ["a"], "label_alphabet": ["p"], '
+     '"transitions": [{"from": "s", "action": "a", "targets": {"x": "0.5"}}], "state_labels": {"x": {"p": "0.5"}}}',
+     "distribution refers to unknown states ['x']"),
+    ('{"kind": "nflts", "states": ["s"], "actions": ["a"], "label_alphabet": ["p"], '
+     '"state_labels": {"s": {"q": "0.5"}, "x": {"p": "0.5"}}}',
+     "label of 's' uses symbols outside the alphabet"),
+    ("states s t\nactions a\ntrans s a t:0.5\ntrans t a t:0.5 s:0\ntrans t a t:0.5 u:0.25\ntrans u a t:0.5",
+     "distribution refers to unknown states ['u']"),
+    ("kind nflts\nstates s\nactions a\nlabels p\nlabel s q:0.5\nlabel x p:0.5",
+     "label of 's' uses symbols outside the alphabet"),
+    ("states s\nactions a\ntrans x b s:0.5", "transition from unknown state 'x'"),
+])
+def test_documents_report_the_first_of_two_faults(text, message):
+    with pytest.raises(DocumentError) as info:
+        parse_model(text)
+    assert str(info.value) == message
+
+
+def test_written_model_documents_keep_their_bytes():
+    # Digest of serialize_model on 20 generated models, plain and labeled, as
+    # written when the writer read the object views.
+    rng = random.Random(2026)
+    texts = [serialize_model(generate(random_spec(rng, 8, labeled=i % 2 == 1))) for i in range(20)]
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == DOCUMENTS_DIGEST
+
+
+DOCUMENTS_DIGEST = "4e83895a03cb08f8"
+
+
+def test_model_documents_format_each_distinct_degree_once(monkeypatch):
+    rng = random.Random(3)
+    model = generate(random_spec(rng, 8, labeled=True))
+    expected = model_to_document(model)
+    calls, built = [], []
+    monkeypatch.setattr(modelio, "format_degree", lambda d: calls.append(d) or format_degree(d))
+    for cls in (FuzzySet, Distribution):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
+    assert model_to_document(parse_model(json.dumps(expected))) == expected
+    assert len(calls) == len(set(calls)) == len(model.pool) and built == []
