@@ -146,7 +146,7 @@ def _emit(args, started: float, payload, text):
 def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2)`` byte for byte, for string keys, from an explicit
     stack (no depth is too deep: a compact fuzzy partition nests a level per degree);
-    each distinct string is encoded once, and a string list or table row in one join."""
+    each distinct string is encoded once, a string list in one join, a table from pieces."""
     strings = functools.lru_cache(maxsize=None)(encode_basestring_ascii)  # each distinct string once
     out, todo = [], [("", doc, "")]  # (text before the value, value, its indent)
     while todo:
@@ -158,9 +158,7 @@ def _json_text(doc) -> str:
             out.append(strings(value))
         elif not value or not isinstance(value, (dict, list, tuple)):
             out.append(json.dumps(value))
-        elif not isinstance(value, dict) and (table := _table(value, indent, strings)):
-            out.append(table)
-        else:
+        elif isinstance(value, dict) or not _table(value, indent, strings, out):
             inner, is_dict = indent + "  ", isinstance(value, dict)
             items = [(strings(k) + ": ", v) for k, v in value.items()] if is_dict else [("", v) for v in value]
             todo.append(("\n" + indent + ("}" if is_dict else "]"), None, None))
@@ -169,19 +167,33 @@ def _json_text(doc) -> str:
     return "".join(out)
 
 
-def _table(rows, indent: str, strings):
-    """JSON text at ``indent`` of a list of strings or of non-empty lists of strings, else None."""
+def _table(rows, indent: str, strings, out: list) -> bool:
+    """Append the JSON text at ``indent`` of a list of strings or of non-empty lists of strings to
+    ``out`` and return True, else return False with ``out`` as it was.  A row is a head per run of
+    equal first cells, then each later cell's piece after its separator, the last with the close."""
     types, row, cell = set(map(type, rows)), indent + "  ", indent + "    "
     if types == {str}:
-        return f"[\n{row}" + f",\n{row}".join(map(strings, rows)) + f"\n{indent}]"
+        out.append(f"[\n{row}" + f",\n{row}".join(map(strings, rows)) + f"\n{indent}]")
+        return True
     if not types <= {list, tuple} or not all(rows):
-        return None
-    join = (",\n" + cell).join
-    try:
-        texts = [join(map(strings, r)) for r in rows]
-    except TypeError:  # an item that is not a string
-        return None
-    return f"[\n{row}[\n{cell}" + f"\n{row}],\n{row}[\n{cell}".join(texts) + f"\n{row}]\n{indent}]"
+        return False
+    opening, separator, close = f",\n{row}[\n{cell}", f",\n{cell}", f"\n{row}]"
+    start, later, last, first = len(out), {}, {}, object()  # later, last: cell -> its piece, made on first use
+    try:  # a cell that is unhashable or not a string raises
+        for r in rows:
+            if r[0] != first:
+                first, head = r[0], opening + strings(r[0])
+            out.append(head)
+            for c in r[1:-1]:
+                out.append(later.get(c) or later.setdefault(c, separator + strings(c)))
+            c = r[-1]
+            out.append((last.get(c) or last.setdefault(c, separator + strings(c) + close)) if len(r) > 1 else close)
+    except TypeError:
+        del out[start:]
+        return False
+    out[start] = "[" + out[start][1:]  # the first head opens the table, with no comma
+    out.append(f"\n{indent}]")
+    return True
 
 
 def _inputs(args):

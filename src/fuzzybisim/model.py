@@ -118,7 +118,10 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
         raise ModelError("state set must be non-empty")
     if not actions:
         raise ModelError("action set must be non-empty")
-    names = tuple(sorted(states))
+    try:
+        names = tuple(sorted(states))
+    except TypeError as exc:  # the ids number the states in sorted order
+        raise ModelError(f"state names cannot be ordered: {exc}") from None
     index = {s: i for i, s in enumerate(names)}
     # ``values`` maps each distinct (numerator, denominator) to its degree id, in
     # first-use order, and ``given`` holds the first object given for it.  ``seen``

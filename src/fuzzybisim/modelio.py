@@ -33,6 +33,7 @@ from typing import Union
 
 from .degrees import DegreeError, parse_degree, format_degree
 from .model import Nfts, Nflts, ModelError
+from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 
 FORMAT_VERSION = "1"
@@ -42,27 +43,27 @@ class DocumentError(ValueError):
     """Malformed model/relation document, with field context in the message."""
 
 
-def _degree(text, context: str):
+def _degree(text, context):  # an error names the field context(), built only then
     if not isinstance(text, str):
-        raise DocumentError(f"{context}: degree must be a decimal string, got {text!r}")
+        raise DocumentError(f"{context()}: degree must be a decimal string, got {text!r}")
     try:
         return parse_degree(text)
     except DegreeError as exc:
-        raise DocumentError(f"{context}: {exc}") from exc
+        raise DocumentError(f"{context()}: {exc}") from exc
 
 
 def _degree_map(value, seen: dict, field: str, key) -> dict:
     """A JSON object of element -> degree string, as element -> Fraction.
     ``seen`` holds the degree strings of the document parsed so far, so
     each distinct string is parsed once and its Fraction is shared.  An
-    error names the object as ``field.format(key)``, built only then."""
+    error names the object as ``field.format(key)``, built only on an error."""
     if not isinstance(value, dict):
         _object(value, field.format(key))  # raises
     degrees = {}
     for element, text in value.items():
         degree = seen.get(text) if type(text) is str else None
         if degree is None:
-            degree = seen[text] = _degree(text, f"{field.format(key)}[{element!r}]")
+            degree = seen[text] = _degree(text, lambda: f"{field.format(key)}[{element!r}]")
         degrees[element] = degree
     return degrees
 
@@ -142,7 +143,7 @@ def _model_from_lines(text: str) -> Nfts:
             element, _, text = token.rpartition(":")
             degree = seen.get(text)
             if degree is None:
-                degree = seen[text] = _degree(text, context)
+                degree = seen[text] = _degree(text, lambda: context)
             out[element] = degree
         return out
 
@@ -240,7 +241,9 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
     try:
         if kind == "crisp":
             return CrispRelation(states, states, {tuple(p) for p in rows})
-        entries = {(x, y): _degree(d, f"degrees[{x!r}, {y!r}]") for x, y, d in rows}
+        seen = {}  # each distinct degree string parsed once, as in _degree_map
+        entries = {(x, y): seen[d] if d in seen else seen.setdefault(d, _degree(d, lambda: f"degrees[{x!r}, {y!r}]"))
+                   for x, y, d in rows}
         return FuzzyRelation(states, states, entries)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
@@ -249,6 +252,8 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
 def relation_to_document(relation) -> dict:
     if isinstance(relation, CrispRelation):
         return {"kind": "crisp", "pairs": sorted(map(list, relation.pairs))}
+    if isinstance(relation, CfpRelation):  # rows off the LCA pass, with one text per tree node
+        return {"kind": "fuzzy", "degrees": relation.positive_rows(format_degree)}
     texts, rows, degrees = {}, [], relation.rows()  # texts: id(d), then (numerator, denominator) -> text
     for x, y, d in degrees:  # `degrees` holds every d until the end, so no id is reused
         if (text := texts.get(id(d))) is None:

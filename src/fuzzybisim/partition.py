@@ -258,25 +258,25 @@ class CompactFuzzyPartition:
             raise KeyError(f"element {exc.args[0]!r} not in the partition") from exc
         return self._degrees[self._lca(i, j) if i <= j else self._lca(j, i)]
 
-    def positive_rows(self, xs: list, ys: list) -> list:
-        """``(a, b, degree_of(x, y))`` for each (a, x) of ``xs``, then each
-        (b, y) of ``ys``, where the degree is positive, in O(|ys|) per x.  The
-        LCAs of consecutive distinct leaves of the ys are found once; outwards
-        from the leaf of x, their running minima give its LCA with each."""
+    def positive_rows(self, xs: list, ys: list, of: Optional[Callable] = None) -> list:
+        """``[a, b, d]`` for each (a, x) of ``xs``, then each (b, y) of ``ys``, where
+        d = degree_of(x, y) is positive, or ``of(d)``, applied once per tree node, in
+        O(|ys|) per x.  The LCAs of consecutive distinct leaves of the ys are found once;
+        outwards from the leaf of x, their running minima give its LCA with each."""
         if self._table is None:
             self._build_index()
         position, lca, rows = self._position, self._lca, []
         leaves = sorted({position[y] for _, y in ys})
         links, index = [*map(lca, leaves, leaves[1:])], {p: k for k, p in enumerate(leaves)}
         names, at = [b for b, _ in ys], [index[position[y]] for _, y in ys]
-        degree = [d if d else None for d in self._degrees].__getitem__  # only the root can be 0
+        degree = [(of(d) if of else d) if d else None for d in self._degrees].__getitem__  # only the root can be 0
         for a, x in xs:
             i = position[x]
             r = bisect_left(leaves, i)
             before = [*accumulate([lca(leaves[r - 1], i), *reversed(links[: r - 1])], min)][::-1] if r else []
             after = accumulate([lca(i, leaves[r]), *links[r:]], min) if r < len(leaves) else ()
             at_leaf = [*map(degree, before), *map(degree, after)].__getitem__
-            rows += [(a, b, d) for b, d in zip(names, map(at_leaf, at)) if d is not None]
+            rows += [[a, b, d] for b, d in zip(names, map(at_leaf, at)) if d is not None]
         return rows
 
     def to_relation(self) -> FuzzyRelation:
@@ -347,12 +347,12 @@ class CfpRelation(FuzzyRelation):
         self.cfp, self.inject_left, self.inject_right = cfp, inject_left, inject_right
         self.left, self.right = frozenset(inject_left), frozenset(inject_right)
 
-    def rows(self) -> list:
-        return self.cfp.positive_rows(*(sorted(inject.items()) for inject in (self.inject_left, self.inject_right)))
+    def positive_rows(self, of: Optional[Callable] = None) -> list:  # the rows as lists
+        return self.cfp.positive_rows(*(sorted(inject.items()) for inject in (self.inject_left, self.inject_right)), of)
 
     @cached_property
     def entries(self) -> Dict[tuple, Degree]:
-        return {(x, y): d for x, y, d in self.rows()}
+        return {(x, y): d for x, y, d in self.positive_rows()}
 
 
 def cfp_from_relation(r: FuzzyRelation) -> CompactFuzzyPartition:

@@ -27,8 +27,9 @@ from fuzzybisim import (
     parse_model,
     to_flg,
 )
-from fuzzybisim import cli
+from fuzzybisim import bisimulation_between_nflts, cli, format_degree, modelio, relation_to_document
 from fuzzybisim.cli import ENGINES, _json_text, run
+from fuzzybisim.partition import CfpRelation, fold_tree
 from fuzzybisim.generate import random_spec
 
 from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
@@ -442,6 +443,80 @@ def test_json_writer_matches_json_dumps():
     ]
     for doc in docs:
         assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+# names with non-ASCII characters, quotes, backslashes, spaces and line breaks, and the empty string
+_CELLS = st.text(st.sampled_from(["s", "1", "é", "名", "😀", '"', "\\", " ", "\n", "\u2028"]), max_size=3)
+
+
+@st.composite
+def _tables(draw):
+    """Row tables of one width in 1-4, or of mixed widths, in runs of equal first cells."""
+    widths = draw(st.sampled_from([[1], [2], [3], [4], [1, 2, 3, 4]]))
+    rows = []
+    for first in draw(st.lists(_CELLS, max_size=5)):
+        for _ in range(draw(st.integers(1, 3))):
+            rows.append([first, *draw(st.lists(_CELLS, min_size=0, max_size=3))][:draw(st.sampled_from(widths))])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=_tables())
+def test_json_writer_matches_json_dumps_on_row_tables(rows):
+    for doc in (rows, {"result": {"kind": "fuzzy", "degrees": rows}, "rows": [rows, [rows]]}):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def _between_pairs():
+    """Generated model pairs, a model with itself and two different models, and a pair
+    whose fuzzy bisimulation is zero everywhere."""
+    rng = random.Random(13)
+    for i in range(24):
+        spec = random_spec(rng, 6, labeled=i % 2 == 1)
+        other = GenSpec(**{**spec.__dict__, "state_count": rng.randint(spec.support_size[1], 6), "seed": spec.seed + 1})
+        model = generate(spec)
+        yield model, model if i % 3 == 0 else generate(other)
+    yield Nflts(["s"], ["a"], [], ["p"], {"s": {"p": 1}}), Nflts(["t"], ["a"], [], ["p"], {})
+
+
+def test_fuzzy_between_documents_are_the_sorted_positive_degrees(capsys, tmp_path):
+    left, right, kinds = tmp_path / "left.json", tmp_path / "right.json", set()
+    for a, b in _between_pairs():
+        relation = bisimulation_between_nflts(a, b, "fuzzy")
+        assert isinstance(relation, CfpRelation)
+        degree = {(x, y): relation.cfp.degree_of(relation.inject_left[x], relation.inject_right[y])
+                  for x in a.states for y in b.states}
+        rows = [[x, y, format_degree(d)] for (x, y), d in sorted(degree.items()) if d]
+        doc = relation_to_document(relation)
+        assert doc == {"kind": "fuzzy", "degrees": rows}
+        assert doc["degrees"] == [[x, y, format_degree(d)] for (x, y), d in sorted(relation.entries.items())]
+        left.write_text(json.dumps(model_to_document(a)))
+        right.write_text(json.dumps(model_to_document(b)))
+        argv = ["bisim-between", str(left), str(right), "--mode", "fuzzy"]
+        code, out, _ = invoke(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["result"] == doc and out == json.dumps(json.loads(out), indent=2) + "\n"
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out == ("\n".join(map(" ".join, rows)) or "(zero relation)") + "\n"
+        kinds.add((a is b, bool(rows)))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_fuzzy_between_json_formats_each_tree_node_once(monkeypatch, capsys, tmp_path):
+    model = generate(GenSpec(state_count=40, distributions_per_state_action=(1, 2), support_size=(1, 3),
+                             value_pool_size=5, seed=8))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_document(model)))
+    nodes = fold_tree(bisimulation_between_nflts(model, model, "fuzzy").cfp.root, lambda _, below: 1 + sum(below))
+    formatted, read = [], []
+    real = modelio.format_degree
+    monkeypatch.setattr(modelio, "format_degree", lambda d: formatted.append(d) or real(d))
+    rows, entries = CfpRelation.rows, CfpRelation.entries.func
+    monkeypatch.setattr(CfpRelation, "rows", lambda self: read.append("rows") or rows(self))
+    monkeypatch.setattr(CfpRelation, "entries", property(lambda self: read.append("entries") or entries(self)))
+    code, out, _ = invoke(capsys, "bisim-between", str(path), str(path), "--mode", "fuzzy", "--json")
+    assert code == 0 and read == []
+    assert len(json.loads(out)["result"]["degrees"]) > 10 * nodes
+    assert 0 < len(formatted) <= nodes
 
 
 def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path, tmp_path):

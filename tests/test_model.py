@@ -151,6 +151,12 @@ def test_the_first_of_two_faults_is_reported(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("system", [Nfts, lambda *args: Nflts(*args, ["p"], {})])
+def test_state_names_that_cannot_be_ordered_are_a_model_error(system):
+    with pytest.raises(ModelError, match="state names cannot be ordered"):
+        system([1, "s"], ["a"], [])
+
+
 def test_a_zero_degree_to_an_unknown_state_is_accepted():
     model = Nfts(["s"], ["a"], [("s", "a", {"s": H, "x": 0}), ("s", "a", {"s": H, "y": Fraction(0)})])
     (mu,) = model.distributions

@@ -228,6 +228,29 @@ def test_each_distinct_degree_string_is_parsed_once(monkeypatch):
     assert sorted(calls) == ["0.5", "0.7"]
 
 
+def test_relation_degree_strings_are_parsed_once(monkeypatch):
+    calls = _counting_parse_degree(monkeypatch)
+    states = sorted(make_example().states)
+    rows = [[x, y, ("0.25", "0.5", "1")[(i + j) % 3]] for i, x in enumerate(states) for j, y in enumerate(states)]
+    relation = parse_relation(json.dumps({"kind": "fuzzy", "degrees": rows}), make_example())
+    assert sorted(calls) == ["0.25", "0.5", "1"]
+    assert relation.entries == {(x, y): Fraction(d) for x, y, d in rows}
+    degrees = list(relation.entries.values())
+    assert len({id(d) for d in degrees}) == 3
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1.7", "degrees['s3', 's1']: degree '1.7' outside [0, 1]"),
+    ("x", "degrees['s3', 's1']: malformed degree 'x'"),
+])
+def test_a_bad_relation_degree_names_its_row(bad, message):
+    # the bad string follows good rows, one of them with an equal degree cached
+    rows = [["s1", "s1", "1"], ["s1", "s2", "0.5"], ["s2", "s2", "1"], ["s3", "s1", bad], ["s3", "s2", bad]]
+    with pytest.raises(DocumentError) as info:
+        parse_relation(json.dumps({"kind": "fuzzy", "degrees": rows}), make_example())
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("targets,labels,message", [
     ({"t": "x"}, {}, "transitions[1].targets['t']: malformed degree 'x'"),
     ({"t": "1.5"}, {}, "transitions[1].targets['t']: degree '1.5' outside [0, 1]"),

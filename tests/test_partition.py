@@ -15,6 +15,7 @@ from fuzzybisim import (
     ZERO,
     cfp_from_relation,
     degree_query,
+    format_degree,
 )
 from fuzzybisim import partition
 from fuzzybisim.partition import Block, CfpRelation, crisp_block, fuzzy_block
@@ -264,8 +265,9 @@ def test_positive_rows_match_a_walk_of_root_to_leaf_paths(seed):
         few = rng.sample(universe, rng.randint(0, min(2, len(universe))))
         for xs, ys in ((many, few), (few, many), (many, many)):
             xs, ys = sorted((("l", x), x) for x in xs), sorted((("r", y), y) for y in ys)
-            expected = [(a, b, degree(x, y)) for a, x in xs for b, y in ys if degree(x, y) > 0]
+            expected = [[a, b, degree(x, y)] for a, x in xs for b, y in ys if degree(x, y) > 0]
             assert cfp.positive_rows(xs, ys) == expected
+            assert cfp.positive_rows(xs, ys, format_degree) == [[a, b, format_degree(d)] for a, b, d in expected]
 
 
 def test_positive_rows_work_follows_the_ys_not_the_leaves(monkeypatch):
@@ -286,5 +288,5 @@ def test_positive_rows_work_follows_the_ys_not_the_leaves(monkeypatch):
     monkeypatch.setattr(partition, "accumulate", counted)
     xs, ys = [(x, x) for x in names], [("y", names[200])]
     rows = cfp.positive_rows(xs, ys)
-    assert rows == [(x, "y", cfp.degree_of(x, names[200])) for x in names[1:]]
+    assert rows == [[x, "y", cfp.degree_of(x, names[200])] for x in names[1:]]
     assert sum(read) <= 2 * len(xs)
