@@ -2,12 +2,11 @@
 on generated families and record everything needed to audit the runs."""
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import time
-from dataclasses import dataclass, asdict, fields
-from typing import Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, List
 
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
@@ -30,9 +29,6 @@ class BenchRecord:
     wall_time_ms: float
     digest: str
     rng: str = RNG_ALGORITHM
-
-
-CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
 
 
 def _digest(text: str) -> str:
@@ -99,7 +95,6 @@ def scaling_run(
     value_pool_size: int = 6,
     oracle_max_states: int = 30,
     seed: int = 0,
-    csv_path: Optional[str] = None,
 ) -> List[BenchRecord]:
     """Generate a family of growing instances and time both engines on it.
 
@@ -121,17 +116,7 @@ def scaling_run(
             strategies = list(_RUNS)  # the efficient engines, then the oracles
             records.extend(run_instance(model, spec, strategies if count <= oracle_max_states else strategies[:1]))
     check_digests(records)
-    if csv_path:
-        write_csv(records, csv_path)
     return records
-
-
-def write_csv(records: List[BenchRecord], path: str):
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(asdict(record))
 
 
 def loglog_slope(points) -> float:

@@ -35,7 +35,7 @@ from .simulation import (
     crisp_simulation_nflts,
     fuzzy_simulation_nflts,
 )
-from . import oracle, bench
+from . import oracle
 from .generate import GenSpec, GenSpecError, generate
 
 # command -> engine -> the function that runs it, called with the parsed
@@ -101,13 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-density", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p = sub("bench", "scaling run of efficient engines vs the naive oracle")
-    p.add_argument("--sizes", type=_sizes, default="50,100,200", help="comma-separated state counts")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--pool", type=int, default=6)
-    p.add_argument("--oracle-max", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default="bench.csv")
     return parser
 
 
@@ -118,13 +111,6 @@ def _range(text: str):
         return int(lo), int(hi or lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected min:max integers, got {text!r}") from None
-
-
-def _sizes(text: str):
-    try:
-        return [int(s) for s in text.split(",") if s]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _emit(args, started: float, payload, text):
@@ -219,7 +205,7 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         raise  # main() handles a reader that went away
     except (DocumentError, ModelError, GenSpecError, NotAnEquivalenceError,
-            bench.DigestMismatch, KeyError, OSError, UnicodeDecodeError, RecursionError) as exc:
+            KeyError, OSError, UnicodeDecodeError, RecursionError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 1
@@ -281,27 +267,6 @@ def _dispatch(args, started: float) -> int:
             _emit(args, started, lambda: {"written": args.out}, lambda: f"wrote {args.out}")
         else:
             print(document)
-        return 0
-
-    if args.command == "bench":
-        records = bench.scaling_run(
-            args.sizes,
-            repetitions=args.reps,
-            value_pool_size=args.pool,
-            oracle_max_states=args.oracle_max,
-            seed=args.seed,
-            csv_path=args.out,
-        )
-        summary = {"csv": args.out, "records": len(records)}
-        lines = [f"wrote {len(records)} records to {args.out}"]
-        for engine in ("efficient-crisp", "efficient-fuzzy"):
-            try:
-                slope = bench.slope_of(records, engine)
-            except ValueError:
-                continue
-            summary[engine + "-slope"] = round(slope, 3)
-            lines.append(f"{engine}: log-log slope {slope:.3f}")
-        _emit(args, started, lambda: summary, lambda: "\n".join(lines))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -17,10 +17,11 @@ vertices: the key of every other vertex changes by one shared bijection, so
 the unmarked members of each block still share one key (see `refinement`).
 
 The chain of partitions is the chain of cuts of the greatest fuzzy
-bisimulation.  The tree is built from the split events: a block that splits
-at level i becomes a node of degree thresholds[i-1] (0 at level 0), and
-later splits of its pieces at the same level add siblings under that node.
-The system's tree is built from the events of state blocks alone.
+bisimulation.  The tree is built from the split events as the parent array
+that the partition stores: a block that splits at level i becomes a node of
+degree thresholds[i-1] (0 at level 0), and later splits of its pieces at the
+same level add siblings under that node.  The system's tree is built from
+the events of state blocks alone.
 
 ``fuzzy_partition_oracle`` is the engine's naive twin: the definitional
 fixpoint of the graph, restricted to pairs of states.
@@ -32,7 +33,7 @@ import sys
 from .degrees import ZERO, ONE, format_degree
 from .graph import Flg, on_states, to_flg
 from .model import Nfts
-from .partition import Block, CompactFuzzyPartition, cfp_from_relation
+from .partition import CompactFuzzyPartition, cfp_from_relation
 from .refinement import RefinableMap, adjacency
 from . import oracle
 
@@ -80,37 +81,38 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     return CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, lambda x: vertices[x].key, kept))
 
 
-def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, element, kept) -> Block:
-    """Nest the sweep's split events, tagged with their levels, into a tree
-    of the block ids in ``kept`` with ``element(x)`` in the leaves.  Each block
-    id has a leaf (``node_of``) under a node (``parent_of``); its first split
-    at a level turns its leaf into a node of that level's degree, with a new
-    leaf for it and for each piece split off then.  The state mark splits
-    states from distributions at level 0, so only the root can lose subblocks
-    to ``kept``; left with one, it gives way."""
-    root = Block(ONE)
-    node_of, parent_of = {0: root}, {0: None}
+def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, element, kept) -> tuple:
+    """Nest the sweep's split events, tagged with their levels, into the
+    (parent, degrees, elements) arrays of a tree of the block ids in ``kept``,
+    with ``element(x)`` in the leaves and each parent before its children.
+    Each block id has a leaf (``node_of``) under a node (``parent_of``); its
+    first split at a level turns its leaf into a node of that level's degree,
+    with a new leaf for it and for each piece split off then.  The state mark
+    splits states from distributions at level 0, so only the root can lose
+    subblocks to ``kept``; left with one, it gives way."""
+    parent, degrees = [-1], [ONE]
+    node_of, parent_of = {0: 0}, {0: -1}
     born = {0: -1}  # block id -> level at which its leaf was made
-    internal = []
     for level, (new, old) in zip(levels, state.events):
         if new not in kept:
             continue
         if born[old] < level:
             node = parent_of[old] = node_of[old]
-            node.degree = thresholds[level - 1] if level else ZERO
-            node_of[old] = Block(ONE)
-            node.subblocks = [node_of[old]] if old in kept else []
-            internal.append(node)
+            degrees[node] = thresholds[level - 1] if level else ZERO
+            if old in kept:
+                node_of[old] = len(parent)
+                parent.append(node)
+                degrees.append(ONE)
             born[old] = level
-        parent_of[new] = parent_of[old]
-        node_of[new] = Block(ONE)
-        parent_of[new].subblocks.append(node_of[new])
-        born[new] = level
+        node_of[new], parent_of[new], born[new] = len(parent), parent_of[old], level
+        parent.append(parent_of[old])
+        degrees.append(ONE)
+    elements = [None] * len(parent)
     for bid in kept:
-        node_of[bid].elements = frozenset(map(element, state.blocks[bid]))
-    for node in internal:
-        node.subblocks = tuple(node.subblocks)
-    return root.subblocks[0] if len(root.subblocks) == 1 else root
+        elements[node_of[bid]] = frozenset(map(element, state.blocks[bid]))
+    if parent.count(0) == 1:  # the root's one subblock is node 1
+        return [-1, *(p - 1 for p in parent[2:])], degrees[1:], elements[1:]
+    return parent, degrees, elements
 
 
 def fuzzy_partition_system(model: Nfts, verbose: bool = False) -> CompactFuzzyPartition:

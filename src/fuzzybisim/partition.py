@@ -3,7 +3,15 @@
 A compact fuzzy partition represents a fuzzy equivalence relation (under the
 Goedel semantics) as a degree-annotated tree in linear space: the degree of a
 pair of elements is the degree stored at the lowest common ancestor of their
-leaves.  The LCA of leaves i < j in depth-first order is the shallowest
+leaves.  The tree is stored as three arrays in pre-order, siblings ordered
+by their least element: each node's parent (-1 at the root), its degree,
+and a leaf's elements (None at an inner node).  Every producer (the fuzzy
+engine's split events, a relation, a JSON document, a caller's `Block`
+root) hands the constructor such arrays with each parent before its
+children, and one pass checks the laws and lays them out canonically; the
+`Block` tree is a view built on first use.
+
+The LCA of leaves i < j in pre-order is the shallowest
 LCA of the consecutive leaves between them (Bender & Farach-Colton, LATIN
 2000).  Between two consecutive leaves the walk enters one non-first child,
 whose parent is their LCA, and ancestors precede descendants in pre-order,
@@ -17,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .degrees import Degree, ZERO, ONE, format_degree, parse_degree
@@ -107,7 +114,7 @@ class CrispPartition:
 
 
 class Block:
-    """A node of a compact fuzzy partition tree.
+    """A node of a compact fuzzy partition tree: a caller's input, or the `root` view.
 
     A crisp block stores its elements and has degree 1; a fuzzy block stores
     at least two subblocks and a degree strictly below all of theirs.
@@ -123,12 +130,6 @@ class Block:
     @property
     def is_crisp(self) -> bool:
         return self.elements is not None
-
-    def all_elements(self) -> set:
-        return {x for leaf in _leaves(self) for x in leaf.elements}
-
-    def __repr__(self) -> str:
-        return cfp_text_of_block(self)
 
 
 def crisp_block(elements: Iterable) -> Block:
@@ -147,90 +148,93 @@ def fuzzy_block(degree: Degree, subblocks: Iterable[Block]) -> Block:
     return Block(degree, subblocks=subblocks)
 
 
-_subblocks = attrgetter("subblocks")
-_second = itemgetter(1)
-
-
-def fold_tree(root, combine: Callable, children: Callable = _subblocks):
-    """Post-order fold without recursion: ``combine(node, [child values])``."""
-    values: list = []
-    stack = [(root, False)]
+def _flatten(root, node: Callable) -> tuple:
+    """The (parent, degrees, elements) arrays of a tree, each parent before its
+    children, where ``node(n)`` is n's degree, elements (None unless a leaf)
+    and children."""
+    parent, degrees, elements, stack = [], [], [], [(root, -1)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            start = len(values) - len(children(node))
-            folded = combine(node, values[start:])
-            del values[start:]
-            values.append(folded)
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(children(node)))
-    return values[0]
+        n, p = stack.pop()
+        degree, leaf, children = node(n)
+        stack += [(child, len(parent)) for child in children]
+        parent.append(p)
+        degrees.append(degree)
+        elements.append(leaf)
+    return parent, degrees, elements
 
 
-def _leaves(block: Block):
-    stack = [block]
-    while stack:
-        block = stack.pop()
-        if block.is_crisp:
-            yield block
-        else:
-            stack.extend(block.subblocks)
+def _block_node(b: Block) -> tuple:
+    return b.degree, b.elements, () if b.is_crisp else b.subblocks
 
 
-def cfp_text_of_block(block: Block, name=str) -> str:
-    def text(b: Block, inner: list) -> str:
-        if b.is_crisp:
-            inner = [name(x) for x in sorted(b.elements)]
-        return "{" + ",".join(inner) + "}:" + format_degree(b.degree)
-
-    return fold_tree(block, text)
+def _json_node(n: dict) -> tuple:
+    if "elements" in n:
+        return parse_degree(n["degree"]), frozenset(n["elements"]), ()
+    return parse_degree(n["degree"]), None, n["subblocks"]
 
 
 class CompactFuzzyPartition:
     """A validated, canonically ordered compact fuzzy partition with LCA queries."""
 
-    def __init__(self, root: Block):
-        seen: set = set()
-
-        def copy(b: Block, children: list) -> tuple:
-            """(canonical copy of b, least element below b), checking b."""
-            if b.is_crisp:
-                if b.degree != 1:  # an int operand takes Fraction's fast path
+    def __init__(self, tree):
+        """From a `Block` root, or from (parent, degrees, elements) arrays in
+        which the root comes first, with parent -1, and each parent precedes
+        its children."""
+        parent, degrees, elements = _flatten(tree, _block_node) if isinstance(tree, Block) else tree
+        children: List[list] = [[] for _ in parent]
+        for i in range(1, len(parent)):
+            children[parent[i]].append(i)
+        least, seen = [None] * len(parent), set()  # least element below each node
+        for i in reversed(range(len(parent))):  # children before their parent
+            leaf, below = elements[i], children[i]
+            if leaf is not None:
+                if degrees[i] != 1:  # an int operand takes Fraction's fast path
                     raise ValueError("crisp block must have degree 1")
-                if not seen.isdisjoint(b.elements):
-                    raise ValueError(f"element {next(iter(seen & b.elements))!r} appears in two leaves")
-                seen.update(b.elements)
-                return Block(ONE, elements=b.elements), min(b.elements)
-            if len(children) < 2:
+                if not leaf:
+                    raise ValueError("crisp block must be non-empty")
+                if not seen.isdisjoint(leaf):
+                    raise ValueError(f"element {next(iter(seen & leaf))!r} appears in two leaves")
+                seen.update(leaf)
+                least[i] = min(leaf)
+                continue
+            if len(below) < 2:
                 raise ValueError("fuzzy block needs at least two subblocks")
-            if any(child.degree <= b.degree for child, _ in children):
+            if any(degrees[k] <= degrees[i] for k in below):
                 raise ValueError("degrees must strictly increase towards the leaves")
-            children.sort(key=_second)
-            return Block(b.degree, subblocks=tuple(child for child, _ in children)), children[0][1]
-
-        self.root = fold_tree(root, copy)[0]
+            below.sort(key=least.__getitem__)
+            least[i] = least[below[0]]
+        order, number, stack = [], [0] * len(parent), [0]  # number: node -> its pre-order number
+        while stack:
+            i = stack.pop()
+            number[i] = len(order)
+            order.append(i)
+            stack += reversed(children[i])
+        self._parent = [-1, *(number[parent[i]] for i in order[1:])]
+        self._degrees = [degrees[i] if elements[i] is None else ONE for i in order]
+        self._elements = [elements[i] for i in order]
         self.universe = frozenset(seen)
         self._table: Optional[List[List[int]]] = None
+
+    @cached_property
+    def root(self) -> Block:
+        """The tree as `Block`s, built on first use."""
+        blocks = [Block(d, leaf, [] if leaf is None else ()) for d, leaf in zip(self._degrees, self._elements)]
+        for block, p in zip(blocks[1:], self._parent[1:]):
+            blocks[p].subblocks.append(block)
+        for block in blocks:
+            block.subblocks = tuple(block.subblocks)
+        return blocks[0]
 
     def _build_index(self):
         """Leaf positions, and per gap between consecutive leaves the
         pre-order number of their LCA, with a sparse table of range minima."""
         self._position: Dict[object, int] = {}  # element -> its leaf's position
-        self._degrees: List[Degree] = []  # by pre-order number
         gaps: List[int] = []
-        stack = [(self.root, None)]  # (node, parent's number unless a first child)
-        while stack:
-            node, gap = stack.pop()
-            if gap is not None:
-                gaps.append(gap)
-            number = len(self._degrees)
-            self._degrees.append(node.degree)
-            if node.is_crisp:
-                self._position.update(dict.fromkeys(node.elements, len(gaps)))
-            else:
-                stack += [(child, number) for child in reversed(node.subblocks[1:])]
-                stack.append((node.subblocks[0], None))
+        for i, (p, leaf) in enumerate(zip(self._parent, self._elements)):
+            if p != i - 1:  # a non-first child: a first child follows its parent
+                gaps.append(p)
+            if leaf is not None:
+                self._position.update(dict.fromkeys(leaf, len(gaps)))
         self._table = [gaps]
         while 2 ** len(self._table) <= len(gaps):
             prev, half = self._table[-1], 2 ** (len(self._table) - 1)
@@ -285,49 +289,41 @@ class CompactFuzzyPartition:
         return CfpRelation(self, identity, identity)
 
     def leaf_partition(self) -> CrispPartition:
-        return CrispPartition(leaf.elements for leaf in _leaves(self.root))
+        return CrispPartition(leaf for leaf in self._elements if leaf is not None)
 
     def text(self, name=str) -> str:
-        return cfp_text_of_block(self.root, name)
+        out, path, degrees = [], [], self._degrees  # path: the open inner nodes
+        for i, (p, leaf) in enumerate(zip(self._parent, self._elements)):
+            while path and path[-1] != p:
+                out.append("}:" + format_degree(degrees[path.pop()]))
+            out.append("{" if p == i - 1 else ",{")
+            if leaf is None:
+                path.append(i)
+            else:
+                out.append(",".join([name(x) for x in sorted(leaf)]) + "}:1")
+        out += ["}:" + format_degree(degrees[i]) for i in reversed(path)]
+        return "".join(out)
 
     def to_json(self, name=str) -> dict:
-        def encode(block: Block, subblocks: list) -> dict:
-            if block.is_crisp:
-                return {"degree": format_degree(block.degree), "elements": sorted(name(x) for x in block.elements)}
-            return {"degree": format_degree(block.degree), "subblocks": subblocks}
-
-        return fold_tree(self.root, encode)
+        nodes: List[dict] = []
+        for p, d, leaf in zip(self._parent, self._degrees, self._elements):
+            node = {"degree": format_degree(d)}
+            if leaf is None:
+                node["subblocks"] = []
+            else:
+                node["elements"] = sorted(name(x) for x in leaf)
+            if p >= 0:
+                nodes[p]["subblocks"].append(node)
+            nodes.append(node)
+        return nodes[0]
 
     @classmethod
     def from_json(cls, data: dict) -> "CompactFuzzyPartition":
-        def decode(node: dict, subblocks: list) -> Block:
-            degree = parse_degree(node["degree"])
-            if "elements" in node:
-                return Block(degree, elements=frozenset(node["elements"]))
-            return Block(degree, subblocks=tuple(subblocks))
-
-        def children(node: dict) -> list:
-            return () if "elements" in node else node["subblocks"]
-
-        return cls(fold_tree(data, decode, children))
-
-    def structurally_equal(self, other: "CompactFuzzyPartition") -> bool:
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if a.degree != b.degree or a.is_crisp != b.is_crisp:
-                return False
-            if a.is_crisp:
-                if a.elements != b.elements:
-                    return False
-            elif len(a.subblocks) != len(b.subblocks):
-                return False
-            else:
-                stack.extend(zip(a.subblocks, b.subblocks))
-        return True
+        return cls(_flatten(data, _json_node))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CompactFuzzyPartition) and self.structurally_equal(other)
+        return isinstance(other, CompactFuzzyPartition) and (self._parent, self._degrees, self._elements) == (
+            other._parent, other._degrees, other._elements)
 
     def __hash__(self) -> int:
         return hash(self.text())
@@ -342,8 +338,8 @@ class CfpRelation(FuzzyRelation):
     sorted rows come off the LCA index in one pass; ``entries`` on first use."""
 
     def __init__(self, cfp: CompactFuzzyPartition, inject_left: dict, inject_right: dict):
-        if cfp.root.degree < 0:  # the tree's degrees rise from the root's to 1
-            raise ValueError(f"degree {cfp.root.degree} outside [0, 1]")
+        if cfp._degrees[0] < 0:  # the tree's degrees rise from the root's to 1
+            raise ValueError(f"degree {cfp._degrees[0]} outside [0, 1]")
         self.cfp, self.inject_left, self.inject_right = cfp, inject_left, inject_right
         self.left, self.right = frozenset(inject_left), frozenset(inject_right)
 
@@ -364,16 +360,17 @@ def cfp_from_relation(r: FuzzyRelation) -> CompactFuzzyPartition:
     report = relation_laws(r)
     if not report.is_equivalence:
         raise NotAnEquivalenceError(report.violated(), report.witnesses)
-    return CompactFuzzyPartition(_build_block(sorted(r.left), r))
+    return CompactFuzzyPartition(_flatten(sorted(r.left), lambda group: _split(group, r)))
 
 
-def _build_block(elements: list, r: FuzzyRelation) -> Block:
+def _split(elements: list, r: FuzzyRelation) -> tuple:
+    """Elements as a `_flatten` node: their least degree, then any classes above it."""
     degree = min(
         (r(x, y) for i, x in enumerate(elements) for y in elements[i + 1 :]),
         default=ONE,
     )
     if degree == ONE:
-        return Block(ONE, elements=frozenset(elements))
+        return ONE, frozenset(elements), ()
     # Classes of x ~ y iff r(x, y) > degree; transitivity makes one scan enough.
     classes: List[list] = []
     for x in elements:
@@ -383,7 +380,7 @@ def _build_block(elements: list, r: FuzzyRelation) -> Block:
                 break
         else:
             classes.append([x])
-    return Block(degree, subblocks=tuple(_build_block(group, r) for group in classes))
+    return degree, None, classes
 
 
 def degree_query(cfp: CompactFuzzyPartition, x, y) -> Degree:

@@ -191,7 +191,7 @@ def test_criterion_8():
                 assert fuzzy(s, t) == Z(state_vertex(s), state_vertex(t))
 
 
-def test_criterion_9(request, tmp_path):
+def test_criterion_9(request):
     """Complexity evidence: log-log slopes (informational, non-gating).
 
     The efficient pipelines are measured on a family with m between roughly
@@ -203,7 +203,6 @@ def test_criterion_9(request, tmp_path):
         [8, 14, 20, 120, 400, 1600, 6400, 12800],
         oracle_max_states=20,
         seed=13,
-        csv_path=str(tmp_path / "scaling.csv"),
     )
     efficient = [r for r in records if r.engine.startswith("efficient") and r.m >= 900]
     slope_crisp = bench.slope_of(efficient, "efficient-crisp")

@@ -1,5 +1,4 @@
-"""The scaling harness: records, digests, CSV output and slope fits."""
-import csv
+"""The scaling harness: records, digests and slope fits."""
 import math
 
 import pytest
@@ -28,16 +27,6 @@ def test_digest_mismatch_is_a_hard_failure():
     records[2].digest = "0" * 16
     with pytest.raises(bench.DigestMismatch):
         bench.check_digests(records)
-
-
-def test_scaling_run_writes_csv(tmp_path):
-    path = tmp_path / "run.csv"
-    records = bench.scaling_run([5, 10], repetitions=2, oracle_max_states=10, csv_path=str(path))
-    assert len(records) == 2 * 2 * 4  # sizes x reps x (2 engines x 2 tasks)
-    with open(path) as handle:
-        rows = list(csv.DictReader(handle))
-    assert list(rows[0]) == bench.CSV_COLUMNS
-    assert len(rows) == len(records)
 
 
 def test_scaling_run_is_deterministic():

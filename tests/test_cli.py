@@ -27,9 +27,9 @@ from fuzzybisim import (
     parse_model,
     to_flg,
 )
-from fuzzybisim import bisimulation_between_nflts, cli, format_degree, modelio, relation_to_document
+from fuzzybisim import bisimulation_between_nflts, cli, format_degree, fuzzy_partition_system, modelio, relation_to_document
 from fuzzybisim.cli import ENGINES, _json_text, run
-from fuzzybisim.partition import CfpRelation, fold_tree
+from fuzzybisim.partition import Block, CfpRelation
 from fuzzybisim.generate import random_spec
 
 from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
@@ -242,7 +242,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen", "--dists", "x"], ["gen", "--support", "1:x"], ["gen", "--dists", ":"], ["bench", "--sizes", "a"],
+    ["gen", "--dists", "x"], ["gen", "--support", "1:x"], ["gen", "--dists", ":"],
 ])
 def test_malformed_numbers_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -276,11 +276,11 @@ def test_engine_choices_come_from_the_engine_table(capsys, example_path):
         assert info.value.code == 2
 
 
-def test_engine_flag_is_refused_where_no_engine_is_chosen(capsys, example_path, tmp_path):
+def test_engine_flag_is_refused_where_no_engine_is_chosen(capsys, example_path):
     example = str(example_path)
     for argv in (
         ["bisim-between", example, example], ["check", example, example, "--kind", "crisp-bisim"],
-        ["gen"], ["bench", "--out", str(tmp_path / "bench.csv")],
+        ["gen"],
     ):
         with pytest.raises(SystemExit) as info:
             run([*argv, "--engine", "oracle"])
@@ -421,16 +421,6 @@ def test_gen_is_deterministic(capsys):
     assert first == second
 
 
-def test_bench_command(capsys, tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    code, out, _ = invoke(
-        capsys, "bench", "--sizes", "5,10", "--oracle-max", "10", "--out", str(csv_path)
-    )
-    assert code == 0
-    assert csv_path.exists()
-    assert "records" in out
-
-
 def test_json_writer_matches_json_dumps():
     docs = [
         {}, [], "x", 0, 1.5, None, True,
@@ -506,7 +496,7 @@ def test_fuzzy_between_json_formats_each_tree_node_once(monkeypatch, capsys, tmp
                              value_pool_size=5, seed=8))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_to_document(model)))
-    nodes = fold_tree(bisimulation_between_nflts(model, model, "fuzzy").cfp.root, lambda _, below: 1 + sum(below))
+    nodes = len(bisimulation_between_nflts(model, model, "fuzzy").cfp._degrees)  # one degree per tree node
     formatted, read = [], []
     real = modelio.format_degree
     monkeypatch.setattr(modelio, "format_degree", lambda d: formatted.append(d) or real(d))
@@ -700,17 +690,21 @@ def test_malformed_and_extreme_documents_exit_cleanly(tmp_path_factory, text, re
 
 
 def test_engine_commands_build_no_object_views(monkeypatch, capsys, tmp_path):
-    # The efficient engines read the interned arrays: parsing a model and
-    # running a command on it builds no FuzzySet and no Distribution.
-    labeled = generate(GenSpec(state_count=12, distributions_per_state_action=(1, 2), support_size=(1, 3),
-                               value_pool_size=5, label_alphabet_size=2, label_density=0.5, seed=8))
-    path = tmp_path / "labeled.json"
-    path.write_text(json.dumps(model_to_document(labeled)))
+    # The efficient engines read the interned arrays, and every output reads
+    # the compact fuzzy partition's arrays: parsing a model and running a
+    # command on it builds no FuzzySet, no Distribution and no Block.
+    paths = []
+    for labels in (0, 2):
+        generated = generate(GenSpec(state_count=12, distributions_per_state_action=(1, 2), support_size=(1, 3),
+                                     value_pool_size=5, label_alphabet_size=labels, label_density=0.5, seed=8))
+        paths.append(tmp_path / f"labels{labels}.json")
+        paths[-1].write_text(json.dumps(model_to_document(generated)))
     built = []
-    for cls in (FuzzySet, Distribution):
+    for cls in (FuzzySet, Distribution, Block):
         real = cls.__init__
-        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
-    for model in (str(REPO_ROOT / "models" / "example.json"), str(path)):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real, **kwargs:
+                            built.append(type(self)) or real(self, *args, **kwargs))
+    for model in (str(REPO_ROOT / "models" / "example.json"), *map(str, paths)):
         parse_model(model)
         for argv in (["crisp-partition", model], ["fuzzy-partition", model], ["degree", model, "s1", "s2"],
                      ["crisp-sim", model, model], ["fuzzy-sim", model, model],
@@ -719,5 +713,6 @@ def test_engine_commands_build_no_object_views(monkeypatch, capsys, tmp_path):
             for extra in ([], ["--json"], ["--verbose"]):
                 assert invoke(capsys, *argv, *extra)[0] == 0, argv + extra
     assert built == []
-    assert invoke(capsys, "crisp-partition", str(path), "--engine", "oracle")[0] == 0
+    assert invoke(capsys, "crisp-partition", str(paths[1]), "--engine", "oracle")[0] == 0
     assert built  # the counters see the oracle's object views
+    assert fuzzy_partition_system(generated).root and Block in built  # and the tree's view

@@ -12,6 +12,7 @@ from fuzzybisim import (
     CrispPartition,
     FuzzyRelation,
     NotAnEquivalenceError,
+    ONE,
     ZERO,
     cfp_from_relation,
     degree_query,
@@ -96,7 +97,7 @@ def test_degree_of_unknown_element():
 def test_json_round_trip():
     cfp = cfp_from_relation(seven_element_relation())
     again = CompactFuzzyPartition.from_json(cfp.to_json())
-    assert again.structurally_equal(cfp)
+    assert again == cfp
     assert again.text() == cfp.text()
 
 
@@ -143,6 +144,16 @@ def test_tree_validation_names_the_broken_law():
     for root, message in cases:
         with pytest.raises(ValueError, match=message):
             CompactFuzzyPartition(root)
+
+
+def test_an_empty_leaf_is_named_as_such():
+    for build in (
+        lambda: CompactFuzzyPartition(Block(ONE, elements=frozenset())),
+        lambda: CompactFuzzyPartition.from_json({"degree": "1", "elements": []}),
+        lambda: cfp_from_relation(FuzzyRelation([], [], {})),
+    ):
+        with pytest.raises(ValueError, match="crisp block must be non-empty"):
+            build()
 
 
 # -- randomized round trips ---------------------------------------------------
@@ -204,7 +215,7 @@ def test_deep_cfp_round_trips_without_recursion():
     assert text.startswith("{{x0000}:1,{{x0001}:1,{{x0002}:1,")
     again = CompactFuzzyPartition.from_json(cfp.to_json())
     assert again == cfp and again.text() == text
-    assert cfp.universe == frozenset(names) == cfp.root.all_elements()
+    assert cfp.universe == frozenset(names) and CompactFuzzyPartition(cfp.root) == cfp
     assert len(cfp.leaf_partition()) == depth + 1
     assert cfp.degree_of(names[0], names[depth]) == 0
     assert cfp.degree_of(names[depth - 1], names[depth]) == Fraction(depth - 1, depth + 1)
