@@ -89,32 +89,25 @@ def check_digests(records: List[BenchRecord]):
             raise DigestMismatch(f"{other.engine} vs {record.engine} on seed {record.seed}")
 
 
-def scaling_run(
-    state_counts: Iterable[int],
-    repetitions: int = 1,
-    value_pool_size: int = 6,
-    oracle_max_states: int = 30,
-    seed: int = 0,
-) -> List[BenchRecord]:
-    """Generate a family of growing instances and time both engines on it.
+def scaling_run(state_counts: Iterable[int], oracle_max_states: int = 30, seed: int = 0) -> List[BenchRecord]:
+    """Generate one instance per size and time both engines on each.
 
     The naive fixpoint engine is skipped above ``oracle_max_states``; where
     both engines run their digests must agree.
     """
     records: List[BenchRecord] = []
     for count in state_counts:
-        for rep in range(repetitions):
-            spec = GenSpec(
-                state_count=count,
-                action_count=2,
-                distributions_per_state_action=(1, 2),
-                support_size=(1, min(3, count)),
-                value_pool_size=value_pool_size,
-                seed=seed + 1000 * count + rep,
-            )
-            model = generate(spec)
-            strategies = list(_RUNS)  # the efficient engines, then the oracles
-            records.extend(run_instance(model, spec, strategies if count <= oracle_max_states else strategies[:1]))
+        spec = GenSpec(
+            state_count=count,
+            action_count=2,
+            distributions_per_state_action=(1, 2),
+            support_size=(1, min(3, count)),
+            value_pool_size=6,
+            seed=seed + 1000 * count,
+        )
+        model = generate(spec)
+        strategies = list(_RUNS)  # the efficient engines, then the oracles
+        records.extend(run_instance(model, spec, strategies if count <= oracle_max_states else strategies[:1]))
     check_digests(records)
     return records
 
@@ -132,12 +125,8 @@ def loglog_slope(points) -> float:
 
 
 def slope_of(records: List[BenchRecord], engine: str) -> float:
-    """Slope of wall time against m for one engine, averaging repetitions."""
-    by_m: dict = {}
-    for record in records:
-        if record.engine == engine:
-            by_m.setdefault(record.m, []).append(record.wall_time_ms)
-    points = [(m, sum(ts) / len(ts)) for m, ts in sorted(by_m.items())]
+    """Slope of wall time against m for one engine."""
+    points = sorted((record.m, record.wall_time_ms) for record in records if record.engine == engine)
     if len(points) < 2:
         raise ValueError(f"not enough sizes recorded for engine {engine!r}")
     return loglog_slope(points)

@@ -715,4 +715,4 @@ def test_engine_commands_build_no_object_views(monkeypatch, capsys, tmp_path):
     assert built == []
     assert invoke(capsys, "crisp-partition", str(paths[1]), "--engine", "oracle")[0] == 0
     assert built  # the counters see the oracle's object views
-    assert fuzzy_partition_system(generated).root and Block in built  # and the tree's view
+    assert fuzzy_partition_system(parse_model(str(paths[1]))).root and Block in built  # and the tree's view
