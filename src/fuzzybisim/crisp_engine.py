@@ -4,8 +4,11 @@ system-level pipeline (transform, refine, keep the state blocks).
 The engine refines one block by a single key: the vertex label, and the
 (edge symbol, target block) -> max degree signature, on degree ranks.  The
 coarsest stable refinement is unique, so this is the same partition as
-splitting by labels first and then by signatures.  ``crisp_partition_oracle``
-is its naive twin: the definitional fixpoint, then the same restriction.
+splitting by labels first and then by signatures.  A system query builds
+one partition, of the states, straight from the refinement's blocks; the
+graph partition is built only for the graph-level API and ``--verbose``.
+``crisp_partition_oracle`` is the naive twin: the definitional fixpoint,
+then the same restriction.
 """
 from __future__ import annotations
 
@@ -22,8 +25,10 @@ def _trace(message: str):
     print(f"[crisp] {message}", file=sys.stderr)
 
 
-def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False) -> CrispPartition:
-    """Partition of the greatest crisp bisimulation of a finite graph."""
+def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states: bool = False) -> CrispPartition:
+    """Partition of the greatest crisp bisimulation of a finite graph, or with
+    ``states`` (for a graph built by ``to_flg``) of its states.  ``verbose``
+    traces the splits, then the graph partition."""
     vertices, out, preds, labels = adjacency(g, g.degree_pool())
     label_key = [frozenset(label.items()) for label in labels]
     state = RefinableMap(range(len(vertices)), preds)
@@ -40,31 +45,25 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False) -> CrispPa
     state.refine(key, trace=_trace if verbose else None)
     if verbose:
         _trace(f"stable with {state.block_count()} blocks")
-    return CrispPartition([vertices[x] for x in block] for block in state.blocks.values())
+    blocks = [[vertices[x] for x in block] for block in state.blocks.values()]
+    graph = CrispPartition(blocks) if verbose or not states else None
+    if verbose:
+        _trace(f"graph partition: {graph.text()}")
+    return restrict_to_states(blocks) if states else graph
 
 
 def crisp_partition_system(model: Nfts, verbose: bool = False) -> CrispPartition:
-    """Partition of the greatest crisp bisimulation of a transition system.
-
-    Builds the corresponding graph, partitions its vertices and keeps the
-    blocks made of state vertices.  Labeled systems go through the same
-    pipeline with their labels carried onto the graph.
-    """
-    graph_partition = greatest_crisp_bisim_partition_flg(to_flg(model), verbose)
-    if verbose:
-        _trace(f"graph partition: {graph_partition.text()}")
-    return restrict_to_states(graph_partition)
+    """Partition of the greatest crisp bisimulation of a transition system, labeled
+    or not: the blocks of state vertices of its graph's partition."""
+    return greatest_crisp_bisim_partition_flg(to_flg(model), verbose, states=True)
 
 
 def crisp_partition_oracle(model: Nfts) -> CrispPartition:
     """``crisp_partition_system`` by the naive graph fixpoint."""
-    return restrict_to_states(CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(to_flg(model))))
+    return restrict_to_states(CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(to_flg(model))).blocks)
 
 
-def restrict_to_states(graph_partition: CrispPartition) -> CrispPartition:
-    """Keep the blocks of state vertices, unwrapped to state identifiers."""
-    kept = []
-    for block in graph_partition.blocks:
-        if block[0].is_state:
-            kept.append([v.key for v in block])
-    return CrispPartition(kept)
+def restrict_to_states(blocks) -> CrispPartition:
+    """The partition of the states from the blocks of graph vertices that
+    hold a state vertex (a block never mixes the two kinds)."""
+    return CrispPartition([v.key for v in block] for block in blocks if block[0].is_state)

@@ -8,7 +8,9 @@ levels i = 0, 1, ... in ascending order.  At level i two vertices stay together 
 their labels agree, with every rank >= i in one bucket, and they reach the
 same blocks over edges of rank >= i.  Both conditions form one key; since
 the coarsest stable refinement is unique, this gives the same partition as
-splitting by labels first and then refining.
+splitting by labels first and then refining.  Labels are interned once per
+query, and a level makes the label part of a key once per distinct label,
+on first use.
 
 The partition left by level i-1 is stable for its key, and at level i the
 key changes only for vertices with an out-edge or a label at rank i-1.  So
@@ -48,22 +50,26 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     ``verbose`` traces the blocks per threshold, then the graph partition."""
     thresholds = g.degree_pool()  # holds 1, the degree of the state mark
     vertices, edges, preds, labels = adjacency(g, thresholds)
+    ids: dict = {}  # each distinct label, as its (symbol, rank) pairs -> its id
+    label_id = [ids.setdefault(frozenset(label.items()), len(ids)) for label in labels]
+    distinct, ranks_of = list(ids), [{rk for _, rk in label} for label in ids]
     # touched[i]: vertices whose key may change at level i.
     touched = [[] for _ in range(len(thresholds) + 1)]
     for x in range(len(vertices)):
-        for rk in {rk for _, _, rk in edges[x]} | set(labels[x].values()):
+        for rk in {rk for _, _, rk in edges[x]} | ranks_of[label_id[x]]:
             touched[rk + 1].append(x)
     state = RefinableMap(range(len(vertices)), preds)
     assignment = state.assignment
     levels: list = []
 
     for level, threshold in enumerate(thresholds):
+        table = [None] * len(distinct)  # label id -> its key part at this level, made on first use
 
         def key(x):
-            return (
-                frozenset((p, rk if rk < level else level) for p, rk in labels[x].items()),
-                frozenset((r, assignment[y]) for r, y, rk in edges[x] if rk >= level),
-            )
+            i = label_id[x]
+            if table[i] is None:
+                table[i] = frozenset([(p, min(rk, level)) for p, rk in distinct[i]])
+            return table[i], frozenset([(r, assignment[y]) for r, y, rk in edges[x] if rk >= level])
 
         state.mark(touched[level])
         state.refine(key)

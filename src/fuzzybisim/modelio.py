@@ -16,6 +16,8 @@ JSON model document::
       "state_labels": {"s1": {"p": "0.7"}}   # nflts only
     }
 
+A JSON model or relation document with any other top-level key is an error.
+
 Text model document::
 
     kind nfts
@@ -99,9 +101,20 @@ def _object(value, context: str) -> dict:
     return value
 
 
+_MODEL_KEYS = frozenset(["format_version", "kind", "states", "actions", "transitions", "label_alphabet", "state_labels"])
+_RELATION_KEYS = frozenset(["kind", "pairs", "degrees"])
+
+
+def _known_keys(doc: dict, keys: frozenset, what: str):
+    """A key that the document format does not define is an error, not ignored."""
+    if not keys.issuperset(doc):
+        raise DocumentError(f"{what} document: unknown key {min(map(repr, set(doc) - keys))}")
+
+
 def model_from_document(doc: dict) -> Nfts:
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
+    _known_keys(doc, _MODEL_KEYS, "model")
     kind = doc.get("kind", "nfts")
     if kind not in ("nfts", "nflts"):
         raise DocumentError(f"kind: expected 'nfts' or 'nflts', got {kind!r}")
@@ -227,6 +240,7 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
     doc = _json(text)
     if not isinstance(doc, dict):
         raise DocumentError("relation document must be a JSON object")
+    _known_keys(doc, _RELATION_KEYS, "relation")
     kind = doc.get("kind")
     if kind not in ("crisp", "fuzzy") or expected not in (None, kind):
         wanted = repr(expected) if expected else "'crisp' or 'fuzzy'"

@@ -199,7 +199,8 @@ class CompactFuzzyPartition:
                 continue
             if len(below) < 2:
                 raise ValueError("fuzzy block needs at least two subblocks")
-            if any(degrees[k] <= degrees[i] for k in below):
+            # A leaf child has degree 1, so only inner children need a Fraction comparison.
+            if not degrees[i] < 1 or any(degrees[k] <= degrees[i] for k in below if elements[k] is None):
                 raise ValueError("degrees must strictly increase towards the leaves")
             below.sort(key=least.__getitem__)
             least[i] = least[below[0]]

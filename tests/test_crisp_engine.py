@@ -1,4 +1,5 @@
 """The efficient crisp refinement engine against goldens and the oracle."""
+import json
 import random
 from fractions import Fraction
 
@@ -13,12 +14,15 @@ from fuzzybisim import (
     crisp_partition_system,
     disjoint_union,
     greatest_crisp_bisim_partition_flg,
+    model_to_document,
     to_flg,
 )
 from fuzzybisim import oracle
+from fuzzybisim.cli import run
+from fuzzybisim.crisp_engine import restrict_to_states
 from fuzzybisim.generate import generate, random_spec
 
-from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, make_example
+from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, REPO_ROOT, make_example
 
 H = Fraction(1, 2)
 
@@ -104,3 +108,31 @@ def test_each_state_shares_a_block_with_its_copy(family):
         partition = crisp_partition_system(union)
         for s in model.states:
             assert partition.same_block(inject_a[s], inject_b[s]), (n, s)
+
+
+# -- the system path builds only the state partition ---------------------------
+
+
+def test_states_flag_gives_the_restricted_graph_partition():
+    rng = random.Random(1515)
+    models = [generate(random_spec(rng, max_states=12, labeled=i % 2 == 1)) for i in range(40)]
+    models += [CATERPILLARS[family](1000) for family in sorted(CATERPILLARS)]
+    for model in models:
+        g = to_flg(model)
+        graph = greatest_crisp_bisim_partition_flg(g)
+        assert greatest_crisp_bisim_partition_flg(g, states=True) == restrict_to_states(graph.blocks)
+
+
+def test_system_queries_build_one_crisp_partition(monkeypatch, capsys, tmp_path):
+    built = []
+    real = CrispPartition.__init__
+    monkeypatch.setattr(CrispPartition, "__init__", lambda self, blocks: built.append(1) or real(self, blocks))
+    path = tmp_path / "labeled.json"
+    path.write_text(json.dumps(model_to_document(generate(random_spec(random.Random(7), 10, labeled=True)))))
+    for model in (str(REPO_ROOT / "models" / "example.json"), str(path)):
+        for argv in (["crisp-partition", model], ["crisp-partition", model, "--json"],
+                     ["bisim-between", model, model, "--mode", "crisp"]):
+            built.clear()
+            assert run(argv) == 0
+            assert len(built) == 1, argv
+    capsys.readouterr()

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzybisim import (
     CompactFuzzyPartition,
@@ -18,7 +19,7 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import generate, random_spec
+from fuzzybisim.generate import GenSpec, generate, random_spec
 
 from conftest import (
     CATERPILLARS,
@@ -47,6 +48,19 @@ def test_expanded_relation_matches_the_table():
     assert cfp.degree_of("s1", "s5") == Fraction("0.4")
     assert cfp.degree_of("s2", "s5") == 1
     assert cfp.degree_of("s1", "s3") == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=st.builds(GenSpec, state_count=st.integers(2, 6), action_count=st.integers(1, 2),
+                      distributions_per_state_action=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                      support_size=st.sampled_from([(1, 1), (1, 2)]), value_pool_size=st.integers(8, 12),
+                      label_alphabet_size=st.integers(1, 3), label_density=st.just(1.0),
+                      seed=st.integers(0, 2**32 - 1)))
+def test_many_distinct_labels_per_level_match_the_oracle(spec):
+    # Every state labeled from a pool of at least 6 values: many distinct
+    # labels per level, each of whose key parts is made once and reused.
+    model = generate(spec)
+    assert fuzzy_partition_system(model) == fuzzy_partition_oracle(model)
 
 
 def test_label_degrees_become_biresiduum_degrees():

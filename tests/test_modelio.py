@@ -20,10 +20,11 @@ from fuzzybisim import (
     serialize_model,
 )
 from fuzzybisim import format_degree, modelio
+from fuzzybisim.cli import run
 from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.modelio import model_from_document
 
-from conftest import make_example
+from conftest import REPO_ROOT, make_example
 
 
 def test_parse_example_file(example_path):
@@ -166,6 +167,28 @@ def test_relation_document_errors():
         parse_relation('{"kind": "crisp", "pairs": [["s1", "zz"]]}', model)
     with pytest.raises(DocumentError):
         parse_relation('{"kind": "fuzzy", "degrees": [["s1", "s2", "1.7"]]}', model)
+
+
+def test_an_unknown_top_level_key_is_an_error(tmp_path, capsys):
+    # A misspelt key used to be ignored: the labels below were dropped, so
+    # crisp-partition merged a and b, and check checked the empty relation.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "nflts", "states": ["a", "b"], "actions": ["x"], "label_alphabet": ["p"],
+                                 "state_lables": {"a": {"p": "0.5"}}}))
+    relation = tmp_path / "relation.json"
+    relation.write_text(json.dumps({"kind": "crisp", "pair": [["s1", "s2"]]}))
+    example = str(REPO_ROOT / "models" / "example.json")
+    for argv, message in ((["crisp-partition", str(model)], "model document: unknown key 'state_lables'"),
+                          (["check", example, str(relation), "--kind", "crisp-bisim"],
+                           "relation document: unknown key 'pair'")):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(DocumentError, match="unknown key 'extra'"):
+        parse_relation(json.dumps({"kind": "fuzzy", "degrees": [], "extra": 1}), make_example())
+    # the writer emits only defined keys, so its documents still parse
+    for labeled in (False, True):
+        doc = model_to_document(generate(random_spec(random.Random(3), 8, labeled=labeled)))
+        assert model_to_document(model_from_document(json.loads(json.dumps(doc)))) == doc
 
 
 @pytest.mark.parametrize("doc", [

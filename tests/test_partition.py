@@ -139,6 +139,9 @@ def test_tree_validation_names_the_broken_law():
         (Block(H, subblocks=(crisp_block("a"),)), "two subblocks"),
         (Block(H, subblocks=(crisp_block("a"), Block(H, subblocks=(crisp_block("b"), crisp_block("c"))))),
          "strictly increase"),
+        (Block(H, subblocks=(crisp_block("a"), Block(ZERO, subblocks=(crisp_block("b"), crisp_block("c"))))),
+         "strictly increase"),
+        (Block(ONE, subblocks=(crisp_block("a"), crisp_block("b"))), "strictly increase"),  # leaf children only
         (Block(H, subblocks=(crisp_block("ab"), crisp_block("bc"))), "'b' appears in two leaves"),
     ]
     for root, message in cases:

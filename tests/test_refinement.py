@@ -1,14 +1,16 @@
 """The generic signature-refinement machinery used by both engines."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import Nflts, fuzzy_partition_system, greatest_fuzzy_bisim_cfp_flg, to_flg
+from fuzzybisim import Nflts, fuzzy_partition_system, generate, greatest_fuzzy_bisim_cfp_flg, to_flg
 from fuzzybisim.crisp_engine import greatest_crisp_bisim_partition_flg
 from fuzzybisim.graph import state_vertex
 from fuzzybisim.refinement import RefinableMap, adjacency
 
 from conftest import CATERPILLARS, make_example
+from test_workloads import load_workloads
 
 
 def fresh_map():
@@ -137,44 +139,75 @@ def test_singleton_blocks_are_never_queued():
 # -- work counts: keyed vertices stay linear on deep partitions ---------------
 
 
-def count_keys(monkeypatch):
-    """Count the ``key_of`` calls of every ``split_block``."""
-    calls = [0]
+def count_work(monkeypatch):
+    """Count the ``split_block`` calls and the ``key_of`` calls they make."""
+    counts = [0, 0]
     split = RefinableMap.split_block
 
     def counting(self, bid, key_of, *args):
+        counts[0] += 1
+
         def key(v):
-            calls[0] += 1
+            counts[1] += 1
             return key_of(v)
 
         return split(self, bid, key, *args)
 
     monkeypatch.setattr(RefinableMap, "split_block", counting)
-    return calls
+    return counts
 
 
 @pytest.mark.parametrize("family", sorted(CATERPILLARS))
 @pytest.mark.parametrize("engine", [greatest_crisp_bisim_partition_flg, greatest_fuzzy_bisim_cfp_flg])
 def test_key_calls_are_linear_on_caterpillars(monkeypatch, family, engine):
-    calls = count_keys(monkeypatch)
+    calls = count_work(monkeypatch)
     counts = []
     for n in (250, 500, 1000):
         g = to_flg(CATERPILLARS[family](n))
-        calls[0] = 0
+        calls[1] = 0
         engine(g)
-        assert calls[0] <= 6 * len(g.by_id), (n, calls[0])
-        counts.append(calls[0])
+        assert calls[1] <= 6 * len(g.by_id), (n, calls[1])
+        counts.append(calls[1])
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.2 * small, counts
 
 
 def test_deep_label_partition_keys_each_vertex_about_three_times(monkeypatch):
     # 700 unconnected states with distinct label degrees: a CFP of depth 699
-    calls = count_keys(monkeypatch)
+    calls = count_work(monkeypatch)
     states = [f"s{i}" for i in range(700)]
     model = Nflts(states, ["a"], [], ["p"], {s: {"p": Fraction(i + 1, 1000)} for i, s in enumerate(states)})
     assert fuzzy_partition_system(model).root.degree == Fraction(1, 1000)
-    assert calls[0] <= 3 * len(to_flg(model).by_id)
+    assert calls[1] <= 3 * len(to_flg(model).by_id)
+
+
+# (split_block calls, keyed vertices) per engine on the graph, as the engines
+# stood when these were recorded; a faster key must not cost more refinement
+# work.  Blocks are int sets, so the counts do not depend on the hash seed.
+WORK = {
+    "label caterpillar": {"crisp": (1, 250), "fuzzy": (250, 748)},
+    "edge caterpillar": {"crisp": (2, 750), "fuzzy": (500, 1746)},
+    "two hubs": {"crisp": (2, 754), "fuzzy": (748, 2248)},
+    "planted": {"crisp": (288, 3462), "fuzzy": (620, 6743)},
+}
+
+
+@pytest.mark.parametrize("family", sorted(WORK))
+def test_refinement_work_is_no_more_than_recorded(monkeypatch, family):
+    if family == "planted":  # 16 relabelled copies of a 20-state model, half with a moved degree
+        workloads = load_workloads(monkeypatch)
+        rng = random.Random(15)
+        base = generate(workloads._base_spec(20, 12, rng.getrandbits(32)))
+        model = workloads.planted(base, 16, 8, 0.005, rng)[0]
+    else:
+        model = CATERPILLARS[family](250)
+    g = to_flg(model)
+    counts = count_work(monkeypatch)
+    for name, engine in (("crisp", greatest_crisp_bisim_partition_flg), ("fuzzy", greatest_fuzzy_bisim_cfp_flg)):
+        counts[:] = [0, 0]
+        engine(g)
+        split_calls, keyed = WORK[family][name]
+        assert counts[0] <= split_calls and counts[1] <= keyed, (name, counts)
 
 
 def test_adjacency_matches_the_graph():
