@@ -1,16 +1,16 @@
-"""Scaling runs: time the refinement pipelines against the naive fixpoints
-on generated families and record everything needed to audit the runs."""
+"""Timed engine runs: the refinement pipelines and the naive fixpoints on one
+instance, with the instance's metrics and a digest of each result, and the
+check that engines run on the same instance agree."""
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, List
 
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
-from .generate import GenSpec, generate, RNG_ALGORITHM
+from .generate import GenSpec, RNG_ALGORITHM
 from .model import Nfts
 
 
@@ -41,10 +41,10 @@ def _metrics(model: Nfts, spec: GenSpec) -> dict:
         "states": len(model.states),
         "actions": len(model.actions),
         "delta": len(model.delta),
-        "delta_o": len(model.targets),
+        "delta_o": len(model.out) - len(model.names),
         "size_delta": model.size_of_delta(),
         "l": len(model.pool) + 2,
-        "n": len(model.states) + len(model.targets),
+        "n": len(model.out),
         "m": model.size_of_delta(),
     }
 
@@ -87,46 +87,3 @@ def check_digests(records: List[BenchRecord]):
         other = by_key.setdefault(key, record)
         if other.digest != record.digest:
             raise DigestMismatch(f"{other.engine} vs {record.engine} on seed {record.seed}")
-
-
-def scaling_run(state_counts: Iterable[int], oracle_max_states: int = 30, seed: int = 0) -> List[BenchRecord]:
-    """Generate one instance per size and time both engines on each.
-
-    The naive fixpoint engine is skipped above ``oracle_max_states``; where
-    both engines run their digests must agree.
-    """
-    records: List[BenchRecord] = []
-    for count in state_counts:
-        spec = GenSpec(
-            state_count=count,
-            action_count=2,
-            distributions_per_state_action=(1, 2),
-            support_size=(1, min(3, count)),
-            value_pool_size=6,
-            seed=seed + 1000 * count,
-        )
-        model = generate(spec)
-        strategies = list(_RUNS)  # the efficient engines, then the oracles
-        records.extend(run_instance(model, spec, strategies if count <= oracle_max_states else strategies[:1]))
-    check_digests(records)
-    return records
-
-
-def loglog_slope(points) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    xs = [math.log(x) for x, _ in points]
-    ys = [math.log(max(y, 1e-9)) for _, y in points]
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    den = sum((x - mean_x) ** 2 for x in xs)
-    return num / den
-
-
-def slope_of(records: List[BenchRecord], engine: str) -> float:
-    """Slope of wall time against m for one engine."""
-    points = sorted((record.m, record.wall_time_ms) for record in records if record.engine == engine)
-    if len(points) < 2:
-        raise ValueError(f"not enough sizes recorded for engine {engine!r}")
-    return loglog_slope(points)

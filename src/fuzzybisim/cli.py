@@ -204,6 +204,9 @@ def run(argv=None) -> int:
         return _dispatch(args, started)
     except BrokenPipeError:
         raise  # main() handles a reader that went away
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (DocumentError, ModelError, GenSpecError, NotAnEquivalenceError,
             KeyError, OSError, UnicodeDecodeError, RecursionError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

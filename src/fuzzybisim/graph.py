@@ -6,15 +6,11 @@ degree 1 and epsilon edges (distribution -> state) carry the distribution's
 degree for that state.  A reserved vertex-label symbol marks state vertices,
 so no bisimulation can relate a state vertex with a distribution vertex.
 
-``to_flg`` reads the system's interned arrays into the graph's dense arrays
-in one pass.  Vertex ids 0..|S|-1 are the system's state ids (the states
-sorted by name) and |S|+k is distribution k, which is the sorted order of
-the ``Vertex`` objects.  Degrees are ranks in the system's sorted pool, with
-1, the degree of the state mark, appended when it is missing: 1 is the
-largest degree, so no rank moves.  The engines read the arrays.  The object
-views that the oracles and checkers read (``vertices``, ``edges``,
-``labels``, ``out_edges``, ...) are derived from them on first access.
-``disjoint_union`` concatenates two systems' arrays.
+The system's constructor lays the graph's arrays out (see ``model``), and
+``to_flg`` is a view of them, whose pool holds 1; the engines read the
+arrays.  Vertex id i is ``by_id[i]``, the ``Vertex`` objects in sorted
+order, and the object views that the oracles and checkers read
+(``vertices``, ``edges``, ``labels``, ...) are built on first access.
 """
 from __future__ import annotations
 
@@ -23,13 +19,8 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .degrees import Degree, ZERO, ONE
-from .model import FuzzySet, Nfts, Nflts, ModelError
+from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, Nflts, ModelError, _layout
 from .relations import CrispRelation, FuzzyRelation
-
-#: Reserved edge symbol for distribution -> state edges; must not be an action.
-EPSILON = "eps*"
-#: Reserved vertex-label symbol marking state vertices; must not be in sigma.
-STATE_MARK = "state*"
 
 _STATE = 0
 _DIST = 1
@@ -142,34 +133,11 @@ def to_flg(model: Nfts) -> Flg:
         raise ModelError(f"label alphabet uses the reserved vertex symbol {STATE_MARK!r}")
     if EPSILON in model.actions:
         raise ModelError(f"action alphabet uses the reserved edge symbol {EPSILON!r}")
-    names, targets, pool, rank = model.names, model.targets, model.pool, model.ranks
-    if not pool or pool[-1] != ONE:  # 1 is the largest degree: no rank moves
-        pool = [*pool, ONE]
-    top = len(pool) - 1
-    n = len(names)
-    index = {s: i for i, s in enumerate(names)}
-    out: list = [[] for _ in range(n)]
-    preds: list = [[] for _ in range(n + len(targets))]
-    for source, action, k in model.delta:
-        i = index[source]
-        out[i].append((action, n + k, top))
-        preds[n + k].append(i)
-    for sources in preds[n:]:
-        sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
-    for i, entries in enumerate(targets, n):
-        edges = []
-        for j, d in entries.items():
-            edges.append((EPSILON, j, rank[d]))
-            preds[j].append(i)
-        out.append(edges)
-    label_ranks = [{STATE_MARK: top} for _ in range(n)] + [{} for _ in targets]
-    for i, ids in model.labels.items():
-        label_ranks[i] = {p: rank[d] for p, d in ids.items()}
-        label_ranks[i][STATE_MARK] = top
+    pool = model.pool if model.pool and model.pool[-1] == ONE else [*model.pool, ONE]  # 1 is the largest: no rank moves
     # Vertex tuples made in C: calling the class runs a Python-level __new__ per vertex.
-    by_id = [*map(tuple.__new__, repeat(Vertex), zip(repeat(_STATE), names)),
-             *map(tuple.__new__, repeat(Vertex), zip(repeat(_DIST), range(len(targets))))]
-    return Flg(by_id, out, preds, label_ranks, pool, sigma | {STATE_MARK}, model.actions | {EPSILON})
+    by_id = [*map(tuple.__new__, repeat(Vertex), zip(repeat(_STATE), model.names)),
+             *map(tuple.__new__, repeat(Vertex), zip(repeat(_DIST), range(len(model.out) - len(model.names))))]
+    return Flg(by_id, model.out, model.preds, model.label_ranks, pool, sigma | {STATE_MARK}, model.actions | {EPSILON})
 
 
 def on_states(a: Nflts, b: Nflts, relation):
@@ -195,8 +163,8 @@ def disjoint_union(a: Nflts, b: Nflts):
     """Tagged union of two systems sharing action and label alphabets.
 
     Returns (union, inject_a, inject_b) where the injections map original
-    states to the union's (tagged) states.  The union's arrays are the two
-    systems' arrays one after the other, re-ranked onto the joint pool.
+    states to the union's (tagged) states.  The union holds the two systems'
+    distributions one after the other, re-ranked onto the joint pool.
     """
     if a.actions != b.actions:
         raise ModelError("disjoint union requires equal action alphabets")
@@ -204,25 +172,19 @@ def disjoint_union(a: Nflts, b: Nflts):
         raise ModelError("disjoint union requires equal label alphabets")
     pool = sorted({*a.pool, *b.pool})
     position = {x: r for r, x in enumerate(pool)}
-    given, targets, delta, labels, injects = {}, [], [], {}, []
-    interned: dict = {}  # as the constructor interns: one empty distribution can be in both systems
+    given = {position[x]: d for m in (b, a) for x, d in zip(m.pool, m._given)}  # a's object for a value in both
+    # ``interned``: distribution -> k, as the constructor interns, for one empty distribution can be in both
+    interned, delta, labels, injects = {}, [], {}, []
     for tag, model in enumerate((a, b)):
-        offset, new = len(a.names) * tag, [position[model.pool[r]] for r in model.ranks]  # degree id -> joint rank
-        for d, degree in enumerate(model._given):
-            given.setdefault(new[d], degree)  # a's object for a value in both
-        k_of = []
-        for entries in model.targets:
-            moved = {offset + i: new[d] for i, d in entries.items()}
-            k_of.append(interned.setdefault(tuple(moved.items()), len(targets)))
-            if k_of[-1] == len(targets):
-                targets.append(moved)
+        offset, new = len(a.names) * tag, [position[x] for x in model.pool]  # rank -> joint rank
+        k_of = [interned.setdefault(tuple([(offset + j, new[r]) for _, j, r in edges]), len(interned))
+                for edges in model.out[len(model.names):]]
         inject = {s: (tag, s) for s in model.names}
         delta += [(inject[s], action, k_of[k]) for s, action, k in model.delta]
-        labels.update((offset + i, {p: new[d] for p, d in ids.items()}) for i, ids in model.labels.items())
+        labels.update((offset + i, {p: new[r] for p, r in ranks.items()}) for i, ranks in model.user_labels())
         injects.append(inject)
-    union = object.__new__(Nflts)  # the arrays are interned as the constructor interns them
-    names = (*injects[0].values(), *injects[1].values())
-    union.__dict__.update(states=frozenset(names), actions=a.actions, names=names, delta=tuple(delta),
-                          targets=tuple(targets), labels=labels, label_alphabet=a.label_alphabet,
-                          pool=pool, ranks=list(range(len(pool))), _given=[given[r] for r in range(len(pool))])
+    union = object.__new__(Nflts)  # laid out as the constructor lays a system out, on joint ranks
+    index = {s: i for i, s in enumerate((*injects[0].values(), *injects[1].values()))}
+    union.__dict__.update(_layout(index, a.actions, tuple(delta), list(interned), labels, a.label_alphabet, pool,
+                                  range(len(pool)), [given[r] for r in range(len(pool))]))
     return union, *injects

@@ -1,16 +1,17 @@
 """Nondeterministic fuzzy (labeled) transition systems.
 
-The constructor interns a system into arrays, which the graph, the document
-writer and the disjoint union read: ``names``, the states sorted (state id i
-is ``names[i]``); ``delta``, the distinct (state, action, k) triples in input
-order; ``targets[k]``, distribution k as a state id -> degree id map of its
-positive degrees, in the order first given (equal targets are one
-distribution, numbered in first-use order); ``labels``, state id -> its
-non-empty label as a symbol -> degree id map; ``pool``, the sorted distinct
-positive degrees; and ``ranks[d]``, the index of degree id d in the pool.
-Each degree object is range-checked once, and degrees are compared by value.
-The object views ``distributions``, ``transitions`` and ``label_of`` are
-built on first access, from the degree objects first given for each value.
+The constructor lays a system out once, as its graph's arrays on dense ids
+and degree ranks: ``names``, the states sorted (state id i is ``names[i]``);
+``delta``, the distinct (state, action, k) triples in input order; ``pool``,
+the sorted distinct positive degrees, each degree its rank there (a missing
+1 is rank ``len(pool)``); ``out[i]``, vertex i's edges: (action, |S| + k,
+rank of 1) per triple of state i, and (EPSILON, j, rank) per state j of
+distribution k (vertex |S| + k, equal targets being one distribution, in
+first-use order); ``preds[i]``, the sources of the edges into vertex i; and
+``label_ranks[i]``, its label as a symbol -> rank map, with the state mark
+on each state.  Each degree object is range-checked once and compared by
+value.  The object views ``distributions``, ``transitions`` and ``label_of``
+are built on first access, from ``_given[r]``, the first object of rank r.
 """
 from __future__ import annotations
 
@@ -20,6 +21,12 @@ from functools import cached_property
 from typing import Iterable, Tuple
 
 from .degrees import Degree, ZERO, ONE, sup
+
+
+#: Reserved edge symbol for distribution -> state edges; must not be an action.
+EPSILON = "eps*"
+#: Reserved vertex-label symbol marking state vertices; must not be in sigma.
+STATE_MARK = "state*"
 
 
 class ModelError(ValueError):
@@ -110,9 +117,9 @@ class Distribution(FuzzySet):
         return f"mu{self.index + 1}"
 
 
-def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) -> dict:
-    """The arrays of a system, in the order of the checks: states and actions,
-    each transition (source, action, degrees, unknown targets), then labels."""
+def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) -> tuple:
+    """The arguments of ``_layout`` for a system, in the order of the checks: states
+    and actions, each transition (source, action, degrees, unknown targets), then labels."""
     states, actions = frozenset(states), frozenset(actions)
     if not states:
         raise ModelError("state set must be non-empty")
@@ -160,7 +167,7 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
             raise ModelError(f"distribution refers to unknown states {sorted(map(str, set(unknown)))}")
         k = interned.setdefault(frozenset(pairs.items()), len(targets))
         if k == len(targets):
-            targets.append(pairs)
+            targets.append(pairs.items())
         delta[source, action, k] = None
     label_alphabet, labels = frozenset(label_alphabet), {}
     for state, label in _items(state_labels):
@@ -175,10 +182,38 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
     # The degree ids by value: floats order them, and Fractions, whose comparison goes
     # through the numbers.Rational ABC, only break float ties.
     order = sorted(range(len(exact)), key=lambda d: (float(exact[d]), exact[d]))
-    ranks = sorted(range(len(order)), key=order.__getitem__)  # order inverted: degree id -> rank
-    return dict(states=states, actions=actions, names=names, delta=tuple(delta), targets=tuple(targets),
-                labels=labels, label_alphabet=label_alphabet, pool=[exact[d] for d in order], ranks=ranks,
-                _given=given)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # order inverted: degree id -> rank
+    return (index, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank,
+            [given[d] for d in order])  # laid out by the caller, once the tables above are freed
+
+
+def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank, given) -> dict:
+    """A system's attributes, its graph's arrays among them, from its state ids
+    by name, distribution k as (state id, degree id) pairs ``targets[k]``, the
+    labels as state id -> symbol -> degree id maps, ``rank[d]``, the rank of
+    degree id d in ``pool``, and ``given[r]``, the first object of rank r."""
+    n, top = len(index), len(pool) - 1 if pool and pool[-1] == ONE else len(pool)
+    out: list = [[] for _ in range(n)]
+    preds: list = [[] for _ in range(n + len(targets))]
+    for source, action, k in delta:
+        i = index[source]
+        out[i].append((action, n + k, top))
+        preds[n + k].append(i)
+    for sources in preds[n:]:
+        sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
+    for i, entries in enumerate(targets, n):
+        edges = []
+        for j, d in entries:
+            edges.append((EPSILON, j, rank[d]))
+            preds[j].append(i)
+        out.append(edges)
+    mark = {} if STATE_MARK in label_alphabet else {STATE_MARK: top}  # to_flg refuses the former: no label is lost
+    label_ranks = [{**mark} for _ in range(n)] + [{} for _ in targets]
+    for i, ids in labels.items():
+        label_ranks[i] = {p: rank[d] for p, d in ids.items()} | mark
+    names = tuple(index)
+    return dict(states=frozenset(names), actions=actions, names=names, delta=delta, label_alphabet=label_alphabet,
+                pool=pool, _given=given, out=out, preds=preds, label_ranks=label_ranks)
 
 
 class Nfts:
@@ -189,14 +224,14 @@ class Nfts:
     """
 
     def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple]):
-        self.__dict__.update(_intern(states, actions, transitions))
+        self.__dict__.update(_layout(*_intern(states, actions, transitions)))
 
     @cached_property
     def distributions(self) -> tuple:
         """delta_o: the distinct distributions, in interning order."""
         names, given = self.names, self._given
-        return tuple(Distribution(k, FuzzySet({names[i]: given[d] for i, d in entries.items()}))
-                     for k, entries in enumerate(self.targets))
+        return tuple(Distribution(k, FuzzySet({names[j]: given[r] for _, j, r in edges}))
+                     for k, edges in enumerate(self.out[len(names):]))
 
     @cached_property
     def transitions(self) -> frozenset:
@@ -206,11 +241,18 @@ class Nfts:
     @cached_property
     def _label_sets(self) -> dict:
         names, given = self.names, self._given
-        return {names[i]: FuzzySet({p: given[d] for p, d in ids.items()}) for i, ids in self.labels.items()}
+        return {names[i]: FuzzySet({p: given[r] for p, r in ranks.items()}) for i, ranks in self.user_labels()}
+
+    def user_labels(self) -> list:
+        """(state id, its label as a symbol -> rank map) for each labeled state,
+        in id order: ``label_ranks`` without the state mark."""
+        sigma = self.label_alphabet
+        labels = enumerate(self.label_ranks[:len(self.names)] if sigma else ())
+        return [(i, label) for i, ranks in labels if (label := {p: r for p, r in ranks.items() if p in sigma})]
 
     def size_of_delta(self) -> int:
         """|delta| plus the summed support sizes over distinct distributions."""
-        return len(self.delta) + sum(map(len, self.targets))
+        return sum(map(len, self.out))
 
     def outgoing(self, state, action=None):
         """Transitions leaving `state` (optionally restricted to one action)."""
@@ -232,4 +274,4 @@ class Nflts(Nfts):
     """An NFTS extended with fuzzy state labels over an alphabet sigma."""
 
     def __init__(self, states, actions, transitions, label_alphabet=(), state_labels: Mapping = ()):
-        self.__dict__.update(_intern(states, actions, transitions, label_alphabet, state_labels))
+        self.__dict__.update(_layout(*_intern(states, actions, transitions, label_alphabet, state_labels)))

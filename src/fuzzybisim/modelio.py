@@ -200,23 +200,18 @@ def _system(states, actions, transitions, *labeling) -> Nfts:
 
 
 def model_to_document(model: Nfts) -> dict:
-    names, texts = model.names, [format_degree(model.pool[r]) for r in model.ranks]  # by degree id, each once
+    names, out, n, texts = model.names, model.out, len(model.names), [format_degree(x) for x in model.pool]
     transitions = [
-        {"from": source, "action": action, "targets": {names[i]: texts[d] for i, d in sorted(model.targets[k].items())}}
+        {"from": source, "action": action, "targets": {names[j]: texts[r] for _, j, r in sorted(out[n + k])}}
         for source, action, k in sorted(model.delta)
     ]
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "nfts",
-        "states": list(names),
-        "actions": sorted(model.actions),
-        "transitions": transitions,
-    }
+    doc = {"format_version": FORMAT_VERSION, "kind": "nfts", "states": list(names), "actions": sorted(model.actions),
+           "transitions": transitions}
     if isinstance(model, Nflts):
         doc["kind"] = "nflts"
         doc["label_alphabet"] = sorted(model.label_alphabet)
         doc["state_labels"] = {
-            names[i]: {p: texts[d] for p, d in sorted(model.labels[i].items())} for i in sorted(model.labels)
+            names[i]: {p: texts[r] for p, r in sorted(label.items())} for i, label in model.user_labels()
         }
     return doc
 

@@ -51,7 +51,7 @@ class CrispPartition:
             block = tuple(sorted(set(block)))
             if not block:
                 raise ValueError("empty block in partition")
-            if seen & set(block):
+            if not seen.isdisjoint(block):
                 raise ValueError("overlapping blocks in partition")
             seen.update(block)
             canonical.append(block)

@@ -29,7 +29,7 @@ from fuzzybisim import (
     relation_laws,
     to_flg,
 )
-from fuzzybisim import bench, oracle
+from fuzzybisim import oracle
 from fuzzybisim.generate import random_spec
 from fuzzybisim.graph import state_vertex
 
@@ -41,6 +41,7 @@ from conftest import (
     example_fuzzy_table,
     seven_element_relation,
 )
+from scaling import scaling_run, slope_of
 
 
 def test_criterion_1(example_path):
@@ -199,16 +200,16 @@ def test_criterion_9(request):
     reported in the summary but deliberately not asserted: finite samples
     cannot establish asymptotics, and correctness is covered by criteria 4-8.
     """
-    records = bench.scaling_run(
+    records = scaling_run(
         [8, 14, 20, 120, 400, 1600, 6400, 12800],
         oracle_max_states=20,
         seed=13,
     )
     efficient = [r for r in records if r.engine.startswith("efficient") and r.m >= 900]
-    slope_crisp = bench.slope_of(efficient, "efficient-crisp")
-    slope_fuzzy = bench.slope_of(efficient, "efficient-fuzzy")
+    slope_crisp = slope_of(efficient, "efficient-crisp")
+    slope_fuzzy = slope_of(efficient, "efficient-fuzzy")
     oracle_records = [r for r in records if r.engine.startswith("oracle")]
-    slope_oracle = bench.slope_of(oracle_records, "oracle-fuzzy")
+    slope_oracle = slope_of(oracle_records, "oracle-fuzzy")
     notes = getattr(request.config, "_acceptance_notes", {})
     notes[9] = (
         f" -- efficient crisp {slope_crisp:.2f}, efficient fuzzy {slope_fuzzy:.2f},"

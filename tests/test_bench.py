@@ -6,6 +6,8 @@ import pytest
 from fuzzybisim import GenSpec, generate
 from fuzzybisim import bench
 
+from scaling import loglog_slope, scaling_run, slope_of
+
 
 def test_run_instance_records_both_engines():
     spec = GenSpec(state_count=6, distributions_per_state_action=(1, 2), seed=3)
@@ -30,25 +32,25 @@ def test_digest_mismatch_is_a_hard_failure():
 
 
 def test_scaling_run_is_deterministic():
-    a = bench.scaling_run([5], seed=9, oracle_max_states=0)
-    b = bench.scaling_run([5], seed=9, oracle_max_states=0)
+    a = scaling_run([5], seed=9, oracle_max_states=0)
+    b = scaling_run([5], seed=9, oracle_max_states=0)
     assert [(r.digest, r.m) for r in a] == [(r.digest, r.m) for r in b]
 
 
 def test_oracle_skipped_above_the_cutoff():
-    records = bench.scaling_run([5, 40], oracle_max_states=10)
+    records = scaling_run([5, 40], oracle_max_states=10)
     oracle_sizes = {r.states for r in records if r.engine.startswith("oracle")}
     assert oracle_sizes == {5}
 
 
 def test_loglog_slope_recovers_exponents():
     quadratic = [(x, 3.0 * x * x) for x in (10, 20, 40, 80)]
-    assert math.isclose(bench.loglog_slope(quadratic), 2.0, abs_tol=1e-9)
+    assert math.isclose(loglog_slope(quadratic), 2.0, abs_tol=1e-9)
     linear = [(x, 0.5 * x) for x in (10, 20, 40, 80)]
-    assert math.isclose(bench.loglog_slope(linear), 1.0, abs_tol=1e-9)
+    assert math.isclose(loglog_slope(linear), 1.0, abs_tol=1e-9)
 
 
 def test_slope_of_requires_two_sizes():
-    records = bench.scaling_run([5], oracle_max_states=0)
+    records = scaling_run([5], oracle_max_states=0)
     with pytest.raises(ValueError):
-        bench.slope_of(records, "efficient-crisp")
+        slope_of(records, "efficient-crisp")

@@ -25,6 +25,7 @@ from fuzzybisim import (
     greatest_fuzzy_simulation_flg,
     model_to_document,
     parse_model,
+    serialize_model,
     to_flg,
 )
 from fuzzybisim import bisimulation_between_nflts, cli, format_degree, fuzzy_partition_system, modelio, relation_to_document
@@ -405,6 +406,27 @@ def test_check_command(capsys, example_path, tmp_path):
     fuzzy.write_text(json.dumps(relation_to_document(example_fuzzy_table())))
     code, out, _ = invoke(capsys, "check", str(example_path), str(fuzzy), "--kind", "fuzzy-bisim")
     assert code == 0 and out.strip() == "holds"
+
+
+def test_check_reads_a_label_on_the_state_mark_symbol(capsys, tmp_path):
+    # s carries "state*" at 1 and u no label: a relation joining them is no
+    # bisimulation, though the graph engines refuse the alphabet
+    model, relation = tmp_path / "model.json", tmp_path / "relation.json"
+    model.write_text(serialize_model(Nflts(["s", "u"], ["a"], [], ["state*"], {"s": {"state*": 1}})))
+    for pairs, expected in ([["s", "s"], ["u", "u"]], "holds"), ([["s", "u"], ["u", "s"]], "violates"):
+        relation.write_text(json.dumps({"kind": "crisp", "pairs": pairs}))
+        code, out, _ = invoke(capsys, "check", str(model), str(relation), "--kind", "crisp-bisim")
+        assert code == 0 and out.startswith(expected)
+    code, out, err = invoke(capsys, "crisp-partition", str(model))
+    assert (code, out, err) == (1, "", "error: label alphabet uses the reserved vertex symbol 'state*'\n")
+
+
+def test_out_of_memory_is_an_error_not_a_traceback(capsys, example_path, monkeypatch):
+    def exhausted(model, verbose):
+        raise MemoryError
+
+    monkeypatch.setitem(ENGINES["crisp-partition"], "efficient", exhausted)
+    assert invoke(capsys, "crisp-partition", str(example_path)) == (1, "", "error: out of memory\n")
 
 
 def test_gen_round_trips_through_the_parser(capsys, tmp_path):

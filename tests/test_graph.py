@@ -86,7 +86,8 @@ def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
     view = as_nflts(model)
     assert built == []
     assert type(view) is Nflts and type(model) is Nfts
-    assert view.delta is model.delta and view.targets is model.targets and view.ranks is model.ranks
+    for name in ("names", "delta", "pool", "_given", "out", "preds", "label_ranks"):
+        assert getattr(view, name) is getattr(model, name), name
     assert view.label_alphabet == frozenset() and not view.label_of("s")
     assert built == []
     other = Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
@@ -94,6 +95,18 @@ def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
     # the object views are built on first access, once per instance
     assert view.distributions == model.distributions and len(other.distributions) == 1
     assert built == [Nfts] + [FuzzySet, Distribution] * 3
+
+
+def test_to_flg_is_a_view_over_the_model_arrays():
+    # the constructor lays the graph out: to_flg shares its lists, and appends
+    # 1, the degree of the state mark, to the graph's pool only
+    example = make_example()
+    labeled = Nflts(["s", "t"], ["a"], [("s", "a", {"t": H})], ["p"], {"t": {"p": 1}})
+    for model in (example, labeled):
+        g = to_flg(model)
+        assert g.out is model.out and g.preds is model.preds and g.label_ranks is model.label_ranks
+    assert to_flg(example).pool == [*example.pool, 1] and example.pool[-1] != 1
+    assert to_flg(labeled).pool is labeled.pool == [H, 1]
 
 
 def test_plain_system_and_its_unlabeled_view_give_equal_graphs():
@@ -144,13 +157,6 @@ def test_disjoint_union_preserves_labels():
     assert not union.label_of(inject_b["s"])
 
 
-def _resolved(model):
-    """The targets and labels of a model with each degree id replaced by its degree."""
-    degree = [model.pool[r] for r in model.ranks]
-    return ([[(i, degree[d]) for i, d in entries.items()] for entries in model.targets],
-            {i: [(p, degree[d]) for p, d in ids.items()] for i, ids in model.labels.items()})
-
-
 def _union_by_definition(a, b):
     """The disjoint union built by the constructor from the object views."""
     transitions, labels = [], []
@@ -175,15 +181,15 @@ def test_disjoint_union_concatenates_the_arrays():
         a, b = as_nflts(a), as_nflts(b)
         union, inject_a, inject_b = disjoint_union(a, b)
         expected = _union_by_definition(a, b)
-        for name in ("states", "names", "actions", "delta", "pool", "label_alphabet"):
+        for name in ("states", "names", "actions", "delta", "pool", "_given", "out", "preds", "label_ranks",
+                     "label_alphabet"):
             assert getattr(union, name) == getattr(expected, name), name
-        # degree ids count values in first-use order: compare what they stand for
-        assert _resolved(union) == _resolved(expected)
         assert [dict(mu.items()) for mu in union.distributions] == [dict(mu.items()) for mu in expected.distributions]
         assert all(union.label_of(s) == expected.label_of(s) for s in union.states)
         assert inject_a == {s: (0, s) for s in a.states} and inject_b == {s: (1, s) for s in b.states}
         assert to_flg(union).out == to_flg(expected).out
-    assert len(disjoint_union(as_nflts(empty), as_nflts(empty))[0].targets) == 3  # one empty distribution
+    union = disjoint_union(as_nflts(empty), as_nflts(empty))[0]
+    assert len(union.out) - len(union.names) == 3  # one empty distribution
 
 
 def test_disjoint_union_requires_equal_alphabets():

@@ -337,6 +337,19 @@ def test_written_model_documents_keep_their_bytes():
 DOCUMENTS_DIGEST = "4e83895a03cb08f8"
 
 
+def test_a_model_on_the_reserved_symbols_keeps_its_bytes_and_its_labels():
+    # its actions hold the graph's edge symbol and its alphabet the state mark:
+    # to_flg refuses it, but it is still a system, and "state*" still a label
+    half = Fraction(1, 2)
+    built = Nflts(["s", "t", "u"], ["eps*", "a"], [("s", "eps*", {"t": half, "s": 1}), ("t", "a", {"t": half})],
+                  ["state*", "p"], {"s": {"state*": Fraction(1, 4)}, "t": {"p": 1, "state*": 1}})
+    text = serialize_model(built)
+    model = parse_model(text)
+    assert serialize_model(model) == text
+    assert json.loads(text)["state_labels"] == {"s": {"state*": "0.25"}, "t": {"p": "1", "state*": "1"}}
+    assert model.label_of("s") == FuzzySet({"state*": Fraction(1, 4)}) and not model.label_of("u")
+
+
 def test_model_documents_format_each_distinct_degree_once(monkeypatch):
     rng = random.Random(3)
     model = generate(random_spec(rng, 8, labeled=True))

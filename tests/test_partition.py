@@ -37,8 +37,11 @@ def test_blocks_are_canonically_ordered():
 
 
 def test_overlapping_blocks_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^overlapping blocks in partition$"):
         CrispPartition([["a", "b"], ["b"]])
+    with pytest.raises(ValueError, match="^overlapping blocks in partition$"):
+        CrispPartition([["a", "b"], ("c",), {"c", "d"}])
+    assert CrispPartition([["b", "a", "b"], ["c"]]).blocks == (("a", "b"), ("c",))  # a repeat is no overlap
     with pytest.raises(ValueError):
         CrispPartition([[]])
 
