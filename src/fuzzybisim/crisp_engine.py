@@ -4,17 +4,17 @@ system-level pipeline (transform, refine, keep the state blocks).
 The engine refines one block by a single key: the vertex label, and the
 (edge symbol, target block) -> max degree signature, on degree ranks.  The
 coarsest stable refinement is unique, so this is the same partition as
-splitting by labels first and then by signatures.  A system query builds
-one partition, of the states, straight from the refinement's blocks; the
-graph partition is built only for the graph-level API and ``--verbose``.
-``crisp_partition_oracle`` is the naive twin: the definitional fixpoint,
-then the same restriction.
+splitting by labels first and then by signatures.  The blocks hold vertex
+ids, and a state block only ids i < |S|: a system query builds one
+partition, of the states ``names[i]``, straight from those blocks.  The
+graph partition, of ``Vertex`` objects, is built only for the graph-level
+API and ``--verbose``.  ``crisp_partition_oracle`` is the naive twin.
 """
 from __future__ import annotations
 
 import sys
 
-from .graph import Flg, to_flg
+from .graph import Flg, on_states, to_flg
 from .model import Nfts
 from .partition import CrispPartition
 from .refinement import RefinableMap, adjacency
@@ -29,9 +29,9 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
     """Partition of the greatest crisp bisimulation of a finite graph, or with
     ``states`` (for a graph built by ``to_flg``) of its states.  ``verbose``
     traces the splits, then the graph partition."""
-    vertices, out, preds, labels = adjacency(g, g.degree_pool())
+    out, preds, labels = adjacency(g, g.degree_pool())
     label_key = [frozenset(label.items()) for label in labels]
-    state = RefinableMap(range(len(vertices)), preds)
+    state = RefinableMap(preds)
     assignment = state.assignment
 
     def key(x):
@@ -45,11 +45,10 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
     state.refine(key, trace=_trace if verbose else None)
     if verbose:
         _trace(f"stable with {state.block_count()} blocks")
-    blocks = [[vertices[x] for x in block] for block in state.blocks.values()]
-    graph = CrispPartition(blocks) if verbose or not states else None
+    graph = CrispPartition([g.by_id[x] for x in block] for block in state.blocks) if verbose or not states else None
     if verbose:
         _trace(f"graph partition: {graph.text()}")
-    return restrict_to_states(blocks) if states else graph
+    return restrict_to_states(state.blocks, g.names) if states else graph
 
 
 def crisp_partition_system(model: Nfts, verbose: bool = False) -> CrispPartition:
@@ -59,11 +58,11 @@ def crisp_partition_system(model: Nfts, verbose: bool = False) -> CrispPartition
 
 
 def crisp_partition_oracle(model: Nfts) -> CrispPartition:
-    """``crisp_partition_system`` by the naive graph fixpoint."""
-    return restrict_to_states(CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(to_flg(model))).blocks)
+    """``crisp_partition_system`` by the naive graph fixpoint, restricted to the states."""
+    return CrispPartition.from_relation(on_states(model, model, oracle.gfp_crisp_bisim_flg(to_flg(model)).pairs))
 
 
-def restrict_to_states(blocks) -> CrispPartition:
-    """The partition of the states from the blocks of graph vertices that
-    hold a state vertex (a block never mixes the two kinds)."""
-    return CrispPartition([v.key for v in block] for block in blocks if block[0].is_state)
+def restrict_to_states(blocks, names) -> CrispPartition:
+    """The partition of the states ``names`` from the blocks of vertex ids that
+    hold a state id, one below ``len(names)`` (a block never mixes the two kinds)."""
+    return CrispPartition([names[x] for x in block] for block in blocks if next(iter(block)) < len(names))

@@ -9,6 +9,7 @@ finite pool of degrees stays inside that pool extended with 0 and 1.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 Degree = Fraction
@@ -28,24 +29,23 @@ MAX_EXPONENT = 4300
 
 _LOG2_5 = math.log2(5)
 
-
-def _exponent(text: str) -> int:
-    """Magnitude of the decimal exponent written in ``text``; 0 if none is readable."""
-    if "e" not in text and "E" not in text:
-        return 0
-    try:
-        return abs(int(text.lower().partition("e")[2]))
-    except ValueError:
-        return 0
+#: A degree string: ASCII digits only (``Fraction`` alone would take other
+#: scripts' digits, and underscores from Python 3.11 on), with an optional
+#: sign and surrounding spaces; a decimal with an optional exponent, or p/q.
+_DEGREE = re.compile(r"\s*[-+]?(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?0*(?P<exponent>\d+))?)\s*", re.ASCII)
 
 
 def parse_degree(text: str) -> Degree:
     """Parse a decimal (or p/q) string into an exact degree in [0, 1]."""
-    if _exponent(text) > MAX_EXPONENT:
+    match = _DEGREE.fullmatch(text)
+    if match is None:
+        raise DegreeError(f"malformed degree {text!r}")
+    exponent = match["exponent"] or "0"  # no leading zeros: 6 digits or more exceed the limit
+    if len(exponent) > 5 or int(exponent) > MAX_EXPONENT:
         raise DegreeError(f"degree {text!r} has an exponent beyond {MAX_EXPONENT}")
     try:
         value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
         raise DegreeError(f"malformed degree {text!r}") from exc
     if not ZERO <= value <= ONE:
         raise DegreeError(f"degree {text!r} outside [0, 1]")

@@ -23,7 +23,7 @@ bisimulation.  The tree is built from the split events as the parent array
 that the partition stores: a block that splits at level i becomes a node of
 degree thresholds[i-1] (0 at level 0), and later splits of its pieces at the
 same level add siblings under that node.  The system's tree is built from
-the events of state blocks alone.
+the events of the state blocks (of ids i < |S|, named ``names[i]``) alone.
 
 ``fuzzy_partition_oracle`` is the engine's naive twin: the definitional
 fixpoint of the graph, restricted to pairs of states.
@@ -49,16 +49,16 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     or with ``states`` (for a graph built by ``to_flg``) of its states.
     ``verbose`` traces the blocks per threshold, then the graph partition."""
     thresholds = g.degree_pool()  # holds 1, the degree of the state mark
-    vertices, edges, preds, labels = adjacency(g, thresholds)
+    edges, preds, labels = adjacency(g, thresholds)
     ids: dict = {}  # each distinct label, as its (symbol, rank) pairs -> its id
     label_id = [ids.setdefault(frozenset(label.items()), len(ids)) for label in labels]
     distinct, ranks_of = list(ids), [{rk for _, rk in label} for label in ids]
     # touched[i]: vertices whose key may change at level i.
     touched = [[] for _ in range(len(thresholds) + 1)]
-    for x in range(len(vertices)):
+    for x in range(len(edges)):
         for rk in {rk for _, _, rk in edges[x]} | ranks_of[label_id[x]]:
             touched[rk + 1].append(x)
-    state = RefinableMap(range(len(vertices)), preds)
+    state = RefinableMap(preds)
     assignment = state.assignment
     levels: list = []
 
@@ -78,24 +78,24 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
             _trace(f"threshold {format_degree(threshold)}: {state.block_count()} blocks")
 
     if verbose or not states:
-        graph = CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, vertices.__getitem__, state.blocks))
+        graph = CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, g.by_id))
         if verbose:
             _trace(f"graph partition: {graph.text()}")
         if not states:
             return graph
-    kept = {bid for bid, members in state.blocks.items() if vertices[next(iter(members))].is_state}
-    return CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, lambda x: vertices[x].key, kept))
+    return CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, g.names))
 
 
-def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, element, kept) -> tuple:
+def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, names) -> tuple:
     """Nest the sweep's split events, tagged with their levels, into the
-    (parent, degrees, elements) arrays of a tree of the block ids in ``kept``,
-    with ``element(x)`` in the leaves and each parent before its children.
+    (parent, degrees, elements) arrays of a tree of the blocks of ids below
+    ``len(names)``, ``kept``, with ``names[x]`` in the leaves, parents first.
     Each block id has a leaf (``node_of``) under a node (``parent_of``); its
     first split at a level turns its leaf into a node of that level's degree,
     with a new leaf for it and for each piece split off then.  The state mark
     splits states from distributions at level 0, so only the root can lose
     subblocks to ``kept``; left with one, it gives way."""
+    kept = {bid for bid, members in enumerate(state.blocks) if next(iter(members)) < len(names)}
     parent, degrees = [-1], [ONE]
     node_of, parent_of = {0: 0}, {0: -1}
     born = {0: -1}  # block id -> level at which its leaf was made
@@ -115,7 +115,7 @@ def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, eleme
         degrees.append(ONE)
     elements = [None] * len(parent)
     for bid in kept:
-        elements[node_of[bid]] = frozenset(map(element, state.blocks[bid]))
+        elements[node_of[bid]] = frozenset(map(names.__getitem__, state.blocks[bid]))
     if parent.count(0) == 1:  # the root's one subblock is node 1
         return [-1, *(p - 1 for p in parent[2:])], degrees[1:], elements[1:]
     return parent, degrees, elements

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 from .model import Nfts, Nflts
 
-#: Identifier of the pseudo-random source, recorded in bench CSV output.
+#: Identifier of the pseudo-random source, recorded as ``rng`` in each ``bench.BenchRecord``.
 RNG_ALGORITHM = "mt19937"
 
 

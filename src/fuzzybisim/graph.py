@@ -7,9 +7,9 @@ degree for that state.  A reserved vertex-label symbol marks state vertices,
 so no bisimulation can relate a state vertex with a distribution vertex.
 
 The system's constructor lays the graph's arrays out (see ``model``), and
-``to_flg`` is a view of them, whose pool holds 1; the engines read the
-arrays.  Vertex id i is ``by_id[i]``, the ``Vertex`` objects in sorted
-order, and the object views that the oracles and checkers read
+``to_flg`` is a view of them, whose pool holds 1; the engines read only the
+arrays, where id i < |S| is the state ``names[i]``.  The ``Vertex`` of id i,
+``by_id[i]``, and the object views that the oracles and checkers read
 (``vertices``, ``edges``, ``labels``, ...) are built on first access.
 """
 from __future__ import annotations
@@ -56,17 +56,23 @@ def dist_vertex(index: int) -> Vertex:
 class Flg:
     """A fuzzy labeled graph <V, E, L, Sigma_V, Sigma_E> on dense ids.
 
-    ``by_id[i]`` is the vertex of id i, ``out[i]`` holds the edges leaving
-    it as (symbol, target id, rank), ``preds[i]`` the source id of each edge
+    Vertex id i < len(names) is the state ``names[i]`` and id len(names) + k
+    distribution k.  ``out[i]`` holds the edges leaving vertex id i as
+    (symbol, target id, rank), ``preds[i]`` the source id of each edge
     entering it, and ``label_ranks[i]`` its label as a symbol -> rank map;
     rank k stands for the degree ``pool[k]``.
     """
 
-    def __init__(self, by_id: list, out: list, preds: list, label_ranks: list, pool: list,
-                 vertex_alphabet, edge_alphabet):
-        self.by_id, self.out, self.preds, self.label_ranks, self.pool = by_id, out, preds, label_ranks, pool
-        self.vertex_alphabet = frozenset(vertex_alphabet)
-        self.edge_alphabet = frozenset(edge_alphabet)
+    def __init__(self, model: Nfts, pool: list):
+        self.names, self.out, self.preds, self.label_ranks = model.names, model.out, model.preds, model.label_ranks
+        self.pool = pool
+        self.vertex_alphabet, self.edge_alphabet = model.label_alphabet | {STATE_MARK}, model.actions | {EPSILON}
+
+    @cached_property
+    def by_id(self) -> list:
+        """The ``Vertex`` of each id, made by ``tuple.__new__``: calling the class runs Python per vertex."""
+        return [*map(tuple.__new__, repeat(Vertex), zip(repeat(_STATE), self.names)),
+                *map(tuple.__new__, repeat(Vertex), zip(repeat(_DIST), range(len(self.out) - len(self.names))))]
 
     @cached_property
     def vertices(self) -> frozenset:
@@ -115,10 +121,7 @@ class Flg:
         return list(self.pool)
 
     def same_signature(self, other: "Flg") -> bool:
-        return (
-            self.vertex_alphabet == other.vertex_alphabet
-            and self.edge_alphabet == other.edge_alphabet
-        )
+        return (self.vertex_alphabet, self.edge_alphabet) == (other.vertex_alphabet, other.edge_alphabet)
 
     def __repr__(self) -> str:
         return f"<Flg: {len(self.out)} vertices, {sum(map(len, self.out))} edges>"
@@ -128,16 +131,12 @@ def to_flg(model: Nfts) -> Flg:
     """The graph corresponding to a system: V = S + delta_o, |support(E)| =
     size(delta).  State vertices carry the state mark and, in a labeled
     system, their fuzzy label."""
-    sigma = model.label_alphabet
-    if STATE_MARK in sigma:
+    if STATE_MARK in model.label_alphabet:
         raise ModelError(f"label alphabet uses the reserved vertex symbol {STATE_MARK!r}")
     if EPSILON in model.actions:
         raise ModelError(f"action alphabet uses the reserved edge symbol {EPSILON!r}")
     pool = model.pool if model.pool and model.pool[-1] == ONE else [*model.pool, ONE]  # 1 is the largest: no rank moves
-    # Vertex tuples made in C: calling the class runs a Python-level __new__ per vertex.
-    by_id = [*map(tuple.__new__, repeat(Vertex), zip(repeat(_STATE), model.names)),
-             *map(tuple.__new__, repeat(Vertex), zip(repeat(_DIST), range(len(model.out) - len(model.names))))]
-    return Flg(by_id, model.out, model.preds, model.label_ranks, pool, sigma | {STATE_MARK}, model.actions | {EPSILON})
+    return Flg(model, pool)
 
 
 def on_states(a: Nflts, b: Nflts, relation):

@@ -250,9 +250,11 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
     try:
         if kind == "crisp":
             return CrispRelation(states, states, {tuple(p) for p in rows})
-        seen = {}  # each distinct degree string parsed once, as in _degree_map
-        entries = {(x, y): seen[d] if d in seen else seen.setdefault(d, _degree(d, lambda: f"degrees[{x!r}, {y!r}]"))
-                   for x, y, d in rows}
+        seen, entries = {}, {}  # seen: each distinct degree string parsed once, as in _degree_map
+        for x, y, d in rows:
+            if (x, y) in entries:  # the last row would win: ``check`` would depend on row order
+                raise DocumentError(f"degrees[{x!r}, {y!r}]: pair listed twice")
+            entries[x, y] = seen[d] if d in seen else seen.setdefault(d, _degree(d, lambda: f"degrees[{x!r}, {y!r}]"))
         return FuzzyRelation(states, states, entries)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

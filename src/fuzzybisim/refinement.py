@@ -1,10 +1,11 @@
 """Worklist-driven partition refinement over fuzzy labeled graphs.
 
 All three engines (crisp, fuzzy, simulation) read a graph through
-``adjacency``: dense vertex ids, and degrees as ranks in a sorted pool.  The
-Goedel operators only compare degrees, so ranks are exact.  ``to_flg``
-fixes the ids and ranks once, so on the graph's own pool ``adjacency``
-returns the stored arrays; it only re-ranks for a joint pool of two graphs.
+``adjacency``: dense vertex ids, id i < |S| the state ``names[i]``, and
+degrees as ranks in a sorted pool.  The Goedel operators only compare
+degrees, so ranks are exact.  ``to_flg`` fixes the ids and ranks once, so on
+the graph's own pool ``adjacency`` returns the stored arrays; it only
+re-ranks for a joint pool of two graphs.  The kernel partitions the ids.
 
 Both bisimulation engines split blocks by per-vertex keys computed against
 the current partition (Paige and Tarjan, SIAM J. Comput. 1987; Valmari,
@@ -22,36 +23,35 @@ parent block) event, from which the fuzzy engine builds its tree.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from .graph import Flg
 
 
 class RefinableMap:
-    """An element -> block-id map with block extents and a dirty queue,
-    block id -> marked members, which holds the fresh map's one block with
-    every element marked."""
+    """The vertex ids 0..len(preds)-1 in blocks: v's block id ``assignment[v]``,
+    the members ``blocks[bid]`` (a split appends one), and a dirty queue, block
+    id -> marked members, holding the fresh map's one block all marked."""
 
-    def __init__(self, elements: Iterable[Hashable], preds):
-        self.assignment: Dict[Hashable, int] = {v: 0 for v in elements}
-        self.blocks: Dict[int, Set] = {0: set(self.assignment)}
+    def __init__(self, preds: list):
+        self.assignment: List[int] = [0] * len(preds)
+        self.blocks: List[Set[int]] = [set(range(len(preds)))]
         self.preds = preds
-        self.dirty: Dict[int, Set] = defaultdict(set, {0: set(self.assignment)})
+        self.dirty: Dict[int, Set[int]] = defaultdict(set, {0: set(self.blocks[0])})
         self.events: List[Tuple[int, int]] = []
-        self._next = 1
 
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def mark(self, elements: Iterable[Hashable]):
-        """Queue each element's block with the element marked; never a block of one."""
+    def mark(self, vertices: Iterable[int]):
+        """Queue each vertex's block with the vertex marked; never a block of one."""
         assignment, blocks, dirty = self.assignment, self.blocks, self.dirty
-        for v in elements:
+        for v in vertices:
             bid = assignment[v]
             if len(blocks[bid]) > 1:
                 dirty[bid].add(v)
 
-    def split_block(self, bid: int, key_of: Callable[[Hashable], object], marked=None) -> bool:
+    def split_block(self, bid: int, key_of: Callable[[int], object], marked=None) -> bool:
         """Split a block by keying its ``marked`` members (all when None) and one
         other member; returns True when it split."""
         members = self.blocks[bid]
@@ -72,11 +72,10 @@ class RefinableMap:
         elif rest:  # the rest moves with its group, which is smaller than kept
             rest_group += [v for v in members if v not in marked]
         moved = [group for group in groups.values() if group is not kept]
-        assignment = self.assignment
+        assignment, blocks = self.assignment, self.blocks
         for group in moved:
-            new_bid = self._next
-            self._next += 1
-            self.blocks[new_bid] = set(group)
+            new_bid = len(blocks)
+            blocks.append(set(group))
             members.difference_update(group)
             for v in group:
                 assignment[v] = new_bid
@@ -85,35 +84,35 @@ class RefinableMap:
         self.mark([p for group in moved for v in group for p in preds[v]])
         return True
 
-    def refine(self, key_of: Callable[[Hashable], object], trace=None):
+    def refine(self, key_of: Callable[[int], object], trace=None):
         """Split queued blocks until the queue is empty.
 
         The unmarked members of every block must share one key under
         ``key_of``; the result is then the coarsest refinement of the
         current partition on which ``key_of`` is uniform.  Each split keeps
-        the largest group's id and marks the predecessors of moved elements.
+        the largest group's id and marks the predecessors of moved vertices.
         """
         while self.dirty:
             bid, marked = self.dirty.popitem()
             if self.split_block(bid, key_of, marked) and trace is not None:
                 trace(f"block {bid} split; {self.block_count()} blocks now")
 
-    def snapshot(self) -> Dict[Hashable, int]:
-        return dict(self.assignment)
+    def snapshot(self) -> List[int]:
+        return list(self.assignment)
 
 
 def adjacency(g: Flg, pool: list):
     """Dense-id adjacency on degree ranks for refinement runs.
 
     ``pool`` is a sorted list holding every degree of ``g``; a degree is
-    replaced by its index there.  Returns the sorted vertices, the out-edges
-    of vertex id i as ``(symbol, target id, rank)``, the predecessor ids of
-    vertex id i, and the label of vertex id i as a symbol -> rank map.
+    replaced by its index there.  Returns the out-edges of vertex id i as
+    ``(symbol, target id, rank)``, the predecessor ids of vertex id i, and
+    the label of vertex id i as a symbol -> rank map.
     """
     if pool == g.pool:
-        return g.by_id, g.out, g.preds, g.label_ranks
+        return g.out, g.preds, g.label_ranks
     position = {d: k for k, d in enumerate(pool)}
     new = [position[d] for d in g.pool]
     out = [[(r, j, new[rk]) for r, j, rk in edges] for edges in g.out]
     labels = [{p: new[rk] for p, rk in label.items()} for label in g.label_ranks]
-    return g.by_id, out, g.preds, labels
+    return out, g.preds, labels

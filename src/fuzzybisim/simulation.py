@@ -117,11 +117,11 @@ def _simulate(edges, edges_prime, alive: set, width: int) -> set:
     return set(compress(count(), _Kernel(edges, edges_prime, rows, width).advance(0)))
 
 
-def _simulation(g: Flg, g_prime: Flg, graded: bool, states=None, verbose: bool = False):
+def _simulation(g: Flg, g_prime: Flg, graded: bool, states: bool = False, verbose: bool = False):
     """The pairs of the greatest crisp simulation, or (``graded``) the positive
-    entries of the fuzzy one, in pair order: over all vertices, or over S x S'
-    with ``states`` = (|S|, |S'|).  A pair that dies at level k has degree
-    ``pool[k - 1]``; one that never dies, 1."""
+    entries of the fuzzy one, in pair order: over all vertices, or with
+    ``states`` over S x S', the ids below ``len(names)``, by name.  A pair that
+    dies at level k has degree ``pool[k - 1]``; one that never dies, 1."""
     if not g.same_signature(g_prime):
         raise ModelError("graphs must share vertex and edge alphabets")
     pool = sorted(set(g.pool) | set(g_prime.pool))  # both hold 1
@@ -130,10 +130,9 @@ def _simulation(g: Flg, g_prime: Flg, graded: bool, states=None, verbose: bool =
     # and column, which never dies: the edge's clause is the label's (a cap below k kills at level k).
     edges, edges_prime = ([(x, r, y, rk) for x, es in enumerate(out) for r, y, rk in es]
                           + [(x, (p,), len(out), rk) for x, label in enumerate(labels) for p, rk in label.items()]
-                          for _, out, _, labels in sides)
-    (left, _, _, labels), (right, _, _, labels_prime) = sides
+                          for out, _, labels in sides)
+    (left, _, labels), (right, _, labels_prime) = sides
     width, levels = len(right) + 1, len(pool) if graded else 1
-    n, n_prime = states or (len(left), len(right))
     rows = [b"\1" * len(right) + b"\0"] * len(left) + [bytes(len(right)) + b"\1"]
     kernel = _Kernel(edges, edges_prime, rows, width, levels)
     before = len(left) * len(right)
@@ -148,7 +147,8 @@ def _simulation(g: Flg, g_prime: Flg, graded: bool, states=None, verbose: bool =
             print(f"[{'fuzzy' if graded else 'crisp'}-sim] threshold {format_degree(pool[level] if graded else 1)}: "
                   f"{alive} pairs alive, {before - alive} removed", file=sys.stderr)
             before = alive
-    names, names_prime = ([v.key for v in side] for side in (left, right)) if states else (left, right)
+    names, names_prime = (g.names, g_prime.names) if states else (g.by_id, g_prime.by_id)
+    n, n_prime = len(names), len(names_prime)
     found = [((names[x], names_prime[x_prime]), row[x_prime]) for x in range(n)
              for row in [dies[x * width:x * width + n_prime]] for x_prime in compress(range(n_prime), row)]
     return [(pair, pool[k - 1]) for pair, k in found] if graded else [pair for pair, _ in found]
@@ -157,7 +157,7 @@ def _simulation(g: Flg, g_prime: Flg, graded: bool, states=None, verbose: bool =
 def _on_systems(a: Nfts, b: Nfts, graded: bool, verbose: bool):
     a, b = as_nflts(a), as_nflts(b)
     _require_alphabets(a, b)
-    found = _simulation(to_flg(a), to_flg(b), graded, (len(a.states), len(b.states)), verbose)
+    found = _simulation(to_flg(a), to_flg(b), graded, states=True, verbose=verbose)
     return (FuzzyRelation if graded else CrispRelation)(a.states, b.states, found)
 
 

@@ -16,6 +16,7 @@ from fuzzybisim import (
     CompactFuzzyPartition,
     CrispPartition,
     Distribution,
+    Flg,
     FuzzySet,
     GenSpec,
     Nflts,
@@ -738,3 +739,23 @@ def test_engine_commands_build_no_object_views(monkeypatch, capsys, tmp_path):
     assert invoke(capsys, "crisp-partition", str(paths[1]), "--engine", "oracle")[0] == 0
     assert built  # the counters see the oracle's object views
     assert fuzzy_partition_system(parse_model(str(paths[1]))).root and Block in built  # and the tree's view
+
+
+def test_engine_commands_build_no_vertex(monkeypatch, capsys, tmp_path):
+    # The engines refine dense vertex ids and read a state's name as
+    # names[i], i < |S|: a query builds no graph's Vertex list, by_id, unless
+    # --verbose prints the graph partition.
+    path = tmp_path / "labeled.json"
+    path.write_text(json.dumps(model_to_document(generate(random_spec(random.Random(7), 10, labeled=True)))))
+    graphs, real = [], Flg.__init__
+    monkeypatch.setattr(Flg, "__init__", lambda self, *args: graphs.append(self) or real(self, *args))
+    for model in (str(REPO_ROOT / "models" / "example.json"), str(path)):
+        for argv in (["crisp-partition", model], ["fuzzy-partition", model], ["degree", model, "s1", "s2"],
+                     ["crisp-sim", model, model], ["fuzzy-sim", model, model],
+                     ["bisim-between", model, model, "--mode", "crisp"],
+                     ["bisim-between", model, model, "--mode", "fuzzy"]):
+            for extra in ([], ["--json"]):
+                assert invoke(capsys, *argv, *extra)[0] == 0, argv + extra
+    assert graphs and [g for g in graphs if "by_id" in vars(g)] == []
+    assert invoke(capsys, "crisp-partition", str(path), "--verbose")[0] == 0
+    assert "by_id" in vars(graphs[-1])  # built on first use, as the graph partition's vertices

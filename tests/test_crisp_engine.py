@@ -120,7 +120,9 @@ def test_states_flag_gives_the_restricted_graph_partition():
     for model in models:
         g = to_flg(model)
         graph = greatest_crisp_bisim_partition_flg(g)
-        assert greatest_crisp_bisim_partition_flg(g, states=True) == restrict_to_states(graph.blocks)
+        ids = {v: i for i, v in enumerate(g.by_id)}
+        blocks = [[ids[v] for v in block] for block in graph.blocks]
+        assert greatest_crisp_bisim_partition_flg(g, states=True) == restrict_to_states(blocks, g.names)
 
 
 def test_system_queries_build_one_crisp_partition(monkeypatch, capsys, tmp_path):

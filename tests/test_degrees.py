@@ -27,7 +27,7 @@ def test_parse_decimal():
     assert parse_degree("2/5") == Fraction(2, 5)
 
 
-@pytest.mark.parametrize("bad", ["1.2", "-0.1", "abc", "", "1/0", "3/2"])
+@pytest.mark.parametrize("bad", ["1.2", "-0.1", "abc", "", "1/0", "3/2", "1_0/2_0", "0.5_0", "\u0660.\u0665"])
 def test_parse_rejects(bad):
     with pytest.raises(DegreeError):
         parse_degree(bad)
@@ -127,3 +127,5 @@ def test_huge_exponents_are_rejected_before_they_are_expanded():
             parse_degree(text)
     assert parse_degree("5e-1") == Fraction(1, 2)
     assert parse_degree("1e-4300") == Fraction(1, 10**4300)
+    with pytest.raises(DegreeError, match="malformed"):  # more digits than int() reads: an error, not a crash
+        parse_degree("0." + "9" * 5000)

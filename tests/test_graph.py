@@ -221,7 +221,7 @@ def test_dense_graph_invariants():
         vertices, edges, labels = _graph_by_definition(model)
         # ids: the states by name, then the distributions by index
         assert g.by_id == sorted(vertices)
-        assert [v.key for v in g.by_id[:len(model.states)]] == sorted(model.states)
+        assert [v.key for v in g.by_id[:len(model.states)]] == sorted(model.states) == list(g.names)
         assert g.pool == sorted(set(g.pool)) and g.pool[-1] == 1 and g.degree_pool() == g.pool
         # the arrays and the views derived from them match the definition
         assert {(g.by_id[i], r, g.by_id[j]): g.pool[rk] for i, out in enumerate(g.out) for r, j, rk in out} == edges
@@ -237,8 +237,8 @@ def test_dense_graph_invariants():
             assert sorted(g.in_edges(v)) == sorted((r, x, d) for (x, r, y), d in edges.items() if y == v)
             assert sorted(g.predecessors(v)) == sorted(x for (x, _, y) in edges if y == v)
         # the engines' view of the graph's own pool is the stored arrays
-        by_id, out, preds, ranks = adjacency(g, g.degree_pool())
-        assert by_id is g.by_id and out is g.out and preds is g.preds and ranks is g.label_ranks
+        out, preds, ranks = adjacency(g, g.degree_pool())
+        assert out is g.out and preds is g.preds and ranks is g.label_ranks
         if not isinstance(model, Nflts):
             assert to_flg(as_nflts(model)).edges == g.edges
 
@@ -246,8 +246,8 @@ def test_dense_graph_invariants():
 def test_adjacency_re_ranks_onto_a_joint_pool():
     g = to_flg(make_example())
     joint = sorted(set(g.pool) | {Fraction(1, 10), Fraction(3, 4)})
-    by_id, out, preds, ranks = adjacency(g, joint)
-    assert by_id is g.by_id and preds is g.preds
+    out, preds, ranks = adjacency(g, joint)
+    assert preds is g.preds
     assert [[(r, j, joint[rk]) for r, j, rk in edges] for edges in out] == [
         [(r, j, g.pool[rk]) for r, j, rk in edges] for edges in g.out
     ]

@@ -169,6 +169,23 @@ def test_relation_document_errors():
         parse_relation('{"kind": "fuzzy", "degrees": [["s1", "s2", "1.7"]]}', model)
 
 
+def test_a_fuzzy_pair_listed_twice_is_an_error(tmp_path, capsys):
+    # The last row used to win, so check printed "holds" for one order of
+    # these rows and "violates forward-transition" for the other.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "nfts", "states": ["s", "t"], "actions": ["a"],
+                                 "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5"}}]}))
+    rows = [["s", "t", "0.5"], ["s", "t", "0"]]
+    for order in (rows, rows[::-1]):
+        relation = tmp_path / "relation.json"
+        relation.write_text(json.dumps({"kind": "fuzzy", "degrees": order}))
+        assert run(["check", str(model), str(relation), "--kind", "fuzzy-bisim"]) == 1
+        assert capsys.readouterr().err == "error: degrees['s', 't']: pair listed twice\n"
+    # a repeated crisp pair states the same fact twice
+    crisp = parse_relation(json.dumps({"kind": "crisp", "pairs": [["s1", "s2"], ["s1", "s2"]]}), make_example())
+    assert crisp.pairs == {("s1", "s2")}
+
+
 def test_an_unknown_top_level_key_is_an_error(tmp_path, capsys):
     # A misspelt key used to be ignored: the labels below were dropped, so
     # crisp-partition merged a and b, and check checked the empty relation.

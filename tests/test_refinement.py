@@ -6,7 +6,6 @@ import pytest
 
 from fuzzybisim import Nflts, fuzzy_partition_system, generate, greatest_fuzzy_bisim_cfp_flg, to_flg
 from fuzzybisim.crisp_engine import greatest_crisp_bisim_partition_flg
-from fuzzybisim.graph import state_vertex
 from fuzzybisim.refinement import RefinableMap, adjacency
 
 from conftest import CATERPILLARS, make_example
@@ -14,26 +13,26 @@ from test_workloads import load_workloads
 
 
 def fresh_map():
-    vertices = [state_vertex(s) for s in "abcd"]
-    preds = {v: [] for v in vertices}
-    return vertices, RefinableMap(vertices, preds)
+    """Four unconnected vertices, ids 0..3, in one block."""
+    return RefinableMap([[] for _ in range(4)])
 
 
 def test_starts_as_one_block():
-    _, state = fresh_map()
+    state = fresh_map()
     assert state.block_count() == 1
+    assert state.assignment == [0, 0, 0, 0] and state.blocks == [{0, 1, 2, 3}]
 
 
 def test_split_by_key():
-    vertices, state = fresh_map()
-    assert state.split_block(0, lambda v: v.key in ("a", "b"))
+    state = fresh_map()
+    assert state.split_block(0, lambda v: v in (0, 1))
     assert state.block_count() == 2
-    assert state.assignment[vertices[0]] == state.assignment[vertices[1]]
-    assert state.assignment[vertices[0]] != state.assignment[vertices[2]]
+    assert state.assignment[0] == state.assignment[1]
+    assert state.assignment[0] != state.assignment[2]
 
 
 def test_constant_key_is_a_no_op():
-    vertices, state = fresh_map()
+    state = fresh_map()
     assert not state.split_block(0, lambda v: 0)
     assert state.block_count() == 1
     before = state.snapshot()
@@ -42,33 +41,32 @@ def test_constant_key_is_a_no_op():
 
 
 def test_refine_reaches_a_fixpoint():
-    vertices, state = fresh_map()
+    state = fresh_map()
     # each vertex gets its own signature: fully discrete partition
-    state.refine(lambda v: v.key)
+    state.refine(lambda v: v)
     assert state.block_count() == 4
-    assert len(set(state.assignment.values())) == 4
+    assert len(set(state.assignment)) == 4
 
 
 def test_snapshot_is_independent():
-    vertices, state = fresh_map()
+    state = fresh_map()
     snap = state.snapshot()
-    state.split_block(0, lambda v: v.key)
-    assert len(set(snap.values())) == 1
+    state.split_block(0, lambda v: v)
+    assert snap == [0, 0, 0, 0]
 
 
 def test_split_requeues_only_predecessors_of_new_groups():
-    elements = ["a", "b", "c", "p", "q"]
+    a, b, c, p, q = range(5)
     # p points only into a, q only into c
-    preds = {"a": ["p"], "b": [], "c": ["q"], "p": [], "q": []}
-    state = RefinableMap(elements, preds)
-    state.split_block(0, lambda v: "pq" if v in "pq" else "abc")
+    state = RefinableMap([[p], [], [q], [], []])
+    state.split_block(0, lambda v: "pq" if v in (p, q) else "abc")
     state.dirty.clear()
-    bid = state.assignment["a"]
-    assert state.split_block(bid, lambda v: v == "c")
+    bid = state.assignment[a]
+    assert state.split_block(bid, lambda v: v == c)
     # the larger group {a, b} keeps the id, so p's signature is unchanged
-    assert state.assignment["a"] == state.assignment["b"] == bid
-    assert state.dirty == {state.assignment["q"]: {"q"}}
-    assert state.events[-1] == (state.assignment["c"], bid)
+    assert state.assignment[a] == state.assignment[b] == bid
+    assert state.dirty == {state.assignment[q]: {q}}
+    assert state.events[-1] == (state.assignment[c], bid)
 
 
 def counted(key):
@@ -82,8 +80,7 @@ def counted(key):
 
 
 def ten_in_one_block(preds=None):
-    elements = list(range(10))
-    state = RefinableMap(elements, preds or {v: [] for v in elements})
+    state = RefinableMap(preds or [[] for _ in range(10)])
     state.dirty.clear()
     return state
 
@@ -125,7 +122,7 @@ def test_marked_members_agreeing_with_the_rest_do_not_split():
 
 def test_singleton_blocks_are_never_queued():
     # 9 points into 1; 9 and 2 point into 4
-    preds = {v: [] for v in range(10)}
+    preds = [[] for _ in range(10)]
     preds[1], preds[4] = [9], [9, 2]
     state = ten_in_one_block(preds)
     assert state.split_block(0, lambda v: v if v in (1, 9) else -1)
@@ -213,7 +210,8 @@ def test_refinement_work_is_no_more_than_recorded(monkeypatch, family):
 def test_adjacency_matches_the_graph():
     g = to_flg(make_example())
     pool = g.degree_pool()
-    vertices, out, preds, labels = adjacency(g, pool)
+    out, preds, labels = adjacency(g, pool)
+    vertices = g.by_id
     assert sorted(g.vertices) == vertices
     for i, v in enumerate(vertices):
         assert sorted((r, vertices[j], pool[rk]) for r, j, rk in out[i]) == sorted(g.out_edges(v))
