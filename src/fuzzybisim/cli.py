@@ -264,12 +264,12 @@ def _dispatch(args, started: float) -> int:
             label_density=args.label_density,
             seed=args.seed,
         )
-        document = _json_text(model_to_document(generate(spec)))
+        document = model_to_document(generate(spec))
         if args.out:
-            Path(args.out).write_text(document + "\n")
+            Path(args.out).write_text(_json_text(document) + "\n")
             _emit(args, started, lambda: {"written": args.out}, lambda: f"wrote {args.out}")
         else:
-            print(document)
+            _emit(args, started, lambda: document, lambda: _json_text(document))
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

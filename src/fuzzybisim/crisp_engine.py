@@ -1,8 +1,8 @@
 """Greatest crisp bisimulation of a graph as a partition, and the
 system-level pipeline (transform, refine, keep the state blocks).
 
-The engine refines one block by a single key: the vertex label, and the
-(edge symbol, target block) -> max degree signature, on degree ranks.  The
+The engine refines one block by a single key: the vertex's label id, and
+the (edge symbol, target block) -> max degree signature, on degree ranks.  The
 coarsest stable refinement is unique, so this is the same partition as
 splitting by labels first and then by signatures.  The blocks hold vertex
 ids, and a state block only ids i < |S|: a system query builds one
@@ -29,8 +29,7 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
     """Partition of the greatest crisp bisimulation of a finite graph, or with
     ``states`` (for a graph built by ``to_flg``) of its states.  ``verbose``
     traces the splits, then the graph partition."""
-    out, preds, labels = adjacency(g, g.degree_pool())
-    label_key = [frozenset(label.items()) for label in labels]
+    out, preds, label_ids, _ = adjacency(g, g.degree_pool())
     state = RefinableMap(preds)
     assignment = state.assignment
 
@@ -40,12 +39,12 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
             edge = (r, assignment[y])
             if best.get(edge, -1) < rk:
                 best[edge] = rk
-        return label_key[x], frozenset(best.items())
+        return label_ids[x], frozenset(best.items())
 
     state.refine(key, trace=_trace if verbose else None)
     if verbose:
-        _trace(f"stable with {state.block_count()} blocks")
-    graph = CrispPartition([g.by_id[x] for x in block] for block in state.blocks) if verbose or not states else None
+        _trace(f"stable with {len(state.blocks)} blocks")
+    graph = restrict_to_states(state.blocks, g.by_id) if verbose or not states else None
     if verbose:
         _trace(f"graph partition: {graph.text()}")
     return restrict_to_states(state.blocks, g.names) if states else graph
@@ -63,6 +62,6 @@ def crisp_partition_oracle(model: Nfts) -> CrispPartition:
 
 
 def restrict_to_states(blocks, names) -> CrispPartition:
-    """The partition of the states ``names`` from the blocks of vertex ids that
-    hold a state id, one below ``len(names)`` (a block never mixes the two kinds)."""
+    """The partition of the states ``names`` (of all vertices, given ``by_id``) from the
+    blocks of vertex ids that hold one below ``len(names)`` (a block never mixes the kinds)."""
     return CrispPartition([names[x] for x in block] for block in blocks if next(iter(block)) < len(names))

@@ -8,8 +8,8 @@ levels i = 0, 1, ... in ascending order.  At level i two vertices stay together 
 their labels agree, with every rank >= i in one bucket, and they reach the
 same blocks over edges of rank >= i.  Both conditions form one key; since
 the coarsest stable refinement is unique, this gives the same partition as
-splitting by labels first and then refining.  Labels are interned once per
-query, and a level makes the label part of a key once per distinct label,
+splitting by labels first and then refining.  The layout interns the labels
+once per system, so a level makes the label part of a key once per label id,
 on first use.
 
 The partition left by level i-1 is stable for its key, and at level i the
@@ -49,33 +49,31 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     or with ``states`` (for a graph built by ``to_flg``) of its states.
     ``verbose`` traces the blocks per threshold, then the graph partition."""
     thresholds = g.degree_pool()  # holds 1, the degree of the state mark
-    edges, preds, labels = adjacency(g, thresholds)
-    ids: dict = {}  # each distinct label, as its (symbol, rank) pairs -> its id
-    label_id = [ids.setdefault(frozenset(label.items()), len(ids)) for label in labels]
-    distinct, ranks_of = list(ids), [{rk for _, rk in label} for label in ids]
+    edges, preds, label_ids, label_maps = adjacency(g, thresholds)
+    ranks_of = [set(label.values()) for label in label_maps]
     # touched[i]: vertices whose key may change at level i.
     touched = [[] for _ in range(len(thresholds) + 1)]
     for x in range(len(edges)):
-        for rk in {rk for _, _, rk in edges[x]} | ranks_of[label_id[x]]:
+        for rk in {rk for _, _, rk in edges[x]} | ranks_of[label_ids[x]]:
             touched[rk + 1].append(x)
     state = RefinableMap(preds)
     assignment = state.assignment
     levels: list = []
 
     for level, threshold in enumerate(thresholds):
-        table = [None] * len(distinct)  # label id -> its key part at this level, made on first use
+        table = [None] * len(label_maps)  # label id -> its key part at this level, made on first use
 
         def key(x):
-            i = label_id[x]
+            i = label_ids[x]
             if table[i] is None:
-                table[i] = frozenset([(p, min(rk, level)) for p, rk in distinct[i]])
+                table[i] = frozenset([(p, min(rk, level)) for p, rk in label_maps[i].items()])
             return table[i], frozenset([(r, assignment[y]) for r, y, rk in edges[x] if rk >= level])
 
         state.mark(touched[level])
         state.refine(key)
         levels += [level] * (len(state.events) - len(levels))
         if verbose:
-            _trace(f"threshold {format_degree(threshold)}: {state.block_count()} blocks")
+            _trace(f"threshold {format_degree(threshold)}: {len(state.blocks)} blocks")
 
     if verbose or not states:
         graph = CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, g.by_id))

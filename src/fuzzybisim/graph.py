@@ -59,13 +59,14 @@ class Flg:
     Vertex id i < len(names) is the state ``names[i]`` and id len(names) + k
     distribution k.  ``out[i]`` holds the edges leaving vertex id i as
     (symbol, target id, rank), ``preds[i]`` the source id of each edge
-    entering it, and ``label_ranks[i]`` its label as a symbol -> rank map;
-    rank k stands for the degree ``pool[k]``.
+    entering it, and ``label_ids[i]`` the id of its label in ``label_maps``,
+    the system's distinct labels as symbol -> rank maps; rank k stands for
+    the degree ``pool[k]``.
     """
 
     def __init__(self, model: Nfts, pool: list):
-        self.names, self.out, self.preds, self.label_ranks = model.names, model.out, model.preds, model.label_ranks
-        self.pool = pool
+        self.names, self.out, self.preds, self.pool = model.names, model.out, model.preds, pool
+        self.label_ids, self.label_maps = model.label_ids, model.label_maps
         self.vertex_alphabet, self.edge_alphabet = model.label_alphabet | {STATE_MARK}, model.actions | {EPSILON}
 
     @cached_property
@@ -86,12 +87,9 @@ class Flg:
 
     @cached_property
     def labels(self) -> dict:
-        """Vertex -> its label as a FuzzySet; equal labels are one object."""
-        shared: dict = {}
-        return {
-            v: shared.setdefault(frozenset(ranks.items()), FuzzySet({p: self.pool[rk] for p, rk in ranks.items()}))
-            for v, ranks in zip(self.by_id, self.label_ranks)
-        }
+        """Vertex -> its label as a FuzzySet, one per label id."""
+        sets = [FuzzySet({p: self.pool[rk] for p, rk in label.items()}) for label in self.label_maps]
+        return dict(zip(self.by_id, map(sets.__getitem__, self.label_ids)))
 
     @cached_property
     def _incident(self) -> dict:

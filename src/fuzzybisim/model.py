@@ -8,8 +8,10 @@ the sorted distinct positive degrees, each degree its rank there (a missing
 rank of 1) per triple of state i, and (EPSILON, j, rank) per state j of
 distribution k (vertex |S| + k, equal targets being one distribution, in
 first-use order); ``preds[i]``, the sources of the edges into vertex i; and
-``label_ranks[i]``, its label as a symbol -> rank map, with the state mark
-on each state.  Each degree object is range-checked once and compared by
+``label_ids[i]``, the id of its label in ``label_maps``, the distinct labels
+as symbol -> rank maps, with the state mark on each state: equal labels share
+one id, numbered in first-use order over the vertex ids, and no other code
+interns labels.  Each degree object is range-checked once and compared by
 value.  The object views ``distributions``, ``transitions`` and ``label_of``
 are built on first access, from ``_given[r]``, the first object of rank r.
 """
@@ -208,12 +210,18 @@ def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank, 
             preds[j].append(i)
         out.append(edges)
     mark = {} if STATE_MARK in label_alphabet else {STATE_MARK: top}  # to_flg refuses the former: no label is lost
-    label_ranks = [{**mark} for _ in range(n)] + [{} for _ in targets]
+    # Each vertex's label as its (symbol, rank) pairs, the two defaults shared; with no mark they are equal.
+    unlabeled = frozenset(mark.items())
+    keys, maps = [unlabeled] * n + [frozenset()] * len(targets), {unlabeled: mark, frozenset(): {}}
     for i, ids in labels.items():
-        label_ranks[i] = {p: rank[d] for p, d in ids.items()} | mark
+        label = {p: rank[d] for p, d in ids.items()} | mark
+        keys[i] = frozenset(label.items())
+        maps.setdefault(keys[i], label)
+    table: dict = {}  # a label's pairs -> its id, in first-use order over the vertex ids
+    label_ids = [table.setdefault(key, len(table)) for key in keys]
     names = tuple(index)
     return dict(states=frozenset(names), actions=actions, names=names, delta=delta, label_alphabet=label_alphabet,
-                pool=pool, _given=given, out=out, preds=preds, label_ranks=label_ranks)
+                pool=pool, _given=given, out=out, preds=preds, label_ids=label_ids, label_maps=[*map(maps.get, table)])
 
 
 class Nfts:
@@ -245,10 +253,10 @@ class Nfts:
 
     def user_labels(self) -> list:
         """(state id, its label as a symbol -> rank map) for each labeled state,
-        in id order: ``label_ranks`` without the state mark."""
+        in id order: its ``label_maps`` entry without the state mark."""
         sigma = self.label_alphabet
-        labels = enumerate(self.label_ranks[:len(self.names)] if sigma else ())
-        return [(i, label) for i, ranks in labels if (label := {p: r for p, r in ranks.items() if p in sigma})]
+        maps = [{p: r for p, r in label.items() if p in sigma} for label in self.label_maps]
+        return [(i, maps[k]) for i, k in enumerate(self.label_ids[:len(self.names)]) if maps[k]] if sigma else []
 
     def size_of_delta(self) -> int:
         """|delta| plus the summed support sizes over distinct distributions."""

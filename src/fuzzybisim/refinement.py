@@ -4,8 +4,8 @@ All three engines (crisp, fuzzy, simulation) read a graph through
 ``adjacency``: dense vertex ids, id i < |S| the state ``names[i]``, and
 degrees as ranks in a sorted pool.  The Goedel operators only compare
 degrees, so ranks are exact.  ``to_flg`` fixes the ids and ranks once, so on
-the graph's own pool ``adjacency`` returns the stored arrays; it only
-re-ranks for a joint pool of two graphs.  The kernel partitions the ids.
+the graph's own pool ``adjacency`` returns the stored arrays; for a joint pool
+it re-ranks the edges and the distinct label maps.  The kernel partitions the ids.
 
 Both bisimulation engines split blocks by per-vertex keys computed against
 the current partition (Paige and Tarjan, SIAM J. Comput. 1987; Valmari,
@@ -39,9 +39,6 @@ class RefinableMap:
         self.preds = preds
         self.dirty: Dict[int, Set[int]] = defaultdict(set, {0: set(self.blocks[0])})
         self.events: List[Tuple[int, int]] = []
-
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def mark(self, vertices: Iterable[int]):
         """Queue each vertex's block with the vertex marked; never a block of one."""
@@ -95,7 +92,7 @@ class RefinableMap:
         while self.dirty:
             bid, marked = self.dirty.popitem()
             if self.split_block(bid, key_of, marked) and trace is not None:
-                trace(f"block {bid} split; {self.block_count()} blocks now")
+                trace(f"block {bid} split; {len(self.blocks)} blocks now")
 
     def snapshot(self) -> List[int]:
         return list(self.assignment)
@@ -106,13 +103,12 @@ def adjacency(g: Flg, pool: list):
 
     ``pool`` is a sorted list holding every degree of ``g``; a degree is
     replaced by its index there.  Returns the out-edges of vertex id i as
-    ``(symbol, target id, rank)``, the predecessor ids of vertex id i, and
-    the label of vertex id i as a symbol -> rank map.
+    ``(symbol, target id, rank)``, the predecessor ids of vertex id i, the
+    label id of vertex id i, and the distinct labels as symbol -> rank maps.
     """
     if pool == g.pool:
-        return g.out, g.preds, g.label_ranks
+        return g.out, g.preds, g.label_ids, g.label_maps
     position = {d: k for k, d in enumerate(pool)}
     new = [position[d] for d in g.pool]
     out = [[(r, j, new[rk]) for r, j, rk in edges] for edges in g.out]
-    labels = [{p: new[rk] for p, rk in label.items()} for label in g.label_ranks]
-    return out, g.preds, labels
+    return out, g.preds, g.label_ids, [{p: new[rk] for p, rk in label.items()} for label in g.label_maps]

@@ -129,17 +129,17 @@ def _simulation(g: Flg, g_prime: Flg, graded: bool, states: bool = False, verbos
     # A label p of degree d is an edge (x, (p,), sink, d) into the sink pair, seeded alone in its row
     # and column, which never dies: the edge's clause is the label's (a cap below k kills at level k).
     edges, edges_prime = ([(x, r, y, rk) for x, es in enumerate(out) for r, y, rk in es]
-                          + [(x, (p,), len(out), rk) for x, label in enumerate(labels) for p, rk in label.items()]
-                          for out, _, labels in sides)
-    (left, _, labels), (right, _, labels_prime) = sides
+                          + [(x, (p,), len(out), rk) for x, k in enumerate(ids) for p, rk in maps[k].items()]
+                          for out, _, ids, maps in sides)
+    (left, _, ids, maps), (right, _, ids_prime, maps_prime) = sides
     width, levels = len(right) + 1, len(pool) if graded else 1
     rows = [b"\1" * len(right) + b"\0"] * len(left) + [bytes(len(right)) + b"\1"]
     kernel = _Kernel(edges, edges_prime, rows, width, levels)
     before = len(left) * len(right)
     if verbose and not graded:  # the crisp run starts from the pairs of label dominance
-        kinds = [(dict(kind), m) for kind, m in Counter(frozenset(label.items()) for label in labels_prime).items()]
-        before = sum(m for label in labels for other, m in kinds
-                     if all(rk <= other.get(p, -1) for p, rk in label.items()))
+        kinds = Counter(ids_prime).items()
+        before = sum(m * m_prime for k, m in Counter(ids).items() for k_prime, m_prime in kinds
+                     if all(rk <= maps_prime[k_prime].get(p, -1) for p, rk in maps[k].items()))
     for level in range(levels):
         dies = kernel.advance(level)
         if verbose:

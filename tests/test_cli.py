@@ -444,6 +444,20 @@ def test_gen_is_deterministic(capsys):
     assert first == second
 
 
+def test_gen_json_wraps_its_result_in_the_schema(capsys, tmp_path):
+    # the model document is the result, as a file's path is with --out; gen reads no input
+    _, text, _ = invoke(capsys, "gen", "--states", "4", "--seed", "5")
+    code, out, _ = invoke(capsys, "gen", "--states", "4", "--seed", "5", "--json")
+    doc = json.loads(out)
+    assert code == 0 and set(doc) == {"command", "input", "result", "engine", "wall_time_ms"}
+    assert (doc["command"], doc["input"], doc["engine"], doc["result"]) == ("gen", None, "efficient", json.loads(text))
+    path = tmp_path / "model.json"
+    code, out, _ = invoke(capsys, "gen", "--states", "4", "--seed", "5", "--out", str(path), "--json")
+    doc = json.loads(out)
+    assert code == 0 and (doc["command"], doc["input"], doc["result"]) == ("gen", None, {"written": str(path)})
+    assert path.read_text() == text
+
+
 def test_json_writer_matches_json_dumps():
     docs = [
         {}, [], "x", 0, 1.5, None, True,

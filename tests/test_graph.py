@@ -86,7 +86,7 @@ def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
     view = as_nflts(model)
     assert built == []
     assert type(view) is Nflts and type(model) is Nfts
-    for name in ("names", "delta", "pool", "_given", "out", "preds", "label_ranks"):
+    for name in ("names", "delta", "pool", "_given", "out", "preds", "label_ids", "label_maps"):
         assert getattr(view, name) is getattr(model, name), name
     assert view.label_alphabet == frozenset() and not view.label_of("s")
     assert built == []
@@ -104,7 +104,8 @@ def test_to_flg_is_a_view_over_the_model_arrays():
     labeled = Nflts(["s", "t"], ["a"], [("s", "a", {"t": H})], ["p"], {"t": {"p": 1}})
     for model in (example, labeled):
         g = to_flg(model)
-        assert g.out is model.out and g.preds is model.preds and g.label_ranks is model.label_ranks
+        assert g.out is model.out and g.preds is model.preds
+        assert g.label_ids is model.label_ids and g.label_maps is model.label_maps
     assert to_flg(example).pool == [*example.pool, 1] and example.pool[-1] != 1
     assert to_flg(labeled).pool is labeled.pool == [H, 1]
 
@@ -181,8 +182,8 @@ def test_disjoint_union_concatenates_the_arrays():
         a, b = as_nflts(a), as_nflts(b)
         union, inject_a, inject_b = disjoint_union(a, b)
         expected = _union_by_definition(a, b)
-        for name in ("states", "names", "actions", "delta", "pool", "_given", "out", "preds", "label_ranks",
-                     "label_alphabet"):
+        for name in ("states", "names", "actions", "delta", "pool", "_given", "out", "preds", "label_ids",
+                     "label_maps", "label_alphabet"):
             assert getattr(union, name) == getattr(expected, name), name
         assert [dict(mu.items()) for mu in union.distributions] == [dict(mu.items()) for mu in expected.distributions]
         assert all(union.label_of(s) == expected.label_of(s) for s in union.states)
@@ -197,6 +198,8 @@ def test_disjoint_union_requires_equal_alphabets():
     b = as_nflts(Nfts(["s"], ["b"], []))
     with pytest.raises(ModelError):
         disjoint_union(a, b)
+    with pytest.raises(ModelError, match="label alphabets"):
+        disjoint_union(Nflts(["s"], ["a"], [], ["p"]), Nflts(["s"], ["a"], [], ["q"]))
 
 
 def _graph_by_definition(model):
@@ -228,7 +231,7 @@ def test_dense_graph_invariants():
         assert [sorted(sources) for sources in g.preds] == [
             sorted(g.by_id.index(x) for (x, _, y) in edges if y == v) for v in g.by_id
         ]
-        assert [{p: g.pool[rk] for p, rk in ranks.items()} for ranks in g.label_ranks] == [
+        assert [{p: g.pool[rk] for p, rk in g.label_maps[k].items()} for k in g.label_ids] == [
             dict(labels[v].items()) for v in g.by_id
         ]
         assert g.vertices == vertices and g.edges == edges and g.labels == labels
@@ -237,8 +240,8 @@ def test_dense_graph_invariants():
             assert sorted(g.in_edges(v)) == sorted((r, x, d) for (x, r, y), d in edges.items() if y == v)
             assert sorted(g.predecessors(v)) == sorted(x for (x, _, y) in edges if y == v)
         # the engines' view of the graph's own pool is the stored arrays
-        out, preds, ranks = adjacency(g, g.degree_pool())
-        assert out is g.out and preds is g.preds and ranks is g.label_ranks
+        out, preds, ids, maps = adjacency(g, g.degree_pool())
+        assert out is g.out and preds is g.preds and ids is g.label_ids and maps is g.label_maps
         if not isinstance(model, Nflts):
             assert to_flg(as_nflts(model)).edges == g.edges
 
@@ -246,11 +249,11 @@ def test_dense_graph_invariants():
 def test_adjacency_re_ranks_onto_a_joint_pool():
     g = to_flg(make_example())
     joint = sorted(set(g.pool) | {Fraction(1, 10), Fraction(3, 4)})
-    out, preds, ranks = adjacency(g, joint)
-    assert preds is g.preds
+    out, preds, ids, maps = adjacency(g, joint)
+    assert preds is g.preds and ids is g.label_ids
     assert [[(r, j, joint[rk]) for r, j, rk in edges] for edges in out] == [
         [(r, j, g.pool[rk]) for r, j, rk in edges] for edges in g.out
     ]
-    assert [{p: joint[rk] for p, rk in label.items()} for label in ranks] == [
-        {p: g.pool[rk] for p, rk in label.items()} for label in g.label_ranks
+    assert [{p: joint[rk] for p, rk in label.items()} for label in maps] == [
+        {p: g.pool[rk] for p, rk in label.items()} for label in g.label_maps
     ]

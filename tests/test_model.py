@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import FuzzySet, ModelError, Nflts, Nfts, parse_model, to_flg
+from fuzzybisim import ONE, FuzzySet, ModelError, Nflts, Nfts, parse_model, to_flg
 from fuzzybisim.generate import generate, random_spec
+from fuzzybisim.model import STATE_MARK
 
 from conftest import REPO_ROOT, make_example
 
@@ -197,7 +198,8 @@ def _same_arrays(a, b):
     g, h = to_flg(a), to_flg(b)
     assert a.delta == b.delta and [dict(mu.items()) for mu in a.distributions] == [
         dict(mu.items()) for mu in b.distributions]
-    assert (g.by_id, g.out, g.preds, g.label_ranks, g.pool) == (h.by_id, h.out, h.preds, h.label_ranks, h.pool)
+    assert (g.by_id, g.out, g.preds, g.label_ids, g.label_maps, g.pool) == (
+        h.by_id, h.out, h.preds, h.label_ids, h.label_maps, h.pool)
 
 
 def test_degree_identity_does_not_leak_into_interning():
@@ -224,3 +226,22 @@ def test_degree_identity_does_not_leak_into_interning():
     for model in labeled[1:]:
         _same_arrays(model, labeled[0])
         assert [model.label_of(s) for s in states] == [labeled[0].label_of(s) for s in states]
+
+
+def test_label_ids_are_equal_iff_the_labels_are():
+    # the layout interns each vertex's label: the mark on each state, its fuzzy label,
+    # nothing on a distribution; with the mark's symbol in the alphabet there is no mark,
+    # so an unlabeled state and a distribution share one label and one id
+    rng = random.Random(61)
+    models = [generate(random_spec(rng, 6, labeled=i % 4 != 0)) for i in range(80)]
+    models.append(Nflts(["s", "t", "u", "v"], ["a"], [("s", "a", {"t": H}), ("u", "a", {"s": 1})], [STATE_MARK, "p"],
+                        {"t": {"p": H}, "u": {STATE_MARK: 1}, "v": {"p": Fraction(2, 4)}}))
+    for model in models:
+        mark = {} if STATE_MARK in model.label_alphabet else {STATE_MARK: ONE}
+        labels = [dict(model.label_of(s).items()) | mark for s in model.names] + [{}] * len(model.distributions)
+        ids, maps, pool = model.label_ids, model.label_maps, [*model.pool, ONE]  # rank len(pool) is 1 if missing
+        assert [{p: pool[r] for p, r in maps[k].items()} for k in ids] == labels
+        assert all((ids[i] == ids[j]) == (labels[i] == labels[j]) for i in range(len(ids)) for j in range(i))
+        assert len({frozenset(label.items()) for label in maps}) == len(maps)
+        assert list(dict.fromkeys(ids)) == list(range(len(maps)))  # numbered in first-use order
+    assert models[-1].label_ids == [0, 1, 2, 1, 0, 0]  # s, t, u, v (as t), then the distributions (as s)

@@ -209,6 +209,7 @@ def test_an_unknown_top_level_key_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [
+    [],
     {"states": [["s"]], "actions": ["a"]},
     {"states": [1], "actions": ["a"]},
     {"states": ["s"], "actions": ["a"], "transitions": "abc"},

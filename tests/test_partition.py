@@ -129,6 +129,10 @@ def test_tree_validation():
         )
     with pytest.raises(ValueError):
         fuzzy_block(H, [crisp_block("a")])
+    with pytest.raises(ValueError, match="non-empty"):
+        crisp_block([])
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        fuzzy_block(ONE, [crisp_block("a"), crisp_block("b")])
     with pytest.raises(ValueError):
         # an element may appear in only one leaf
         CompactFuzzyPartition(

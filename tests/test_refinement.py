@@ -19,14 +19,14 @@ def fresh_map():
 
 def test_starts_as_one_block():
     state = fresh_map()
-    assert state.block_count() == 1
+    assert len(state.blocks) == 1
     assert state.assignment == [0, 0, 0, 0] and state.blocks == [{0, 1, 2, 3}]
 
 
 def test_split_by_key():
     state = fresh_map()
     assert state.split_block(0, lambda v: v in (0, 1))
-    assert state.block_count() == 2
+    assert len(state.blocks) == 2
     assert state.assignment[0] == state.assignment[1]
     assert state.assignment[0] != state.assignment[2]
 
@@ -34,7 +34,7 @@ def test_split_by_key():
 def test_constant_key_is_a_no_op():
     state = fresh_map()
     assert not state.split_block(0, lambda v: 0)
-    assert state.block_count() == 1
+    assert len(state.blocks) == 1
     before = state.snapshot()
     state.refine(lambda v: "same")
     assert state.snapshot() == before
@@ -44,7 +44,7 @@ def test_refine_reaches_a_fixpoint():
     state = fresh_map()
     # each vertex gets its own signature: fully discrete partition
     state.refine(lambda v: v)
-    assert state.block_count() == 4
+    assert len(state.blocks) == 4
     assert len(set(state.assignment)) == 4
 
 
@@ -117,7 +117,7 @@ def test_marked_members_agreeing_with_the_rest_do_not_split():
     state = ten_in_one_block()
     key_of, calls = counted(lambda v: "same")
     assert not state.split_block(0, key_of, {4, 5})
-    assert len(calls) == 3 and state.block_count() == 1 and not state.events
+    assert len(calls) == 3 and len(state.blocks) == 1 and not state.events
 
 
 def test_singleton_blocks_are_never_queued():
@@ -126,7 +126,7 @@ def test_singleton_blocks_are_never_queued():
     preds[1], preds[4] = [9], [9, 2]
     state = ten_in_one_block(preds)
     assert state.split_block(0, lambda v: v if v in (1, 9) else -1)
-    assert state.block_count() == 3 and not state.dirty
+    assert len(state.blocks) == 3 and not state.dirty
     state.mark([1, 9, 4])
     assert state.dirty == {0: {4}}
     assert state.split_block(0, lambda v: v == 4, state.dirty.pop(0))
@@ -210,10 +210,10 @@ def test_refinement_work_is_no_more_than_recorded(monkeypatch, family):
 def test_adjacency_matches_the_graph():
     g = to_flg(make_example())
     pool = g.degree_pool()
-    out, preds, labels = adjacency(g, pool)
+    out, preds, ids, maps = adjacency(g, pool)
     vertices = g.by_id
     assert sorted(g.vertices) == vertices
     for i, v in enumerate(vertices):
         assert sorted((r, vertices[j], pool[rk]) for r, j, rk in out[i]) == sorted(g.out_edges(v))
         assert sorted(vertices[j] for j in preds[i]) == sorted(g.predecessors(v))
-        assert {p: pool[rk] for p, rk in labels[i].items()} == dict(g.labels[v].items())
+        assert {p: pool[rk] for p, rk in maps[ids[i]].items()} == dict(g.labels[v].items())

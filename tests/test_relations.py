@@ -41,6 +41,8 @@ def test_fuzzy_relation_drops_zeros():
 def test_fuzzy_relation_range_check():
     with pytest.raises(ValueError):
         FuzzyRelation("a", "a", {("a", "a"): Fraction(3, 2)})
+    with pytest.raises(ValueError, match="outside the universes"):
+        FuzzyRelation("a", "a", {("a", "b"): H})
 
 
 @pytest.mark.parametrize("degree", [Fraction(3, 2), Fraction(-1, 2), 2, 1.5, float("nan")])

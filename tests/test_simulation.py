@@ -88,6 +88,9 @@ def test_alphabet_mismatch_rejected():
     d = Nflts(["s"], ["x"], [], ["q"], {})
     with pytest.raises(ModelError):
         fuzzy_simulation_nflts(c, d)
+    for left, right in ((a, b), (c, d)):
+        with pytest.raises(ModelError, match="vertex and edge alphabets"):
+            greatest_crisp_simulation_flg(to_flg(left), to_flg(right))
 
 
 def test_one_cut_of_fuzzy_simulation_contains_crisp():
