@@ -62,6 +62,9 @@ ENGINES = {
     },
 }
 
+# check --kind -> the definitional checker of a relation of that kind on a model.
+CHECKERS = {"crisp-bisim": oracle.is_crisp_bisim_nfts, "fuzzy-bisim": oracle.is_fuzzy_bisim_nfts}
+
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("bisim-between", "greatest bisimulation between two models (disjoint union)", "left", "right")
     p.add_argument("--mode", choices=["crisp", "fuzzy"], default="crisp")
     p = sub("check", "check a relation against a bisimulation definition", "model", "relation")
-    p.add_argument("--kind", choices=["crisp-bisim", "fuzzy-bisim"], required=True)
+    p.add_argument("--kind", choices=sorted(CHECKERS), required=True)
     p = sub("gen", "generate a reproducible random model document")
     p.add_argument("--states", type=int, default=5)
     p.add_argument("--actions", type=int, default=2)
@@ -240,10 +243,7 @@ def _dispatch(args, started: float) -> int:
     if args.command == "check":
         model = parse_model(Path(args.model))
         relation = parse_relation(Path(args.relation), model, args.kind.partition("-")[0])
-        if args.kind == "crisp-bisim":
-            report = oracle.is_crisp_bisim_nfts(relation, model)
-        else:
-            report = oracle.is_fuzzy_bisim_nfts(relation, model)
+        report = CHECKERS[args.kind](relation, model)
         payload = {
             "holds": report.holds,
             "clause": report.clause,

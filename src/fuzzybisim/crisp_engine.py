@@ -29,7 +29,7 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
     """Partition of the greatest crisp bisimulation of a finite graph, or with
     ``states`` (for a graph built by ``to_flg``) of its states.  ``verbose``
     traces the splits, then the graph partition."""
-    out, preds, label_ids, _ = adjacency(g, g.degree_pool())
+    out, preds, label_ids, _ = adjacency(g)
     state = RefinableMap(preds)
     assignment = state.assignment
 

@@ -77,6 +77,14 @@ def format_degree(d: Degree) -> str:
     return f"{whole}.{frac}" if frac else whole
 
 
+def joint_ranks(pool_a: list, pool_b: list) -> tuple:
+    """(joint, rank_a, rank_b): the sorted union of two degree pools, and the
+    rank in it of each degree of ``pool_a`` and of ``pool_b``."""
+    joint = sorted({*pool_a, *pool_b})
+    position = {d: k for k, d in enumerate(joint)}
+    return joint, [*map(position.__getitem__, pool_a)], [*map(position.__getitem__, pool_b)]
+
+
 def residuum(x: Degree, y: Degree) -> Degree:
     """Goedel residuum: 1 if x <= y, else y."""
     return ONE if x <= y else y

@@ -48,8 +48,8 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     """Compact fuzzy partition of the greatest fuzzy bisimulation of a graph,
     or with ``states`` (for a graph built by ``to_flg``) of its states.
     ``verbose`` traces the blocks per threshold, then the graph partition."""
-    thresholds = g.degree_pool()  # holds 1, the degree of the state mark
-    edges, preds, label_ids, label_maps = adjacency(g, thresholds)
+    thresholds = g.pool  # holds 1, the degree of the state mark
+    edges, preds, label_ids, label_maps = adjacency(g)
     ranks_of = [set(label.values()) for label in label_maps]
     # touched[i]: vertices whose key may change at level i.
     touched = [[] for _ in range(len(thresholds) + 1)]

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
-from .degrees import Degree, ZERO, ONE
+from .degrees import Degree, ZERO, ONE, joint_ranks
 from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, Nflts, ModelError, _layout
 from .relations import CrispRelation, FuzzyRelation
 
@@ -161,19 +161,18 @@ def disjoint_union(a: Nflts, b: Nflts):
 
     Returns (union, inject_a, inject_b) where the injections map original
     states to the union's (tagged) states.  The union holds the two systems'
-    distributions one after the other, re-ranked onto the joint pool.
+    distributions one after the other, re-ranked by ``joint_ranks``.
     """
     if a.actions != b.actions:
         raise ModelError("disjoint union requires equal action alphabets")
     if a.label_alphabet != b.label_alphabet:
         raise ModelError("disjoint union requires equal label alphabets")
-    pool = sorted({*a.pool, *b.pool})
-    position = {x: r for r, x in enumerate(pool)}
-    given = {position[x]: d for m in (b, a) for x, d in zip(m.pool, m._given)}  # a's object for a value in both
+    pool, rank_a, rank_b = joint_ranks(a.pool, b.pool)
+    given = dict(zip(rank_b, b._given)) | dict(zip(rank_a, a._given))  # a's object for a value in both
     # ``interned``: distribution -> k, as the constructor interns, for one empty distribution can be in both
     interned, delta, labels, injects = {}, [], {}, []
-    for tag, model in enumerate((a, b)):
-        offset, new = len(a.names) * tag, [position[x] for x in model.pool]  # rank -> joint rank
+    for tag, (model, new) in enumerate(zip((a, b), (rank_a, rank_b))):  # new: rank -> joint rank
+        offset = len(a.names) * tag
         k_of = [interned.setdefault(tuple([(offset + j, new[r]) for _, j, r in edges]), len(interned))
                 for edges in model.out[len(model.names):]]
         inject = {s: (tag, s) for s in model.names}

@@ -22,6 +22,7 @@ degrees, so every walk over one is iterative.
 """
 from __future__ import annotations
 
+import reprlib
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
@@ -167,10 +168,15 @@ def _block_node(b: Block) -> tuple:
     return b.degree, b.elements, () if b.is_crisp else b.subblocks
 
 
-def _json_node(n: dict) -> tuple:
-    if "elements" in n:
-        return parse_degree(n["degree"]), frozenset(n["elements"]), ()
-    return parse_degree(n["degree"]), None, n["subblocks"]
+def _json_node(n) -> tuple:
+    """A `to_json` node, {"degree", "elements": [names]} or {"degree", "subblocks": [nodes]}."""
+    if isinstance(n, dict) and isinstance(n.get("degree"), str):
+        elements = n.get("elements")
+        if isinstance(elements, list) and all(isinstance(x, str) for x in elements):
+            return parse_degree(n["degree"]), frozenset(elements), ()
+        if "elements" not in n and isinstance(n.get("subblocks"), list):
+            return parse_degree(n["degree"]), None, n["subblocks"]
+    raise ValueError(f"malformed compact fuzzy partition node {reprlib.repr(n)}")
 
 
 class CompactFuzzyPartition:
@@ -204,6 +210,8 @@ class CompactFuzzyPartition:
                 raise ValueError("degrees must strictly increase towards the leaves")
             below.sort(key=least.__getitem__)
             least[i] = least[below[0]]
+        if degrees[0] < 0:  # the degrees rise from the root's to 1
+            raise ValueError(f"degree {degrees[0]} outside [0, 1]")
         order, number, stack = [], [0] * len(parent), [0]  # number: node -> its pre-order number
         while stack:
             i = stack.pop()
@@ -339,8 +347,6 @@ class CfpRelation(FuzzyRelation):
     sorted rows come off the LCA index in one pass; ``entries`` on first use."""
 
     def __init__(self, cfp: CompactFuzzyPartition, inject_left: dict, inject_right: dict):
-        if cfp._degrees[0] < 0:  # the tree's degrees rise from the root's to 1
-            raise ValueError(f"degree {cfp._degrees[0]} outside [0, 1]")
         self.cfp, self.inject_left, self.inject_right = cfp, inject_left, inject_right
         self.left, self.right = frozenset(inject_left), frozenset(inject_right)
 

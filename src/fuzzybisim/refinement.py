@@ -1,11 +1,10 @@
 """Worklist-driven partition refinement over fuzzy labeled graphs.
 
-All three engines (crisp, fuzzy, simulation) read a graph through
-``adjacency``: dense vertex ids, id i < |S| the state ``names[i]``, and
-degrees as ranks in a sorted pool.  The Goedel operators only compare
-degrees, so ranks are exact.  ``to_flg`` fixes the ids and ranks once, so on
-the graph's own pool ``adjacency`` returns the stored arrays; for a joint pool
-it re-ranks the edges and the distinct label maps.  The kernel partitions the ids.
+The bisimulation engines read a graph through ``adjacency``: dense vertex
+ids, id i < |S| the state ``names[i]``, and degrees as ranks in the graph's
+sorted pool.  The Goedel operators only compare degrees, so ranks are exact.
+The layout fixes the ids and ranks once, and ``adjacency`` returns the stored
+arrays.  The kernel partitions the ids.
 
 Both bisimulation engines split blocks by per-vertex keys computed against
 the current partition (Paige and Tarjan, SIAM J. Comput. 1987; Valmari,
@@ -98,17 +97,9 @@ class RefinableMap:
         return list(self.assignment)
 
 
-def adjacency(g: Flg, pool: list):
-    """Dense-id adjacency on degree ranks for refinement runs.
-
-    ``pool`` is a sorted list holding every degree of ``g``; a degree is
-    replaced by its index there.  Returns the out-edges of vertex id i as
-    ``(symbol, target id, rank)``, the predecessor ids of vertex id i, the
-    label id of vertex id i, and the distinct labels as symbol -> rank maps.
-    """
-    if pool == g.pool:
-        return g.out, g.preds, g.label_ids, g.label_maps
-    position = {d: k for k, d in enumerate(pool)}
-    new = [position[d] for d in g.pool]
-    out = [[(r, j, new[rk]) for r, j, rk in edges] for edges in g.out]
-    return out, g.preds, g.label_ids, [{p: new[rk] for p, rk in label.items()} for label in g.label_maps]
+def adjacency(g: Flg):
+    """Dense-id adjacency on the ranks of ``g.pool`` for refinement runs: the
+    out-edges of vertex id i as ``(symbol, target id, rank)``, the predecessor
+    ids of vertex id i, the label id of vertex id i, and the distinct labels
+    as symbol -> rank maps.  These are the graph's stored lists."""
+    return g.out, g.preds, g.label_ids, g.label_maps

@@ -8,11 +8,10 @@ from array import array
 from collections import Counter, defaultdict
 from itertools import compress, count
 
-from .degrees import format_degree
+from .degrees import format_degree, joint_ranks
 from .graph import Flg, to_flg, as_nflts, disjoint_union, ModelError
 from .model import Nfts, Nflts
 from .partition import CfpRelation
-from .refinement import adjacency
 from .relations import CrispRelation, FuzzyRelation
 from .crisp_engine import crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_system
@@ -120,26 +119,28 @@ def _simulate(edges, edges_prime, alive: set, width: int) -> set:
 def _simulation(g: Flg, g_prime: Flg, graded: bool, states: bool = False, verbose: bool = False):
     """The pairs of the greatest crisp simulation, or (``graded``) the positive
     entries of the fuzzy one, in pair order: over all vertices, or with
-    ``states`` over S x S', the ids below ``len(names)``, by name.  A pair that
-    dies at level k has degree ``pool[k - 1]``; one that never dies, 1."""
+    ``states`` over S x S', the ids below ``len(names)``, by name.  The kernel reads
+    the stored arrays, each side's ranks mapped onto the joint pool; a pair that
+    dies at level k has degree ``pool[k - 1]``, one that never dies 1."""
     if not g.same_signature(g_prime):
         raise ModelError("graphs must share vertex and edge alphabets")
-    pool = sorted(set(g.pool) | set(g_prime.pool))  # both hold 1
-    sides = [adjacency(h, pool) for h in (g, g_prime)]
+    pool, new, new_prime = joint_ranks(g.pool, g_prime.pool)  # both hold 1
     # A label p of degree d is an edge (x, (p,), sink, d) into the sink pair, seeded alone in its row
     # and column, which never dies: the edge's clause is the label's (a cap below k kills at level k).
-    edges, edges_prime = ([(x, r, y, rk) for x, es in enumerate(out) for r, y, rk in es]
-                          + [(x, (p,), len(out), rk) for x, k in enumerate(ids) for p, rk in maps[k].items()]
-                          for out, _, ids, maps in sides)
-    (left, _, ids, maps), (right, _, ids_prime, maps_prime) = sides
-    width, levels = len(right) + 1, len(pool) if graded else 1
-    rows = [b"\1" * len(right) + b"\0"] * len(left) + [bytes(len(right)) + b"\1"]
+    edges, edges_prime = ([(x, r, y, ranks[rk]) for x, es in enumerate(h.out) for r, y, rk in es]
+                          + [(x, (p,), len(h.out), ranks[rk]) for x, k in enumerate(h.label_ids)
+                             for p, rk in h.label_maps[k].items()]
+                          for h, ranks in ((g, new), (g_prime, new_prime)))
+    size, size_prime = len(g.out), len(g_prime.out)
+    width, levels = size_prime + 1, len(pool) if graded else 1
+    rows = [b"\1" * size_prime + b"\0"] * size + [bytes(size_prime) + b"\1"]
     kernel = _Kernel(edges, edges_prime, rows, width, levels)
-    before = len(left) * len(right)
+    before = size * size_prime
     if verbose and not graded:  # the crisp run starts from the pairs of label dominance
-        kinds = Counter(ids_prime).items()
-        before = sum(m * m_prime for k, m in Counter(ids).items() for k_prime, m_prime in kinds
-                     if all(rk <= maps_prime[k_prime].get(p, -1) for p, rk in maps[k].items()))
+        maps, maps_prime, kinds = g.label_maps, g_prime.label_maps, Counter(g_prime.label_ids).items()
+        before = sum(m * m_prime for k, m in Counter(g.label_ids).items() for k_prime, m_prime in kinds
+                     if all(p in maps_prime[k_prime] and new[rk] <= new_prime[maps_prime[k_prime][p]]
+                            for p, rk in maps[k].items()))
     for level in range(levels):
         dies = kernel.advance(level)
         if verbose:

@@ -11,6 +11,7 @@ from fuzzybisim.degrees import (
     biresiduum,
     format_degree,
     inf,
+    joint_ranks,
     parse_degree,
     residuum,
     sup,
@@ -129,3 +130,13 @@ def test_huge_exponents_are_rejected_before_they_are_expanded():
     assert parse_degree("1e-4300") == Fraction(1, 10**4300)
     with pytest.raises(DegreeError, match="malformed"):  # more digits than int() reads: an error, not a crash
         parse_degree("0." + "9" * 5000)
+
+
+def test_joint_ranks_keep_each_degree():
+    # Interleaved pools, only the first holding 1, one value in both.
+    pool_a = [Fraction(1, 5), Fraction(3, 5), ONE]
+    pool_b = [Fraction(1, 10), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)]
+    for first, second in ((pool_a, pool_b), (pool_b, pool_a), ([], pool_b)):
+        joint, rank_a, rank_b = joint_ranks(first, second)
+        assert joint == sorted(set(first) | set(second))
+        assert [joint[r] for r in rank_a] == first and [joint[r] for r in rank_b] == second

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import Distribution, FuzzySet, ModelError, Nflts, Nfts, as_nflts, disjoint_union, parse_model, to_flg
+from fuzzybisim import (Distribution, FuzzySet, ModelError, Nflts, Nfts, as_nflts, bisimulation_between_nflts,
+                        crisp_simulation_nflts, disjoint_union, fuzzy_simulation_nflts, oracle, parse_model, to_flg)
 from fuzzybisim.generate import generate, random_spec
-from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, state_vertex
+from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, on_states, state_vertex
 from fuzzybisim.refinement import adjacency
 
 from conftest import REPO_ROOT, make_example
@@ -193,6 +194,34 @@ def test_disjoint_union_concatenates_the_arrays():
     assert len(union.out) - len(union.names) == 3  # one empty distribution
 
 
+def test_systems_on_interleaved_pools_meet_on_one_scale():
+    """Two systems whose degree pools interleave, only one of them holding 1:
+    the simulations and both between-system modes equal the oracle fixpoints,
+    the between ones on a union built from the object views."""
+    d = {k: Fraction(k, 10) for k in (2, 4, 6, 8)}
+    loop = ("v", "a", {"v": d[6]})  # in both systems, so a pair of states is crisp bisimilar
+    a = Nflts(["s", "t", "u", "v"], ["a"], [("s", "a", {"t": d[6], "u": 1}), ("t", "a", {"u": d[2]}),
+                                            ("u", "a", {"u": 1}), loop], ["p"], {"s": {"p": d[6]}, "t": {"p": 1}})
+    b = Nflts(["s", "t", "u", "v"], ["a"], [("s", "a", {"t": d[8], "u": d[4]}), ("t", "a", {"t": d[4]}),
+                                            ("u", "a", {"s": d[8]}), loop], ["p"], {"s": {"p": d[4]}, "u": {"p": d[8]}})
+    assert a.pool == [d[2], d[6], 1] and b.pool == [d[4], d[6], d[8]]
+    degrees = set()
+    for left, right in ((a, b), (b, a)):
+        g, g_prime = to_flg(left), to_flg(right)
+        assert crisp_simulation_nflts(left, right) == on_states(left, right, oracle.gfp_crisp_sim_flg(g, g_prime).pairs)
+        fuzzy = fuzzy_simulation_nflts(left, right)
+        assert fuzzy == on_states(left, right, oracle.gfp_fuzzy_sim_flg(g, g_prime).entries)
+        expected = _union_by_definition(left, right)
+        crisp_bisim, fuzzy_bisim = oracle.gfp_crisp_bisim_nfts(expected), oracle.gfp_fuzzy_bisim_nfts(expected)
+        pairs = [(s, t) for s in left.states for t in right.states]
+        crisp = bisimulation_between_nflts(left, right, "crisp").pairs
+        assert crisp == {(s, t) for s, t in pairs if ((0, s), (1, t)) in crisp_bisim.pairs} and ("v", "v") in crisp
+        between = bisimulation_between_nflts(left, right, "fuzzy")
+        assert all(between(s, t) == fuzzy_bisim((0, s), (1, t)) for s, t in pairs)
+        degrees |= {*fuzzy.entries.values(), *between.entries.values()}
+    assert {d[2], d[4], d[6], d[8]} & degrees  # degrees of both pools reach the results
+
+
 def test_disjoint_union_requires_equal_alphabets():
     a = as_nflts(Nfts(["s"], ["a"], []))
     b = as_nflts(Nfts(["s"], ["b"], []))
@@ -239,21 +268,8 @@ def test_dense_graph_invariants():
             assert sorted(g.out_edges(v)) == sorted((r, y, d) for (x, r, y), d in edges.items() if x == v)
             assert sorted(g.in_edges(v)) == sorted((r, x, d) for (x, r, y), d in edges.items() if y == v)
             assert sorted(g.predecessors(v)) == sorted(x for (x, _, y) in edges if y == v)
-        # the engines' view of the graph's own pool is the stored arrays
-        out, preds, ids, maps = adjacency(g, g.degree_pool())
+        # the engines' view of the graph is the stored arrays
+        out, preds, ids, maps = adjacency(g)
         assert out is g.out and preds is g.preds and ids is g.label_ids and maps is g.label_maps
         if not isinstance(model, Nflts):
             assert to_flg(as_nflts(model)).edges == g.edges
-
-
-def test_adjacency_re_ranks_onto_a_joint_pool():
-    g = to_flg(make_example())
-    joint = sorted(set(g.pool) | {Fraction(1, 10), Fraction(3, 4)})
-    out, preds, ids, maps = adjacency(g, joint)
-    assert preds is g.preds and ids is g.label_ids
-    assert [[(r, j, joint[rk]) for r, j, rk in edges] for edges in out] == [
-        [(r, j, g.pool[rk]) for r, j, rk in edges] for edges in g.out
-    ]
-    assert [{p: joint[rk] for p, rk in label.items()} for label in maps] == [
-        {p: g.pool[rk] for p, rk in label.items()} for label in g.label_maps
-    ]

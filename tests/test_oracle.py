@@ -6,6 +6,9 @@ from fuzzybisim import (
     CrispPartition,
     CrispRelation,
     FuzzyRelation,
+    FuzzySet,
+    Nflts,
+    Nfts,
     greatest_crisp_bisim_partition_flg,
     greatest_fuzzy_bisim_cfp_flg,
     relation_laws,
@@ -109,6 +112,11 @@ def test_witness_realizes_lifting():
                     assert oracle.witness_realizes_lifting(R, mu, nu)
                     checked += 1
     assert checked > 10
+    # With no pair related, e has no positive value: mass on either side is not realized.
+    empty, half = CrispRelation({"s"}, {"s"}, set()), FuzzySet({"s": Fraction(1, 2)})
+    assert not oracle.witness_realizes_lifting(empty, half, FuzzySet())
+    assert not oracle.witness_realizes_lifting(empty, FuzzySet(), half)
+    assert oracle.witness_realizes_lifting(empty, FuzzySet(), FuzzySet())
 
 
 # -- system-level checkers ------------------------------------------------------
@@ -126,6 +134,11 @@ def test_crisp_checker_on_the_example():
     assert oracle.is_crisp_bisim_nfts(
         CrispRelation(model.states, model.states, set()), model
     )
+    # t moves and s does not: only the backward clause fails.
+    idle = Nfts(["s", "t"], ["a"], [("t", "a", {"t": ONE})])
+    report = oracle.is_crisp_bisim_nfts(CrispRelation(idle.states, idle.states, {("s", "t")}), idle)
+    assert (report.holds, report.clause, report.witness) == (
+        False, "backward-transition", ("s", "t", "a", idle.distributions[0]))
 
 
 def test_fuzzy_checker_on_the_example():
@@ -135,6 +148,15 @@ def test_fuzzy_checker_on_the_example():
     assert not report.holds and report.clause is not None
     zero = FuzzyRelation(model.states, model.states, {})
     assert oracle.is_fuzzy_bisim_nfts(zero, model)
+    # Labels 1/2 and 1 bound the pair at 1/2; t moves and s does not.
+    labeled = Nflts(["s", "t"], ["a"], [], ["p"], {"s": {"p": Fraction(1, 2)}, "t": {"p": ONE}})
+    idle = Nfts(["s", "t"], ["a"], [("t", "a", {"t": ONE})])
+    for system, clause, witness in [
+        (labeled, "label-biresiduum", ("s", "t", "p")),
+        (idle, "backward-transition", ("s", "t", "a", idle.distributions[0])),
+    ]:
+        report = oracle.is_fuzzy_bisim_nfts(FuzzyRelation(system.states, system.states, {("s", "t"): ONE}), system)
+        assert (report.holds, report.clause, report.witness) == (False, clause, witness)
 
 
 # -- greatest fixpoints ----------------------------------------------------------
@@ -221,6 +243,24 @@ def test_graph_checkers_accept_the_greatest_bisimulations_and_nothing_larger():
             raised[(x, y)] = next(d for d in degrees if d > fuzzy(x, y))
             larger = FuzzyRelation(fuzzy.left, fuzzy.right, raised)
             assert not oracle.is_fuzzy_bisim_flg(larger, g).holds, (x, y)
+
+
+def test_simulation_checkers_report_each_clause():
+    """One mutant per clause: the pair (s, s) of two one-state systems, which
+    violates that clause alone."""
+    def system(label, moves):
+        return Nflts(["s"], ["a"], [("s", "a", {"s": ONE})] if moves else [], ["p"], {"s": {"p": label}})
+
+    s = state_vertex("s")
+    for (left, right), crisp_clause, fuzzy_clause, fuzzy_witness in [
+        ((system(ONE, False), system(Fraction(1, 2), False)), "label-dominance", "label-residuum", (s, s, "p")),
+        ((system(ONE, True), system(ONE, False)), "forward-edge", "forward-edge", (s, s)),
+    ]:
+        g, g_prime = to_flg(left), to_flg(right)
+        crisp = oracle.is_crisp_sim_flg(CrispRelation(g.vertices, g_prime.vertices, {(s, s)}), g, g_prime)
+        assert (crisp.holds, crisp.clause, crisp.witness) == (False, crisp_clause, (s, s))
+        fuzzy = oracle.is_fuzzy_sim_flg(FuzzyRelation(g.vertices, g_prime.vertices, {(s, s): ONE}), g, g_prime)
+        assert (fuzzy.holds, fuzzy.clause, fuzzy.witness) == (False, fuzzy_clause, fuzzy_witness)
 
 
 def test_gfp_crisp_sim_contains_identity():

@@ -102,6 +102,19 @@ def test_json_round_trip():
     again = CompactFuzzyPartition.from_json(cfp.to_json())
     assert again == cfp
     assert again.text() == cfp.text()
+    leaf = {"degree": "1", "elements": ["a"]}
+    for document, node in [
+        ({"degree": "1", "elements": "ab"}, "{'degree': '1', 'elements': 'ab'}"),  # not the leaf {a, b}
+        ({"degree": "1", "elements": [["a"]]}, "{'degree': '1', 'elements': [['a']]}"),
+        (["a"], "['a']"),
+        ({"elements": ["a"]}, "{'elements': ['a']}"),
+        ({"degree": 1, "elements": ["a"]}, "{'degree': 1, 'elements': ['a']}"),
+        ({"degree": "0", "subblocks": {"a": leaf}}, "{'degree': '0', 'subblocks': {'a': {'degree': '1', 'elements': ['a']}}}"),
+        ({"degree": "0", "subblocks": [leaf, "b"]}, "'b'"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            CompactFuzzyPartition.from_json(document)
+        assert str(info.value) == f"malformed compact fuzzy partition node {node}"
 
 
 def test_leaf_partition_is_the_one_cut():
@@ -253,11 +266,12 @@ def test_leaf_order_index_on_a_deep_and_wide_tree():
             assert cfp.degree_of(x, y) == expanded(x, y), (x, y)
 
 
-def test_relation_view_range_checks_the_root_degree():
+def test_the_constructor_range_checks_the_root_degree():
     # Degrees rise from the root to the leaves, so the root bounds them all.
-    tree = CompactFuzzyPartition(Block(Fraction(-1, 2), subblocks=(crisp_block(["a"]), crisp_block(["b"]))))
-    with pytest.raises(ValueError, match="outside"):
-        CfpRelation(tree, {"a": "a"}, {"b": "b"})
+    for tree in (([-1, 0, 0], [Fraction(-1, 2), 1, 1], [None, {"a"}, {"b"}]),
+                 Block(Fraction(-1, 2), subblocks=(crisp_block(["a"]), crisp_block(["b"])))):
+        with pytest.raises(ValueError, match=r"^degree -1/2 outside \[0, 1\]$"):
+            CompactFuzzyPartition(tree)
     view = CfpRelation(CompactFuzzyPartition(fuzzy_block(ZERO, [crisp_block(["a"]), crisp_block(["b"])])),
                        {"a": "a"}, {"a": "a", "b": "b"})
     assert view.rows() == [("a", "a", 1)] and view.entries == {("a", "a"): 1}

@@ -210,7 +210,8 @@ def test_refinement_work_is_no_more_than_recorded(monkeypatch, family):
 def test_adjacency_matches_the_graph():
     g = to_flg(make_example())
     pool = g.degree_pool()
-    out, preds, ids, maps = adjacency(g, pool)
+    out, preds, ids, maps = adjacency(g)
+    assert out is g.out and preds is g.preds and ids is g.label_ids and maps is g.label_maps
     vertices = g.by_id
     assert sorted(g.vertices) == vertices
     for i, v in enumerate(vertices):
