@@ -83,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable result schema")
         for positional in positionals:
             p.add_argument(positional)
+        p.set_defaults(positionals=positionals)  # what ``_inputs`` echoes
         return p
 
     sub("crisp-partition", "greatest crisp bisimulation of a model, as a partition", "model")
@@ -186,11 +187,9 @@ def _table(rows, indent: str, strings, out: list) -> bool:
 
 
 def _inputs(args):
-    for attrs in (("model", "x", "y"), ("model", "relation"), ("model",), ("left", "right")):
-        if all(hasattr(args, a) for a in attrs):
-            values = [getattr(args, a) for a in attrs]
-            return values[0] if len(values) == 1 else values
-    return None
+    """The command's positionals: one as itself, several as a list, none as None."""
+    values = [getattr(args, name) for name in args.positionals]
+    return values[0] if len(values) == 1 else values or None
 
 
 def _relation_doc_text(doc: dict) -> str:

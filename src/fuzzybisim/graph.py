@@ -156,6 +156,15 @@ def as_nflts(model: Nfts) -> Nflts:
     return view
 
 
+def require_shared_alphabets(a: Nflts, b: Nflts):
+    """Two systems are simulated against or joined with each other only over
+    equal action and label alphabets."""
+    if a.actions != b.actions:
+        raise ModelError("systems must share the action alphabet")
+    if a.label_alphabet != b.label_alphabet:
+        raise ModelError("systems must share the label alphabet")
+
+
 def disjoint_union(a: Nflts, b: Nflts):
     """Tagged union of two systems sharing action and label alphabets.
 
@@ -163,10 +172,7 @@ def disjoint_union(a: Nflts, b: Nflts):
     states to the union's (tagged) states.  The union holds the two systems'
     distributions one after the other, re-ranked by ``joint_ranks``.
     """
-    if a.actions != b.actions:
-        raise ModelError("disjoint union requires equal action alphabets")
-    if a.label_alphabet != b.label_alphabet:
-        raise ModelError("disjoint union requires equal label alphabets")
+    require_shared_alphabets(a, b)
     pool, rank_a, rank_b = joint_ranks(a.pool, b.pool)
     given = dict(zip(rank_b, b._given)) | dict(zip(rank_a, a._given))  # a's object for a value in both
     # ``interned``: distribution -> k, as the constructor interns, for one empty distribution can be in both

@@ -6,10 +6,10 @@ pair of elements is the degree stored at the lowest common ancestor of their
 leaves.  The tree is stored as three arrays in pre-order, siblings ordered
 by their least element: each node's parent (-1 at the root), its degree,
 and a leaf's elements (None at an inner node).  Every producer (the fuzzy
-engine's split events, a relation, a JSON document, a caller's `Block`
-root) hands the constructor such arrays with each parent before its
-children, and one pass checks the laws and lays them out canonically; the
-`Block` tree is a view built on first use.
+engine's split events, a relation, a JSON document) hands the constructor
+such arrays with each parent before its children, and one pass checks the
+laws and lays them out canonically; `root`, a tree of `Block`s, is a view
+of them built on first use.
 
 The LCA of leaves i < j in pre-order is the shallowest
 LCA of the consecutive leaves between them (Bender & Farach-Colton, LATIN
@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .degrees import Degree, ZERO, ONE, format_degree, parse_degree
+from .degrees import Degree, ONE, format_degree, parse_degree
 from .relations import FuzzyRelation, CrispRelation, relation_laws
 
 
@@ -62,19 +62,13 @@ class CrispPartition:
         self._block_of = {x: i for i, block in enumerate(self.blocks) for x in block}
 
     @classmethod
-    def from_assignment(cls, assignment: Dict) -> "CrispPartition":
-        grouped: Dict[object, list] = {}
-        for element, key in assignment.items():
-            grouped.setdefault(key, []).append(element)
-        return cls(grouped.values())
-
-    @classmethod
     def from_relation(cls, relation: CrispRelation) -> "CrispPartition":
-        """Blocks of an equivalence relation given as a set of pairs."""
-        assignment = {}
+        """Blocks of an equivalence relation given as a set of pairs: the
+        elements grouped by the set each relates to."""
+        grouped: Dict[frozenset, list] = {}
         for x in relation.left:
-            assignment[x] = frozenset(relation.forward(x))
-        return cls.from_assignment(assignment)
+            grouped.setdefault(frozenset(relation.forward(x)), []).append(x)
+        return cls(grouped.values())
 
     def block_of(self, x) -> tuple:
         return self.blocks[self._block_of[x]]
@@ -115,15 +109,13 @@ class CrispPartition:
 
 
 class Block:
-    """A node of a compact fuzzy partition tree: a caller's input, or the `root` view.
-
-    A crisp block stores its elements and has degree 1; a fuzzy block stores
-    at least two subblocks and a degree strictly below all of theirs.
-    """
+    """A node of the `root` view of a compact fuzzy partition: a leaf has
+    degree 1 and its elements; an inner node has elements None and at least
+    two subblocks, each of a higher degree."""
 
     __slots__ = ("degree", "elements", "subblocks")
 
-    def __init__(self, degree: Degree, elements: Optional[frozenset] = None, subblocks: Tuple["Block", ...] = ()):
+    def __init__(self, degree: Degree, elements: Optional[frozenset], subblocks):
         self.degree = degree
         self.elements = elements
         self.subblocks = subblocks
@@ -131,22 +123,6 @@ class Block:
     @property
     def is_crisp(self) -> bool:
         return self.elements is not None
-
-
-def crisp_block(elements: Iterable) -> Block:
-    elements = frozenset(elements)
-    if not elements:
-        raise ValueError("crisp block must be non-empty")
-    return Block(ONE, elements=elements)
-
-
-def fuzzy_block(degree: Degree, subblocks: Iterable[Block]) -> Block:
-    subblocks = tuple(subblocks)
-    if len(subblocks) < 2:
-        raise ValueError("fuzzy block needs at least two subblocks")
-    if not ZERO <= degree < ONE:
-        raise ValueError("fuzzy block degree must lie in [0, 1)")
-    return Block(degree, subblocks=subblocks)
 
 
 def _flatten(root, node: Callable) -> tuple:
@@ -164,10 +140,6 @@ def _flatten(root, node: Callable) -> tuple:
     return parent, degrees, elements
 
 
-def _block_node(b: Block) -> tuple:
-    return b.degree, b.elements, () if b.is_crisp else b.subblocks
-
-
 def _json_node(n) -> tuple:
     """A `to_json` node, {"degree", "elements": [names]} or {"degree", "subblocks": [nodes]}."""
     if isinstance(n, dict) and isinstance(n.get("degree"), str):
@@ -183,10 +155,11 @@ class CompactFuzzyPartition:
     """A validated, canonically ordered compact fuzzy partition with LCA queries."""
 
     def __init__(self, tree):
-        """From a `Block` root, or from (parent, degrees, elements) arrays in
-        which the root comes first, with parent -1, and each parent precedes
-        its children."""
-        parent, degrees, elements = _flatten(tree, _block_node) if isinstance(tree, Block) else tree
+        """From (parent, degrees, elements) arrays in which the root comes
+        first, with parent -1, and each parent precedes its children."""
+        parent, degrees, elements = tree
+        if not parent:
+            raise ValueError("compact fuzzy partition tree has no nodes")
         children: List[list] = [[] for _ in parent]
         for i in range(1, len(parent)):
             children[parent[i]].append(i)

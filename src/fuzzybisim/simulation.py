@@ -9,19 +9,12 @@ from collections import Counter, defaultdict
 from itertools import compress, count
 
 from .degrees import format_degree, joint_ranks
-from .graph import Flg, to_flg, as_nflts, disjoint_union, ModelError
-from .model import Nfts, Nflts
+from .graph import Flg, to_flg, as_nflts, disjoint_union, require_shared_alphabets, ModelError
+from .model import Nfts
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 from .crisp_engine import crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_system
-
-
-def _require_alphabets(a: Nflts, b: Nflts):
-    if a.actions != b.actions:
-        raise ModelError("systems must share the action alphabet")
-    if a.label_alphabet != b.label_alphabet:
-        raise ModelError("systems must share the label alphabet")
 
 
 class _Kernel:
@@ -157,7 +150,7 @@ def _simulation(g: Flg, g_prime: Flg, graded: bool, states: bool = False, verbos
 
 def _on_systems(a: Nfts, b: Nfts, graded: bool, verbose: bool):
     a, b = as_nflts(a), as_nflts(b)
-    _require_alphabets(a, b)
+    require_shared_alphabets(a, b)
     found = _simulation(to_flg(a), to_flg(b), graded, states=True, verbose=verbose)
     return (FuzzyRelation if graded else CrispRelation)(a.states, b.states, found)
 
@@ -189,7 +182,6 @@ def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: b
     are read off through the injections.
     """
     a, b = as_nflts(a), as_nflts(b)
-    _require_alphabets(a, b)
     union, inject_a, inject_b = disjoint_union(a, b)
     if mode == "crisp":
         # A block of the union pairs each of its states (0, s) of a with each (1, t) of b.

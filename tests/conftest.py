@@ -1,6 +1,7 @@
 """Shared fixtures: the five-state worked example, its expected results, the
-caterpillar families with deep partitions, and a terminal-summary hook that
-prints one line per acceptance criterion."""
+caterpillar families with deep partitions, the arrays of a compact fuzzy
+partition's `root` view, and a terminal-summary hook that prints one line
+per acceptance criterion."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fuzzybisim import Nflts, Nfts, FuzzyRelation
+from fuzzybisim.partition import _flatten
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +57,12 @@ def example_fuzzy_table() -> FuzzyRelation:
         for j, y in enumerate(states)
     }
     return FuzzyRelation(states, states, entries)
+
+
+def root_arrays(cfp) -> tuple:
+    """The (parent, degrees, elements) arrays of a compact fuzzy partition's
+    `root` view, read without recursion."""
+    return _flatten(cfp.root, lambda block: (block.degree, block.elements, block.subblocks))
 
 
 def seven_element_relation() -> FuzzyRelation:

@@ -19,8 +19,10 @@ from fuzzybisim import (
     Flg,
     FuzzySet,
     GenSpec,
+    ModelError,
     Nflts,
     as_nflts,
+    disjoint_union,
     generate,
     greatest_crisp_simulation_flg,
     greatest_fuzzy_simulation_flg,
@@ -371,6 +373,21 @@ def test_bisim_between_modes(capsys, example_path):
     )
     assert code == 0
     assert "s3 s4" in out
+
+
+def test_two_system_commands_require_shared_alphabets(capsys, tmp_path):
+    # One rule, one message, whichever command or library call meets it first.
+    left = {"kind": "nflts", "states": ["s"], "actions": ["a"], "transitions": [], "label_alphabet": ["p"]}
+    (tmp_path / "left.json").write_text(json.dumps(left))
+    for key, other, kind in (("actions", ["b"], "action"), ("label_alphabet", ["q"], "label")):
+        (tmp_path / "right.json").write_text(json.dumps({**left, key: other}))
+        models = str(tmp_path / "left.json"), str(tmp_path / "right.json")
+        message = f"systems must share the {kind} alphabet"
+        for argv in (["crisp-sim"], ["fuzzy-sim"], ["bisim-between", "--mode", "crisp"],
+                     ["bisim-between", "--mode", "fuzzy"]):
+            assert invoke(capsys, *argv, *models) == (1, "", f"error: {message}\n"), argv
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            disjoint_union(*map(parse_model, models))
 
 
 def test_sims_between_engines_agree(capsys, example_path):

@@ -28,6 +28,7 @@ from conftest import (
     EXAMPLE_GRAPH_FUZZY_TEXT,
     example_fuzzy_table,
     make_example,
+    root_arrays,
 )
 
 
@@ -353,9 +354,9 @@ def test_one_tree_is_built_per_system_query(monkeypatch):
 
 
 def assert_round_trips(cfp, json=True):
-    """The stored tree equals the one rebuilt from its Block view, and (for
-    string elements) the one read back from its JSON document."""
-    rebuilt = [CompactFuzzyPartition(cfp.root)]
+    """The stored tree equals the one rebuilt from the arrays of its Block view,
+    and (for string elements) the one read back from its JSON document."""
+    rebuilt = [CompactFuzzyPartition(root_arrays(cfp))]
     if json:
         rebuilt.append(CompactFuzzyPartition.from_json(cfp.to_json()))
     for again in rebuilt:

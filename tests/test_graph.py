@@ -225,9 +225,9 @@ def test_systems_on_interleaved_pools_meet_on_one_scale():
 def test_disjoint_union_requires_equal_alphabets():
     a = as_nflts(Nfts(["s"], ["a"], []))
     b = as_nflts(Nfts(["s"], ["b"], []))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="^systems must share the action alphabet$"):
         disjoint_union(a, b)
-    with pytest.raises(ModelError, match="label alphabets"):
+    with pytest.raises(ModelError, match="^systems must share the label alphabet$"):
         disjoint_union(Nflts(["s"], ["a"], [], ["p"]), Nflts(["s"], ["a"], [], ["q"]))
 
 

@@ -19,11 +19,32 @@ from fuzzybisim import (
     format_degree,
 )
 from fuzzybisim import partition
-from fuzzybisim.partition import Block, CfpRelation, crisp_block, fuzzy_block
+from fuzzybisim.partition import Block, CfpRelation
 
-from conftest import SEVEN_ELEMENT_TEXT, example_fuzzy_table, seven_element_relation
+from conftest import SEVEN_ELEMENT_TEXT, example_fuzzy_table, root_arrays, seven_element_relation
 
 H = Fraction(1, 2)
+
+
+def tree(node) -> tuple:
+    """The constructor's (parent, degrees, elements) arrays of a nested tree in
+    which a leaf is a frozenset and an inner node a (degree, [children]) pair."""
+    return partition._flatten(node, lambda n: (ONE, n, ()) if isinstance(n, frozenset) else (n[0], None, n[1]))
+
+
+def leaf(*elements) -> frozenset:
+    return frozenset(elements)
+
+
+def chain(names: list, degree) -> tuple:
+    """The arrays of a chain: spine node k, of degree ``degree(k)``, holds the leaf
+    of names[k] and spine node k + 1; the last name is the deepest leaf."""
+    parent, degrees, elements = [], [], []
+    for k, name in enumerate(names[:-1]):
+        parent += [2 * k - 2 if k else -1, 2 * k]
+        degrees += [degree(k), ONE]
+        elements += [None, leaf(name)]
+    return parent + [len(parent) - 2], degrees + [ONE], elements + [leaf(names[-1])]
 
 
 # -- crisp partitions --------------------------------------------------------
@@ -134,44 +155,38 @@ def test_not_an_equivalence_is_rejected():
 def test_tree_validation():
     with pytest.raises(ValueError):
         # crisp leaves must carry degree 1
-        CompactFuzzyPartition(Block(H, elements=frozenset("a")))
+        CompactFuzzyPartition(([-1], [H], [leaf("a")]))
     with pytest.raises(ValueError):
-        # fuzzy node degree must be strictly below its children's
-        CompactFuzzyPartition(
-            Block(H, subblocks=(crisp_block("a"), Block(H, elements=frozenset("b"))))
-        )
+        # so must a leaf under an inner node of the same degree
+        CompactFuzzyPartition(([-1, 0, 0], [H, ONE, H], [None, leaf("a"), leaf("b")]))
     with pytest.raises(ValueError):
-        fuzzy_block(H, [crisp_block("a")])
+        CompactFuzzyPartition(tree((H, [leaf("a")])))
     with pytest.raises(ValueError, match="non-empty"):
-        crisp_block([])
-    with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        fuzzy_block(ONE, [crisp_block("a"), crisp_block("b")])
+        CompactFuzzyPartition(([-1], [ONE], [leaf()]))
+    with pytest.raises(ValueError, match="strictly increase"):
+        CompactFuzzyPartition(tree((ONE, [leaf("a"), leaf("b")])))
     with pytest.raises(ValueError):
         # an element may appear in only one leaf
-        CompactFuzzyPartition(
-            Block(H, subblocks=(crisp_block("a"), crisp_block("a")))
-        )
+        CompactFuzzyPartition(tree((H, [leaf("a"), leaf("a")])))
 
 
 def test_tree_validation_names_the_broken_law():
     cases = [
-        (Block(H, elements=frozenset("a")), "degree 1"),
-        (Block(H, subblocks=(crisp_block("a"),)), "two subblocks"),
-        (Block(H, subblocks=(crisp_block("a"), Block(H, subblocks=(crisp_block("b"), crisp_block("c"))))),
-         "strictly increase"),
-        (Block(H, subblocks=(crisp_block("a"), Block(ZERO, subblocks=(crisp_block("b"), crisp_block("c"))))),
-         "strictly increase"),
-        (Block(ONE, subblocks=(crisp_block("a"), crisp_block("b"))), "strictly increase"),  # leaf children only
-        (Block(H, subblocks=(crisp_block("ab"), crisp_block("bc"))), "'b' appears in two leaves"),
+        (([-1], [H], [leaf("a")]), "degree 1"),
+        (tree((H, [leaf("a")])), "two subblocks"),
+        (tree((H, [leaf("a"), (H, [leaf("b"), leaf("c")])])), "strictly increase"),
+        (tree((H, [leaf("a"), (ZERO, [leaf("b"), leaf("c")])])), "strictly increase"),
+        (tree((ONE, [leaf("a"), leaf("b")])), "strictly increase"),  # leaf children only
+        (tree((H, [leaf("a", "b"), leaf("b", "c")])), "'b' appears in two leaves"),
     ]
-    for root, message in cases:
+    for arrays, message in cases:
         with pytest.raises(ValueError, match=message):
-            CompactFuzzyPartition(root)
+            CompactFuzzyPartition(arrays)
 
 
 def test_an_empty_leaf_is_named_as_such():
     for build in (
-        lambda: CompactFuzzyPartition(Block(ONE, elements=frozenset())),
+        lambda: CompactFuzzyPartition(([-1], [ONE], [leaf()])),
         lambda: CompactFuzzyPartition.from_json({"degree": "1", "elements": []}),
         lambda: cfp_from_relation(FuzzyRelation([], [], {})),
     ):
@@ -189,7 +204,7 @@ def random_equivalence(rng: random.Random, size: int) -> FuzzyRelation:
 
     def build(elements, depth):
         if len(elements) == 1 or depth >= len(pool) or rng.random() < 0.3:
-            return crisp_block(elements)
+            return frozenset(elements)
         k = rng.randint(2, len(elements))
         rng.shuffle(elements)
         cuts = sorted(rng.sample(range(1, len(elements)), k - 1)) if k > 1 else []
@@ -198,13 +213,13 @@ def random_equivalence(rng: random.Random, size: int) -> FuzzyRelation:
             groups.append(elements[prev:cut])
             prev = cut
         if len(groups) == 1:
-            return crisp_block(elements)
-        return Block(pool[depth], subblocks=tuple(build(g, depth + 1) for g in groups))
+            return frozenset(elements)
+        return pool[depth], [build(g, depth + 1) for g in groups]
 
     root = build(list(names), 0)
-    if root.is_crisp:
+    if isinstance(root, frozenset):
         return FuzzyRelation(names, names, {(x, y): Fraction(1) for x in names for y in names})
-    return CompactFuzzyPartition(root).to_relation()
+    return CompactFuzzyPartition(tree(root)).to_relation()
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -230,15 +245,12 @@ def test_cfp_from_relation_is_stable(seed):
 def test_deep_cfp_round_trips_without_recursion():
     depth = 2000
     names = [f"x{k:04d}" for k in range(depth + 1)]
-    block = crisp_block([names[depth]])
-    for k in range(depth - 1, -1, -1):
-        block = fuzzy_block(Fraction(k, depth + 1), [crisp_block([names[k]]), block])
-    cfp = CompactFuzzyPartition(block)
+    cfp = CompactFuzzyPartition(chain(names, lambda k: Fraction(k, depth + 1)))
     text = cfp.text()
     assert text.startswith("{{x0000}:1,{{x0001}:1,{{x0002}:1,")
     again = CompactFuzzyPartition.from_json(cfp.to_json())
     assert again == cfp and again.text() == text
-    assert cfp.universe == frozenset(names) and CompactFuzzyPartition(cfp.root) == cfp
+    assert cfp.universe == frozenset(names) and CompactFuzzyPartition(root_arrays(cfp)) == cfp
     assert len(cfp.leaf_partition()) == depth + 1
     assert cfp.degree_of(names[0], names[depth]) == 0
     assert cfp.degree_of(names[depth - 1], names[depth]) == Fraction(depth - 1, depth + 1)
@@ -250,15 +262,15 @@ def test_leaf_order_index_on_a_deep_and_wide_tree():
     ordering moves subtrees, and leaves of several elements."""
     rng = random.Random(13)
     names = iter(f"e{k:03d}" for k in range(1000))
-    block = crisp_block([next(names), next(names)])
+    node = leaf(next(names), next(names))
     for level in range(39, -1, -1):
-        wide = [crisp_block([next(names) for _ in range(rng.randint(1, 2))]) for _ in range(rng.randint(2, 5))]
-        children = [block, crisp_block([next(names)])]
+        wide = [leaf(*(next(names) for _ in range(rng.randint(1, 2)))) for _ in range(rng.randint(2, 5))]
+        children = [node, leaf(next(names))]
         if level % 3 == 0:
-            children.append(fuzzy_block(Fraction(2 * level + 1, 100), wide))
+            children.append((Fraction(2 * level + 1, 100), wide))
         rng.shuffle(children)
-        block = fuzzy_block(Fraction(level, 50), children)
-    cfp = CompactFuzzyPartition(block)
+        node = Fraction(level, 50), children
+    cfp = CompactFuzzyPartition(tree(node))
     assert len(cfp.leaf_partition()) > 64
     expanded = cfp.to_relation()
     for x in cfp.universe:
@@ -268,13 +280,16 @@ def test_leaf_order_index_on_a_deep_and_wide_tree():
 
 def test_the_constructor_range_checks_the_root_degree():
     # Degrees rise from the root to the leaves, so the root bounds them all.
-    for tree in (([-1, 0, 0], [Fraction(-1, 2), 1, 1], [None, {"a"}, {"b"}]),
-                 Block(Fraction(-1, 2), subblocks=(crisp_block(["a"]), crisp_block(["b"])))):
-        with pytest.raises(ValueError, match=r"^degree -1/2 outside \[0, 1\]$"):
-            CompactFuzzyPartition(tree)
-    view = CfpRelation(CompactFuzzyPartition(fuzzy_block(ZERO, [crisp_block(["a"]), crisp_block(["b"])])),
+    with pytest.raises(ValueError, match=r"^degree -1/2 outside \[0, 1\]$"):
+        CompactFuzzyPartition(([-1, 0, 0], [Fraction(-1, 2), 1, 1], [None, {"a"}, {"b"}]))
+    view = CfpRelation(CompactFuzzyPartition(tree((ZERO, [leaf("a"), leaf("b")]))),
                        {"a": "a"}, {"a": "a", "b": "b"})
     assert view.rows() == [("a", "a", 1)] and view.entries == {("a", "a"): 1}
+
+
+def test_the_constructor_names_an_empty_tree():
+    with pytest.raises(ValueError, match="^compact fuzzy partition tree has no nodes$"):
+        CompactFuzzyPartition(([], [], []))
 
 
 def _degree_by_paths(root: Block):
@@ -309,10 +324,7 @@ def test_positive_rows_work_follows_the_ys_not_the_leaves(monkeypatch):
     """Many xs against one y on a chain of 400 leaves: each x reads a running
     minimum per distinct leaf of the ys, not per leaf of the tree."""
     names = [f"x{k:03d}" for k in range(400)]
-    block = crisp_block([names[-1]])
-    for k in range(398, -1, -1):
-        block = fuzzy_block(Fraction(k, 400), [crisp_block([names[k]]), block])
-    cfp = CompactFuzzyPartition(block)
+    cfp = CompactFuzzyPartition(chain(names, lambda k: Fraction(k, 400)))
     read = []
 
     def counted(items, func):
