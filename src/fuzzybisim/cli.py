@@ -21,12 +21,14 @@ from .degrees import format_degree
 from .model import ModelError
 from .modelio import (
     DocumentError,
+    build_model,
     model_to_document,
     parse_model,
     parse_relation,
+    read_model,
     relation_to_document,
 )
-from .graph import to_flg, as_nflts, on_states
+from .graph import to_flg, as_nflts, on_states, require_shared_alphabets
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
 from .partition import NotAnEquivalenceError
@@ -54,15 +56,22 @@ ENGINES = {
     "degree": _FUZZY_PARTITION,
     "crisp-sim": {
         "efficient": lambda a, b, verbose: crisp_simulation_nflts(a, b, verbose),
-        "oracle": lambda a, b, _: on_states(a, b, oracle.gfp_crisp_sim_flg(to_flg(a), to_flg(b)).pairs),
+        "oracle": lambda a, b, _: on_states(a, b, oracle.gfp_crisp_sim_flg(*_graphs(a, b)).pairs),
     },
     "fuzzy-sim": {
         "efficient": lambda a, b, verbose: fuzzy_simulation_nflts(a, b, verbose),
-        "oracle": lambda a, b, _: on_states(a, b, oracle.gfp_fuzzy_sim_flg(to_flg(a), to_flg(b)).entries),
+        "oracle": lambda a, b, _: on_states(a, b, oracle.gfp_fuzzy_sim_flg(*_graphs(a, b)).entries),
     },
 }
 
-# check --kind -> the definitional checker of a relation of that kind on a model.
+
+def _graphs(a, b) -> tuple:
+    """The graphs of two systems for a graph fixpoint, under the efficient engines' alphabet rule."""
+    require_shared_alphabets(a, b)
+    return to_flg(a), to_flg(b)
+
+
+# check --kind -> the definitional checker of a relation of that kind on a model as given.
 CHECKERS = {"crisp-bisim": oracle.is_crisp_bisim_nfts, "fuzzy-bisim": oracle.is_fuzzy_bisim_nfts}
 
 
@@ -240,9 +249,9 @@ def _dispatch(args, started: float) -> int:
         return 0
 
     if args.command == "check":
-        model = parse_model(Path(args.model))
-        relation = parse_relation(Path(args.relation), model, args.kind.partition("-")[0])
-        report = CHECKERS[args.kind](relation, model)
+        given = read_model(Path(args.model))  # built first, for the constructor's checks and errors
+        relation = parse_relation(Path(args.relation), build_model(given), args.kind.partition("-")[0])
+        report = CHECKERS[args.kind](relation, oracle.System(*given))
         payload = {
             "holds": report.holds,
             "clause": report.clause,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .model import Nfts, Nflts
+from .model import Nfts, build
 
 #: Identifier of the pseudo-random source, recorded as ``rng`` in each ``bench.BenchRecord``.
 RNG_ALGORITHM = "mt19937"
@@ -59,6 +59,12 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> Nfts:
     """A pseudo-random model matching the spec; identical per seed."""
+    return build(*draw(spec))
+
+
+def draw(spec: GenSpec) -> tuple:
+    """The constructor's arguments of ``generate(spec)``: (states, actions,
+    transitions), then (label_alphabet, state_labels) for a labeled spec."""
     spec.validate()
     rng = random.Random(spec.seed)
     states = [f"s{i}" for i in range(spec.state_count)]
@@ -75,7 +81,7 @@ def generate(spec: GenSpec) -> Nfts:
                     (state, action, {t: rng.choice(pool) for t in targets})
                 )
     if spec.label_alphabet_size == 0:
-        return Nfts(states, actions, transitions)
+        return states, actions, transitions
     alphabet = [f"p{i}" for i in range(spec.label_alphabet_size)]
     labels = {}
     for state in states:
@@ -86,7 +92,7 @@ def generate(spec: GenSpec) -> Nfts:
         }
         if entries:
             labels[state] = entries
-    return Nflts(states, actions, transitions, alphabet, labels)
+    return states, actions, transitions, alphabet, labels
 
 
 def random_spec(rng: random.Random, max_states: int, max_actions: int = 2, max_pool: int = 7,

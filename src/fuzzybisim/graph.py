@@ -8,9 +8,11 @@ so no bisimulation can relate a state vertex with a distribution vertex.
 
 The system's constructor lays the graph's arrays out (see ``model``), and
 ``to_flg`` is a view of them, whose pool holds 1; the engines read only the
-arrays, where id i < |S| is the state ``names[i]``.  The ``Vertex`` of id i,
-``by_id[i]``, and the object views that the oracles and checkers read
-(``vertices``, ``edges``, ``labels``, ...) are built on first access.
+arrays, where id i < |S| is the state ``names[i]``.  ``by_id[i]``, the
+``Vertex`` of id i, and the views ``vertices``, ``edges``, ``labels``,
+``out_edges`` and ``degree_pool`` are built on first access for the graph
+fixpoints and for ``perfbench/``, their reader until the benchmark reads the
+arrays; the system-level oracles read ``oracle.System``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
-from .degrees import Degree, ZERO, ONE, joint_ranks
+from .degrees import ONE, joint_ranks
 from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, Nflts, ModelError, _layout
 from .relations import CrispRelation, FuzzyRelation
 
@@ -92,27 +94,10 @@ class Flg:
         return dict(zip(self.by_id, map(sets.__getitem__, self.label_ids)))
 
     @cached_property
-    def _incident(self) -> dict:
-        """Vertex -> (out-edges, in-edges) as (symbol, other end, degree)."""
-        incident = {v: ([], []) for v in self.by_id}
-        for (x, r, y), degree in self.edges.items():
-            incident[x][0].append((r, y, degree))
-            incident[y][1].append((r, x, degree))
-        return incident
-
-    def edge_degree(self, x: Vertex, r, y: Vertex) -> Degree:
-        return self.edges.get((x, r, y), ZERO)
-
-    def out_edges(self, x: Vertex):
-        """Positive outgoing edges of x as (symbol, target, degree)."""
-        return self._incident[x][0]
-
-    def in_edges(self, y: Vertex):
-        """Positive incoming edges of y as (symbol, source, degree)."""
-        return self._incident[y][1]
-
-    def predecessors(self, y: Vertex):
-        return [x for _, x, _ in self.in_edges(y)]
+    def out_edges(self):
+        """``out_edges(x)``: the positive edges leaving vertex x as (symbol, target, degree)."""
+        v, pool = self.by_id, self.pool
+        return {v[i]: [(r, v[j], pool[rk]) for r, j, rk in out] for i, out in enumerate(self.out)}.__getitem__
 
     def degree_pool(self) -> list:
         """Sorted distinct positive degrees used in edges and vertex labels."""

@@ -12,8 +12,9 @@ first-use order); ``preds[i]``, the sources of the edges into vertex i; and
 as symbol -> rank maps, with the state mark on each state: equal labels share
 one id, numbered in first-use order over the vertex ids, and no other code
 interns labels.  Each degree object is range-checked once and compared by
-value.  The object views ``distributions``, ``transitions`` and ``label_of``
-are built on first access, from ``_given[r]``, the first object of rank r.
+value.  The views ``distributions`` and ``transitions``, built on first
+access from ``_given[r]``, the first object of rank r, serve ``perfbench/``
+until the benchmark reads the arrays; the oracles read ``oracle.System``.
 """
 from __future__ import annotations
 
@@ -178,8 +179,7 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
         ids = {p: d for p, degree in _items(label) if (d := degree_id(degree, p)) >= 0}
         if not ids.keys() <= label_alphabet:
             raise ModelError(f"label of {state!r} uses symbols outside the alphabet")
-        if ids:
-            labels[index[state]] = ids
+        labels[index[state]] = ids  # a state given twice keeps its last label, an empty one too
     exact = [degree if type(degree) is Fraction else Fraction(*key) for degree, key in zip(given, values)]
     # The degree ids by value: floats order them, and Fractions, whose comparison goes
     # through the numbers.Rational ABC, only break float ties.
@@ -246,11 +246,6 @@ class Nfts:
         """delta as a set of (state, action, distribution)."""
         return frozenset((s, a, self.distributions[k]) for s, a, k in self.delta)
 
-    @cached_property
-    def _label_sets(self) -> dict:
-        names, given = self.names, self._given
-        return {names[i]: FuzzySet({p: given[r] for p, r in ranks.items()}) for i, ranks in self.user_labels()}
-
     def user_labels(self) -> list:
         """(state id, its label as a symbol -> rank map) for each labeled state,
         in id order: its ``label_maps`` entry without the state mark."""
@@ -262,20 +257,8 @@ class Nfts:
         """|delta| plus the summed support sizes over distinct distributions."""
         return sum(map(len, self.out))
 
-    def outgoing(self, state, action=None):
-        """Transitions leaving `state` (optionally restricted to one action)."""
-        for source, act, k in self.delta:
-            if source == state and (action is None or act == action):
-                yield act, self.distributions[k]
-
-    def label_of(self, state) -> FuzzySet:
-        return self._label_sets.get(state, _EMPTY_LABEL)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__}: {len(self.states)} states, {len(self.delta)} transitions>"
-
-
-_EMPTY_LABEL = FuzzySet()
 
 
 class Nflts(Nfts):
@@ -283,3 +266,8 @@ class Nflts(Nfts):
 
     def __init__(self, states, actions, transitions, label_alphabet=(), state_labels: Mapping = ()):
         self.__dict__.update(_layout(*_intern(states, actions, transitions, label_alphabet, state_labels)))
+
+
+def build(states, actions, transitions, *labeling) -> Nfts:
+    """The system of its constructor's arguments, an Nflts given (label_alphabet, state_labels)."""
+    return Nflts(states, actions, transitions, *labeling) if labeling else Nfts(states, actions, transitions)

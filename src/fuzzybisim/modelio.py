@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Union
 
 from .degrees import DegreeError, parse_degree, format_degree
-from .model import Nfts, Nflts, ModelError
+from .model import Nfts, Nflts, ModelError, build
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 
@@ -72,13 +72,27 @@ def _degree_map(value, seen: dict, field: str, key) -> dict:
 
 def parse_model(source: Union[str, Path]) -> Nfts:
     """Parse a model from a path or from document text."""
+    return build_model(read_model(source))
+
+
+def read_model(source: Union[str, Path]) -> tuple:
+    """The constructor's arguments of the model at a path or in document text:
+    (states, actions, transitions), then (label_alphabet, state_labels) for an nflts."""
     if isinstance(source, Path):
         text = source.read_text()
     elif "\n" in source or source.lstrip().startswith("{"):
         text = source
     else:
         text = Path(source).read_text()
-    return model_from_document(_json(text)) if text.lstrip().startswith("{") else _model_from_lines(text)
+    return _arguments(_json(text)) if text.lstrip().startswith("{") else _arguments_from_lines(text)
+
+
+def build_model(arguments: tuple) -> Nfts:
+    """The system of ``read_model``'s arguments; a ModelError becomes a DocumentError."""
+    try:
+        return build(*arguments)
+    except ModelError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def _json(text: str):
@@ -112,6 +126,10 @@ def _known_keys(doc: dict, keys: frozenset, what: str):
 
 
 def model_from_document(doc: dict) -> Nfts:
+    return build_model(_arguments(doc))
+
+
+def _arguments(doc) -> tuple:
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
     _known_keys(doc, _MODEL_KEYS, "model")
@@ -135,15 +153,15 @@ def model_from_document(doc: dict) -> Nfts:
     if kind == "nfts":
         if "state_labels" in doc or "label_alphabet" in doc:
             raise DocumentError("kind 'nfts' does not take labels")
-        return _system(states, actions, transitions)
+        return states, actions, transitions
     labels = {
         state: _degree_map(label, seen, "state_labels[{!r}]", state)
         for state, label in _object(doc.get("state_labels", {}), "state_labels").items()
     }
-    return _system(states, actions, transitions, _strings(doc, "label_alphabet"), labels)
+    return states, actions, transitions, _strings(doc, "label_alphabet"), labels
 
 
-def _model_from_lines(text: str) -> Nfts:
+def _arguments_from_lines(text: str) -> tuple:
     kind, transitions, labels = "nfts", [], {}
     lists = {"states": [], "actions": [], "labels": []}  # the directives that list names
     seen = {}  # degree string -> its Fraction, parsed once per document
@@ -186,17 +204,8 @@ def _model_from_lines(text: str) -> Nfts:
     if kind == "nfts":
         if labels or alphabet:
             raise DocumentError("kind 'nfts' does not take labels")
-        return _system(states, actions, transitions)
-    return _system(states, actions, transitions, alphabet, labels)
-
-
-def _system(states, actions, transitions, *labeling) -> Nfts:
-    """An Nflts when ``labeling`` (alphabet, labels) is given, else an Nfts;
-    a ModelError becomes a DocumentError."""
-    try:
-        return Nflts(states, actions, transitions, *labeling) if labeling else Nfts(states, actions, transitions)
-    except ModelError as exc:
-        raise DocumentError(str(exc)) from exc
+        return states, actions, transitions
+    return states, actions, transitions, alphabet, labels
 
 
 def model_to_document(model: Nfts) -> dict:

@@ -5,6 +5,12 @@ Everything here follows the definitions literally, with no data-structure
 cleverness, so correctness is auditable by eye.  These functions are the
 ground truth that the refinement engines are differentially tested against;
 they are only meant for desk-scale inputs.
+
+The system-level fixpoints and checkers read a ``System``, the arguments of
+the ``Nfts``/``Nflts`` constructor as given: no interning table, id or rank
+is shared with the layout that the engines read.  The graph-level ones read
+the views of ``graph.Flg`` (``vertices``, ``labels``, ``out_edges``), which
+remain for them and for ``perfbench/`` until the benchmark reads the arrays.
 """
 from __future__ import annotations
 
@@ -12,9 +18,32 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .degrees import Degree, ZERO, residuum, biresiduum, sup, inf
-from .model import Nfts
+from .model import Distribution, FuzzySet
 from .graph import Flg, ModelError
 from .relations import CrispRelation, FuzzyRelation
+
+
+class System:
+    """A system as its constructor's arguments give it, checked by nothing (so
+    ``actions`` and ``label_alphabet`` go unread): ``transitions``, the distinct
+    (state, action, distribution) triples in input order; ``distributions``,
+    the distinct targets as ``Distribution``s numbered in first use; and
+    ``labels``, each labeled state's ``FuzzySet``."""
+
+    def __init__(self, states, actions, transitions, label_alphabet=(), state_labels=()):
+        self.states, interned, triples = frozenset(states), {}, {}
+        for source, action, target in transitions:
+            fuzzy = FuzzySet(target)
+            triples[source, action, interned.setdefault(fuzzy, Distribution(len(interned), fuzzy))] = None
+        self.transitions, self.distributions = tuple(triples), tuple(interned.values())
+        self.labels = {state: FuzzySet(label) for state, label in dict(state_labels).items()}
+
+    def outgoing(self, state, action=None) -> list:
+        """The (action, distribution) of each transition of ``state``, of ``action`` if given."""
+        return [(a, mu) for s, a, mu in self.transitions if s == state and action in (None, a)]
+
+    def label_of(self, state) -> FuzzySet:
+        return self.labels.get(state) or FuzzySet()
 
 
 @dataclass
@@ -72,7 +101,7 @@ def lifted_fuzzy(R: FuzzyRelation, mu, mu_prime) -> Degree:
 # -- checkers over transition systems -------------------------------------
 
 
-def is_crisp_bisim_nfts(R: CrispRelation, model: Nfts) -> WitnessReport:
+def is_crisp_bisim_nfts(R: CrispRelation, model: System) -> WitnessReport:
     """Check the clauses of a crisp bisimulation for every pair of R.
 
     On labeled systems related states must additionally carry equal labels;
@@ -90,7 +119,7 @@ def is_crisp_bisim_nfts(R: CrispRelation, model: Nfts) -> WitnessReport:
     return WitnessReport(True)
 
 
-def is_fuzzy_bisim_nfts(R: FuzzyRelation, model: Nfts) -> WitnessReport:
+def is_fuzzy_bisim_nfts(R: FuzzyRelation, model: System) -> WitnessReport:
     """Check the fuzzy bisimulation clauses for every pair with R(s, s') > 0.
 
     On labeled systems R(s, s') is additionally bounded by the biresiduum of
@@ -112,7 +141,7 @@ def is_fuzzy_bisim_nfts(R: FuzzyRelation, model: Nfts) -> WitnessReport:
     return WitnessReport(True)
 
 
-def gfp_crisp_bisim_nfts(model: Nfts) -> CrispRelation:
+def gfp_crisp_bisim_nfts(model: System) -> CrispRelation:
     """Greatest crisp bisimulation: start from the label-compatible pairs
     (all of S x S for a plain system) and remove violating ones until stable."""
     states = sorted(model.states)
@@ -136,7 +165,7 @@ def gfp_crisp_bisim_nfts(model: Nfts) -> CrispRelation:
     return CrispRelation(model.states, model.states, pairs)
 
 
-def gfp_fuzzy_bisim_nfts(model: Nfts) -> FuzzyRelation:
+def gfp_fuzzy_bisim_nfts(model: System) -> FuzzyRelation:
     """Greatest fuzzy bisimulation: decrease from the label-biresiduum caps
     (the all-ones relation for a plain system) until stable."""
     states = sorted(model.states)

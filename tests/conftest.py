@@ -1,7 +1,7 @@
-"""Shared fixtures: the five-state worked example, its expected results, the
-caterpillar families with deep partitions, the arrays of a compact fuzzy
-partition's `root` view, and a terminal-summary hook that prints one line
-per acceptance criterion."""
+"""Shared fixtures: the five-state worked example, its expected results, each
+labeled state's label as the layout stores it, the caterpillar families with
+deep partitions, the arrays of a compact fuzzy partition's `root` view, and a
+terminal-summary hook that prints one line per acceptance criterion."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -9,17 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from fuzzybisim import Nflts, Nfts, FuzzyRelation
+from fuzzybisim import FuzzySet, Nflts, Nfts, FuzzyRelation
 from fuzzybisim.partition import _flatten
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def make_example() -> Nfts:
-    """The running five-state example: two a-branches from s1, a b-cycle on
-    s3/s4 through the same distribution, and s2/s5 sharing a target."""
+def example_arguments() -> tuple:
+    """The constructor's arguments of the running five-state example: two
+    a-branches from s1, a b-cycle on s3/s4 through the same distribution, and
+    s2/s5 sharing a target."""
     d = Fraction
-    return Nfts(
+    return (
         ["s1", "s2", "s3", "s4", "s5"],
         ["a", "b"],
         [
@@ -31,6 +32,17 @@ def make_example() -> Nfts:
             ("s5", "a", {"s4": d("0.7"), "s5": d("0.9")}),
         ],
     )
+
+
+def make_example() -> Nfts:
+    return Nfts(*example_arguments())
+
+
+def labels_of(model) -> dict:
+    """Each labeled state's label as the layout stores it: its ``user_labels()``
+    entry, as a FuzzySet of the degree objects first given for its ranks."""
+    names, given = model.names, model._given
+    return {names[i]: FuzzySet({p: given[r] for p, r in ranks.items()}) for i, ranks in model.user_labels()}
 
 
 EXAMPLE_CRISP_TEXT = "{{s1},{s2,s5},{s3,s4}}"

@@ -30,8 +30,9 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import random_spec
+from fuzzybisim.generate import draw, random_spec
 from fuzzybisim.graph import state_vertex
+from fuzzybisim.model import EPSILON, build
 
 from conftest import (
     EXAMPLE_CRISP_TEXT,
@@ -75,17 +76,28 @@ def test_criterion_3():
 
 
 def _battery(count, max_states, seed, max_pool=7):
+    """Random systems, each from one draw twice: built, and as given (the oracles' input)."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield generate(random_spec(rng, max_states=max_states, max_pool=max_pool))
+        arguments = draw(random_spec(rng, max_states=max_states, max_pool=max_pool))
+        yield build(*arguments), oracle.System(*arguments)
+
+
+def _crisp_sides(model, given):
+    """Criterion 4's sides: the crisp pipeline on the built system, the oracle on the given one."""
+    return crisp_partition_system(model), CrispPartition.from_relation(oracle.gfp_crisp_bisim_nfts(given))
+
+
+def _fuzzy_sides(model, given):
+    """Criterion 5's sides: the fuzzy pipeline on the built system, the oracle on the given one."""
+    return fuzzy_partition_system(model).to_relation(), oracle.gfp_fuzzy_bisim_nfts(given)
 
 
 def test_criterion_4():
     """Efficient crisp pipeline equals the brute-force oracle, 500 instances."""
     started = time.perf_counter()
-    for model in _battery(500, max_states=8, seed=41):
-        got = crisp_partition_system(model)
-        expected = CrispPartition.from_relation(oracle.gfp_crisp_bisim_nfts(model))
+    for model, given in _battery(500, max_states=8, seed=41):
+        got, expected = _crisp_sides(model, given)
         assert got == expected
     assert time.perf_counter() - started < 60.0
 
@@ -93,21 +105,46 @@ def test_criterion_4():
 def test_criterion_5():
     """Efficient fuzzy pipeline equals the brute-force oracle, 300 instances."""
     started = time.perf_counter()
-    for model in _battery(300, max_states=6, seed=42):
-        got = fuzzy_partition_system(model).to_relation()
-        expected = oracle.gfp_fuzzy_bisim_nfts(model)
+    for model, given in _battery(300, max_states=6, seed=42):
+        got, expected = _fuzzy_sides(model, given)
         for s in model.states:
             for t in model.states:
                 assert got(s, t) == expected(s, t)
     assert time.perf_counter() - started < 120.0
 
 
+def test_criteria_4_and_5_report_a_fault_in_the_stored_arrays():
+    """The oracles read the system as given, not the layout that the pipelines
+    read: corrupting only the layout's arrays makes both comparisons fail."""
+    half, seven = Fraction("0.5"), Fraction("0.7")
+    labeled = ["s", "t"], ["a"], [], ["p"], {"s": {"p": half}, "t": {"p": seven}}
+    moving = ["s", "t", "u"], ["a"], [("s", "a", {"u": half}), ("t", "a", {"u": seven})]
+
+    def one_label_id(model):  # s and t (ids 0 and 1) share s's label id
+        model.label_ids[1] = model.label_ids[0]
+
+    def moved_edge(model):  # distribution 0's edge into u moves from 0.5 up one rank, to 0.7
+        symbol, target, rank = model.out[3][0]
+        assert (symbol, target, model.pool[rank]) == (EPSILON, 2, half)
+        model.out[3][0] = symbol, target, rank + 1
+
+    for arguments, corrupt in ((labeled, one_label_id), (moving, moved_edge)):
+        model, given = build(*arguments), oracle.System(*arguments)
+        got, expected = _crisp_sides(model, given)
+        assert got == expected
+        corrupt(model)
+        got, expected = _crisp_sides(model, given)
+        assert got != expected, corrupt.__name__
+        got, expected = _fuzzy_sides(model, given)
+        assert got("s", "t") == 1 and expected("s", "t") == half, corrupt.__name__
+
+
 def test_criterion_6():
     """Graph-level fixpoints restricted to states equal the system-level ones."""
-    for model in _battery(120, max_states=6, seed=43):
+    for model, given in _battery(120, max_states=6, seed=43):
         g = to_flg(model)
         crisp_graph = oracle.gfp_crisp_bisim_flg(g)
-        crisp_system = oracle.gfp_crisp_bisim_nfts(model)
+        crisp_system = oracle.gfp_crisp_bisim_nfts(given)
         restricted = {
             (x.key, y.key)
             for x, y in crisp_graph.pairs
@@ -116,7 +153,7 @@ def test_criterion_6():
         assert restricted == crisp_system.pairs
 
         fuzzy_graph = oracle.gfp_fuzzy_bisim_flg(g)
-        fuzzy_system = oracle.gfp_fuzzy_bisim_nfts(model)
+        fuzzy_system = oracle.gfp_fuzzy_bisim_nfts(given)
         for s in model.states:
             for t in model.states:
                 assert fuzzy_graph(state_vertex(s), state_vertex(t)) == fuzzy_system(s, t)
@@ -124,15 +161,15 @@ def test_criterion_6():
 
 def test_criterion_7():
     """Every pipeline output passes its own definitional checker and laws."""
-    for model in _battery(100, max_states=6, seed=44):
+    for model, given in _battery(100, max_states=6, seed=44):
         partition = crisp_partition_system(model)
         crisp = partition.to_relation()
-        assert oracle.is_crisp_bisim_nfts(crisp, model)
+        assert oracle.is_crisp_bisim_nfts(crisp, given)
 
         cfp = fuzzy_partition_system(model)
         fuzzy = cfp.to_relation()
         assert relation_laws(fuzzy).is_equivalence
-        assert oracle.is_fuzzy_bisim_nfts(fuzzy, model)
+        assert oracle.is_fuzzy_bisim_nfts(fuzzy, given)
 
         # Crisp bisimilarity embeds into the degree-1 part of the fuzzy one.
         # (The converse containment fails in general: a pair can reach fuzzy

@@ -376,7 +376,8 @@ def test_bisim_between_modes(capsys, example_path):
 
 
 def test_two_system_commands_require_shared_alphabets(capsys, tmp_path):
-    # One rule, one message, whichever command or library call meets it first.
+    # One rule, one message, whichever command, engine or library call meets it first:
+    # the oracle reaches its graph fixpoint only through the efficient engine's check.
     left = {"kind": "nflts", "states": ["s"], "actions": ["a"], "transitions": [], "label_alphabet": ["p"]}
     (tmp_path / "left.json").write_text(json.dumps(left))
     for key, other, kind in (("actions", ["b"], "action"), ("label_alphabet", ["q"], "label")):
@@ -384,7 +385,8 @@ def test_two_system_commands_require_shared_alphabets(capsys, tmp_path):
         models = str(tmp_path / "left.json"), str(tmp_path / "right.json")
         message = f"systems must share the {kind} alphabet"
         for argv in (["crisp-sim"], ["fuzzy-sim"], ["bisim-between", "--mode", "crisp"],
-                     ["bisim-between", "--mode", "fuzzy"]):
+                     ["bisim-between", "--mode", "fuzzy"], ["crisp-sim", "--engine", "oracle"],
+                     ["fuzzy-sim", "--engine", "oracle"]):
             assert invoke(capsys, *argv, *models) == (1, "", f"error: {message}\n"), argv
         with pytest.raises(ModelError, match=f"^{message}$"):
             disjoint_union(*map(parse_model, models))
@@ -412,10 +414,18 @@ def test_check_command(capsys, example_path, tmp_path):
     code, out, _ = invoke(capsys, "check", str(example_path), str(good), "--kind", "crisp-bisim")
     assert code == 0 and out.strip() == "holds"
 
+    # A witness names a distribution as the constructor numbers them, in first
+    # use (s2 and s5 share mu3).
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": "crisp", "pairs": [["s1", "s3"]]}))
-    code, out, _ = invoke(capsys, "check", str(example_path), str(bad), "--kind", "crisp-bisim")
-    assert code == 0 and out.startswith("violates")
+    for pair, witness in ((["s1", "s3"], ["s1", "s3", "a", "mu1"]), (["s2", "s4"], ["s2", "s4", "a", "mu3"])):
+        bad.write_text(json.dumps({"kind": "crisp", "pairs": [pair]}))
+        code, out, err = invoke(capsys, "check", str(example_path), str(bad), "--kind", "crisp-bisim")
+        assert (code, out, err) == (0, f"violates forward-transition at {witness}\n", "")
+        code, out, err = invoke(capsys, "check", str(example_path), str(bad), "--kind", "crisp-bisim", "--json")
+        expected = {"command": "check", "input": [str(example_path), str(bad)],
+                    "result": {"holds": False, "clause": "forward-transition", "witness": witness},
+                    "engine": "efficient", "wall_time_ms": json.loads(out)["wall_time_ms"]}
+        assert (code, out, err) == (0, json.dumps(expected, indent=2) + "\n", "")
 
     from fuzzybisim import relation_to_document
     from conftest import example_fuzzy_table

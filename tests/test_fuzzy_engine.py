@@ -19,7 +19,8 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import GenSpec, generate, random_spec
+from fuzzybisim.generate import GenSpec, draw, generate, random_spec
+from fuzzybisim.model import build
 
 from conftest import (
     CATERPILLARS,
@@ -27,6 +28,7 @@ from conftest import (
     EXAMPLE_FUZZY_TEXT,
     EXAMPLE_GRAPH_FUZZY_TEXT,
     example_fuzzy_table,
+    labels_of,
     make_example,
     root_arrays,
 )
@@ -91,9 +93,9 @@ def test_single_state():
 def test_matches_the_system_level_oracle():
     rng = random.Random(303)
     for _ in range(50):
-        model = generate(random_spec(rng, max_states=5))
-        got = fuzzy_partition_system(model).to_relation()
-        assert got == oracle.gfp_fuzzy_bisim_nfts(model)
+        arguments = draw(random_spec(rng, max_states=5))
+        got = fuzzy_partition_system(build(*arguments)).to_relation()
+        assert got == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 
 def test_strategies_agree_on_random_graphs():
@@ -139,8 +141,9 @@ def assert_graph_cfp_matches_oracle(model):
     assert greatest_fuzzy_bisim_cfp_flg(g) == expected
 
 
-def planted_copies(rng: random.Random, copies: int = 5, size: int = 3) -> Nfts:
-    """Copies of one base model; copy j > 0 raises the j-th smallest base degree in one transition."""
+def planted_copies(rng: random.Random, copies: int = 5, size: int = 3) -> tuple:
+    """The constructor's arguments of copies of one base model; copy j > 0 raises
+    the j-th smallest base degree in one transition."""
     pool = [Fraction(k, 10) for k in range(1, 10)]
     base = []
     for s in range(size):
@@ -156,16 +159,17 @@ def planted_copies(rng: random.Random, copies: int = 5, size: int = 3) -> Nfts:
                 moved = None  # one transition per copy
             transitions.append((f"c{j}s{s}", action, {f"c{j}s{t}": d for t, d in raised.items()}))
     states = [f"c{j}s{s}" for j in range(copies) for s in range(size)]
-    return Nfts(states, ["a", "b"], transitions)
+    return states, ["a", "b"], transitions
 
 
 def test_planted_copies_match_the_oracle():
     rng = random.Random(606)
     for _ in range(8):
-        model = planted_copies(rng)
+        arguments = planted_copies(rng)
+        model = Nfts(*arguments)
         assert_graph_cfp_matches_oracle(model)
         got = fuzzy_partition_system(model)
-        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
+        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 
 def test_many_distinct_label_degrees_match_the_oracle():
@@ -188,10 +192,11 @@ def test_models_without_transitions_match_the_oracle():
     for _ in range(25):
         states = [f"s{i}" for i in range(rng.randint(1, 9))]
         labels = {s: {p: rng.choice(pool) for p in "pq" if rng.random() < 0.7} for s in states}
-        model = Nflts(states, ["a"], [], ["p", "q"], labels)
+        arguments = states, ["a"], [], ["p", "q"], labels
+        model = Nflts(*arguments)
         assert_graph_cfp_matches_oracle(model)
         got = fuzzy_partition_system(model)
-        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(model)
+        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 
 def test_no_transitions_keeps_a_positive_root_over_many_top_blocks():
@@ -206,12 +211,13 @@ def test_no_transitions_keeps_a_positive_root_over_many_top_blocks():
         "v": {"p": d("0.7"), "q": d(1)},
         "w": {"p": d("0.5"), "q": d("0.5")},
     }
-    model = Nflts(list(labels), ["a"], [], ["p", "q"], labels)
+    arguments = list(labels), ["a"], [], ["p", "q"], labels
+    model = Nflts(*arguments)
     cfp = fuzzy_partition_system(model)
     assert cfp.root.degree == d("0.5") and len(cfp.root.subblocks) == 4
     assert cfp == fuzzy_partition_oracle(model)
     expanded = cfp.to_relation()
-    assert expanded == oracle.gfp_fuzzy_bisim_nfts(model)
+    assert expanded == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
     for x in model.states:
         for y in model.states:
             assert cfp.degree_of(x, y) == expanded(x, y), (x, y)
@@ -246,7 +252,7 @@ def test_renaming_states_renames_the_partition():
             model.actions,
             [(rename[s], a, {rename[t]: d for t, d in mu.fuzzy.items()}) for s, a, mu in model.transitions],
             model.label_alphabet,
-            {rename[s]: model.label_of(s) for s in model.states},
+            {rename[s]: label for s, label in labels_of(model).items()},
         )
         cfp = fuzzy_partition_system(model)
         expected = CompactFuzzyPartition.from_json(cfp.to_json(name=rename.__getitem__))

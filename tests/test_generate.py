@@ -1,7 +1,8 @@
 """The seeded model generator: determinism, validation, statistics."""
 import pytest
 
-from fuzzybisim import GenSpec, GenSpecError, Nflts, generate, parse_model, serialize_model
+from fuzzybisim import GenSpec, GenSpecError, Nflts, Nfts, generate, parse_model, serialize_model
+from fuzzybisim.generate import draw
 
 
 def spec(**kwargs) -> GenSpec:
@@ -19,6 +20,16 @@ def spec(**kwargs) -> GenSpec:
 
 def test_same_seed_same_model():
     assert serialize_model(generate(spec())) == serialize_model(generate(spec()))
+
+
+def test_generate_builds_the_drawn_arguments():
+    for labels in (0, 2):
+        drawn = spec(label_alphabet_size=labels, label_density=0.5)
+        arguments = draw(drawn)
+        assert arguments == draw(drawn) and len(arguments) == (5 if labels else 3)
+        built = (Nflts if labels else Nfts)(*arguments)
+        model = generate(drawn)
+        assert type(model) is type(built) and serialize_model(model) == serialize_model(built)
 
 
 def test_different_seeds_differ():
@@ -75,4 +86,4 @@ def test_labeled_generation():
     model = generate(spec(label_alphabet_size=2, label_density=1.0))
     assert isinstance(model, Nflts)
     assert model.label_alphabet == {"p0", "p1"}
-    assert any(model.label_of(s) for s in model.states)
+    assert model.user_labels()

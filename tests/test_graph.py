@@ -11,7 +11,7 @@ from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, on_states, state_vertex
 from fuzzybisim.refinement import adjacency
 
-from conftest import REPO_ROOT, make_example
+from conftest import REPO_ROOT, labels_of, make_example
 
 H = Fraction(1, 2)
 
@@ -25,9 +25,9 @@ def test_example_graph_shape():
 def test_example_edge_degrees():
     g = to_flg(make_example())
     mu1 = dist_vertex(0)
-    assert g.edge_degree(state_vertex("s1"), "a", mu1) == 1
-    assert g.edge_degree(mu1, EPSILON, state_vertex("s3")) == Fraction("0.8")
-    assert g.edge_degree(mu1, EPSILON, state_vertex("s1")) == 0
+    assert g.edges[state_vertex("s1"), "a", mu1] == 1
+    assert g.edges[mu1, EPSILON, state_vertex("s3")] == Fraction("0.8")
+    assert (mu1, EPSILON, state_vertex("s1")) not in g.edges
 
 
 def test_state_vertices_are_marked():
@@ -63,10 +63,11 @@ def test_labeled_graph_carries_state_labels():
 
 def test_adjacency_is_consistent():
     g = to_flg(make_example())
+    ids = {v: i for i, v in enumerate(g.by_id)}
     for (x, r, y), d in g.edges.items():
         assert (r, y, d) in g.out_edges(x)
-        assert (r, x, d) in g.in_edges(y)
-        assert x in g.predecessors(y)
+        assert (r, ids[y], g.pool.index(d)) in g.out[ids[x]]
+        assert ids[x] in g.preds[ids[y]]
 
 
 def test_as_nflts_preserves_structure():
@@ -89,7 +90,7 @@ def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
     assert type(view) is Nflts and type(model) is Nfts
     for name in ("names", "delta", "pool", "_given", "out", "preds", "label_ids", "label_maps"):
         assert getattr(view, name) is getattr(model, name), name
-    assert view.label_alphabet == frozenset() and not view.label_of("s")
+    assert view.label_alphabet == frozenset() and view.user_labels() == []
     assert built == []
     other = Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
     assert built == [Nfts]
@@ -155,8 +156,7 @@ def test_disjoint_union_preserves_labels():
     a = Nflts(["s"], ["a"], [], ["p"], {"s": {"p": H}})
     b = Nflts(["s"], ["a"], [], ["p"], {})
     union, inject_a, inject_b = disjoint_union(a, b)
-    assert union.label_of(inject_a["s"])("p") == H
-    assert not union.label_of(inject_b["s"])
+    assert labels_of(union) == {inject_a["s"]: FuzzySet({"p": H})}
 
 
 def _union_by_definition(a, b):
@@ -165,7 +165,7 @@ def _union_by_definition(a, b):
     for tag, model in enumerate((a, b)):
         transitions += [((tag, s), action, {(tag, t): d for t, d in model.distributions[k].items()})
                         for s, action, k in model.delta]
-        labels += [((tag, s), model.label_of(s)) for s in model.states if model.label_of(s)]
+        labels += [((tag, s), label) for s, label in labels_of(model).items()]
     return Nflts([(tag, s) for tag, m in enumerate((a, b)) for s in m.states], a.actions, transitions,
                  a.label_alphabet, labels)
 
@@ -187,31 +187,44 @@ def test_disjoint_union_concatenates_the_arrays():
                      "label_maps", "label_alphabet"):
             assert getattr(union, name) == getattr(expected, name), name
         assert [dict(mu.items()) for mu in union.distributions] == [dict(mu.items()) for mu in expected.distributions]
-        assert all(union.label_of(s) == expected.label_of(s) for s in union.states)
+        assert labels_of(union) == labels_of(expected)
         assert inject_a == {s: (0, s) for s in a.states} and inject_b == {s: (1, s) for s in b.states}
         assert to_flg(union).out == to_flg(expected).out
     union = disjoint_union(as_nflts(empty), as_nflts(empty))[0]
     assert len(union.out) - len(union.names) == 3  # one empty distribution
 
 
+def _union_as_given(*systems):
+    """The constructor's arguments of the disjoint union of labeled systems given by theirs."""
+    states, transitions, labels = [], [], {}
+    for tag, (names, actions, moves, alphabet, labeling) in enumerate(systems):
+        states += [(tag, s) for s in names]
+        transitions += [((tag, s), act, {(tag, t): d for t, d in mu.items()}) for s, act, mu in moves]
+        labels.update(((tag, s), label) for s, label in labeling.items())
+    return states, actions, transitions, alphabet, labels
+
+
 def test_systems_on_interleaved_pools_meet_on_one_scale():
     """Two systems whose degree pools interleave, only one of them holding 1:
     the simulations and both between-system modes equal the oracle fixpoints,
-    the between ones on a union built from the object views."""
+    the between ones on the union of the two systems as given."""
     d = {k: Fraction(k, 10) for k in (2, 4, 6, 8)}
     loop = ("v", "a", {"v": d[6]})  # in both systems, so a pair of states is crisp bisimilar
-    a = Nflts(["s", "t", "u", "v"], ["a"], [("s", "a", {"t": d[6], "u": 1}), ("t", "a", {"u": d[2]}),
-                                            ("u", "a", {"u": 1}), loop], ["p"], {"s": {"p": d[6]}, "t": {"p": 1}})
-    b = Nflts(["s", "t", "u", "v"], ["a"], [("s", "a", {"t": d[8], "u": d[4]}), ("t", "a", {"t": d[4]}),
-                                            ("u", "a", {"s": d[8]}), loop], ["p"], {"s": {"p": d[4]}, "u": {"p": d[8]}})
+    given_a = (["s", "t", "u", "v"], ["a"],
+               [("s", "a", {"t": d[6], "u": 1}), ("t", "a", {"u": d[2]}), ("u", "a", {"u": 1}), loop],
+               ["p"], {"s": {"p": d[6]}, "t": {"p": 1}})
+    given_b = (["s", "t", "u", "v"], ["a"],
+               [("s", "a", {"t": d[8], "u": d[4]}), ("t", "a", {"t": d[4]}), ("u", "a", {"s": d[8]}), loop],
+               ["p"], {"s": {"p": d[4]}, "u": {"p": d[8]}})
+    a, b = Nflts(*given_a), Nflts(*given_b)
     assert a.pool == [d[2], d[6], 1] and b.pool == [d[4], d[6], d[8]]
     degrees = set()
-    for left, right in ((a, b), (b, a)):
+    for (left, right), given in (((a, b), (given_a, given_b)), ((b, a), (given_b, given_a))):
         g, g_prime = to_flg(left), to_flg(right)
         assert crisp_simulation_nflts(left, right) == on_states(left, right, oracle.gfp_crisp_sim_flg(g, g_prime).pairs)
         fuzzy = fuzzy_simulation_nflts(left, right)
         assert fuzzy == on_states(left, right, oracle.gfp_fuzzy_sim_flg(g, g_prime).entries)
-        expected = _union_by_definition(left, right)
+        expected = oracle.System(*_union_as_given(*given))
         crisp_bisim, fuzzy_bisim = oracle.gfp_crisp_bisim_nfts(expected), oracle.gfp_fuzzy_bisim_nfts(expected)
         pairs = [(s, t) for s in left.states for t in right.states]
         crisp = bisimulation_between_nflts(left, right, "crisp").pairs
@@ -237,8 +250,9 @@ def _graph_by_definition(model):
     edges = {(state_vertex(s), a, dist_vertex(mu.index)): 1 for s, a, mu in model.transitions}
     for mu in model.distributions:
         edges.update({(dist_vertex(mu.index), EPSILON, state_vertex(t)): d for t, d in mu.fuzzy.items()})
+    label_of = labels_of(model)
     labels = {
-        v: FuzzySet([*model.label_of(v.key).items(), (STATE_MARK, 1)]) if v.is_state else FuzzySet()
+        v: FuzzySet([*label_of.get(v.key, FuzzySet()).items(), (STATE_MARK, 1)]) if v.is_state else FuzzySet()
         for v in vertices
     }
     return vertices, edges, labels
@@ -266,8 +280,6 @@ def test_dense_graph_invariants():
         assert g.vertices == vertices and g.edges == edges and g.labels == labels
         for v in g.by_id:
             assert sorted(g.out_edges(v)) == sorted((r, y, d) for (x, r, y), d in edges.items() if x == v)
-            assert sorted(g.in_edges(v)) == sorted((r, x, d) for (x, r, y), d in edges.items() if y == v)
-            assert sorted(g.predecessors(v)) == sorted(x for (x, _, y) in edges if y == v)
         # the engines' view of the graph is the stored arrays
         out, preds, ids, maps = adjacency(g)
         assert out is g.out and preds is g.preds and ids is g.label_ids and maps is g.label_maps

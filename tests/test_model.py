@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from fuzzybisim import ONE, FuzzySet, ModelError, Nflts, Nfts, parse_model, to_flg
-from fuzzybisim.generate import generate, random_spec
-from fuzzybisim.model import STATE_MARK
+from fuzzybisim import ONE, FuzzySet, ModelError, Nflts, Nfts, oracle, parse_model, to_flg
+from fuzzybisim.generate import draw, generate, random_spec
+from fuzzybisim.model import STATE_MARK, build
 
-from conftest import REPO_ROOT, make_example
+from conftest import REPO_ROOT, example_arguments, labels_of, make_example
 
 H = Fraction(1, 2)
 
@@ -47,10 +47,12 @@ def test_interning_order_follows_input_order():
 
 
 def test_outgoing_filters_by_action():
-    model = make_example()
-    assert len(list(model.outgoing("s1"))) == 2
-    assert len(list(model.outgoing("s1", "a"))) == 2
-    assert list(model.outgoing("s1", "b")) == []
+    # on the system as given, which the oracles read; the layout keeps the triples in ``delta``
+    model, given = make_example(), oracle.System(*example_arguments())
+    assert len(given.outgoing("s1")) == 2
+    assert len(given.outgoing("s1", "a")) == 2
+    assert given.outgoing("s1", "b") == []
+    assert [(a, mu.index) for a, mu in given.outgoing("s1")] == [(a, k) for s, a, k in model.delta if s == "s1"]
 
 
 @pytest.mark.parametrize(
@@ -83,7 +85,7 @@ def test_fuzzy_set_basics():
 
 def test_labels_default_empty():
     model = make_example()
-    assert not model.label_of("s1")
+    assert model.user_labels() == []
     assert model.label_alphabet == frozenset()
 
 
@@ -93,9 +95,17 @@ def test_nflts_labels():
         label_alphabet=["p"],
         state_labels={"s": {"p": H}},
     )
-    assert model.label_of("s")("p") == H
-    assert not model.label_of("t")
+    assert labels_of(model) == {"s": FuzzySet({"p": H})}
     assert model.label_alphabet == {"p"}
+
+
+def test_a_state_labelled_twice_keeps_its_last_label():
+    # as a mapping of the same pairs would, and as the oracles' System reads it
+    for last, ids in (({}, [0, 0]), ({"p": 1}, [0, 1])):
+        arguments = ["s", "t"], ["a"], [], ["p"], [("s", {"p": H}), ("s", last)]
+        model = Nflts(*arguments)
+        assert model.label_ids == ids and labels_of(model).get("s", FuzzySet()) == FuzzySet(last)
+        assert oracle.System(*arguments).label_of("s") == FuzzySet(last)
 
 
 def test_nflts_label_validation():
@@ -162,8 +172,8 @@ def test_a_zero_degree_to_an_unknown_state_is_accepted():
     model = Nfts(["s"], ["a"], [("s", "a", {"s": H, "x": 0}), ("s", "a", {"s": H, "y": Fraction(0)})])
     (mu,) = model.distributions
     assert dict(mu.items()) == {"s": H} and model.delta == (("s", "a", 0),)
-    label = Nflts(["s"], ["a"], [], ["p"], {"s": {"p": H, "q": 0}}).label_of("s")
-    assert dict(label.items()) == {"p": H}
+    labels = labels_of(Nflts(["s"], ["a"], [], ["p"], {"s": {"p": H, "q": 0}}))
+    assert {s: dict(label.items()) for s, label in labels.items()} == {"s": {"p": H}}
 
 
 def _views(model) -> str:
@@ -171,12 +181,13 @@ def _views(model) -> str:
     the entries of each fuzzy set in their order."""
     def fuzzy(f):
         return [(repr(x), type(d).__name__, str(d)) for x, d in f.items()]
+    labels = labels_of(model)
     return repr((
         [(mu.index, repr(mu), fuzzy(mu), mu.fuzzy is mu, mu == FuzzySet(dict(mu.items())))
          for mu in model.distributions],
         sorted((s, a, mu.index) for s, a, mu in model.transitions),
-        [(s, fuzzy(model.label_of(s))) for s in sorted(model.states)],
-        [(s, [(a, mu.index) for a, mu in model.outgoing(s)]) for s in sorted(model.states)],
+        [(s, fuzzy(labels.get(s, FuzzySet()))) for s in sorted(model.states)],
+        [(s, [(a, k) for source, a, k in model.delta if source == s]) for s in sorted(model.states)],
         model.size_of_delta(), model.delta, sorted(model.label_alphabet), type(model).__name__,
     ))
 
@@ -225,20 +236,23 @@ def test_degree_identity_does_not_leak_into_interning():
                for degree in (shared.__getitem__, lambda k: Fraction(k, 4), mixed.__getitem__)]
     for model in labeled[1:]:
         _same_arrays(model, labeled[0])
-        assert [model.label_of(s) for s in states] == [labeled[0].label_of(s) for s in states]
+        assert labels_of(model) == labels_of(labeled[0])
 
 
 def test_label_ids_are_equal_iff_the_labels_are():
     # the layout interns each vertex's label: the mark on each state, its fuzzy label,
     # nothing on a distribution; with the mark's symbol in the alphabet there is no mark,
     # so an unlabeled state and a distribution share one label and one id
+    # (the expected labels are the ones given to the constructor)
     rng = random.Random(61)
-    models = [generate(random_spec(rng, 6, labeled=i % 4 != 0)) for i in range(80)]
-    models.append(Nflts(["s", "t", "u", "v"], ["a"], [("s", "a", {"t": H}), ("u", "a", {"s": 1})], [STATE_MARK, "p"],
-                        {"t": {"p": H}, "u": {STATE_MARK: 1}, "v": {"p": Fraction(2, 4)}}))
-    for model in models:
+    given = [draw(random_spec(rng, 6, labeled=i % 4 != 0)) for i in range(80)]
+    given.append((["s", "t", "u", "v"], ["a"], [("s", "a", {"t": H}), ("u", "a", {"s": 1})], [STATE_MARK, "p"],
+                  {"t": {"p": H}, "u": {STATE_MARK: 1}, "v": {"p": Fraction(2, 4)}}))
+    models = [build(*arguments) for arguments in given]
+    for model, arguments in zip(models, given):
         mark = {} if STATE_MARK in model.label_alphabet else {STATE_MARK: ONE}
-        labels = [dict(model.label_of(s).items()) | mark for s in model.names] + [{}] * len(model.distributions)
+        label_of = arguments[4] if len(arguments) > 3 else {}
+        labels = [label_of.get(s, {}) | mark for s in model.names] + [{}] * len(model.distributions)
         ids, maps, pool = model.label_ids, model.label_maps, [*model.pool, ONE]  # rank len(pool) is 1 if missing
         assert [{p: pool[r] for p, r in maps[k].items()} for k in ids] == labels
         assert all((ids[i] == ids[j]) == (labels[i] == labels[j]) for i in range(len(ids)) for j in range(i))

@@ -22,9 +22,9 @@ from fuzzybisim import (
 from fuzzybisim import format_degree, modelio
 from fuzzybisim.cli import run
 from fuzzybisim.generate import generate, random_spec
-from fuzzybisim.modelio import model_from_document
+from fuzzybisim.modelio import build_model, model_from_document, read_model
 
-from conftest import REPO_ROOT, make_example
+from conftest import REPO_ROOT, example_arguments, labels_of, make_example
 
 
 def test_parse_example_file(example_path):
@@ -34,6 +34,16 @@ def test_parse_example_file(example_path):
     assert len(model.transitions) == 6
     assert len(model.distributions) == 3
     assert model.size_of_delta() == 12
+
+
+def test_a_model_is_read_as_its_constructor_arguments(example_path):
+    assert read_model(example_path) == example_arguments()
+    assert model_to_document(build_model(read_model(example_path))) == model_to_document(make_example())
+    text = "kind nflts\nstates s t\nactions a\nlabels p\ntrans s a t:0.5\nlabel t p:0.25"
+    assert read_model(text) == (["s", "t"], ["a"], [("s", "a", {"t": Fraction(1, 2)})], ["p"],
+                                {"t": {"p": Fraction(1, 4)}})
+    with pytest.raises(DocumentError, match="^transition with unknown action 'b'$"):
+        build_model((["s"], ["a"], [("s", "b", {})]))
 
 
 def test_json_round_trip():
@@ -53,7 +63,7 @@ def test_labeled_round_trip():
     assert doc["kind"] == "nflts"
     again = parse_model(serialize_model(model))
     assert isinstance(again, Nflts)
-    assert again.label_of("s")("p") == Fraction("0.7")
+    assert labels_of(again)["s"]("p") == Fraction("0.7")
     assert model_to_document(again) == doc
 
 
@@ -70,7 +80,7 @@ def test_text_format():
         """
     )
     assert isinstance(model, Nflts)
-    assert model.label_of("s")("p") == Fraction("0.7")
+    assert labels_of(model)["s"]("p") == Fraction("0.7")
     (mu,) = model.distributions
     assert mu("t") == Fraction("0.25") and mu("s") == Fraction("0.5")
 
@@ -261,7 +271,7 @@ def test_each_distinct_degree_string_is_parsed_once(monkeypatch):
     assert sorted(calls) == strings
     degrees = [d for mu in model.distributions for d in mu.fuzzy.degrees()]
     assert len({id(d) for d in degrees}) == 3
-    assert model.label_of("s0")("p") is next(d for d in degrees if d == Fraction("0.5"))
+    assert labels_of(model)["s0"]("p") is next(d for d in degrees if d == Fraction("0.5"))
 
     calls.clear()
     lines = ["states s t", "actions a"] + [f"trans s a s:0.5 t:{d}" for d in ("0.5", "0.7", "0.7", "0.5")]
@@ -365,7 +375,7 @@ def test_a_model_on_the_reserved_symbols_keeps_its_bytes_and_its_labels():
     model = parse_model(text)
     assert serialize_model(model) == text
     assert json.loads(text)["state_labels"] == {"s": {"state*": "0.25"}, "t": {"p": "1", "state*": "1"}}
-    assert model.label_of("s") == FuzzySet({"state*": Fraction(1, 4)}) and not model.label_of("u")
+    assert labels_of(model) == {"s": FuzzySet({"state*": Fraction(1, 4)}), "t": FuzzySet({"p": 1, "state*": 1})}
 
 
 def test_model_documents_format_each_distinct_degree_once(monkeypatch):

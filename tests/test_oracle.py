@@ -8,20 +8,21 @@ from fuzzybisim import (
     FuzzyRelation,
     FuzzySet,
     Nflts,
-    Nfts,
     greatest_crisp_bisim_partition_flg,
     greatest_fuzzy_bisim_cfp_flg,
     relation_laws,
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import generate, random_spec
+from fuzzybisim.generate import draw, generate, random_spec
 from fuzzybisim.graph import state_vertex
+from fuzzybisim.model import build
 from fuzzybisim.relations import full_fuzzy_relation
 
 from conftest import (
     EXAMPLE_CRISP_TEXT,
     EXAMPLE_GRAPH_CRISP_TEXT,
+    example_arguments,
     example_fuzzy_table,
     make_example,
 )
@@ -41,7 +42,7 @@ def distributions(model):
 
 
 def test_lifted_crisp_on_the_example():
-    model = make_example()
+    model = oracle.System(*example_arguments())
     mu = distributions(model)
     R = example_crisp_relation()
     assert oracle.lifted_crisp(R, mu["mu1"], mu["mu1"])
@@ -52,7 +53,7 @@ def test_lifted_crisp_on_the_example():
 
 
 def test_lifted_fuzzy_on_the_example():
-    model = make_example()
+    model = oracle.System(*example_arguments())
     mu = distributions(model)
     R = example_fuzzy_table()
     assert oracle.lifted_fuzzy(R, mu["mu1"], mu["mu3"]) == Fraction("0.5")
@@ -73,7 +74,7 @@ def test_lifted_fuzzy_trivial_cases():
 def test_lifting_symmetry_small_random():
     rng = random.Random(7)
     for _ in range(40):
-        model = generate(random_spec(rng, max_states=4, labeled=False))
+        model = oracle.System(*draw(random_spec(rng, max_states=4, labeled=False)))
         states = sorted(model.states)
         pairs = {
             (x, y) for x in states for y in states if rng.random() < 0.5
@@ -102,7 +103,7 @@ def test_witness_realizes_lifting():
     rng = random.Random(11)
     checked = 0
     for _ in range(60):
-        model = generate(random_spec(rng, max_states=4, labeled=False))
+        model = oracle.System(*draw(random_spec(rng, max_states=4, labeled=False)))
         states = sorted(model.states)
         pairs = {(x, y) for x in states for y in states if rng.random() < 0.6}
         R = CrispRelation(model.states, model.states, pairs)
@@ -122,8 +123,28 @@ def test_witness_realizes_lifting():
 # -- system-level checkers ------------------------------------------------------
 
 
+def test_a_system_is_numbered_as_its_constructor_numbers_it():
+    # distributions in first use, with duplicate triples and zero degrees dropped
+    half = Fraction(1, 2)
+    arguments = (["s", "t"], ["a", "b"], [("t", "b", {"s": half, "t": 0}), ("s", "a", {"t": 1}),
+                                          ("t", "a", {"s": half}), ("t", "b", {"s": half}), ("s", "a", {})],
+                 ["p"], [("t", {"p": half, "q": 0})])
+    system = oracle.System(*arguments)
+    first, second, empty = system.distributions
+    assert [dict(mu.items()) for mu in system.distributions] == [{"s": half}, {"t": 1}, {}]
+    assert system.transitions == (("t", "b", first), ("s", "a", second), ("t", "a", first), ("s", "a", empty))
+    assert system.outgoing("t") == [("b", first), ("a", first)] and system.outgoing("t", "a") == [("a", first)]
+    assert system.label_of("t") == FuzzySet({"p": half}) and not system.label_of("s")
+    rng = random.Random(29)
+    for model_arguments in [arguments] + [draw(random_spec(rng, 6)) for _ in range(30)]:
+        model, system = build(*model_arguments), oracle.System(*model_arguments)
+        assert list(map(repr, system.distributions)) == list(map(repr, model.distributions))
+        assert [dict(mu.items()) for mu in system.distributions] == [dict(mu.items()) for mu in model.distributions]
+        assert [(s, a, mu.index) for s, a, mu in system.transitions] == list(model.delta)
+
+
 def test_crisp_checker_on_the_example():
-    model = make_example()
+    model = oracle.System(*example_arguments())
     assert oracle.is_crisp_bisim_nfts(example_crisp_relation(), model)
     report = oracle.is_crisp_bisim_nfts(
         CrispRelation(model.states, model.states,
@@ -135,22 +156,22 @@ def test_crisp_checker_on_the_example():
         CrispRelation(model.states, model.states, set()), model
     )
     # t moves and s does not: only the backward clause fails.
-    idle = Nfts(["s", "t"], ["a"], [("t", "a", {"t": ONE})])
+    idle = oracle.System(["s", "t"], ["a"], [("t", "a", {"t": ONE})])
     report = oracle.is_crisp_bisim_nfts(CrispRelation(idle.states, idle.states, {("s", "t")}), idle)
     assert (report.holds, report.clause, report.witness) == (
         False, "backward-transition", ("s", "t", "a", idle.distributions[0]))
 
 
 def test_fuzzy_checker_on_the_example():
-    model = make_example()
+    model = oracle.System(*example_arguments())
     assert oracle.is_fuzzy_bisim_nfts(example_fuzzy_table(), model)
     report = oracle.is_fuzzy_bisim_nfts(full_fuzzy_relation(model.states), model)
     assert not report.holds and report.clause is not None
     zero = FuzzyRelation(model.states, model.states, {})
     assert oracle.is_fuzzy_bisim_nfts(zero, model)
     # Labels 1/2 and 1 bound the pair at 1/2; t moves and s does not.
-    labeled = Nflts(["s", "t"], ["a"], [], ["p"], {"s": {"p": Fraction(1, 2)}, "t": {"p": ONE}})
-    idle = Nfts(["s", "t"], ["a"], [("t", "a", {"t": ONE})])
+    labeled = oracle.System(["s", "t"], ["a"], [], ["p"], {"s": {"p": Fraction(1, 2)}, "t": {"p": ONE}})
+    idle = oracle.System(["s", "t"], ["a"], [("t", "a", {"t": ONE})])
     for system, clause, witness in [
         (labeled, "label-biresiduum", ("s", "t", "p")),
         (idle, "backward-transition", ("s", "t", "a", idle.distributions[0])),
@@ -163,40 +184,36 @@ def test_fuzzy_checker_on_the_example():
 
 
 def test_gfp_crisp_on_the_example():
-    model = make_example()
+    model = oracle.System(*example_arguments())
     R = oracle.gfp_crisp_bisim_nfts(model)
     assert CrispPartition.from_relation(R).text() == EXAMPLE_CRISP_TEXT
 
 
 def test_gfp_crisp_trivial():
-    from fuzzybisim import Nfts
-
-    empty = Nfts(["s", "t"], ["a"], [])
+    empty = oracle.System(["s", "t"], ["a"], [])
     assert len(oracle.gfp_crisp_bisim_nfts(empty).pairs) == 4
-    single = Nfts(["s"], ["a"], [])
+    single = oracle.System(["s"], ["a"], [])
     assert oracle.gfp_crisp_bisim_nfts(single).pairs == {("s", "s")}
 
 
 def test_gfp_fuzzy_on_the_example():
-    model = make_example()
+    model = oracle.System(*example_arguments())
     assert oracle.gfp_fuzzy_bisim_nfts(model) == example_fuzzy_table()
 
 
 def test_gfp_fuzzy_trivial():
-    from fuzzybisim import Nfts
-
-    empty = Nfts(["s", "t"], ["a"], [])
+    empty = oracle.System(["s", "t"], ["a"], [])
     assert oracle.gfp_fuzzy_bisim_nfts(empty) == full_fuzzy_relation(empty.states)
 
     half = Fraction(1, 2)
-    twin = Nfts(["s", "t"], ["a"], [("s", "a", {"s": half}), ("t", "a", {"t": half})])
+    twin = oracle.System(["s", "t"], ["a"], [("s", "a", {"s": half}), ("t", "a", {"t": half})])
     assert oracle.gfp_fuzzy_bisim_nfts(twin) == full_fuzzy_relation(twin.states)
 
 
 def test_gfp_outputs_satisfy_the_laws():
     rng = random.Random(23)
     for _ in range(20):
-        model = generate(random_spec(rng, max_states=5, labeled=False))
+        model = oracle.System(*draw(random_spec(rng, max_states=5, labeled=False)))
         crisp = oracle.gfp_crisp_bisim_nfts(model)
         # an equivalence: reflexive, symmetric, transitive
         assert all((s, s) in crisp.pairs for s in model.states)

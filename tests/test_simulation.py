@@ -33,7 +33,7 @@ from fuzzybisim.degrees import inf, residuum
 from fuzzybisim.graph import dist_vertex, on_states, state_vertex
 from fuzzybisim.generate import GenSpec, generate
 
-from conftest import edge_caterpillar, label_caterpillar, make_example
+from conftest import edge_caterpillar, label_caterpillar, labels_of, make_example
 
 H = Fraction(1, 2)
 
@@ -285,7 +285,7 @@ def test_cuts_are_not_simulations_of_the_graphs_clipped_at_the_threshold():
 
 def _renamed(model: Nflts, name) -> Nflts:
     transitions = [(name(s), act, {name(t): d for t, d in mu.fuzzy.items()}) for s, act, mu in model.transitions]
-    labels = {name(s): dict(model.label_of(s).items()) for s in model.states}
+    labels = {name(s): dict(label.items()) for s, label in labels_of(model).items()}
     return Nflts([name(s) for s in model.states], model.actions, transitions, model.label_alphabet, labels)
 
 
@@ -319,7 +319,7 @@ def _with_empty_support(model: Nflts, rng) -> Nflts:
     """``model`` plus a transition of one state to the distribution of empty support."""
     transitions = [(s, act, dict(mu.fuzzy.items())) for s, act, mu in model.transitions]
     transitions.append((rng.choice(sorted(model.states)), rng.choice(sorted(model.actions)), {}))
-    labels = {s: dict(model.label_of(s).items()) for s in model.states}
+    labels = {s: dict(label.items()) for s, label in labels_of(model).items()}
     return Nflts(model.states, model.actions, transitions, model.label_alphabet, labels)
 
 
