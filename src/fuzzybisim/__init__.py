@@ -11,7 +11,6 @@ from .partition import (
     CompactFuzzyPartition,
     NotAnEquivalenceError,
     cfp_from_relation,
-    degree_query,
 )
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system, greatest_crisp_bisim_partition_flg
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system, greatest_fuzzy_bisim_cfp_flg
@@ -40,7 +39,7 @@ __all__ = [
     "Flg", "Vertex", "to_flg", "as_nflts", "disjoint_union",
     "CrispRelation", "FuzzyRelation", "relation_laws",
     "CrispPartition", "CompactFuzzyPartition", "NotAnEquivalenceError",
-    "cfp_from_relation", "degree_query",
+    "cfp_from_relation",
     "crisp_partition_oracle", "crisp_partition_system", "greatest_crisp_bisim_partition_flg",
     "fuzzy_partition_oracle", "fuzzy_partition_system", "greatest_fuzzy_bisim_cfp_flg",
     "greatest_crisp_simulation_flg", "greatest_fuzzy_simulation_flg",

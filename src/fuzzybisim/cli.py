@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sub(name, help_text, *positionals):
         p = commands.add_parser(name, help=help_text)
         if name in ENGINES:
-            p.add_argument("--engine", choices=sorted(ENGINES[name]), default="efficient",
+            p.add_argument("--engine", choices=sorted(ENGINES[name]),
                            help="efficient refinement or the brute-force oracle")
         p.add_argument("--verbose", action="store_true",
                        help="print intermediate partitions/relations")
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable result schema")
         for positional in positionals:
             p.add_argument(positional)
-        p.set_defaults(positionals=positionals)  # what ``_inputs`` echoes
+        p.set_defaults(positionals=positionals, engine="efficient")  # what ``_inputs`` and ``_emit`` echo
         return p
 
     sub("crisp-partition", "greatest crisp bisimulation of a model, as a partition", "model")
@@ -104,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["crisp", "fuzzy"], default="crisp")
     p = sub("check", "check a relation against a bisimulation definition", "model", "relation")
     p.add_argument("--kind", choices=sorted(CHECKERS), required=True)
+    p.set_defaults(engine="oracle")  # CHECKERS are the oracle's definitional checkers
     p = sub("gen", "generate a reproducible random model document")
+    p.set_defaults(engine=None)  # a generator, not an engine
     p.add_argument("--states", type=int, default=5)
     p.add_argument("--actions", type=int, default=2)
     p.add_argument("--dists", type=_range, default="0:2", help="min:max distributions per state/action")
@@ -134,7 +136,7 @@ def _emit(args, started: float, payload, text):
             "command": args.command,
             "input": _inputs(args),
             "result": payload(),
-            "engine": getattr(args, "engine", "efficient"),
+            "engine": args.engine,
             "wall_time_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
         print(_json_text(doc))

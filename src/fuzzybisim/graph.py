@@ -103,9 +103,6 @@ class Flg:
         """Sorted distinct positive degrees used in edges and vertex labels."""
         return list(self.pool)
 
-    def same_signature(self, other: "Flg") -> bool:
-        return (self.vertex_alphabet, self.edge_alphabet) == (other.vertex_alphabet, other.edge_alphabet)
-
     def __repr__(self) -> str:
         return f"<Flg: {len(self.out)} vertices, {sum(map(len, self.out))} edges>"
 
@@ -150,6 +147,12 @@ def require_shared_alphabets(a: Nflts, b: Nflts):
         raise ModelError("systems must share the label alphabet")
 
 
+def require_same_signature(g: Flg, h: Flg):
+    """Two graphs are simulated against each other only over equal vertex and edge alphabets."""
+    if (g.vertex_alphabet, g.edge_alphabet) != (h.vertex_alphabet, h.edge_alphabet):
+        raise ModelError("graphs must share vertex and edge alphabets")
+
+
 def disjoint_union(a: Nflts, b: Nflts):
     """Tagged union of two systems sharing action and label alphabets.
 
@@ -159,7 +162,6 @@ def disjoint_union(a: Nflts, b: Nflts):
     """
     require_shared_alphabets(a, b)
     pool, rank_a, rank_b = joint_ranks(a.pool, b.pool)
-    given = dict(zip(rank_b, b._given)) | dict(zip(rank_a, a._given))  # a's object for a value in both
     # ``interned``: distribution -> k, as the constructor interns, for one empty distribution can be in both
     interned, delta, labels, injects = {}, [], {}, []
     for tag, (model, new) in enumerate(zip((a, b), (rank_a, rank_b))):  # new: rank -> joint rank
@@ -173,5 +175,5 @@ def disjoint_union(a: Nflts, b: Nflts):
     union = object.__new__(Nflts)  # laid out as the constructor lays a system out, on joint ranks
     index = {s: i for i, s in enumerate((*injects[0].values(), *injects[1].values()))}
     union.__dict__.update(_layout(index, a.actions, tuple(delta), list(interned), labels, a.label_alphabet, pool,
-                                  range(len(pool)), [given[r] for r in range(len(pool))]))
+                                  range(len(pool))))
     return union, *injects

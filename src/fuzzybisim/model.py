@@ -13,8 +13,8 @@ as symbol -> rank maps, with the state mark on each state: equal labels share
 one id, numbered in first-use order over the vertex ids, and no other code
 interns labels.  Each degree object is range-checked once and compared by
 value.  The views ``distributions`` and ``transitions``, built on first
-access from ``_given[r]``, the first object of rank r, serve ``perfbench/``
-until the benchmark reads the arrays; the oracles read ``oracle.System``.
+access from the pool's exact ``Fraction``s, serve ``perfbench/`` until the
+benchmark reads the arrays; the oracles read ``oracle.System``.
 """
 from __future__ import annotations
 
@@ -134,19 +134,19 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
         raise ModelError(f"state names cannot be ordered: {exc}") from None
     index = {s: i for i, s in enumerate(names)}
     # ``values`` maps each distinct (numerator, denominator) to its degree id, in
-    # first-use order, and ``given`` holds the first object given for it.  ``seen``
-    # maps each degree object's id() to its degree id, -1 for zero, and ``alive``
-    # holds the objects, so no id() is reused meanwhile.
-    values, given, seen, alive = {}, [], {}, []
+    # first-use order, and ``exact`` holds its value as a Fraction.  ``seen`` maps
+    # each degree object's id() to its degree id, -1 for zero, and ``alive`` holds
+    # the objects, so no id() is reused meanwhile.
+    values, exact, seen, alive = {}, [], {}, []
 
     def degree_id(degree, element) -> int:
         d = seen.get(id(degree))
         if d is None:
-            exact = _exact(degree, element)
-            d = seen[id(degree)] = values.setdefault(exact, len(values)) if exact[0] else -1
+            key = _exact(degree, element)
+            d = seen[id(degree)] = values.setdefault(key, len(values)) if key[0] else -1
             alive.append(degree)
-            if d == len(given):
-                given.append(degree)
+            if d == len(exact):
+                exact.append(degree if type(degree) is Fraction else Fraction(*key))
         return d
 
     interned, targets, delta = {}, [], {}  # delta: an ordered set
@@ -180,20 +180,19 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
         if not ids.keys() <= label_alphabet:
             raise ModelError(f"label of {state!r} uses symbols outside the alphabet")
         labels[index[state]] = ids  # a state given twice keeps its last label, an empty one too
-    exact = [degree if type(degree) is Fraction else Fraction(*key) for degree, key in zip(given, values)]
     # The degree ids by value: floats order them, and Fractions, whose comparison goes
     # through the numbers.Rational ABC, only break float ties.
     order = sorted(range(len(exact)), key=lambda d: (float(exact[d]), exact[d]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # order inverted: degree id -> rank
-    return (index, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank,
-            [given[d] for d in order])  # laid out by the caller, once the tables above are freed
+    # Laid out by the caller, once the tables above are freed.
+    return index, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank
 
 
-def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank, given) -> dict:
+def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank) -> dict:
     """A system's attributes, its graph's arrays among them, from its state ids
     by name, distribution k as (state id, degree id) pairs ``targets[k]``, the
-    labels as state id -> symbol -> degree id maps, ``rank[d]``, the rank of
-    degree id d in ``pool``, and ``given[r]``, the first object of rank r."""
+    labels as state id -> symbol -> degree id maps, and ``rank[d]``, the rank
+    of degree id d in ``pool``."""
     n, top = len(index), len(pool) - 1 if pool and pool[-1] == ONE else len(pool)
     out: list = [[] for _ in range(n)]
     preds: list = [[] for _ in range(n + len(targets))]
@@ -221,7 +220,7 @@ def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank, 
     label_ids = [table.setdefault(key, len(table)) for key in keys]
     names = tuple(index)
     return dict(states=frozenset(names), actions=actions, names=names, delta=delta, label_alphabet=label_alphabet,
-                pool=pool, _given=given, out=out, preds=preds, label_ids=label_ids, label_maps=[*map(maps.get, table)])
+                pool=pool, out=out, preds=preds, label_ids=label_ids, label_maps=[*map(maps.get, table)])
 
 
 class Nfts:
@@ -237,8 +236,8 @@ class Nfts:
     @cached_property
     def distributions(self) -> tuple:
         """delta_o: the distinct distributions, in interning order."""
-        names, given = self.names, self._given
-        return tuple(Distribution(k, FuzzySet({names[j]: given[r] for _, j, r in edges}))
+        names, pool = self.names, self.pool
+        return tuple(Distribution(k, FuzzySet({names[j]: pool[r] for _, j, r in edges}))
                      for k, edges in enumerate(self.out[len(names):]))
 
     @cached_property

@@ -75,15 +75,18 @@ def parse_model(source: Union[str, Path]) -> Nfts:
     return build_model(read_model(source))
 
 
+def _text(source: Union[str, Path]) -> str:
+    """The document at a path, or ``source`` itself when it is document text:
+    a string with a line break or whose first non-space character is '{'."""
+    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+        return source
+    return Path(source).read_text()
+
+
 def read_model(source: Union[str, Path]) -> tuple:
     """The constructor's arguments of the model at a path or in document text:
     (states, actions, transitions), then (label_alphabet, state_labels) for an nflts."""
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif "\n" in source or source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
+    text = _text(source)
     return _arguments(_json(text)) if text.lstrip().startswith("{") else _arguments_from_lines(text)
 
 
@@ -235,13 +238,7 @@ def serialize_model(model: Nfts) -> str:
 def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None = None):
     """Parse a crisp or fuzzy relation over the model's states; ``expected``,
     "crisp" or "fuzzy", makes a document of the other kind an error."""
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
-    doc = _json(text)
+    doc = _json(_text(source))
     if not isinstance(doc, dict):
         raise DocumentError("relation document must be a JSON object")
     _known_keys(doc, _RELATION_KEYS, "relation")

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .degrees import Degree, ZERO, residuum, biresiduum, sup, inf
 from .model import Distribution, FuzzySet
-from .graph import Flg, ModelError
+from .graph import Flg, require_same_signature
 from .relations import CrispRelation, FuzzyRelation
 
 
@@ -201,11 +201,6 @@ def gfp_fuzzy_bisim_nfts(model: System) -> FuzzyRelation:
 # -- fixpoints over fuzzy labeled graphs -----------------------------------
 
 
-def _check_signature(g: Flg, g_prime: Flg):
-    if not g.same_signature(g_prime):
-        raise ModelError("graphs must share vertex and edge alphabets")
-
-
 def gfp_crisp_bisim_flg(g: Flg) -> CrispRelation:
     """Greatest crisp bisimulation of a graph, by removing violating pairs."""
     pairs = {(x, y) for x in g.vertices for y in g.vertices if g.labels[x] == g.labels[y]}
@@ -273,7 +268,7 @@ def _fuzzy_edge_bound(g: Flg, g_prime: Flg, pair, values, forward: bool) -> Degr
 
 def gfp_crisp_sim_flg(g: Flg, g_prime: Flg) -> CrispRelation:
     """Greatest crisp simulation between two graphs over the same signature."""
-    _check_signature(g, g_prime)
+    require_same_signature(g, g_prime)
     pairs = {(x, y) for x in g.vertices for y in g_prime.vertices if g.labels[x] <= g_prime.labels[y]}
     changed = True
     while changed:
@@ -287,7 +282,7 @@ def gfp_crisp_sim_flg(g: Flg, g_prime: Flg) -> CrispRelation:
 
 def gfp_fuzzy_sim_flg(g: Flg, g_prime: Flg) -> FuzzyRelation:
     """Greatest fuzzy simulation between two graphs under the Goedel semantics."""
-    _check_signature(g, g_prime)
+    require_same_signature(g, g_prime)
     values = {}
     for x in g.vertices:
         for y in g_prime.vertices:
@@ -309,7 +304,7 @@ def gfp_fuzzy_sim_flg(g: Flg, g_prime: Flg) -> FuzzyRelation:
 
 
 def is_crisp_sim_flg(Z: CrispRelation, g: Flg, g_prime: Flg) -> WitnessReport:
-    _check_signature(g, g_prime)
+    require_same_signature(g, g_prime)
     for x, x_prime in Z.pairs:
         if not g.labels[x] <= g_prime.labels[x_prime]:
             return WitnessReport(False, "label-dominance", (x, x_prime))
@@ -328,7 +323,7 @@ def is_crisp_bisim_flg(Z: CrispRelation, g: Flg) -> WitnessReport:
 
 
 def is_fuzzy_sim_flg(Z: FuzzyRelation, g: Flg, g_prime: Flg) -> WitnessReport:
-    _check_signature(g, g_prime)
+    require_same_signature(g, g_prime)
     values = {
         (x, y): Z(x, y) for x in g.vertices for y in g_prime.vertices
     }

@@ -70,9 +70,6 @@ class CrispPartition:
             grouped.setdefault(frozenset(relation.forward(x)), []).append(x)
         return cls(grouped.values())
 
-    def block_of(self, x) -> tuple:
-        return self.blocks[self._block_of[x]]
-
     def same_block(self, x, y) -> bool:
         return self._block_of[x] == self._block_of[y]
 
@@ -80,19 +77,14 @@ class CrispPartition:
         pairs = {(x, y) for block in self.blocks for x in block for y in block}
         return CrispRelation(self.universe, self.universe, pairs)
 
-    def restrict(self, universe: Iterable) -> "CrispPartition":
-        universe = frozenset(universe)
-        kept = [[x for x in block if x in universe] for block in self.blocks]
-        return CrispPartition(b for b in kept if b)
-
     def refines(self, coarser: "CrispPartition") -> bool:
         """True when every block here lies inside one block of `coarser`."""
         return all(
             len({coarser._block_of[x] for x in block}) == 1 for block in self.blocks
         )
 
-    def text(self, name=str) -> str:
-        inner = ",".join("{" + ",".join(name(x) for x in block) + "}" for block in self.blocks)
+    def text(self) -> str:
+        inner = ",".join("{" + ",".join(map(str, block)) + "}" for block in self.blocks)
         return "{" + inner + "}"
 
     def __eq__(self, other) -> bool:
@@ -273,7 +265,7 @@ class CompactFuzzyPartition:
     def leaf_partition(self) -> CrispPartition:
         return CrispPartition(leaf for leaf in self._elements if leaf is not None)
 
-    def text(self, name=str) -> str:
+    def text(self) -> str:
         out, path, degrees = [], [], self._degrees  # path: the open inner nodes
         for i, (p, leaf) in enumerate(zip(self._parent, self._elements)):
             while path and path[-1] != p:
@@ -282,18 +274,18 @@ class CompactFuzzyPartition:
             if leaf is None:
                 path.append(i)
             else:
-                out.append(",".join([name(x) for x in sorted(leaf)]) + "}:1")
+                out.append(",".join(map(str, sorted(leaf))) + "}:1")
         out += ["}:" + format_degree(degrees[i]) for i in reversed(path)]
         return "".join(out)
 
-    def to_json(self, name=str) -> dict:
+    def to_json(self) -> dict:
         nodes: List[dict] = []
         for p, d, leaf in zip(self._parent, self._degrees, self._elements):
             node = {"degree": format_degree(d)}
             if leaf is None:
                 node["subblocks"] = []
             else:
-                node["elements"] = sorted(name(x) for x in leaf)
+                node["elements"] = sorted(map(str, leaf))
             if p >= 0:
                 nodes[p]["subblocks"].append(node)
             nodes.append(node)
@@ -361,8 +353,3 @@ def _split(elements: list, r: FuzzyRelation) -> tuple:
         else:
             classes.append([x])
     return degree, None, classes
-
-
-def degree_query(cfp: CompactFuzzyPartition, x, y) -> Degree:
-    """Pointwise degree of the encoded relation; equals cfp.to_relation()(x, y)."""
-    return cfp.degree_of(x, y)

@@ -53,11 +53,6 @@ class CrispRelation:
         """The preimage {x | x R y}."""
         return {a for a, b in self.pairs if b == y}
 
-    def restrict(self, left: Iterable, right: Iterable) -> "CrispRelation":
-        left, right = frozenset(left), frozenset(right)
-        kept = {(x, y) for x, y in self.pairs if x in left and y in right}
-        return CrispRelation(left, right, kept)
-
     def __repr__(self) -> str:
         return f"<CrispRelation: {len(self.pairs)} pairs>"
 

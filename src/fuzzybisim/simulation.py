@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 from itertools import compress, count
 
 from .degrees import format_degree, joint_ranks
-from .graph import Flg, to_flg, as_nflts, disjoint_union, require_shared_alphabets, ModelError
+from .graph import Flg, to_flg, as_nflts, disjoint_union, require_same_signature, require_shared_alphabets
 from .model import Nfts
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
@@ -115,8 +115,7 @@ def _simulation(g: Flg, g_prime: Flg, graded: bool, states: bool = False, verbos
     ``states`` over S x S', the ids below ``len(names)``, by name.  The kernel reads
     the stored arrays, each side's ranks mapped onto the joint pool; a pair that
     dies at level k has degree ``pool[k - 1]``, one that never dies 1."""
-    if not g.same_signature(g_prime):
-        raise ModelError("graphs must share vertex and edge alphabets")
+    require_same_signature(g, g_prime)
     pool, new, new_prime = joint_ranks(g.pool, g_prime.pool)  # both hold 1
     # A label p of degree d is an edge (x, (p,), sink, d) into the sink pair, seeded alone in its row
     # and column, which never dies: the edge's clause is the label's (a cap below k kills at level k).

@@ -40,9 +40,9 @@ def make_example() -> Nfts:
 
 def labels_of(model) -> dict:
     """Each labeled state's label as the layout stores it: its ``user_labels()``
-    entry, as a FuzzySet of the degree objects first given for its ranks."""
-    names, given = model.names, model._given
-    return {names[i]: FuzzySet({p: given[r] for p, r in ranks.items()}) for i, ranks in model.user_labels()}
+    entry, as a FuzzySet of the pool's degrees at its ranks."""
+    names, pool = model.names, model.pool
+    return {names[i]: FuzzySet({p: pool[r] for p, r in ranks.items()}) for i, ranks in model.user_labels()}
 
 
 EXAMPLE_CRISP_TEXT = "{{s1},{s2,s5},{s3,s4}}"

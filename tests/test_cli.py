@@ -373,6 +373,8 @@ def test_bisim_between_modes(capsys, example_path):
     )
     assert code == 0
     assert "s3 s4" in out
+    code, out, _ = invoke(capsys, "bisim-between", str(example_path), str(example_path), "--json")
+    assert code == 0 and json.loads(out)["engine"] == "efficient"  # its one engine, with no --engine option
 
 
 def test_two_system_commands_require_shared_alphabets(capsys, tmp_path):
@@ -424,7 +426,7 @@ def test_check_command(capsys, example_path, tmp_path):
         code, out, err = invoke(capsys, "check", str(example_path), str(bad), "--kind", "crisp-bisim", "--json")
         expected = {"command": "check", "input": [str(example_path), str(bad)],
                     "result": {"holds": False, "clause": "forward-transition", "witness": witness},
-                    "engine": "efficient", "wall_time_ms": json.loads(out)["wall_time_ms"]}
+                    "engine": "oracle", "wall_time_ms": json.loads(out)["wall_time_ms"]}
         assert (code, out, err) == (0, json.dumps(expected, indent=2) + "\n", "")
 
     from fuzzybisim import relation_to_document
@@ -477,7 +479,7 @@ def test_gen_json_wraps_its_result_in_the_schema(capsys, tmp_path):
     code, out, _ = invoke(capsys, "gen", "--states", "4", "--seed", "5", "--json")
     doc = json.loads(out)
     assert code == 0 and set(doc) == {"command", "input", "result", "engine", "wall_time_ms"}
-    assert (doc["command"], doc["input"], doc["engine"], doc["result"]) == ("gen", None, "efficient", json.loads(text))
+    assert (doc["command"], doc["input"], doc["engine"], doc["result"]) == ("gen", None, None, json.loads(text))
     path = tmp_path / "model.json"
     code, out, _ = invoke(capsys, "gen", "--states", "4", "--seed", "5", "--out", str(path), "--json")
     doc = json.loads(out)

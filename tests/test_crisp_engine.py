@@ -36,7 +36,7 @@ def test_golden_system_partition():
 def test_golden_graph_partition():
     g = to_flg(make_example())
     p = greatest_crisp_bisim_partition_flg(g)
-    assert p.text(name=lambda v: v.name) == EXAMPLE_GRAPH_CRISP_TEXT
+    assert p.text() == EXAMPLE_GRAPH_CRISP_TEXT
 
 
 def test_self_loop_degrees_matter():

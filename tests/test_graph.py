@@ -88,7 +88,7 @@ def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
     view = as_nflts(model)
     assert built == []
     assert type(view) is Nflts and type(model) is Nfts
-    for name in ("names", "delta", "pool", "_given", "out", "preds", "label_ids", "label_maps"):
+    for name in ("names", "delta", "pool", "out", "preds", "label_ids", "label_maps"):
         assert getattr(view, name) is getattr(model, name), name
     assert view.label_alphabet == frozenset() and view.user_labels() == []
     assert built == []
@@ -183,7 +183,7 @@ def test_disjoint_union_concatenates_the_arrays():
         a, b = as_nflts(a), as_nflts(b)
         union, inject_a, inject_b = disjoint_union(a, b)
         expected = _union_by_definition(a, b)
-        for name in ("states", "names", "actions", "delta", "pool", "_given", "out", "preds", "label_ids",
+        for name in ("states", "names", "actions", "delta", "pool", "out", "preds", "label_ids",
                      "label_maps", "label_alphabet"):
             assert getattr(union, name) == getattr(expected, name), name
         assert [dict(mu.items()) for mu in union.distributions] == [dict(mu.items()) for mu in expected.distributions]

@@ -230,7 +230,9 @@ def test_degree_identity_does_not_leak_into_interning():
     mixed = {0: 0, 1: 0.25, 2: Fraction(2, 4), 3: 0.75, 4: 1}
     model = Nfts(states, ["a"], items(mixed.__getitem__))
     _same_arrays(model, reference)
-    assert {type(d) for mu in model.distributions for d in mu.degrees()} == {float, Fraction, int}
+    # The views hold the pool's Fractions, not the int, float or Fraction given.
+    assert {type(d) for d in model.pool} == {Fraction}
+    assert {id(d) for mu in model.distributions for d in mu.degrees()} <= {id(d) for d in model.pool}
     labeled = [Nflts(states, ["a"], items(degree), ["p", "q"], {s: {"p": degree(i % 5), "q": degree(1)}
                                                               for i, s in enumerate(states)})
                for degree in (shared.__getitem__, lambda k: Fraction(k, 4), mixed.__getitem__)]

@@ -177,6 +177,9 @@ def test_relation_document_errors():
         parse_relation('{"kind": "crisp", "pairs": [["s1", "zz"]]}', model)
     with pytest.raises(DocumentError):
         parse_relation('{"kind": "fuzzy", "degrees": [["s1", "s2", "1.7"]]}', model)
+    # Text with a line break is a document, as read_model takes it, not a path to look up.
+    with pytest.raises(DocumentError, match=r"^relation document must be a JSON object$"):
+        parse_relation("[]\n", model)
 
 
 def test_a_fuzzy_pair_listed_twice_is_an_error(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_gfp_outputs_satisfy_the_laws():
 def test_gfp_crisp_flg_golden():
     g = to_flg(make_example())
     partition = CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(g))
-    assert partition.text(name=lambda v: v.name) == EXAMPLE_GRAPH_CRISP_TEXT
+    assert partition.text() == EXAMPLE_GRAPH_CRISP_TEXT
 
 
 def test_gfp_fuzzy_flg_restricts_to_the_table():

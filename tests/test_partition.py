@@ -15,7 +15,6 @@ from fuzzybisim import (
     ONE,
     ZERO,
     cfp_from_relation,
-    degree_query,
     format_degree,
 )
 from fuzzybisim import partition
@@ -53,7 +52,6 @@ def chain(names: list, degree) -> tuple:
 def test_blocks_are_canonically_ordered():
     p = CrispPartition([["s5", "s2"], ["s3", "s4"], ["s1"]])
     assert p.text() == "{{s1},{s2,s5},{s3,s4}}"
-    assert p.block_of("s5") == ("s2", "s5")
     assert p.same_block("s3", "s4") and not p.same_block("s1", "s3")
 
 
@@ -72,12 +70,11 @@ def test_from_relation_and_back():
     assert CrispPartition.from_relation(p.to_relation()) == p
 
 
-def test_refines_and_restrict():
+def test_refines():
     fine = CrispPartition([["a"], ["b"], ["c", "d"]])
     coarse = CrispPartition([["a", "b"], ["c", "d"]])
     assert fine.refines(coarse)
     assert not coarse.refines(fine)
-    assert coarse.restrict({"a", "c", "d"}).text() == "{{a},{c,d}}"
 
 
 # -- compact fuzzy partitions -------------------------------------------------
@@ -90,11 +87,11 @@ def test_seven_element_golden_structure():
 
 def test_seven_element_degrees():
     cfp = cfp_from_relation(seven_element_relation())
-    assert degree_query(cfp, "x2", "x4") == Fraction("0.6")
-    assert degree_query(cfp, "x1", "x2") == Fraction("0.4")
-    assert degree_query(cfp, "x1", "x7") == 0
-    assert degree_query(cfp, "x3", "x4") == 1
-    assert degree_query(cfp, "x5", "x6") == Fraction("0.3")
+    assert cfp.degree_of("x2", "x4") == Fraction("0.6")
+    assert cfp.degree_of("x1", "x2") == Fraction("0.4")
+    assert cfp.degree_of("x1", "x7") == 0
+    assert cfp.degree_of("x3", "x4") == 1
+    assert cfp.degree_of("x5", "x6") == Fraction("0.3")
 
 
 def test_example_table_round_trip():

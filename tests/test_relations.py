@@ -23,7 +23,6 @@ def test_crisp_relation_basics():
     assert r.forward("a") == {"a", "b"}
     assert r.backward("b") == {"a"}
     assert r.converse().pairs == {("b", "a"), ("a", "a")}
-    assert r.restrict({"a"}, {"a"}).pairs == {("a", "a")}
 
 
 def test_crisp_relation_universe_check():

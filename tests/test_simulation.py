@@ -11,6 +11,7 @@ from fuzzybisim import (
     ONE,
     ZERO,
     CompactFuzzyPartition,
+    CrispRelation,
     FuzzyRelation,
     ModelError,
     Nflts,
@@ -88,9 +89,17 @@ def test_alphabet_mismatch_rejected():
     d = Nflts(["s"], ["x"], [], ["q"], {})
     with pytest.raises(ModelError):
         fuzzy_simulation_nflts(c, d)
-    for left, right in ((a, b), (c, d)):
-        with pytest.raises(ModelError, match="vertex and edge alphabets"):
-            greatest_crisp_simulation_flg(to_flg(left), to_flg(right))
+    # One rule for two graphs, in the efficient engines and in the oracles alike.
+    no_pairs = lambda g, h: CrispRelation(g.vertices, h.vertices, ())
+    no_entries = lambda g, h: FuzzyRelation(g.vertices, h.vertices)
+    checks = [greatest_crisp_simulation_flg, greatest_fuzzy_simulation_flg, oracle.gfp_crisp_sim_flg,
+              oracle.gfp_fuzzy_sim_flg, lambda g, h: oracle.is_crisp_sim_flg(no_pairs(g, h), g, h),
+              lambda g, h: oracle.is_fuzzy_sim_flg(no_entries(g, h), g, h)]
+    for left, right in ((a, b), (c, d)):  # different action, then label alphabets
+        for check in checks:
+            with pytest.raises(ModelError) as raised:
+                check(to_flg(left), to_flg(right))
+            assert str(raised.value) == "graphs must share vertex and edge alphabets"
 
 
 def test_one_cut_of_fuzzy_simulation_contains_crisp():
