@@ -4,12 +4,15 @@ Every subcommand loads models from JSON or text documents, runs the selected
 engine and prints a deterministic result; ``--json`` wraps it in the machine
 schema {command, input, result, engine, wall_time_ms}, written by one writer
 that never recurses, in the bytes of ``json.dumps(doc, indent=2)``.  Exit
-codes: 0 on success, 1 on a domain error, 2 on a usage error.
+codes: 0 on success, 1 on a domain error, 2 on a usage error.  A command runs
+with the cyclic garbage collector off: no command leaves a reference cycle for
+it to free (``test_cli.test_commands_leave_no_cyclic_garbage``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -213,6 +216,8 @@ def _relation_doc_text(doc: dict) -> str:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    enabled = gc.isenabled()
+    gc.disable()  # no command leaves a reference cycle: see the module docstring
     try:
         return _dispatch(args, started)
     except BrokenPipeError:
@@ -225,6 +230,9 @@ def run(argv=None) -> int:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _dispatch(args, started: float) -> int:

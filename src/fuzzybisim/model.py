@@ -120,9 +120,10 @@ class Distribution(FuzzySet):
         return f"mu{self.index + 1}"
 
 
-def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) -> tuple:
+def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), read=None) -> tuple:
     """The arguments of ``_layout`` for a system, in the order of the checks: states
-    and actions, each transition (source, action, degrees, unknown targets), then labels."""
+    and actions, each transition (source, action, degrees, unknown targets), then labels.
+    A document's degrees are strings, and ``read(text, element)`` gives their values."""
     states, actions = frozenset(states), frozenset(actions)
     if not states:
         raise ModelError("state set must be non-empty")
@@ -135,18 +136,20 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
     index = {s: i for i, s in enumerate(names)}
     # ``values`` maps each distinct (numerator, denominator) to its degree id, in
     # first-use order, and ``exact`` holds its value as a Fraction.  ``seen`` maps
-    # each degree object's id() to its degree id, -1 for zero, and ``alive`` holds
-    # the objects, so no id() is reused meanwhile.
+    # each degree string, and each other degree object's id(), to its degree id, -1
+    # for zero, and ``alive`` holds the objects, so no id() is reused meanwhile.
     values, exact, seen, alive = {}, [], {}, []
 
     def degree_id(degree, element) -> int:
-        d = seen.get(id(degree))
+        key = degree if type(degree) is str else id(degree)
+        d = seen.get(key)
         if d is None:
-            key = _exact(degree, element)
-            d = seen[id(degree)] = values.setdefault(key, len(values)) if key[0] else -1
+            value = degree if read is None else read(degree, element)
+            pair = _exact(value, element)
+            d = seen[key] = values.setdefault(pair, len(values)) if pair[0] else -1
             alive.append(degree)
             if d == len(exact):
-                exact.append(degree if type(degree) is Fraction else Fraction(*key))
+                exact.append(value if type(value) is Fraction else Fraction(*pair))
         return d
 
     interned, targets, delta = {}, [], {}  # delta: an ordered set
@@ -157,7 +160,7 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=()) ->
             raise ModelError(f"transition with unknown action {action!r}")
         pairs, unknown = {}, []
         for element, degree in target.items() if type(target) is dict else _items(target):
-            d = seen.get(id(degree))  # degree_id's lookup, inlined on this hot path
+            d = seen.get(degree if type(degree) is str else id(degree))  # degree_id's lookup, inlined on this hot path
             if d is None:
                 d = degree_id(degree, element)
             if d >= 0:

@@ -17,6 +17,9 @@ JSON model document::
     }
 
 A JSON model or relation document with any other top-level key is an error.
+``parse_model`` lays a JSON model out in one walk: the constructor's interner
+reads the decoded ``targets`` and ``state_labels`` objects as they stand, each
+entry checked when the walk meets it and each distinct degree string parsed once.
 
 Text model document::
 
@@ -34,7 +37,7 @@ from pathlib import Path
 from typing import Union
 
 from .degrees import DegreeError, parse_degree, format_degree
-from .model import Nfts, Nflts, ModelError, build
+from .model import Nfts, Nflts, ModelError, _intern, _layout, build
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 
@@ -54,25 +57,12 @@ def _degree(text, context):  # an error names the field context(), built only th
         raise DocumentError(f"{context()}: {exc}") from exc
 
 
-def _degree_map(value, seen: dict, field: str, key) -> dict:
-    """A JSON object of element -> degree string, as element -> Fraction.
-    ``seen`` holds the degree strings of the document parsed so far, so
-    each distinct string is parsed once and its Fraction is shared.  An
-    error names the object as ``field.format(key)``, built only on an error."""
-    if not isinstance(value, dict):
-        _object(value, field.format(key))  # raises
-    degrees = {}
-    for element, text in value.items():
-        degree = seen.get(text) if type(text) is str else None
-        if degree is None:
-            degree = seen[text] = _degree(text, lambda: f"{field.format(key)}[{element!r}]")
-        degrees[element] = degree
-    return degrees
-
-
 def parse_model(source: Union[str, Path]) -> Nfts:
     """Parse a model from a path or from document text."""
-    return build_model(read_model(source))
+    text = _text(source)
+    if text.lstrip().startswith("{"):
+        return model_from_document(_json(text))
+    return build_model(_arguments_from_lines(text))
 
 
 def _text(source: Union[str, Path]) -> str:
@@ -87,7 +77,7 @@ def read_model(source: Union[str, Path]) -> tuple:
     """The constructor's arguments of the model at a path or in document text:
     (states, actions, transitions), then (label_alphabet, state_labels) for an nflts."""
     text = _text(source)
-    return _arguments(_json(text)) if text.lstrip().startswith("{") else _arguments_from_lines(text)
+    return _Document(_json(text)).arguments() if text.lstrip().startswith("{") else _arguments_from_lines(text)
 
 
 def build_model(arguments: tuple) -> Nfts:
@@ -128,40 +118,76 @@ def _known_keys(doc: dict, keys: frozenset, what: str):
         raise DocumentError(f"{what} document: unknown key {min(map(repr, set(doc) - keys))}")
 
 
-def model_from_document(doc: dict) -> Nfts:
-    return build_model(_arguments(doc))
+def model_from_document(doc) -> Nfts:
+    """The system of a decoded JSON model document, interned in one walk over its entries."""
+    document = _Document(doc)
+    try:
+        interned = _intern(document.states, document.actions, document.transitions(), document.alphabet,
+                           document.labels(), document.read)
+    except ModelError as exc:  # a document fault later in the document comes first: read it through
+        document.arguments()
+        raise DocumentError(str(exc)) from exc
+    model = object.__new__(Nflts if document.kind == "nflts" else Nfts)  # laid out as its constructor lays it out
+    model.__dict__.update(_layout(*interned))
+    return model
 
 
-def _arguments(doc) -> tuple:
-    if not isinstance(doc, dict):
-        raise DocumentError("model document must be a JSON object")
-    _known_keys(doc, _MODEL_KEYS, "model")
-    kind = doc.get("kind", "nfts")
-    if kind not in ("nfts", "nflts"):
-        raise DocumentError(f"kind: expected 'nfts' or 'nflts', got {kind!r}")
-    version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise DocumentError(f"format_version: unsupported version {version!r}")
-    states, actions = _strings(doc, "states", True), _strings(doc, "actions", True)
-    if not isinstance(doc.get("transitions", []), list):
-        raise DocumentError("transitions: list required")
-    transitions, seen = [], {}
-    for i, item in enumerate(doc.get("transitions", [])):
-        if not isinstance(item, dict) or "from" not in item or "action" not in item or "targets" not in item:
-            raise DocumentError(f"transitions[{i}]: needs 'from', 'action' and 'targets'")
-        source, action = item["from"], item["action"]
-        if not isinstance(source, str) or not isinstance(action, str):
-            raise DocumentError(f"transitions[{i}]: 'from' and 'action' must be strings")
-        transitions.append((source, action, _degree_map(item["targets"], seen, "transitions[{}].targets", i)))
-    if kind == "nfts":
-        if "state_labels" in doc or "label_alphabet" in doc:
+class _Document:
+    """A model document as its constructor's arguments, with its degree strings as they
+    stand.  A walk checks each transition and label when it meets it, so faults come in
+    document order.  ``read`` parses each distinct degree string once; its fault names
+    the entry the walk is at, ``field`` formatted with ``at``."""
+
+    def __init__(self, doc):
+        if not isinstance(doc, dict):
+            raise DocumentError("model document must be a JSON object")
+        _known_keys(doc, _MODEL_KEYS, "model")
+        self.kind = doc.get("kind", "nfts")
+        if self.kind not in ("nfts", "nflts"):
+            raise DocumentError(f"kind: expected 'nfts' or 'nflts', got {self.kind!r}")
+        version = doc.get("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise DocumentError(f"format_version: unsupported version {version!r}")
+        self.states, self.actions = _strings(doc, "states", True), _strings(doc, "actions", True)
+        if not isinstance(doc.get("transitions", []), list):
+            raise DocumentError("transitions: list required")
+        alphabet = doc.get("label_alphabet", [])  # a fault in its type comes after the labels' faults
+        self.alphabet = alphabet if isinstance(alphabet, list) and all(isinstance(p, str) for p in alphabet) else ()
+        self.doc, self.texts = doc, {}
+
+    def transitions(self):
+        self.field = "transitions[{}].targets"
+        for self.at, item in enumerate(self.doc.get("transitions", [])):
+            if not isinstance(item, dict) or "from" not in item or "action" not in item or "targets" not in item:
+                raise DocumentError(f"transitions[{self.at}]: needs 'from', 'action' and 'targets'")
+            source, action, targets = item["from"], item["action"], item["targets"]
+            if not isinstance(source, str) or not isinstance(action, str):
+                raise DocumentError(f"transitions[{self.at}]: 'from' and 'action' must be strings")
+            yield source, action, targets if isinstance(targets, dict) else _object(targets, self.field.format(self.at))
+
+    def labels(self):
+        """Each state's label, then the checks that follow the labels."""
+        if self.kind == "nflts":
+            self.field = "state_labels[{!r}]"
+            for self.at, label in _object(self.doc.get("state_labels", {}), "state_labels").items():
+                yield self.at, label if isinstance(label, dict) else _object(label, self.field.format(self.at))
+        elif "state_labels" in self.doc or "label_alphabet" in self.doc:
             raise DocumentError("kind 'nfts' does not take labels")
-        return states, actions, transitions
-    labels = {
-        state: _degree_map(label, seen, "state_labels[{!r}]", state)
-        for state, label in _object(doc.get("state_labels", {}), "state_labels").items()
-    }
-    return states, actions, transitions, _strings(doc, "label_alphabet"), labels
+        _strings(self.doc, "label_alphabet")
+
+    def read(self, text, element):
+        value = self.texts.get(text) if type(text) is str else None
+        if value is None:
+            value = self.texts[text] = _degree(text, lambda: f"{self.field.format(self.at)}[{element!r}]")
+        return value
+
+    def arguments(self) -> tuple:
+        """The constructor's arguments, as ``read_model`` gives them: each degree a Fraction."""
+        read = self.read
+        transitions = [(s, a, {e: read(t, e) for e, t in targets.items()}) for s, a, targets in self.transitions()]
+        labels = {state: {p: read(t, p) for p, t in label.items()} for state, label in self.labels()}
+        arguments = self.states, self.actions, transitions
+        return arguments + (self.alphabet, labels) if self.kind == "nflts" else arguments
 
 
 def _arguments_from_lines(text: str) -> tuple:
@@ -256,7 +282,7 @@ def parse_relation(source: Union[str, Path], model: Nfts, expected: str | None =
     try:
         if kind == "crisp":
             return CrispRelation(states, states, {tuple(p) for p in rows})
-        seen, entries = {}, {}  # seen: each distinct degree string parsed once, as in _degree_map
+        seen, entries = {}, {}  # seen: each distinct degree string parsed once, as in _Document.read
         for x, y, d in rows:
             if (x, y) in entries:  # the last row would win: ``check`` would depend on row order
                 raise DocumentError(f"degrees[{x!r}, {y!r}]: pair listed twice")

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from fuzzybisim import (
     CrispPartition,
-    FuzzyRelation,
     as_nflts,
     cfp_from_relation,
     crisp_partition_system,
@@ -22,7 +21,6 @@ from fuzzybisim import (
     GenSpec,
     greatest_crisp_bisim_partition_flg,
     greatest_crisp_simulation_flg,
-    greatest_fuzzy_bisim_cfp_flg,
     greatest_fuzzy_simulation_flg,
     parse_model,
     relation_laws,

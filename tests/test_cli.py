@@ -1,5 +1,6 @@
 """The command-line front end: golden outputs, schemas, exit codes."""
 import contextlib
+import gc
 import io
 import json
 import os
@@ -36,7 +37,7 @@ from fuzzybisim.cli import ENGINES, _json_text, run
 from fuzzybisim.partition import Block, CfpRelation
 from fuzzybisim.generate import random_spec
 
-from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT
+from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT, example_fuzzy_table
 from test_cli_golden import _models, _runs
 
 
@@ -457,6 +458,60 @@ def test_out_of_memory_is_an_error_not_a_traceback(capsys, example_path, monkeyp
 
     monkeypatch.setitem(ENGINES["crisp-partition"], "efficient", exhausted)
     assert invoke(capsys, "crisp-partition", str(example_path)) == (1, "", "error: out of memory\n")
+
+
+# Every command form on the example model and on a generated labeled one:
+# each engine, --json and --verbose, check of either kind, and gen.  M is the
+# model, L the labeled model, C and F a crisp and a fuzzy relation on M.
+GC_FORMS = [
+    *([command, *flags, "M"] for command in ("crisp-partition", "fuzzy-partition")
+      for flags in ([], ["--engine", "oracle"], ["--json"], ["--verbose"])),
+    ["crisp-partition", "L"], ["fuzzy-partition", "--json", "L"],
+    ["degree", "M", "s3", "s4"], ["degree", "--engine", "oracle", "M", "s1", "s2"],
+    *([command, *flags, "M", "M"] for command in ("crisp-sim", "fuzzy-sim")
+      for flags in ([], ["--engine", "oracle"], ["--verbose", "--json"])),
+    ["fuzzy-sim", "L", "L"],
+    ["bisim-between", "M", "M"], ["bisim-between", "--mode", "fuzzy", "--json", "M", "M"],
+    ["bisim-between", "--mode", "fuzzy", "--verbose", "L", "L"],
+    ["check", "--kind", "crisp-bisim", "M", "C"], ["check", "--kind", "fuzzy-bisim", "--json", "M", "F"],
+    ["gen", "--states", "6", "--labels", "2", "--out", "G"], ["gen", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", GC_FORMS, ids=" ".join)
+def test_commands_leave_no_cyclic_garbage(capsys, example_path, tmp_path, argv):
+    # A command runs with the cyclic collector off (cli.run), which is safe only
+    # because no command leaves a reference cycle for a collection to free.
+    files = {"M": example_path, "L": tmp_path / "l.json", "C": tmp_path / "c.json", "F": tmp_path / "f.json",
+             "G": tmp_path / "g.json"}
+    files["L"].write_text(serialize_model(generate(GenSpec(state_count=12, label_alphabet_size=2, seed=4))))
+    files["C"].write_text(json.dumps({"kind": "crisp", "pairs": [["s3", "s4"], ["s1", "s1"]]}))
+    files["F"].write_text(json.dumps(relation_to_document(example_fuzzy_table())))
+    cli.build_parser()  # built once per process, before the collector is turned off: its help formatters are cyclic
+    gc.collect()
+    gc.disable()
+    try:
+        assert run([str(files.get(arg, arg)) for arg in argv]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["crisp-partition", "M"], 0),
+    (["crisp-partition", "missing.json"], 1),
+    (["degree", "M", "s1", "nowhere"], 1),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_setting(capsys, example_path, argv, code, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run([str(example_path) if arg == "M" else arg for arg in argv]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_gen_round_trips_through_the_parser(capsys, tmp_path):

@@ -22,6 +22,7 @@ from fuzzybisim import (
 from fuzzybisim import format_degree, modelio
 from fuzzybisim.cli import run
 from fuzzybisim.generate import generate, random_spec
+from fuzzybisim.model import build
 from fuzzybisim.modelio import build_model, model_from_document, read_model
 
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
@@ -276,10 +277,60 @@ def test_each_distinct_degree_string_is_parsed_once(monkeypatch):
     assert len({id(d) for d in degrees}) == 3
     assert labels_of(model)["s0"]("p") is next(d for d in degrees if d == Fraction("0.5"))
 
+    calls.clear()  # the same as JSON text, with one "0.5" spelled "0.50": parsed apart, one degree
+    doc["transitions"][0]["targets"]["s1"] = "0.50"
+    model = parse_model(json.dumps(doc))
+    assert sorted(calls) == ["0.25", "0.5", "0.50", "1"]
+    assert model.pool == [Fraction(1, 4), Fraction(1, 2), 1]
+
     calls.clear()
     lines = ["states s t", "actions a"] + [f"trans s a s:0.5 t:{d}" for d in ("0.5", "0.7", "0.7", "0.5")]
     parse_model("\n".join(lines))
     assert sorted(calls) == ["0.5", "0.7"]
+
+
+def _respelled(doc: dict, rng: random.Random) -> dict:
+    """The document with each degree spelled one of its equal ways, a zero degree to
+    an unknown state and repeated triples here and there, and the state mark in a
+    labeled document's alphabet, some labels giving it a degree."""
+    def spell(text):
+        d = Fraction(text)
+        return rng.choice([text, f"{d.numerator}/{d.denominator}", f"{2 * d.numerator}/{2 * d.denominator}",
+                           text + "0" if "." in text else text + ".0", f"{d * 1000}e-3"])
+
+    transitions = []
+    for item in doc["transitions"]:
+        targets = {state: spell(text) for state, text in item["targets"].items()}
+        if rng.random() < 0.2:
+            targets["ghost"] = rng.choice(["0", "0.0", "0/7"])
+        transitions += [{**item, "targets": targets}] * rng.choice([1, 1, 1, 2])
+    doc = {**doc, "transitions": transitions}
+    if doc["kind"] == "nflts":
+        doc["label_alphabet"] = [*doc["label_alphabet"], "state*"]
+        doc["state_labels"] = {state: {**{p: spell(text) for p, text in label.items()},
+                                       **({"state*": spell("0.5")} if rng.random() < 0.5 else {})}
+                               for state, label in doc["state_labels"].items()}
+    return doc
+
+
+ARRAYS = ("names", "delta", "pool", "out", "preds", "label_ids", "label_maps")
+
+
+def test_the_json_reader_lays_out_the_constructors_arrays():
+    rng = random.Random(23)
+    docs = [model_to_document(generate(random_spec(rng, 8, labeled=i % 2 == 1))) for i in range(40)]
+    docs += [_respelled(doc, rng) for doc in docs]
+    docs.append({"kind": "nflts", "states": ["s", "t"], "actions": ["a"], "label_alphabet": ["p", "state*"],
+                 "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5", "t": "0.50", "u": "0"}},
+                                 {"from": "t", "action": "a", "targets": {"s": "1/2", "t": "5e-1"}},
+                                 {"from": "s", "action": "a", "targets": {"t": "0.50", "s": "1/2"}}],
+                 "state_labels": {"s": {"p": "5e-1", "state*": "1"}, "t": {"p": "0.50"}}})
+    for doc in docs:
+        text = json.dumps(doc)
+        read, built = parse_model(text), build(*read_model(text))
+        assert type(read) is type(built)
+        assert [getattr(read, name) for name in ARRAYS] == [getattr(built, name) for name in ARRAYS]
+    assert read.pool == [Fraction(1, 2), 1] and read.delta == (("s", "a", 0), ("t", "a", 0))  # one distribution
 
 
 def test_relation_degree_strings_are_parsed_once(monkeypatch):
@@ -350,6 +401,19 @@ def test_interned_text_degree_errors_keep_their_line(monkeypatch, line, message)
     ("kind nflts\nstates s\nactions a\nlabels p\nlabel s q:0.5\nlabel x p:0.5",
      "label of 's' uses symbols outside the alphabet"),
     ("states s\nactions a\ntrans x b s:0.5", "transition from unknown state 'x'"),
+    # a model fault first, then a document fault: the document fault is reported
+    ('{"states": ["s"], "actions": ["a"], "transitions": [{"from": "x", "action": "a", "targets": {"s": "0.5"}}, '
+     '{"from": "s", "action": "a", "targets": {"s": "y"}}]}',
+     "transitions[1].targets['s']: malformed degree 'y'"),
+    ('{"kind": "nflts", "states": ["s"], "actions": ["a"], "label_alphabet": ["p"], '
+     '"transitions": [{"from": "s", "action": "b", "targets": {}}], "state_labels": {"s": {"p": "2"}}}',
+     "state_labels['s']['p']: degree '2' outside [0, 1]"),
+    ('{"kind": "nflts", "states": ["s"], "actions": ["a"], '
+     '"transitions": [{"from": "s", "action": "a", "targets": {"x": "0.5"}}], "label_alphabet": [1]}',
+     "label_alphabet: list of strings required"),
+    ('{"states": ["s"], "actions": ["a"], "transitions": [{"from": "s", "action": "a", "targets": {"x": "0.5"}}, 7]}',
+     "transitions[1]: needs 'from', 'action' and 'targets'"),
+    ("states s\nactions a\ntrans x a s:0.5\ntrans s a s:y", "line 4: malformed degree 'y'"),
 ])
 def test_documents_report_the_first_of_two_faults(text, message):
     with pytest.raises(DocumentError) as info:
