@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Every subcommand loads models from JSON or text documents, runs the selected
-engine and prints a deterministic result; ``--json`` wraps it in the machine
-schema {command, input, result, engine, wall_time_ms}, written by one writer
-that never recurses, in the bytes of ``json.dumps(doc, indent=2)``.  Exit
-codes: 0 on success, 1 on a domain error, 2 on a usage error.  A command runs
-with the cyclic garbage collector off: no command leaves a reference cycle for
-it to free (``test_cli.test_commands_leave_no_cyclic_garbage``).
+Every subcommand loads models from JSON or text documents, runs the selected engine and prints a
+deterministic result; ``--json`` wraps it in the machine schema {command, input, result, engine,
+wall_time_ms}, written by one writer that never recurses, in the bytes of ``json.dumps(doc, indent=2)``;
+a fuzzy ``bisim-between`` table goes straight from its grouped LCA pass to the text or JSON writer.
+Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.  A command runs with the cyclic
+garbage collector off: no command leaves a reference cycle for it to free
+(``test_cli.test_commands_leave_no_cyclic_garbage``).
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .modelio import (
 from .graph import to_flg, as_nflts, on_states, require_shared_alphabets
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
-from .partition import NotAnEquivalenceError
+from .partition import CfpRelation, NotAnEquivalenceError
 from .simulation import (
     bisimulation_between_nflts,
     crisp_simulation_nflts,
@@ -148,9 +149,9 @@ def _emit(args, started: float, payload, text):
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)`` byte for byte, for string keys, from an explicit
-    stack (no depth is too deep: a compact fuzzy partition nests a level per degree);
-    each distinct string is encoded once, a string list in one join, a table from pieces."""
+    """``json.dumps(doc, indent=2)`` byte for byte, for string keys, from an explicit stack (no depth
+    is too deep: a compact fuzzy partition nests a level per degree); each distinct string is encoded
+    once, a string list in one join, a table from pieces, and a `CfpRelation` (its rows) by `_cfp_table`."""
     strings = functools.lru_cache(maxsize=None)(encode_basestring_ascii)  # each distinct string once
     out, todo = [], [("", doc, "")]  # (text before the value, value, its indent)
     while todo:
@@ -160,6 +161,8 @@ def _json_text(doc) -> str:
             continue
         if type(value) is str:
             out.append(strings(value))
+        elif type(value) is CfpRelation:
+            _cfp_table(value, indent, strings, out)
         elif not value or not isinstance(value, (dict, list, tuple)):
             out.append(json.dumps(value))
         elif isinstance(value, dict) or not _table(value, indent, strings, out):
@@ -200,6 +203,18 @@ def _table(rows, indent: str, strings, out: list) -> bool:
     return True
 
 
+def _cfp_table(relation: CfpRelation, indent: str, strings, out: list):
+    """Append the JSON text at ``indent`` of the rows of ``relation`` to ``out`` from its grouped LCA pass:
+    a left element's head (row opening and name) before each cell of its leaf, made once per (b, node)."""
+    row, cell, start = indent + "  ", indent + "    ", len(out)
+    for a, cells in relation.row_groups(lambda b, t: f",\n{cell}{strings(b)},\n{cell}{t}\n{row}]",
+                                        lambda d: strings(format_degree(d))):
+        out += chain.from_iterable(zip(repeat(f",\n{row}[\n{cell}" + strings(a)), cells))  # head + head.join(cells)
+    if len(out) > start:
+        out[start] = "[" + out[start][1:]  # the first head opens the table, with no comma
+    out.append(f"\n{indent}]" if len(out) > start else "[]")
+
+
 def _inputs(args):
     """The command's positionals: one as itself, several as a list, none as None."""
     values = [getattr(args, name) for name in args.positionals]
@@ -208,9 +223,10 @@ def _inputs(args):
 
 def _relation_doc_text(doc: dict) -> str:
     """A relation document as text: one row per line, fields joined by spaces."""
-    if doc["kind"] == "crisp":
-        return "\n".join(map(" ".join, doc["pairs"])) or "(empty relation)"
-    return "\n".join(map(" ".join, doc["degrees"])) or "(zero relation)"
+    rows = doc["pairs"] if doc["kind"] == "crisp" else doc["degrees"]
+    if type(rows) is CfpRelation:  # from its grouped LCA pass: a left element's rows as one, a repeated after each break
+        rows = ([a, f"\n{a} ".join(cells)] for a, cells in rows.row_groups("{} {}".format, format_degree) if cells)
+    return "\n".join(map(" ".join, rows)) or ("(empty relation)" if doc["kind"] == "crisp" else "(zero relation)")
 
 
 def run(argv=None) -> int:
@@ -254,7 +270,7 @@ def _dispatch(args, started: float) -> int:
             relation = bisimulation_between_nflts(left, right, args.mode, verbose=args.verbose)
         else:
             relation = ENGINES[args.command][args.engine](left, right, args.verbose)
-        doc = relation_to_document(relation)
+        doc = {"kind": "fuzzy", "degrees": relation} if type(relation) is CfpRelation else relation_to_document(relation)
         _emit(args, started, lambda: doc, lambda: _relation_doc_text(doc))
         return 0
 

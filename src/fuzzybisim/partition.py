@@ -11,14 +11,14 @@ such arrays with each parent before its children, and one pass checks the
 laws and lays them out canonically; `root`, a tree of `Block`s, is a view
 of them built on first use.
 
-The LCA of leaves i < j in pre-order is the shallowest
-LCA of the consecutive leaves between them (Bender & Farach-Colton, LATIN
-2000).  Between two consecutive leaves the walk enters one non-first child,
-whose parent is their LCA, and ancestors precede descendants in pre-order,
-so the least pre-order number over a range of those gaps names the LCA
-exactly.  A sparse table over the gaps, built on the first query, answers
-each degree lookup in O(1).  Trees can be as deep as the number of distinct
-degrees, so every walk over one is iterative.
+The LCA of leaves i < j in pre-order is the shallowest LCA of the consecutive
+leaves between them (Bender & Farach-Colton, LATIN 2000).  Between two
+consecutive leaves the walk enters one non-first child, whose parent is their
+LCA, and ancestors precede descendants in pre-order, so the least pre-order
+number over a range of those gaps names the LCA exactly.  A sparse table over
+the gaps, built on the first query, answers each degree lookup in O(1), and
+`row_groups` reads rows off it in one pass, one list of cells per leaf.  Trees
+can be as deep as the number of distinct degrees, so every walk is iterative.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import reprlib
 from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .degrees import Degree, ONE, format_degree, parse_degree
 from .relations import FuzzyRelation, CrispRelation, relation_laws
@@ -236,26 +236,26 @@ class CompactFuzzyPartition:
             raise KeyError(f"element {exc.args[0]!r} not in the partition") from exc
         return self._degrees[self._lca(i, j) if i <= j else self._lca(j, i)]
 
-    def positive_rows(self, xs: list, ys: list, of: Optional[Callable] = None) -> list:
-        """``[a, b, d]`` for each (a, x) of ``xs``, then each (b, y) of ``ys``, where
-        d = degree_of(x, y) is positive, or ``of(d)``, applied once per tree node, in
-        O(|ys|) per x.  The LCAs of consecutive distinct leaves of the ys are found once;
-        outwards from the leaf of x, their running minima give its LCA with each."""
+    def row_groups(self, xs: list, ys: list, cell: Callable, of: Optional[Callable] = None) -> Iterator[tuple]:
+        """``(a, cells)`` for each (a, x) of ``xs``: ``cell(b, t)`` for each (b, y) of ``ys`` at a positive
+        d = degree_of(x, y), t being d or ``of(d)`` (applied once per node).  Each cell, never empty, is
+        made once per (b, node), and the xs of one leaf share one cells list, built in O(|ys|) as running
+        minima, outwards from that leaf, of the LCAs of consecutive distinct leaves of the ys."""
         if self._table is None:
             self._build_index()
-        position, lca, rows = self._position, self._lca, []
+        position, lca, groups = self._position, self._lca, {}  # groups: leaf position -> its cells
         leaves = sorted({position[y] for _, y in ys})
         links, index = [*map(lca, leaves, leaves[1:])], {p: k for k, p in enumerate(leaves)}
-        names, at = [b for b, _ in ys], [index[position[y]] for _, y in ys]
-        degree = [(of(d) if of else d) if d else None for d in self._degrees].__getitem__  # only the root can be 0
+        right = [(b, index[position[y]], {}) for b, y in ys]  # b, its distinct leaf, tree node -> its cell
+        degree, low = [of(d) if of else d for d in self._degrees], 0 if self._degrees[0] else 1  # only the root can be 0
         for a, x in xs:
-            i = position[x]
-            r = bisect_left(leaves, i)
-            before = [*accumulate([lca(leaves[r - 1], i), *reversed(links[: r - 1])], min)][::-1] if r else []
-            after = accumulate([lca(i, leaves[r]), *links[r:]], min) if r < len(leaves) else ()
-            at_leaf = [*map(degree, before), *map(degree, after)].__getitem__
-            rows += [[a, b, d] for b, d in zip(names, map(at_leaf, at)) if d is not None]
-        return rows
+            if (i := position[x]) not in groups:
+                r = bisect_left(leaves, i)
+                nodes = [*accumulate([lca(leaves[r - 1], i), *reversed(links[: r - 1])], min)][::-1] if r else []
+                nodes += accumulate([lca(i, leaves[r]), *links[r:]], min) if r < len(leaves) else ()
+                groups[i] = [made.get(n) or made.setdefault(n, cell(b, degree[n]))
+                             for b, k, made in right if (n := nodes[k]) >= low]
+            yield a, groups[i]
 
     def to_relation(self) -> FuzzyRelation:
         """The fuzzy equivalence relation this tree encodes (quadratic output)."""
@@ -315,8 +315,12 @@ class CfpRelation(FuzzyRelation):
         self.cfp, self.inject_left, self.inject_right = cfp, inject_left, inject_right
         self.left, self.right = frozenset(inject_left), frozenset(inject_right)
 
-    def positive_rows(self, of: Optional[Callable] = None) -> list:  # the rows as lists
-        return self.cfp.positive_rows(*(sorted(inject.items()) for inject in (self.inject_left, self.inject_right)), of)
+    def row_groups(self, cell: Callable, of: Optional[Callable] = None) -> Iterator[tuple]:
+        """`CompactFuzzyPartition.row_groups` of the two universes, each sorted by name."""
+        return self.cfp.row_groups(sorted(self.inject_left.items()), sorted(self.inject_right.items()), cell, of)
+
+    def positive_rows(self, of: Optional[Callable] = None) -> list:  # the `row_groups` as [a, b, d] lists
+        return [[a, b, d] for a, cells in self.row_groups(lambda *cell: cell, of) for b, d in cells]
 
     @cached_property
     def entries(self) -> Dict[tuple, Degree]:
@@ -344,12 +348,7 @@ def _split(elements: list, r: FuzzyRelation) -> tuple:
     if degree == ONE:
         return ONE, frozenset(elements), ()
     # Classes of x ~ y iff r(x, y) > degree; transitivity makes one scan enough.
-    classes: List[list] = []
+    classes: Dict[object, list] = {}  # each class under its first element
     for x in elements:
-        for group in classes:
-            if r(group[0], x) > degree:
-                group.append(x)
-                break
-        else:
-            classes.append([x])
-    return degree, None, classes
+        classes.setdefault(next((c for c in classes if r(c, x) > degree), x), []).append(x)
+    return degree, None, classes.values()

@@ -32,7 +32,7 @@ from fuzzybisim import (
     serialize_model,
     to_flg,
 )
-from fuzzybisim import bisimulation_between_nflts, cli, format_degree, fuzzy_partition_system, modelio, relation_to_document
+from fuzzybisim import bisimulation_between_nflts, cli, format_degree, fuzzy_partition_system, relation_to_document
 from fuzzybisim.cli import ENGINES, _json_text, run
 from fuzzybisim.partition import Block, CfpRelation
 from fuzzybisim.generate import random_spec
@@ -619,8 +619,8 @@ def test_fuzzy_between_json_formats_each_tree_node_once(monkeypatch, capsys, tmp
     path.write_text(json.dumps(model_to_document(model)))
     nodes = len(bisimulation_between_nflts(model, model, "fuzzy").cfp._degrees)  # one degree per tree node
     formatted, read = [], []
-    real = modelio.format_degree
-    monkeypatch.setattr(modelio, "format_degree", lambda d: formatted.append(d) or real(d))
+    real = cli.format_degree  # the CLI writes the table from the grouped LCA pass
+    monkeypatch.setattr(cli, "format_degree", lambda d: formatted.append(d) or real(d))
     rows, entries = CfpRelation.rows, CfpRelation.entries.func
     monkeypatch.setattr(CfpRelation, "rows", lambda self: read.append("rows") or rows(self))
     monkeypatch.setattr(CfpRelation, "entries", property(lambda self: read.append("entries") or entries(self)))
@@ -628,6 +628,61 @@ def test_fuzzy_between_json_formats_each_tree_node_once(monkeypatch, capsys, tmp
     assert code == 0 and read == []
     assert len(json.loads(out)["result"]["degrees"]) > 10 * nodes
     assert 0 < len(formatted) <= nodes
+
+
+def _escaped_pair():
+    """Left names that JSON escapes (a quote, a backslash, a non-ASCII letter, U+2028) or
+    that hold a space; three of them share one leaf, and three have no positive row."""
+    half = Fraction(1, 2)
+    left = Nflts(['q"x', "b\\s", "\u00e9", "\u2028", "a b", "z"], ["a"],
+                 [("a b", "a", {"\u00e9": 1}), ("\u00e9", "a", {"z": half})], ["p", "q"],
+                 {'q"x': {"p": half}, "b\\s": {"p": half}, "\u2028": {"p": half}, "\u00e9": {"p": Fraction(1, 4)},
+                  "a b": {"p": Fraction(3, 4)}, "z": {"q": 1}})
+    right = Nflts(["r1", "r 2", 'r"3'], ["a"], [("r1", "a", {"r 2": half})], ["p", "q"],
+                  {"r1": {"p": Fraction(1, 4)}, "r 2": {"p": half}, 'r"3': {"p": 1}})
+    return left, right
+
+
+def test_fuzzy_between_output_is_the_bytes_of_its_document(capsys, tmp_path):
+    # --json prints json.dumps of the whole schema around relation_to_document, and the text form
+    # its rows, for rows written straight from the grouped LCA pass
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    for a, b in [*_between_pairs(), _escaped_pair()]:
+        rows = relation_to_document(bisimulation_between_nflts(a, b, "fuzzy"))["degrees"]
+        left.write_text(json.dumps(model_to_document(a)))
+        right.write_text(json.dumps(model_to_document(b)))
+        argv = ["bisim-between", str(left), str(right), "--mode", "fuzzy"]
+        code, out, _ = invoke(capsys, *argv, "--json")
+        doc = {"command": "bisim-between", "input": [str(left), str(right)], "result": {"kind": "fuzzy", "degrees": rows},
+               "engine": "efficient", "wall_time_ms": json.loads(out)["wall_time_ms"]}
+        assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out == ("\n".join(map(" ".join, rows)) or "(zero relation)") + "\n"
+    assert rows and {"a b", "z", "\u00e9"}.isdisjoint(row[0] for row in rows)  # the escaped pair's states without a row
+
+
+def test_fuzzy_between_row_groups_share_cells():
+    # one cells list per leaf of the left states, and one cell per (right state, tree node)
+    model = generate(GenSpec(state_count=40, distributions_per_state_action=(1, 2), support_size=(1, 3),
+                             value_pool_size=5, seed=8))
+    shared = 0
+    for a, b in [*_between_pairs(), _escaped_pair(), (model, model)]:
+        relation = bisimulation_between_nflts(a, b, "fuzzy")
+        made = []
+        groups = [*relation.row_groups(lambda y, d: made.append(y) or (y, d))]
+        cfp = relation.cfp
+        assert len(made) <= len(b.states) * len(cfp._degrees)  # one degree per tree node
+        depth = [0] * len(cfp._parent)  # parents precede their children
+        for i, p in enumerate(cfp._parent[1:], 1):
+            depth[i] = depth[p] + 1
+        ancestors = {y: depth[i] + 1 for i, leaf in enumerate(cfp._elements) if leaf for y in leaf}
+        assert len(made) <= sum(ancestors[relation.inject_right[y]] for y in b.states)  # its LCAs with any x
+        assert [[x, y, d] for x, cells in groups for y, d in cells] == relation.positive_rows()
+        leaf_cells = {}
+        for x, cells in groups:
+            assert leaf_cells.setdefault(cfp._position[relation.inject_left[x]], cells) is cells
+        shared += len(groups) - len(leaf_cells)
+    assert shared >= 2  # the escaped pair alone puts three left states in one leaf
 
 
 def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path, tmp_path):

@@ -313,8 +313,9 @@ def test_positive_rows_match_a_walk_of_root_to_leaf_paths(seed):
         for xs, ys in ((many, few), (few, many), (many, many)):
             xs, ys = sorted((("l", x), x) for x in xs), sorted((("r", y), y) for y in ys)
             expected = [[a, b, degree(x, y)] for a, x in xs for b, y in ys if degree(x, y) > 0]
-            assert cfp.positive_rows(xs, ys) == expected
-            assert cfp.positive_rows(xs, ys, format_degree) == [[a, b, format_degree(d)] for a, b, d in expected]
+            relation = CfpRelation(cfp, dict(xs), dict(ys))  # its sides, each sorted by name, are xs and ys
+            assert relation.positive_rows() == expected
+            assert relation.positive_rows(format_degree) == [[a, b, format_degree(d)] for a, b, d in expected]
 
 
 def test_positive_rows_work_follows_the_ys_not_the_leaves(monkeypatch):
@@ -331,6 +332,6 @@ def test_positive_rows_work_follows_the_ys_not_the_leaves(monkeypatch):
 
     monkeypatch.setattr(partition, "accumulate", counted)
     xs, ys = [(x, x) for x in names], [("y", names[200])]
-    rows = cfp.positive_rows(xs, ys)
+    rows = CfpRelation(cfp, dict(xs), dict(ys)).positive_rows()
     assert rows == [[x, "y", cfp.degree_of(x, names[200])] for x in names[1:]]
     assert sum(read) <= 2 * len(xs)
