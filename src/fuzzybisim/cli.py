@@ -22,10 +22,9 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .degrees import format_degree
-from .model import ModelError
+from .model import ModelError, Nfts
 from .modelio import (
     DocumentError,
-    build_model,
     model_to_document,
     parse_model,
     parse_relation,
@@ -276,7 +275,7 @@ def _dispatch(args, started: float) -> int:
 
     if args.command == "check":
         given = read_model(Path(args.model))  # built first, for the constructor's checks and errors
-        relation = parse_relation(Path(args.relation), build_model(given), args.kind.partition("-")[0])
+        relation = parse_relation(Path(args.relation), Nfts(*given), args.kind.partition("-")[0])
         report = CHECKERS[args.kind](relation, oracle.System(*given))
         payload = {
             "holds": report.holds,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .model import Nfts, build
+from .model import Nfts
 
 #: Identifier of the pseudo-random source, recorded as ``rng`` in each ``bench.BenchRecord``.
 RNG_ALGORITHM = "mt19937"
@@ -59,7 +59,7 @@ class GenSpec:
 
 def generate(spec: GenSpec) -> Nfts:
     """A pseudo-random model matching the spec; identical per seed."""
-    return build(*draw(spec))
+    return Nfts(*draw(spec))
 
 
 def draw(spec: GenSpec) -> tuple:

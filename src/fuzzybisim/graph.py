@@ -12,7 +12,8 @@ arrays, where id i < |S| is the state ``names[i]``.  ``by_id[i]``, the
 ``Vertex`` of id i, and the views ``vertices``, ``edges``, ``labels``,
 ``out_edges`` and ``degree_pool`` are built on first access for the graph
 fixpoints and for ``perfbench/``, their reader until the benchmark reads the
-arrays; the system-level oracles read ``oracle.System``.
+arrays; the system-level oracles read ``oracle.System``.  ``as_nflts`` is the
+identity: one class holds plain and labeled systems.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .degrees import ONE, joint_ranks
-from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, Nflts, ModelError, _layout
+from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, ModelError, _layout
 from .relations import CrispRelation, FuzzyRelation
 
 _STATE = 0
@@ -119,7 +120,7 @@ def to_flg(model: Nfts) -> Flg:
     return Flg(model, pool)
 
 
-def on_states(a: Nflts, b: Nflts, relation):
+def on_states(a: Nfts, b: Nfts, relation):
     """Graph-level vertex pairs, or a dict of them to degrees (order kept),
     restricted to S x S' and keyed by state: the relation between a and b."""
     if isinstance(relation, dict):
@@ -128,17 +129,14 @@ def on_states(a: Nflts, b: Nflts, relation):
     return CrispRelation(a.states, b.states, {(x.key, y.key) for x, y in relation if x.is_state and y.is_state})
 
 
-def as_nflts(model: Nfts) -> Nflts:
-    """View a plain NFTS as an NFLTS with an empty label alphabet: a copy of
-    the instance that shares the model's storage."""
-    if isinstance(model, Nflts):
-        return model
-    view = object.__new__(Nflts)
-    view.__dict__.update(vars(model))
-    return view
+def as_nflts(model: Nfts) -> Nfts:
+    """The system itself: a plain NFTS already is the NFLTS over the empty
+    alphabet.  Kept as the name whose span the benchmark's tracer reads as
+    ``graph.convert`` in ``cli`` and ``simulation``."""
+    return model
 
 
-def require_shared_alphabets(a: Nflts, b: Nflts):
+def require_shared_alphabets(a: Nfts, b: Nfts):
     """Two systems are simulated against or joined with each other only over
     equal action and label alphabets."""
     if a.actions != b.actions:
@@ -153,7 +151,7 @@ def require_same_signature(g: Flg, h: Flg):
         raise ModelError("graphs must share vertex and edge alphabets")
 
 
-def disjoint_union(a: Nflts, b: Nflts):
+def disjoint_union(a: Nfts, b: Nfts):
     """Tagged union of two systems sharing action and label alphabets.
 
     Returns (union, inject_a, inject_b) where the injections map original
@@ -172,7 +170,7 @@ def disjoint_union(a: Nflts, b: Nflts):
         delta += [(inject[s], action, k_of[k]) for s, action, k in model.delta]
         labels.update((offset + i, {p: new[r] for p, r in ranks.items()}) for i, ranks in model.user_labels())
         injects.append(inject)
-    union = object.__new__(Nflts)  # laid out as the constructor lays a system out, on joint ranks
+    union = object.__new__(Nfts)  # laid out as the constructor lays a system out, on joint ranks
     index = {s: i for i, s in enumerate((*injects[0].values(), *injects[1].values()))}
     union.__dict__.update(_layout(index, a.actions, tuple(delta), list(interned), labels, a.label_alphabet, pool,
                                   range(len(pool))))

@@ -1,7 +1,8 @@
 """Nondeterministic fuzzy (labeled) transition systems.
 
-The constructor lays a system out once, as its graph's arrays on dense ids
-and degree ranks: ``names``, the states sorted (state id i is ``names[i]``);
+One class, ``Nfts`` (also named ``Nflts``: an NFTS is the NFLTS over the empty
+label alphabet), lays a system out once, as its graph's arrays on dense ids and
+degree ranks: ``names``, the states sorted (state id i is ``names[i]``);
 ``delta``, the distinct (state, action, k) triples in input order; ``pool``,
 the sorted distinct positive degrees, each degree its rank there (a missing
 1 is rank ``len(pool)``); ``out[i]``, vertex i's edges: (action, |S| + k,
@@ -227,14 +228,16 @@ def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank) 
 
 
 class Nfts:
-    """A nondeterministic fuzzy transition system <S, A, delta>.
+    """A nondeterministic fuzzy transition system <S, A, delta>, with fuzzy
+    state labels over an alphabet sigma (none by default).
 
     ``transitions`` entries are (state, action, target) where the target is a
     FuzzySet or a plain mapping state -> degree.  Duplicate triples collapse.
     """
 
-    def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple]):
-        self.__dict__.update(_layout(*_intern(states, actions, transitions)))
+    def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple], label_alphabet: Iterable = (),
+                 state_labels: Mapping = ()):
+        self.__dict__.update(_layout(*_intern(states, actions, transitions, label_alphabet, state_labels)))
 
     @cached_property
     def distributions(self) -> tuple:
@@ -263,13 +266,4 @@ class Nfts:
         return f"<{type(self).__name__}: {len(self.states)} states, {len(self.delta)} transitions>"
 
 
-class Nflts(Nfts):
-    """An NFTS extended with fuzzy state labels over an alphabet sigma."""
-
-    def __init__(self, states, actions, transitions, label_alphabet=(), state_labels: Mapping = ()):
-        self.__dict__.update(_layout(*_intern(states, actions, transitions, label_alphabet, state_labels)))
-
-
-def build(states, actions, transitions, *labeling) -> Nfts:
-    """The system of its constructor's arguments, an Nflts given (label_alphabet, state_labels)."""
-    return Nflts(states, actions, transitions, *labeling) if labeling else Nfts(states, actions, transitions)
+Nflts = Nfts

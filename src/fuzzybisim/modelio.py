@@ -2,7 +2,8 @@
 
 The primary format is JSON with all degrees as decimal strings (exactness
 survives round-trips).  A mirrored line-oriented text format exists for
-hand-authoring; it is detected by the input not starting with '{'.
+hand-authoring (first non-space character not '{' or '['): its line scan
+decodes it into the JSON document it mirrors, and one walk reads both formats.
 
 JSON model document::
 
@@ -16,8 +17,9 @@ JSON model document::
       "state_labels": {"s1": {"p": "0.7"}}   # nflts only
     }
 
-A JSON model or relation document with any other top-level key is an error.
-``parse_model`` lays a JSON model out in one walk: the constructor's interner
+A JSON model or relation document with any other top-level key is an error,
+and a system is written as an nflts exactly when its label alphabet is not
+empty.  ``parse_model`` lays a model out in one walk: the constructor's interner
 reads the decoded ``targets`` and ``state_labels`` objects as they stand, each
 entry checked when the walk meets it and each distinct degree string parsed once.
 
@@ -37,11 +39,12 @@ from pathlib import Path
 from typing import Union
 
 from .degrees import DegreeError, parse_degree, format_degree
-from .model import Nfts, Nflts, ModelError, _intern, _layout, build
+from .model import Nfts, ModelError, _intern, _layout
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 
 FORMAT_VERSION = "1"
+_JSON = ("{", "[")  # the first non-space character of a JSON model document
 
 
 class DocumentError(ValueError):
@@ -59,33 +62,27 @@ def _degree(text, context):  # an error names the field context(), built only th
 
 def parse_model(source: Union[str, Path]) -> Nfts:
     """Parse a model from a path or from document text."""
-    text = _text(source)
-    if text.lstrip().startswith("{"):
-        return model_from_document(_json(text))
-    return build_model(_arguments_from_lines(text))
-
-
-def _text(source: Union[str, Path]) -> str:
-    """The document at a path, or ``source`` itself when it is document text:
-    a string with a line break or whose first non-space character is '{'."""
-    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
-        return source
-    return Path(source).read_text()
+    return _document(source).model()
 
 
 def read_model(source: Union[str, Path]) -> tuple:
     """The constructor's arguments of the model at a path or in document text:
     (states, actions, transitions), then (label_alphabet, state_labels) for an nflts."""
+    return _document(source).arguments()
+
+
+def _text(source: Union[str, Path]) -> str:
+    """The document at a path, or ``source`` itself when it is document text:
+    a string with a line break or whose first non-space character is '{' or '['."""
+    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith(_JSON)):
+        return source
+    return Path(source).read_text()
+
+
+def _document(source: Union[str, Path]) -> "_Document":
+    """The model document at a path or in document text, in either format."""
     text = _text(source)
-    return _Document(_json(text)).arguments() if text.lstrip().startswith("{") else _arguments_from_lines(text)
-
-
-def build_model(arguments: tuple) -> Nfts:
-    """The system of ``read_model``'s arguments; a ModelError becomes a DocumentError."""
-    try:
-        return build(*arguments)
-    except ModelError as exc:
-        raise DocumentError(str(exc)) from exc
+    return _Document(_json(text)) if text.lstrip().startswith(_JSON) else _Document(*_lines(text))
 
 
 def _json(text: str):
@@ -120,25 +117,16 @@ def _known_keys(doc: dict, keys: frozenset, what: str):
 
 def model_from_document(doc) -> Nfts:
     """The system of a decoded JSON model document, interned in one walk over its entries."""
-    document = _Document(doc)
-    try:
-        interned = _intern(document.states, document.actions, document.transitions(), document.alphabet,
-                           document.labels(), document.read)
-    except ModelError as exc:  # a document fault later in the document comes first: read it through
-        document.arguments()
-        raise DocumentError(str(exc)) from exc
-    model = object.__new__(Nflts if document.kind == "nflts" else Nfts)  # laid out as its constructor lays it out
-    model.__dict__.update(_layout(*interned))
-    return model
+    return _Document(doc).model()
 
 
 class _Document:
     """A model document as its constructor's arguments, with its degree strings as they
     stand.  A walk checks each transition and label when it meets it, so faults come in
-    document order.  ``read`` parses each distinct degree string once; its fault names
-    the entry the walk is at, ``field`` formatted with ``at``."""
+    document order.  ``read`` parses each distinct degree string not in ``texts`` once;
+    its fault names the entry the walk is at, ``field`` formatted with ``at``."""
 
-    def __init__(self, doc):
+    def __init__(self, doc, texts=None):
         if not isinstance(doc, dict):
             raise DocumentError("model document must be a JSON object")
         _known_keys(doc, _MODEL_KEYS, "model")
@@ -153,7 +141,18 @@ class _Document:
             raise DocumentError("transitions: list required")
         alphabet = doc.get("label_alphabet", [])  # a fault in its type comes after the labels' faults
         self.alphabet = alphabet if isinstance(alphabet, list) and all(isinstance(p, str) for p in alphabet) else ()
-        self.doc, self.texts = doc, {}
+        self.doc, self.texts = doc, {} if texts is None else texts
+
+    def model(self) -> Nfts:
+        """The system, interned in one walk over the entries."""
+        try:
+            interned = _intern(self.states, self.actions, self.transitions(), self.alphabet, self.labels(), self.read)
+        except ModelError as exc:  # a document fault later in the document comes first: read it through
+            self.arguments()
+            raise DocumentError(str(exc)) from exc
+        model = object.__new__(Nfts)  # laid out as its constructor lays it out
+        model.__dict__.update(_layout(*interned))
+        return model
 
     def transitions(self):
         self.field = "transitions[{}].targets"
@@ -190,20 +189,20 @@ class _Document:
         return arguments + (self.alphabet, labels) if self.kind == "nflts" else arguments
 
 
-def _arguments_from_lines(text: str) -> tuple:
-    kind, transitions, labels = "nfts", [], {}
-    lists = {"states": [], "actions": [], "labels": []}  # the directives that list names
-    seen = {}  # degree string -> its Fraction, parsed once per document
+def _lines(text: str) -> tuple:
+    """The decoded JSON document that a text document mirrors, its degrees the strings as
+    written, and each distinct degree string's value: checked once, in its line's context."""
+    doc, texts = {"states": [], "actions": [], "transitions": []}, {}
+    lists = {"states": doc["states"], "actions": doc["actions"], "labels": []}  # the directives that list names
 
     def pairs_of(tokens, context):
         out = {}
         for token in tokens:
             if ":" not in token:
                 raise DocumentError(f"{context}: expected element:degree, got {token!r}")
-            element, _, text = token.rpartition(":")
-            degree = seen.get(text)
-            if degree is None:
-                degree = seen[text] = _degree(text, lambda: context)
+            element, _, degree = token.rpartition(":")
+            if degree not in texts:
+                texts[degree] = _degree(degree, lambda: context)
             out[element] = degree
         return out
 
@@ -216,25 +215,22 @@ def _arguments_from_lines(text: str) -> tuple:
         if word == "kind":
             if rest not in (["nfts"], ["nflts"]):
                 raise DocumentError(f"{context}: kind must be nfts or nflts")
-            kind = rest[0]
+            doc["kind"] = rest[0]
         elif word in lists:
             lists[word] += rest
         elif word == "trans":
             if len(rest) < 2:
                 raise DocumentError(f"{context}: trans needs a source and an action")
-            transitions.append((rest[0], rest[1], pairs_of(rest[2:], context)))
+            doc["transitions"].append({"from": rest[0], "action": rest[1], "targets": pairs_of(rest[2:], context)})
         elif word == "label":
             if len(rest) < 1:
                 raise DocumentError(f"{context}: label needs a state")
-            labels[rest[0]] = pairs_of(rest[1:], context)
+            doc.setdefault("state_labels", {})[rest[0]] = pairs_of(rest[1:], context)
         else:
             raise DocumentError(f"{context}: unknown directive {word!r}")
-    states, actions, alphabet = lists.values()
-    if kind == "nfts":
-        if labels or alphabet:
-            raise DocumentError("kind 'nfts' does not take labels")
-        return states, actions, transitions
-    return states, actions, transitions, alphabet, labels
+    if lists["labels"]:  # a present key is a label under the kind rule
+        doc["label_alphabet"] = lists["labels"]
+    return doc, texts
 
 
 def model_to_document(model: Nfts) -> dict:
@@ -245,12 +241,9 @@ def model_to_document(model: Nfts) -> dict:
     ]
     doc = {"format_version": FORMAT_VERSION, "kind": "nfts", "states": list(names), "actions": sorted(model.actions),
            "transitions": transitions}
-    if isinstance(model, Nflts):
-        doc["kind"] = "nflts"
-        doc["label_alphabet"] = sorted(model.label_alphabet)
-        doc["state_labels"] = {
-            names[i]: {p: texts[r] for p, r in sorted(label.items())} for i, label in model.user_labels()
-        }
+    if model.label_alphabet:
+        doc.update(kind="nflts", label_alphabet=sorted(model.label_alphabet), state_labels={
+            names[i]: {p: texts[r] for p, r in sorted(label.items())} for i, label in model.user_labels()})
     return doc
 
 

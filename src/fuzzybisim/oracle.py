@@ -7,8 +7,8 @@ ground truth that the refinement engines are differentially tested against;
 they are only meant for desk-scale inputs.
 
 The system-level fixpoints and checkers read a ``System``, the arguments of
-the ``Nfts``/``Nflts`` constructor as given: no interning table, id or rank
-is shared with the layout that the engines read.  The graph-level ones read
+the ``Nfts`` constructor as given: no interning table, id or rank is shared
+with the layout that the engines read.  The graph-level ones read
 the views of ``graph.Flg`` (``vertices``, ``labels``, ``out_edges``), which
 remain for them and for ``perfbench/`` until the benchmark reads the arrays.
 """

@@ -323,8 +323,8 @@ class CfpRelation(FuzzyRelation):
         return [[a, b, d] for a, cells in self.row_groups(lambda *cell: cell, of) for b, d in cells]
 
     @cached_property
-    def entries(self) -> Dict[tuple, Degree]:
-        return {(x, y): d for x, y, d in self.positive_rows()}
+    def entries(self) -> Dict[tuple, Degree]:  # straight from the (b, d) cells: no row list
+        return {(a, b): d for a, cells in self.row_groups(lambda *cell: cell) for b, d in cells}
 
 
 def cfp_from_relation(r: FuzzyRelation) -> CompactFuzzyPartition:

@@ -29,7 +29,7 @@ from fuzzybisim import (
 from fuzzybisim import oracle
 from fuzzybisim.generate import draw, random_spec
 from fuzzybisim.graph import state_vertex
-from fuzzybisim.model import EPSILON, build
+from fuzzybisim.model import EPSILON, Nfts
 
 from conftest import (
     EXAMPLE_CRISP_TEXT,
@@ -77,7 +77,7 @@ def _battery(count, max_states, seed, max_pool=7):
     rng = random.Random(seed)
     for _ in range(count):
         arguments = draw(random_spec(rng, max_states=max_states, max_pool=max_pool))
-        yield build(*arguments), oracle.System(*arguments)
+        yield Nfts(*arguments), oracle.System(*arguments)
 
 
 def _crisp_sides(model, given):
@@ -126,7 +126,7 @@ def test_criteria_4_and_5_report_a_fault_in_the_stored_arrays():
         model.out[3][0] = symbol, target, rank + 1
 
     for arguments, corrupt in ((labeled, one_label_id), (moving, moved_edge)):
-        model, given = build(*arguments), oracle.System(*arguments)
+        model, given = Nfts(*arguments), oracle.System(*arguments)
         got, expected = _crisp_sides(model, given)
         assert got == expected
         corrupt(model)

@@ -685,6 +685,15 @@ def test_fuzzy_between_row_groups_share_cells():
     assert shared >= 2  # the escaped pair alone puts three left states in one leaf
 
 
+def test_cfp_entries_are_the_dict_of_the_positive_rows(monkeypatch):
+    # entries reads the (b, d) cells of the grouped LCA pass, with no [a, b, d] row list
+    relations = [bisimulation_between_nflts(a, b, "fuzzy") for a, b in [*_between_pairs(), _escaped_pair()]]
+    expected = [{(x, y): d for x, y, d in relation.positive_rows()} for relation in relations]
+    monkeypatch.setattr(CfpRelation, "positive_rows", lambda self, of=None: pytest.fail("entries built the rows"))
+    assert [relation.entries for relation in relations] == expected
+    assert any(expected) and not all(expected)  # the zero relation is among them
+
+
 def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path, tmp_path):
     example = str(example_path)
     for argv in (

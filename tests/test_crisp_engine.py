@@ -21,7 +21,6 @@ from fuzzybisim import oracle
 from fuzzybisim.cli import run
 from fuzzybisim.crisp_engine import restrict_to_states
 from fuzzybisim.generate import draw, generate, random_spec
-from fuzzybisim.model import build
 
 from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, REPO_ROOT, make_example
 
@@ -70,7 +69,7 @@ def test_matches_the_system_level_oracle():
     rng = random.Random(101)
     for _ in range(60):
         arguments = draw(random_spec(rng, max_states=6))
-        got = crisp_partition_system(build(*arguments))
+        got = crisp_partition_system(Nfts(*arguments))
         expected = CrispPartition.from_relation(oracle.gfp_crisp_bisim_nfts(oracle.System(*arguments)))
         assert got == expected
 

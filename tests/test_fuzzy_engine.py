@@ -20,7 +20,6 @@ from fuzzybisim import (
 )
 from fuzzybisim import oracle
 from fuzzybisim.generate import GenSpec, draw, generate, random_spec
-from fuzzybisim.model import build
 
 from conftest import (
     CATERPILLARS,
@@ -94,7 +93,7 @@ def test_matches_the_system_level_oracle():
     rng = random.Random(303)
     for _ in range(50):
         arguments = draw(random_spec(rng, max_states=5))
-        got = fuzzy_partition_system(build(*arguments)).to_relation()
+        got = fuzzy_partition_system(Nfts(*arguments)).to_relation()
         assert got == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 

@@ -79,24 +79,22 @@ def test_as_nflts_preserves_structure():
     assert as_nflts(view) is view
 
 
-def test_as_nflts_is_a_view_that_runs_no_constructor(monkeypatch):
+def test_as_nflts_is_the_system_itself(monkeypatch):
+    # An NFTS is the NFLTS over the empty alphabet: one class, so no view and no copy.
+    assert Nflts is Nfts
     model = Nfts(["s", "t"], ["a"], [("s", "a", {"t": H}), ("t", "a", {"t": H})])
     built = []
-    for cls in (FuzzySet, Distribution, Nfts, Nflts):
+    for cls in (FuzzySet, Distribution, Nfts):
         real = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
-    view = as_nflts(model)
-    assert built == []
-    assert type(view) is Nflts and type(model) is Nfts
-    for name in ("names", "delta", "pool", "out", "preds", "label_ids", "label_maps"):
-        assert getattr(view, name) is getattr(model, name), name
-    assert view.label_alphabet == frozenset() and view.user_labels() == []
+    assert as_nflts(model) is model
+    assert model.label_alphabet == frozenset() and model.user_labels() == []
     assert built == []
     other = Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
     assert built == [Nfts]
     # the object views are built on first access, once per instance
-    assert view.distributions == model.distributions and len(other.distributions) == 1
-    assert built == [Nfts] + [FuzzySet, Distribution] * 3
+    assert len(model.distributions) == 1 and len(other.distributions) == 1
+    assert built == [Nfts] + [FuzzySet, Distribution] * 2
 
 
 def test_to_flg_is_a_view_over_the_model_arrays():
@@ -283,5 +281,3 @@ def test_dense_graph_invariants():
         # the engines' view of the graph is the stored arrays
         out, preds, ids, maps = adjacency(g)
         assert out is g.out and preds is g.preds and ids is g.label_ids and maps is g.label_maps
-        if not isinstance(model, Nflts):
-            assert to_flg(as_nflts(model)).edges == g.edges

@@ -7,7 +7,7 @@ import pytest
 
 from fuzzybisim import ONE, FuzzySet, ModelError, Nflts, Nfts, oracle, parse_model, to_flg
 from fuzzybisim.generate import draw, generate, random_spec
-from fuzzybisim.model import STATE_MARK, build
+from fuzzybisim.model import STATE_MARK
 
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
 
@@ -194,7 +194,9 @@ def _views(model) -> str:
 
 def test_object_views_are_what_the_object_constructor_gave():
     # Digest of the views of the example and 60 generated models, plain and
-    # labeled, as the constructor gave them when it built the objects eagerly.
+    # labeled, as the constructor gave them when it built the objects eagerly;
+    # re-recorded when Nflts became another name for Nfts, the class name being
+    # the only part that moved.
     rng = random.Random(47)
     models = [make_example(), parse_model(REPO_ROOT / "models" / "example.json")]
     models += [generate(random_spec(rng, 6, labeled=i % 2 == 1)) for i in range(60)]
@@ -202,7 +204,7 @@ def test_object_views_are_what_the_object_constructor_gave():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == VIEWS_DIGEST
 
 
-VIEWS_DIGEST = "239544e17cff9192"
+VIEWS_DIGEST = "2147a3f4f22f539d"
 
 
 def _same_arrays(a, b):
@@ -250,7 +252,7 @@ def test_label_ids_are_equal_iff_the_labels_are():
     given = [draw(random_spec(rng, 6, labeled=i % 4 != 0)) for i in range(80)]
     given.append((["s", "t", "u", "v"], ["a"], [("s", "a", {"t": H}), ("u", "a", {"s": 1})], [STATE_MARK, "p"],
                   {"t": {"p": H}, "u": {STATE_MARK: 1}, "v": {"p": Fraction(2, 4)}}))
-    models = [build(*arguments) for arguments in given]
+    models = [Nfts(*arguments) for arguments in given]
     for model, arguments in zip(models, given):
         mark = {} if STATE_MARK in model.label_alphabet else {STATE_MARK: ONE}
         label_of = arguments[4] if len(arguments) > 3 else {}

@@ -22,10 +22,11 @@ from fuzzybisim import (
 from fuzzybisim import format_degree, modelio
 from fuzzybisim.cli import run
 from fuzzybisim.generate import generate, random_spec
-from fuzzybisim.model import build
-from fuzzybisim.modelio import build_model, model_from_document, read_model
+from fuzzybisim.model import ModelError, Nfts
+from fuzzybisim.modelio import model_from_document, read_model
 
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
+from test_cli_golden import EMPTY_SUPPORT
 
 
 def test_parse_example_file(example_path):
@@ -39,12 +40,12 @@ def test_parse_example_file(example_path):
 
 def test_a_model_is_read_as_its_constructor_arguments(example_path):
     assert read_model(example_path) == example_arguments()
-    assert model_to_document(build_model(read_model(example_path))) == model_to_document(make_example())
+    assert model_to_document(Nfts(*read_model(example_path))) == model_to_document(make_example())
     text = "kind nflts\nstates s t\nactions a\nlabels p\ntrans s a t:0.5\nlabel t p:0.25"
     assert read_model(text) == (["s", "t"], ["a"], [("s", "a", {"t": Fraction(1, 2)})], ["p"],
                                 {"t": {"p": Fraction(1, 4)}})
     with pytest.raises(DocumentError, match="^transition with unknown action 'b'$"):
-        build_model((["s"], ["a"], [("s", "b", {})]))
+        parse_model("states s\nactions a\ntrans s b")
 
 
 def test_json_round_trip():
@@ -95,6 +96,7 @@ def test_text_format():
         ("states s\nactions a\ntrans s a s:1.5", "outside"),
         ("states s\nactions a\ntrans s", "needs a source"),
         ("states s\nactions a\nlabel s p:1", "labels"),
+        ("actions a\ntrans s a", "states: non-empty list of strings required"),
     ],
 )
 def test_text_errors_carry_context(text, fragment):
@@ -314,23 +316,95 @@ def _respelled(doc: dict, rng: random.Random) -> dict:
 
 
 ARRAYS = ("names", "delta", "pool", "out", "preds", "label_ids", "label_maps")
+# One value spelled four ways, a zero degree to an unknown state and the state mark as a label.
+SPELLINGS = {"kind": "nflts", "states": ["s", "t"], "actions": ["a"], "label_alphabet": ["p", "state*"],
+             "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5", "t": "0.50", "u": "0"}},
+                             {"from": "t", "action": "a", "targets": {"s": "1/2", "t": "5e-1"}},
+                             {"from": "s", "action": "a", "targets": {"t": "0.50", "s": "1/2"}}],
+             "state_labels": {"s": {"p": "5e-1", "state*": "1"}, "t": {"p": "0.50"}}}
 
 
 def test_the_json_reader_lays_out_the_constructors_arrays():
     rng = random.Random(23)
     docs = [model_to_document(generate(random_spec(rng, 8, labeled=i % 2 == 1))) for i in range(40)]
     docs += [_respelled(doc, rng) for doc in docs]
-    docs.append({"kind": "nflts", "states": ["s", "t"], "actions": ["a"], "label_alphabet": ["p", "state*"],
-                 "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5", "t": "0.50", "u": "0"}},
-                                 {"from": "t", "action": "a", "targets": {"s": "1/2", "t": "5e-1"}},
-                                 {"from": "s", "action": "a", "targets": {"t": "0.50", "s": "1/2"}}],
-                 "state_labels": {"s": {"p": "5e-1", "state*": "1"}, "t": {"p": "0.50"}}})
+    docs.append(SPELLINGS)
     for doc in docs:
         text = json.dumps(doc)
-        read, built = parse_model(text), build(*read_model(text))
+        read, built = parse_model(text), Nfts(*read_model(text))
         assert type(read) is type(built)
         assert [getattr(read, name) for name in ARRAYS] == [getattr(built, name) for name in ARRAYS]
     assert read.pool == [Fraction(1, 2), 1] and read.delta == (("s", "a", 0), ("t", "a", 0))  # one distribution
+
+
+def _text_twin(doc: dict) -> str:
+    """The text document that mirrors a JSON model document, line for entry."""
+    lines = [f"kind {doc.get('kind', 'nfts')}", " ".join(["states", *doc.get("states", [])]),
+             " ".join(["actions", *doc.get("actions", [])])]
+    lines += [" ".join(["trans", t["from"], t["action"], *map(":".join, t["targets"].items())])
+              for t in doc.get("transitions", [])]
+    if "label_alphabet" in doc:
+        lines.append(" ".join(["labels", *doc["label_alphabet"]]))
+    lines += [" ".join(["label", state, *map(":".join, label.items())]) for state, label in doc.get("state_labels", {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_text_and_json_twins_read_alike():
+    rng = random.Random(31)
+    docs = [model_to_document(generate(random_spec(rng, 8, labeled=i % 2 == 1))) for i in range(20)]
+    docs += [_respelled(doc, rng) for doc in docs[:6]] + [EMPTY_SUPPORT, SPELLINGS]
+    for doc in docs:
+        text, twin = json.dumps(doc), _text_twin(doc)
+        read = parse_model(text)
+        assert [getattr(parse_model(twin), name) for name in ARRAYS] == [getattr(read, name) for name in ARRAYS]
+        assert read_model(twin) == read_model(text)
+        assert model_to_document(parse_model(twin)) == model_to_document(read)
+    assert _text_twin(SPELLINGS).splitlines()[3] == "trans s a s:0.5 t:0.50 u:0"
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda doc: doc["transitions"].append({"from": "x", "action": "a", "targets": {}}),
+     "transition from unknown state 'x'"),
+    (lambda doc: doc["transitions"].append({"from": "s", "action": "b", "targets": {}}),
+     "transition with unknown action 'b'"),
+    (lambda doc: doc["transitions"].append({"from": "s", "action": "a", "targets": {"u": "0.5"}}),
+     "distribution refers to unknown states ['u']"),
+    (lambda doc: doc["state_labels"].update(t={"q": "0.5"}), "label of 't' uses symbols outside the alphabet"),
+    (lambda doc: doc["state_labels"].update(x={"p": "0.5"}), "label on unknown state 'x'"),
+    (lambda doc: doc.pop("states"), "states: non-empty list of strings required"),
+    (lambda doc: doc.pop("actions"), "actions: non-empty list of strings required"),
+    # an empty list comes before labels that the kind does not take
+    (lambda doc: doc.update(kind="nfts", states=[]), "states: non-empty list of strings required"),
+    (lambda doc: doc.update(kind="nfts"), "kind 'nfts' does not take labels"),
+])
+def test_text_and_json_twins_report_the_same_fault(change, message):
+    doc = {"kind": "nflts", "states": ["s", "t"], "actions": ["a"], "label_alphabet": ["p"],
+           "transitions": [{"from": "s", "action": "a", "targets": {"t": "0.5"}}], "state_labels": {"s": {"p": "1"}}}
+    change(doc)
+    for source in (json.dumps(doc), _text_twin(doc)):
+        with pytest.raises(DocumentError) as info:
+            parse_model(source)
+        assert str(info.value) == message
+        with pytest.raises((DocumentError, ModelError)) as info:  # read_model's fault, or its system's
+            Nfts(*read_model(source))
+        assert str(info.value) == message
+
+
+def test_a_model_document_that_starts_with_a_bracket_is_json(tmp_path, capsys):
+    # it used to be read as text: "line 1: unknown directive '[1,'"
+    for text in ("[1, 2]", "  [1, 2]\n"):
+        for read in (parse_model, read_model):
+            with pytest.raises(DocumentError, match=r"^model document must be a JSON object$"):
+                read(text)
+    with pytest.raises(DocumentError, match=r"^invalid JSON: "):
+        parse_model("[1, 2")
+    path = tmp_path / "model.txt"
+    path.write_text("[1, 2]\n")
+    relation = tmp_path / "relation.json"
+    relation.write_text('{"kind": "crisp", "pairs": []}')
+    for argv in (["crisp-partition", str(path)], ["check", str(path), str(relation), "--kind", "crisp-bisim"]):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", "error: model document must be a JSON object\n")
 
 
 def test_relation_degree_strings_are_parsed_once(monkeypatch):

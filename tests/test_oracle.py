@@ -16,7 +16,7 @@ from fuzzybisim import (
 from fuzzybisim import oracle
 from fuzzybisim.generate import draw, generate, random_spec
 from fuzzybisim.graph import state_vertex
-from fuzzybisim.model import build
+from fuzzybisim.model import Nfts
 from fuzzybisim.relations import full_fuzzy_relation
 
 from conftest import (
@@ -137,7 +137,7 @@ def test_a_system_is_numbered_as_its_constructor_numbers_it():
     assert system.label_of("t") == FuzzySet({"p": half}) and not system.label_of("s")
     rng = random.Random(29)
     for model_arguments in [arguments] + [draw(random_spec(rng, 6)) for _ in range(30)]:
-        model, system = build(*model_arguments), oracle.System(*model_arguments)
+        model, system = Nfts(*model_arguments), oracle.System(*model_arguments)
         assert list(map(repr, system.distributions)) == list(map(repr, model.distributions))
         assert [dict(mu.items()) for mu in system.distributions] == [dict(mu.items()) for mu in model.distributions]
         assert [(s, a, mu.index) for s, a, mu in system.transitions] == list(model.delta)
