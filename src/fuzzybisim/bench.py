@@ -41,10 +41,10 @@ def _metrics(model: Nfts, spec: GenSpec) -> dict:
         "states": len(model.states),
         "actions": len(model.actions),
         "delta": len(model.delta),
-        "delta_o": len(model.out) - len(model.names),
+        "delta_o": len(model.dists),
         "size_delta": model.size_of_delta(),
         "l": len(model.pool) + 2,
-        "n": len(model.out),
+        "n": len(model.names) + len(model.dists),
         "m": model.size_of_delta(),
     }
 

@@ -8,8 +8,8 @@ levels i = 0, 1, ... in ascending order.  At level i two vertices stay together 
 their labels agree, with every rank >= i in one bucket, and they reach the
 same blocks over edges of rank >= i.  Both conditions form one key; since
 the coarsest stable refinement is unique, this gives the same partition as
-splitting by labels first and then refining.  The layout interns the labels
-once per system, so a level makes the label part of a key once per label id,
+splitting by labels first and then refining.  ``to_flg`` interns the labels
+once per graph, so a level makes the label part of a key once per label id,
 on first use.
 
 The partition left by level i-1 is stable for its key, and at level i the

@@ -6,14 +6,15 @@ degree 1 and epsilon edges (distribution -> state) carry the distribution's
 degree for that state.  A reserved vertex-label symbol marks state vertices,
 so no bisimulation can relate a state vertex with a distribution vertex.
 
-The system's constructor lays the graph's arrays out (see ``model``), and
-``to_flg`` is a view of them, whose pool holds 1; the engines read only the
-arrays, where id i < |S| is the state ``names[i]``.  ``by_id[i]``, the
-``Vertex`` of id i, and the views ``vertices``, ``edges``, ``labels``,
-``out_edges`` and ``degree_pool`` are built on first access for the graph
-fixpoints and for ``perfbench/``, their reader until the benchmark reads the
-arrays; the system-level oracles read ``oracle.System``.  ``as_nflts`` is the
-identity: one class holds plain and labeled systems.
+``to_flg`` lays the graph out from the system's fields (see ``model``), once
+per query, on the system's ranks with 1 added to the pool; the engines read
+only the graph's arrays, where id i < |S| is the state ``names[i]``.
+``by_id[i]``, the ``Vertex`` of id i, and the views ``vertices``, ``edges``,
+``labels``, ``out_edges`` and ``degree_pool`` are built on first access for
+the graph fixpoints and for ``perfbench/``, their reader until the benchmark
+reads the arrays; the system-level oracles read ``oracle.System``.
+``disjoint_union`` builds the union system, and lays nothing out.
+``as_nflts`` is the identity: one class holds plain and labeled systems.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .degrees import ONE, joint_ranks
-from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, ModelError, _layout
+from .model import EPSILON, STATE_MARK, FuzzySet, Nfts, ModelError, _nfts
 from .relations import CrispRelation, FuzzyRelation
 
 _STATE = 0
@@ -60,16 +61,40 @@ class Flg:
     """A fuzzy labeled graph <V, E, L, Sigma_V, Sigma_E> on dense ids.
 
     Vertex id i < len(names) is the state ``names[i]`` and id len(names) + k
-    distribution k.  ``out[i]`` holds the edges leaving vertex id i as
-    (symbol, target id, rank), ``preds[i]`` the source id of each edge
-    entering it, and ``label_ids[i]`` the id of its label in ``label_maps``,
-    the system's distinct labels as symbol -> rank maps; rank k stands for
-    the degree ``pool[k]``.
+    distribution k.  ``out[i]`` holds the edges leaving vertex id i as (symbol,
+    target id, rank): (action, |S| + k, rank of 1) per transition of state i,
+    and for distribution k the system's own list ``dists[k]``; ``preds[i]`` the
+    source id of each edge entering it, a distribution's in id order; and
+    ``label_ids[i]`` the id of its label in ``label_maps``, the distinct labels
+    as symbol -> rank maps, the state mark on each state, numbered in first-use
+    order over the vertex ids.  Rank k stands for the degree ``pool[k]``.
     """
 
     def __init__(self, model: Nfts, pool: list):
-        self.names, self.out, self.preds, self.pool = model.names, model.out, model.preds, pool
-        self.label_ids, self.label_maps = model.label_ids, model.label_maps
+        names, dists, n, top = model.names, model.dists, len(model.names), len(pool) - 1
+        out: list = [[] for _ in range(n)]
+        preds: list = [[] for _ in range(n + len(dists))]
+        index = dict(zip(names, range(n)))
+        for source, action, k in model.delta:
+            i = index[source]
+            out[i].append((action, n + k, top))
+            preds[n + k].append(i)
+        for sources in preds[n:]:
+            sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
+        for i, edges in enumerate(dists, n):
+            for _, j, _ in edges:
+                preds[j].append(i)
+        # Each vertex's label as its (symbol, rank) pairs, the two defaults shared.
+        mark, unlabeled = {STATE_MARK: top}, frozenset([(STATE_MARK, top)])
+        keys, maps = [unlabeled] * n + [frozenset()] * len(dists), {unlabeled: mark, frozenset(): {}}
+        for i, label in model.labels.items():
+            label = label | mark
+            keys[i] = frozenset(label.items())
+            maps.setdefault(keys[i], label)
+        table: dict = {}  # a label's pairs -> its id, in first-use order over the vertex ids
+        self.label_ids = [table.setdefault(key, len(table)) for key in keys]
+        self.label_maps = [*map(maps.get, table)]
+        self.names, self.out, self.preds, self.pool = names, out + dists, preds, pool
         self.vertex_alphabet, self.edge_alphabet = model.label_alphabet | {STATE_MARK}, model.actions | {EPSILON}
 
     @cached_property
@@ -164,14 +189,12 @@ def disjoint_union(a: Nfts, b: Nfts):
     interned, delta, labels, injects = {}, [], {}, []
     for tag, (model, new) in enumerate(zip((a, b), (rank_a, rank_b))):  # new: rank -> joint rank
         offset = len(a.names) * tag
-        k_of = [interned.setdefault(tuple([(offset + j, new[r]) for _, j, r in edges]), len(interned))
-                for edges in model.out[len(model.names):]]
+        k_of = [interned.setdefault(tuple([(EPSILON, offset + j, new[r]) for _, j, r in edges]), len(interned))
+                for edges in model.dists]
         inject = {s: (tag, s) for s in model.names}
         delta += [(inject[s], action, k_of[k]) for s, action, k in model.delta]
-        labels.update((offset + i, {p: new[r] for p, r in ranks.items()}) for i, ranks in model.user_labels())
+        labels.update((offset + i, {p: new[r] for p, r in ranks.items()}) for i, ranks in model.labels.items())
         injects.append(inject)
-    union = object.__new__(Nfts)  # laid out as the constructor lays a system out, on joint ranks
-    index = {s: i for i, s in enumerate((*injects[0].values(), *injects[1].values()))}
-    union.__dict__.update(_layout(index, a.actions, tuple(delta), list(interned), labels, a.label_alphabet, pool,
-                                  range(len(pool))))
+    names = (*injects[0].values(), *injects[1].values())
+    union = _nfts(names, a.actions, tuple(delta), a.label_alphabet, pool, [*map(list, interned)], labels)
     return union, *injects

@@ -1,21 +1,18 @@
 """Nondeterministic fuzzy (labeled) transition systems.
 
 One class, ``Nfts`` (also named ``Nflts``: an NFTS is the NFLTS over the empty
-label alphabet), lays a system out once, as its graph's arrays on dense ids and
-degree ranks: ``names``, the states sorted (state id i is ``names[i]``);
-``delta``, the distinct (state, action, k) triples in input order; ``pool``,
-the sorted distinct positive degrees, each degree its rank there (a missing
-1 is rank ``len(pool)``); ``out[i]``, vertex i's edges: (action, |S| + k,
-rank of 1) per triple of state i, and (EPSILON, j, rank) per state j of
-distribution k (vertex |S| + k, equal targets being one distribution, in
-first-use order); ``preds[i]``, the sources of the edges into vertex i; and
-``label_ids[i]``, the id of its label in ``label_maps``, the distinct labels
-as symbol -> rank maps, with the state mark on each state: equal labels share
-one id, numbered in first-use order over the vertex ids, and no other code
-interns labels.  Each degree object is range-checked once and compared by
-value.  The views ``distributions`` and ``transitions``, built on first
-access from the pool's exact ``Fraction``s, serve ``perfbench/`` until the
-benchmark reads the arrays; the oracles read ``oracle.System``.
+label alphabet), holds a system <S, A, delta> on dense ids and degree ranks:
+``names``, the states sorted (state id i is ``names[i]``); ``delta``, the
+distinct (state, action, k) triples in input order; ``pool``, the sorted
+distinct positive degrees, each degree its rank there; ``dists[k]``,
+distribution k as its epsilon-edges (EPSILON, j, rank) per state id j, equal
+targets being one distribution, in first-use order; and ``labels``, each
+labeled state's id -> its label as a symbol -> rank map, in id order.  Each
+degree object is range-checked once and compared by value.  ``graph.to_flg``
+lays the system's graph out from these fields.  The views ``distributions``
+and ``transitions``, built on first access from the pool's exact
+``Fraction``s, serve ``perfbench/`` until the benchmark reads the fields; the
+oracles read ``oracle.System``.
 """
 from __future__ import annotations
 
@@ -122,7 +119,7 @@ class Distribution(FuzzySet):
 
 
 def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), read=None) -> tuple:
-    """The arguments of ``_layout`` for a system, in the order of the checks: states
+    """The arguments of ``_system`` for a system, in the order of the checks: states
     and actions, each transition (source, action, degrees, unknown targets), then labels.
     A document's degrees are strings, and ``read(text, element)`` gives their values."""
     states, actions = frozenset(states), frozenset(actions)
@@ -188,43 +185,27 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), re
     # through the numbers.Rational ABC, only break float ties.
     order = sorted(range(len(exact)), key=lambda d: (float(exact[d]), exact[d]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # order inverted: degree id -> rank
-    # Laid out by the caller, once the tables above are freed.
+    # Turned into the system's fields by the caller, once the tables above are freed.
     return index, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank
 
 
-def _layout(index, actions, delta, targets, labels, label_alphabet, pool, rank) -> dict:
-    """A system's attributes, its graph's arrays among them, from its state ids
-    by name, distribution k as (state id, degree id) pairs ``targets[k]``, the
-    labels as state id -> symbol -> degree id maps, and ``rank[d]``, the rank
-    of degree id d in ``pool``."""
-    n, top = len(index), len(pool) - 1 if pool and pool[-1] == ONE else len(pool)
-    out: list = [[] for _ in range(n)]
-    preds: list = [[] for _ in range(n + len(targets))]
-    for source, action, k in delta:
-        i = index[source]
-        out[i].append((action, n + k, top))
-        preds[n + k].append(i)
-    for sources in preds[n:]:
-        sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
-    for i, entries in enumerate(targets, n):
-        edges = []
-        for j, d in entries:
-            edges.append((EPSILON, j, rank[d]))
-            preds[j].append(i)
-        out.append(edges)
-    mark = {} if STATE_MARK in label_alphabet else {STATE_MARK: top}  # to_flg refuses the former: no label is lost
-    # Each vertex's label as its (symbol, rank) pairs, the two defaults shared; with no mark they are equal.
-    unlabeled = frozenset(mark.items())
-    keys, maps = [unlabeled] * n + [frozenset()] * len(targets), {unlabeled: mark, frozenset(): {}}
-    for i, ids in labels.items():
-        label = {p: rank[d] for p, d in ids.items()} | mark
-        keys[i] = frozenset(label.items())
-        maps.setdefault(keys[i], label)
-    table: dict = {}  # a label's pairs -> its id, in first-use order over the vertex ids
-    label_ids = [table.setdefault(key, len(table)) for key in keys]
-    names = tuple(index)
-    return dict(states=frozenset(names), actions=actions, names=names, delta=delta, label_alphabet=label_alphabet,
-                pool=pool, out=out, preds=preds, label_ids=label_ids, label_maps=[*map(maps.get, table)])
+def _system(index, actions, delta, targets, labels, label_alphabet, pool, rank) -> tuple:
+    """``_nfts``'s fields from the state ids by name, distribution k as (state id,
+    degree id) pairs ``targets[k]``, the labels as state id -> symbol -> degree id
+    maps, and ``rank[d]``, the rank of degree id d in ``pool``."""
+    dists = [[(EPSILON, j, rank[d]) for j, d in entries] for entries in targets]
+    labels = {i: {p: rank[d] for p, d in labels[i].items()} for i in sorted(labels) if labels[i]}
+    return tuple(index), actions, delta, label_alphabet, pool, dists, labels
+
+
+def _nfts(names, actions, delta, label_alphabet, pool, dists, labels, model=None) -> "Nfts":
+    """A system holding these fields, its states the names': ``model`` itself when
+    ``Nfts.__init__`` passes it, else one made without the constructor, from fields
+    that its caller has checked."""
+    model = object.__new__(Nfts) if model is None else model
+    model.__dict__.update(states=frozenset(names), names=names, actions=actions, delta=delta,
+                          label_alphabet=label_alphabet, pool=pool, dists=dists, labels=labels)
+    return model
 
 
 class Nfts:
@@ -237,30 +218,23 @@ class Nfts:
 
     def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple], label_alphabet: Iterable = (),
                  state_labels: Mapping = ()):
-        self.__dict__.update(_layout(*_intern(states, actions, transitions, label_alphabet, state_labels)))
+        _nfts(*_system(*_intern(states, actions, transitions, label_alphabet, state_labels)), self)
 
     @cached_property
     def distributions(self) -> tuple:
         """delta_o: the distinct distributions, in interning order."""
         names, pool = self.names, self.pool
         return tuple(Distribution(k, FuzzySet({names[j]: pool[r] for _, j, r in edges}))
-                     for k, edges in enumerate(self.out[len(names):]))
+                     for k, edges in enumerate(self.dists))
 
     @cached_property
     def transitions(self) -> frozenset:
         """delta as a set of (state, action, distribution)."""
         return frozenset((s, a, self.distributions[k]) for s, a, k in self.delta)
 
-    def user_labels(self) -> list:
-        """(state id, its label as a symbol -> rank map) for each labeled state,
-        in id order: its ``label_maps`` entry without the state mark."""
-        sigma = self.label_alphabet
-        maps = [{p: r for p, r in label.items() if p in sigma} for label in self.label_maps]
-        return [(i, maps[k]) for i, k in enumerate(self.label_ids[:len(self.names)]) if maps[k]] if sigma else []
-
     def size_of_delta(self) -> int:
         """|delta| plus the summed support sizes over distinct distributions."""
-        return sum(map(len, self.out))
+        return len(self.delta) + sum(map(len, self.dists))
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}: {len(self.states)} states, {len(self.delta)} transitions>"

@@ -19,7 +19,7 @@ JSON model document::
 
 A JSON model or relation document with any other top-level key is an error,
 and a system is written as an nflts exactly when its label alphabet is not
-empty.  ``parse_model`` lays a model out in one walk: the constructor's interner
+empty.  ``parse_model`` builds a model in one walk: the constructor's interner
 reads the decoded ``targets`` and ``state_labels`` objects as they stand, each
 entry checked when the walk meets it and each distinct degree string parsed once.
 
@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Union
 
 from .degrees import DegreeError, parse_degree, format_degree
-from .model import Nfts, ModelError, _intern, _layout
+from .model import Nfts, ModelError, _intern, _nfts, _system
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 
@@ -72,9 +72,10 @@ def read_model(source: Union[str, Path]) -> tuple:
 
 
 def _text(source: Union[str, Path]) -> str:
-    """The document at a path, or ``source`` itself when it is document text:
-    a string with a line break or whose first non-space character is '{' or '['."""
-    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith(_JSON)):
+    """The document at a path, or ``source`` itself when it is document text: a string
+    with a line break, or one that, stripped, starts with '{' and ends with '}' (a JSON
+    document is an object, so a name such as ``[draft].json`` is a path)."""
+    if isinstance(source, str) and ("\n" in source or (line := source.strip()).startswith("{") and line.endswith("}")):
         return source
     return Path(source).read_text()
 
@@ -150,9 +151,7 @@ class _Document:
         except ModelError as exc:  # a document fault later in the document comes first: read it through
             self.arguments()
             raise DocumentError(str(exc)) from exc
-        model = object.__new__(Nfts)  # laid out as its constructor lays it out
-        model.__dict__.update(_layout(*interned))
-        return model
+        return _nfts(*_system(*interned))
 
     def transitions(self):
         self.field = "transitions[{}].targets"
@@ -193,7 +192,6 @@ def _lines(text: str) -> tuple:
     """The decoded JSON document that a text document mirrors, its degrees the strings as
     written, and each distinct degree string's value: checked once, in its line's context."""
     doc, texts = {"states": [], "actions": [], "transitions": []}, {}
-    lists = {"states": doc["states"], "actions": doc["actions"], "labels": []}  # the directives that list names
 
     def pairs_of(tokens, context):
         out = {}
@@ -216,8 +214,10 @@ def _lines(text: str) -> tuple:
             if rest not in (["nfts"], ["nflts"]):
                 raise DocumentError(f"{context}: kind must be nfts or nflts")
             doc["kind"] = rest[0]
-        elif word in lists:
-            lists[word] += rest
+        elif word in ("states", "actions"):
+            doc[word] += rest
+        elif word == "labels":  # a present key, even with no symbols: labels under the kind rule
+            doc.setdefault("label_alphabet", []).extend(rest)
         elif word == "trans":
             if len(rest) < 2:
                 raise DocumentError(f"{context}: trans needs a source and an action")
@@ -228,22 +228,20 @@ def _lines(text: str) -> tuple:
             doc.setdefault("state_labels", {})[rest[0]] = pairs_of(rest[1:], context)
         else:
             raise DocumentError(f"{context}: unknown directive {word!r}")
-    if lists["labels"]:  # a present key is a label under the kind rule
-        doc["label_alphabet"] = lists["labels"]
     return doc, texts
 
 
 def model_to_document(model: Nfts) -> dict:
-    names, out, n, texts = model.names, model.out, len(model.names), [format_degree(x) for x in model.pool]
+    names, dists, texts = model.names, model.dists, [format_degree(x) for x in model.pool]
     transitions = [
-        {"from": source, "action": action, "targets": {names[j]: texts[r] for _, j, r in sorted(out[n + k])}}
+        {"from": source, "action": action, "targets": {names[j]: texts[r] for _, j, r in sorted(dists[k])}}
         for source, action, k in sorted(model.delta)
     ]
     doc = {"format_version": FORMAT_VERSION, "kind": "nfts", "states": list(names), "actions": sorted(model.actions),
            "transitions": transitions}
     if model.label_alphabet:
         doc.update(kind="nflts", label_alphabet=sorted(model.label_alphabet), state_labels={
-            names[i]: {p: texts[r] for p, r in sorted(label.items())} for i, label in model.user_labels()})
+            names[i]: {p: texts[r] for p, r in sorted(label.items())} for i, label in model.labels.items()})
     return doc
 
 

@@ -8,7 +8,8 @@ they are only meant for desk-scale inputs.
 
 The system-level fixpoints and checkers read a ``System``, the arguments of
 the ``Nfts`` constructor as given: no interning table, id or rank is shared
-with the layout that the engines read.  The graph-level ones read
+with the system's rank arrays, or with the graph that ``to_flg`` lays out from
+them for the engines.  The graph-level ones read
 the views of ``graph.Flg`` (``vertices``, ``labels``, ``out_edges``), which
 remain for them and for ``perfbench/`` until the benchmark reads the arrays.
 """

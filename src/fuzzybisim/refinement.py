@@ -3,8 +3,8 @@
 The bisimulation engines read a graph through ``adjacency``: dense vertex
 ids, id i < |S| the state ``names[i]``, and degrees as ranks in the graph's
 sorted pool.  The Goedel operators only compare degrees, so ranks are exact.
-The layout fixes the ids and ranks once, and ``adjacency`` returns the stored
-arrays.  The kernel partitions the ids.
+``to_flg`` fixes the ids and ranks once per query, and ``adjacency`` returns
+the graph's stored arrays.  The kernel partitions the ids.
 
 Both bisimulation engines split blocks by per-vertex keys computed against
 the current partition (Paige and Tarjan, SIAM J. Comput. 1987; Valmari,

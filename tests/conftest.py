@@ -1,5 +1,5 @@
 """Shared fixtures: the five-state worked example, its expected results, each
-labeled state's label as the layout stores it, the caterpillar families with
+labeled state's label as the system stores it, the caterpillar families with
 deep partitions, the arrays of a compact fuzzy partition's `root` view, and a
 terminal-summary hook that prints one line per acceptance criterion."""
 from __future__ import annotations
@@ -39,10 +39,10 @@ def make_example() -> Nfts:
 
 
 def labels_of(model) -> dict:
-    """Each labeled state's label as the layout stores it: its ``user_labels()``
+    """Each labeled state's label as the system stores it: its ``labels``
     entry, as a FuzzySet of the pool's degrees at its ranks."""
     names, pool = model.names, model.pool
-    return {names[i]: FuzzySet({p: pool[r] for p, r in ranks.items()}) for i, ranks in model.user_labels()}
+    return {names[i]: FuzzySet({p: pool[r] for p, r in ranks.items()}) for i, ranks in model.labels.items()}
 
 
 EXAMPLE_CRISP_TEXT = "{{s1},{s2,s5},{s3,s4}}"

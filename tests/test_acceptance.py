@@ -111,21 +111,22 @@ def test_criterion_5():
 
 
 def test_criteria_4_and_5_report_a_fault_in_the_stored_arrays():
-    """The oracles read the system as given, not the layout that the pipelines
-    read: corrupting only the layout's arrays makes both comparisons fail."""
+    """The oracles read the system as given, not the rank arrays that the
+    pipelines lay their graph out from: corrupting only those arrays makes
+    both comparisons fail."""
     half, seven = Fraction("0.5"), Fraction("0.7")
     labeled = ["s", "t"], ["a"], [], ["p"], {"s": {"p": half}, "t": {"p": seven}}
     moving = ["s", "t", "u"], ["a"], [("s", "a", {"u": half}), ("t", "a", {"u": seven})]
 
-    def one_label_id(model):  # s and t (ids 0 and 1) share s's label id
-        model.label_ids[1] = model.label_ids[0]
+    def one_label(model):  # t (id 1) takes s's (id 0) label ranks
+        model.labels[1] = model.labels[0]
 
     def moved_edge(model):  # distribution 0's edge into u moves from 0.5 up one rank, to 0.7
-        symbol, target, rank = model.out[3][0]
+        symbol, target, rank = model.dists[0][0]
         assert (symbol, target, model.pool[rank]) == (EPSILON, 2, half)
-        model.out[3][0] = symbol, target, rank + 1
+        model.dists[0][0] = symbol, target, rank + 1
 
-    for arguments, corrupt in ((labeled, one_label_id), (moving, moved_edge)):
+    for arguments, corrupt in ((labeled, one_label), (moving, moved_edge)):
         model, given = Nfts(*arguments), oracle.System(*arguments)
         got, expected = _crisp_sides(model, given)
         assert got == expected

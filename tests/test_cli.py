@@ -921,3 +921,24 @@ def test_engine_commands_build_no_vertex(monkeypatch, capsys, tmp_path):
     assert graphs and [g for g in graphs if "by_id" in vars(g)] == []
     assert invoke(capsys, "crisp-partition", str(path), "--verbose")[0] == 0
     assert "by_id" in vars(graphs[-1])  # built on first use, as the graph partition's vertices
+
+
+def test_each_query_lays_out_one_graph_per_system(monkeypatch, capsys, tmp_path):
+    # The system holds the system and to_flg lays its graph out: a query lays out one
+    # graph per system it runs on, and bisim-between only its union's, not its inputs'.
+    path = tmp_path / "labeled.json"
+    path.write_text(json.dumps(model_to_document(generate(random_spec(random.Random(7), 10, labeled=True)))))
+    graphs, real = [], Flg.__init__
+    monkeypatch.setattr(Flg, "__init__", lambda self, *args: graphs.append(self) or real(self, *args))
+    for model in (str(REPO_ROOT / "models" / "example.json"), str(path)):
+        assert not {"out", "preds", "label_ids", "label_maps"} & vars(parse_model(model)).keys()
+        for argv, layouts in ((["crisp-partition", model], 1), (["fuzzy-partition", model], 1),
+                              (["degree", model, "s1", "s2"], 1), (["crisp-sim", model, model], 2),
+                              (["fuzzy-sim", model, model], 2), (["bisim-between", model, model, "--mode", "crisp"], 1),
+                              (["bisim-between", model, model, "--mode", "fuzzy"], 1)):
+            engines = ["efficient", "oracle"] if argv[0] in ENGINES else [None]
+            for engine, extra in ((engine, extra) for engine in engines for extra in ([], ["--json"], ["--verbose"])):
+                graphs.clear()
+                options = ["--engine", engine] if engine else []
+                assert invoke(capsys, *argv, *options, *extra)[0] == 0, argv + options + extra
+                assert len(graphs) == layouts, argv + options + extra

@@ -86,4 +86,4 @@ def test_labeled_generation():
     model = generate(spec(label_alphabet_size=2, label_density=1.0))
     assert isinstance(model, Nflts)
     assert model.label_alphabet == {"p0", "p1"}
-    assert model.user_labels()
+    assert model.labels

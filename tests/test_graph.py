@@ -1,5 +1,6 @@
 """The graph corresponding to a system: vertices, edges, labels, unions."""
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -88,7 +89,7 @@ def test_as_nflts_is_the_system_itself(monkeypatch):
         real = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
     assert as_nflts(model) is model
-    assert model.label_alphabet == frozenset() and model.user_labels() == []
+    assert model.label_alphabet == frozenset() and model.labels == {}
     assert built == []
     other = Nfts(["s"], ["a"], [("s", "a", {"s": H})])  # the counters do see constructors
     assert built == [Nfts]
@@ -97,15 +98,16 @@ def test_as_nflts_is_the_system_itself(monkeypatch):
     assert built == [Nfts] + [FuzzySet, Distribution] * 2
 
 
-def test_to_flg_is_a_view_over_the_model_arrays():
-    # the constructor lays the graph out: to_flg shares its lists, and appends
-    # 1, the degree of the state mark, to the graph's pool only
+def test_to_flg_shares_the_systems_distribution_lists():
+    # to_flg lays the graph out from the system's fields: a distribution vertex's
+    # out-list is the system's own list, and 1, the degree of the state mark, is
+    # appended to the graph's pool only
     example = make_example()
     labeled = Nflts(["s", "t"], ["a"], [("s", "a", {"t": H})], ["p"], {"t": {"p": 1}})
     for model in (example, labeled):
-        g = to_flg(model)
-        assert g.out is model.out and g.preds is model.preds
-        assert g.label_ids is model.label_ids and g.label_maps is model.label_maps
+        g, n = to_flg(model), len(model.names)
+        assert len(g.out) == n + len(model.dists) and all(map(operator.is_, g.out[n:], model.dists))
+        assert g.names is model.names
     assert to_flg(example).pool == [*example.pool, 1] and example.pool[-1] != 1
     assert to_flg(labeled).pool is labeled.pool == [H, 1]
 
@@ -181,15 +183,15 @@ def test_disjoint_union_concatenates_the_arrays():
         a, b = as_nflts(a), as_nflts(b)
         union, inject_a, inject_b = disjoint_union(a, b)
         expected = _union_by_definition(a, b)
-        for name in ("states", "names", "actions", "delta", "pool", "out", "preds", "label_ids",
-                     "label_maps", "label_alphabet"):
+        for name in ("states", "names", "actions", "delta", "pool", "dists", "labels", "label_alphabet"):
             assert getattr(union, name) == getattr(expected, name), name
         assert [dict(mu.items()) for mu in union.distributions] == [dict(mu.items()) for mu in expected.distributions]
         assert labels_of(union) == labels_of(expected)
         assert inject_a == {s: (0, s) for s in a.states} and inject_b == {s: (1, s) for s in b.states}
-        assert to_flg(union).out == to_flg(expected).out
+        g, h = to_flg(union), to_flg(expected)
+        assert (g.out, g.preds, g.label_ids, g.label_maps, g.pool) == (h.out, h.preds, h.label_ids, h.label_maps, h.pool)
     union = disjoint_union(as_nflts(empty), as_nflts(empty))[0]
-    assert len(union.out) - len(union.names) == 3  # one empty distribution
+    assert len(union.dists) == 3  # one empty distribution
 
 
 def _union_as_given(*systems):

@@ -85,7 +85,7 @@ def test_fuzzy_set_basics():
 
 def test_labels_default_empty():
     model = make_example()
-    assert model.user_labels() == []
+    assert model.labels == {}
     assert model.label_alphabet == frozenset()
 
 
@@ -104,7 +104,7 @@ def test_a_state_labelled_twice_keeps_its_last_label():
     for last, ids in (({}, [0, 0]), ({"p": 1}, [0, 1])):
         arguments = ["s", "t"], ["a"], [], ["p"], [("s", {"p": H}), ("s", last)]
         model = Nflts(*arguments)
-        assert model.label_ids == ids and labels_of(model).get("s", FuzzySet()) == FuzzySet(last)
+        assert to_flg(model).label_ids == ids and labels_of(model).get("s", FuzzySet()) == FuzzySet(last)
         assert oracle.System(*arguments).label_of("s") == FuzzySet(last)
 
 
@@ -244,22 +244,21 @@ def test_degree_identity_does_not_leak_into_interning():
 
 
 def test_label_ids_are_equal_iff_the_labels_are():
-    # the layout interns each vertex's label: the mark on each state, its fuzzy label,
-    # nothing on a distribution; with the mark's symbol in the alphabet there is no mark,
-    # so an unlabeled state and a distribution share one label and one id
-    # (the expected labels are the ones given to the constructor)
+    # the graph layout interns each vertex's label: the mark on each state, its fuzzy
+    # label, nothing on a distribution (the expected labels are the ones given to the
+    # constructor)
     rng = random.Random(61)
     given = [draw(random_spec(rng, 6, labeled=i % 4 != 0)) for i in range(80)]
-    given.append((["s", "t", "u", "v"], ["a"], [("s", "a", {"t": H}), ("u", "a", {"s": 1})], [STATE_MARK, "p"],
-                  {"t": {"p": H}, "u": {STATE_MARK: 1}, "v": {"p": Fraction(2, 4)}}))
-    models = [Nfts(*arguments) for arguments in given]
-    for model, arguments in zip(models, given):
-        mark = {} if STATE_MARK in model.label_alphabet else {STATE_MARK: ONE}
+    given.append((["s", "t", "u", "v"], ["a"], [("s", "a", {"t": H}), ("u", "a", {"s": 1})], ["q", "p"],
+                  {"t": {"p": H}, "u": {"q": 1}, "v": {"p": Fraction(2, 4)}}))
+    graphs = [to_flg(Nfts(*arguments)) for arguments in given]
+    for g, arguments in zip(graphs, given):
         label_of = arguments[4] if len(arguments) > 3 else {}
-        labels = [label_of.get(s, {}) | mark for s in model.names] + [{}] * len(model.distributions)
-        ids, maps, pool = model.label_ids, model.label_maps, [*model.pool, ONE]  # rank len(pool) is 1 if missing
+        labels = [label_of.get(s, {}) | {STATE_MARK: ONE} for s in g.names]
+        labels += [{}] * (len(g.out) - len(g.names))
+        ids, maps, pool = g.label_ids, g.label_maps, g.pool
         assert [{p: pool[r] for p, r in maps[k].items()} for k in ids] == labels
         assert all((ids[i] == ids[j]) == (labels[i] == labels[j]) for i in range(len(ids)) for j in range(i))
         assert len({frozenset(label.items()) for label in maps}) == len(maps)
         assert list(dict.fromkeys(ids)) == list(range(len(maps)))  # numbered in first-use order
-    assert models[-1].label_ids == [0, 1, 2, 1, 0, 0]  # s, t, u, v (as t), then the distributions (as s)
+    assert graphs[-1].label_ids == [0, 1, 2, 1, 3, 3]  # s, t, u, v (as t), then the distributions

@@ -128,7 +128,7 @@ def test_text_errors_carry_context(text, fragment):
         ),
         ('{"format_version": "99", "states": ["s"], "actions": ["a"]}', "version"),
         ('{"kind": "nfts", "states": ["s"], "actions": ["a"], "state_labels": {}}', "labels"),
-        ("{not json", "invalid JSON"),
+        ("{not json}", "invalid JSON"),
     ],
 )
 def test_json_errors_carry_context(doc, fragment):
@@ -315,7 +315,7 @@ def _respelled(doc: dict, rng: random.Random) -> dict:
     return doc
 
 
-ARRAYS = ("names", "delta", "pool", "out", "preds", "label_ids", "label_maps")
+ARRAYS = ("names", "delta", "pool", "dists", "labels")
 # One value spelled four ways, a zero degree to an unknown state and the state mark as a label.
 SPELLINGS = {"kind": "nflts", "states": ["s", "t"], "actions": ["a"], "label_alphabet": ["p", "state*"],
              "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5", "t": "0.50", "u": "0"}},
@@ -392,12 +392,12 @@ def test_text_and_json_twins_report_the_same_fault(change, message):
 
 def test_a_model_document_that_starts_with_a_bracket_is_json(tmp_path, capsys):
     # it used to be read as text: "line 1: unknown directive '[1,'"
-    for text in ("[1, 2]", "  [1, 2]\n"):
+    for text in ("[1, 2]\n", "  [1, 2]\n"):
         for read in (parse_model, read_model):
             with pytest.raises(DocumentError, match=r"^model document must be a JSON object$"):
                 read(text)
     with pytest.raises(DocumentError, match=r"^invalid JSON: "):
-        parse_model("[1, 2")
+        parse_model("[1, 2\n")
     path = tmp_path / "model.txt"
     path.write_text("[1, 2]\n")
     relation = tmp_path / "relation.json"
@@ -405,6 +405,36 @@ def test_a_model_document_that_starts_with_a_bracket_is_json(tmp_path, capsys):
     for argv in (["crisp-partition", str(path)], ["check", str(path), str(relation), "--kind", "crisp-bisim"]):
         assert run(argv) == 1
         assert capsys.readouterr() == ("", "error: model document must be a JSON object\n")
+
+
+def test_a_one_line_name_that_is_not_a_json_object_is_a_path(tmp_path, monkeypatch):
+    # it used to be read as JSON text: "invalid JSON: Expecting value"
+    monkeypatch.chdir(tmp_path)
+    text, relation = serialize_model(make_example()), '{"kind": "crisp", "pairs": [["s1", "s1"]]}'
+    for name in ("[draft].json", "{draft}.json", " [draft] .json"):
+        (tmp_path / name).write_text(text)
+        (tmp_path / f"relation {name}").write_text(relation)
+        assert model_to_document(parse_model(name)) == model_to_document(parse_model(text))
+        assert read_model(name) == read_model(text)
+        assert parse_relation(f"relation {name}", make_example()).pairs == {("s1", "s1")}
+    for text in ('{"states": []}', ' {"states": []} '):  # a one-line JSON object is document text
+        with pytest.raises(DocumentError, match=r"^states: non-empty list of strings required$"):
+            parse_model(text)
+
+
+@pytest.mark.parametrize("kind", ["nfts", "nflts"])
+def test_a_labels_line_is_a_label_alphabet_even_with_no_symbols(kind):
+    # the text line used to be dropped when it listed no symbols, so kind nfts took it
+    text = f"kind {kind}\nstates s\nactions a\nlabels\ntrans s a s:0.5\n"
+    doc = {"kind": kind, "states": ["s"], "actions": ["a"], "label_alphabet": [],
+           "transitions": [{"from": "s", "action": "a", "targets": {"s": "0.5"}}]}
+    for source in (text, json.dumps(doc)):
+        if kind == "nfts":
+            with pytest.raises(DocumentError, match=r"^kind 'nfts' does not take labels$"):
+                parse_model(source)
+        else:
+            assert read_model(source) == (["s"], ["a"], [("s", "a", {"s": Fraction(1, 2)})], [], {})
+            assert parse_model(source).label_alphabet == frozenset()
 
 
 def test_relation_degree_strings_are_parsed_once(monkeypatch):
