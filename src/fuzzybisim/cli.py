@@ -241,7 +241,7 @@ def run(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 1
     except (DocumentError, ModelError, GenSpecError, NotAnEquivalenceError,
-            KeyError, OSError, UnicodeDecodeError, RecursionError) as exc:
+            KeyError, OSError, UnicodeError, RecursionError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
         return 1
@@ -299,7 +299,7 @@ def _dispatch(args, started: float) -> int:
         )
         document = model_to_document(generate(spec))
         if args.out:
-            Path(args.out).write_text(_json_text(document) + "\n")
+            Path(args.out).write_text(_json_text(document) + "\n", encoding="utf-8")
             _emit(args, started, lambda: {"written": args.out}, lambda: f"wrote {args.out}")
         else:
             _emit(args, started, lambda: document, lambda: _json_text(document))

@@ -7,8 +7,9 @@ degree for that state.  A reserved vertex-label symbol marks state vertices,
 so no bisimulation can relate a state vertex with a distribution vertex.
 
 ``to_flg`` lays the graph out from the system's fields (see ``model``), once
-per query, on the system's ranks with 1 added to the pool; the engines read
-only the graph's arrays, where id i < |S| is the state ``names[i]``.
+per query, on the system's ranks with 1 added to the pool: ``delta`` is on
+state ids, so the layout looks up no name.  The engines read only the graph's
+arrays, where id i < |S| is the state ``names[i]``.
 ``by_id[i]``, the ``Vertex`` of id i, and the views ``vertices``, ``edges``,
 ``labels``, ``out_edges`` and ``degree_pool`` are built on first access for
 the graph fixpoints and for ``perfbench/``, their reader until the benchmark
@@ -64,7 +65,7 @@ class Flg:
     distribution k.  ``out[i]`` holds the edges leaving vertex id i as (symbol,
     target id, rank): (action, |S| + k, rank of 1) per transition of state i,
     and for distribution k the system's own list ``dists[k]``; ``preds[i]`` the
-    source id of each edge entering it, a distribution's in id order; and
+    source id of each edge entering it, in id order (one pass over ``out``); and
     ``label_ids[i]`` the id of its label in ``label_maps``, the distinct labels
     as symbol -> rank maps, the state mark on each state, numbered in first-use
     order over the vertex ids.  Rank k stands for the degree ``pool[k]``.
@@ -73,15 +74,11 @@ class Flg:
     def __init__(self, model: Nfts, pool: list):
         names, dists, n, top = model.names, model.dists, len(model.names), len(pool) - 1
         out: list = [[] for _ in range(n)]
-        preds: list = [[] for _ in range(n + len(dists))]
-        index = dict(zip(names, range(n)))
-        for source, action, k in model.delta:
-            i = index[source]
+        for i, action, k in model.delta:
             out[i].append((action, n + k, top))
-            preds[n + k].append(i)
-        for sources in preds[n:]:
-            sources.sort()  # by id, not input order: the crisp --verbose split trace follows it
-        for i, edges in enumerate(dists, n):
+        out += dists
+        preds: list = [[] for _ in out]  # filled in id order: the crisp --verbose split trace follows it
+        for i, edges in enumerate(out):
             for _, j, _ in edges:
                 preds[j].append(i)
         # Each vertex's label as its (symbol, rank) pairs, the two defaults shared.
@@ -94,7 +91,7 @@ class Flg:
         table: dict = {}  # a label's pairs -> its id, in first-use order over the vertex ids
         self.label_ids = [table.setdefault(key, len(table)) for key in keys]
         self.label_maps = [*map(maps.get, table)]
-        self.names, self.out, self.preds, self.pool = names, out + dists, preds, pool
+        self.names, self.out, self.preds, self.pool = names, out, preds, pool
         self.vertex_alphabet, self.edge_alphabet = model.label_alphabet | {STATE_MARK}, model.actions | {EPSILON}
 
     @cached_property
@@ -181,7 +178,8 @@ def disjoint_union(a: Nfts, b: Nfts):
 
     Returns (union, inject_a, inject_b) where the injections map original
     states to the union's (tagged) states.  The union holds the two systems'
-    distributions one after the other, re-ranked by ``joint_ranks``.
+    distributions one after the other, re-ranked by ``joint_ranks``, and
+    b's state ids shifted by |S_a|, as its names sort after a's.
     """
     require_shared_alphabets(a, b)
     pool, rank_a, rank_b = joint_ranks(a.pool, b.pool)
@@ -192,7 +190,7 @@ def disjoint_union(a: Nfts, b: Nfts):
         k_of = [interned.setdefault(tuple([(EPSILON, offset + j, new[r]) for _, j, r in edges]), len(interned))
                 for edges in model.dists]
         inject = {s: (tag, s) for s in model.names}
-        delta += [(inject[s], action, k_of[k]) for s, action, k in model.delta]
+        delta += [(offset + i, action, k_of[k]) for i, action, k in model.delta]
         labels.update((offset + i, {p: new[r] for p, r in ranks.items()}) for i, ranks in model.labels.items())
         injects.append(inject)
     names = (*injects[0].values(), *injects[1].values())

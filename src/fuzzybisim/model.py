@@ -3,7 +3,7 @@
 One class, ``Nfts`` (also named ``Nflts``: an NFTS is the NFLTS over the empty
 label alphabet), holds a system <S, A, delta> on dense ids and degree ranks:
 ``names``, the states sorted (state id i is ``names[i]``); ``delta``, the
-distinct (state, action, k) triples in input order; ``pool``, the sorted
+distinct (state id, action, k) triples in input order; ``pool``, the sorted
 distinct positive degrees, each degree its rank there; ``dists[k]``,
 distribution k as its epsilon-edges (EPSILON, j, rank) per state id j, equal
 targets being one distribution, in first-use order; and ``labels``, each
@@ -152,7 +152,8 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), re
 
     interned, targets, delta = {}, [], {}  # delta: an ordered set
     for source, action, target in transitions:
-        if source not in states:
+        s = index.get(source)
+        if s is None:
             raise ModelError(f"transition from unknown state {source!r}")
         if action not in actions:
             raise ModelError(f"transition with unknown action {action!r}")
@@ -172,7 +173,7 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), re
         k = interned.setdefault(frozenset(pairs.items()), len(targets))
         if k == len(targets):
             targets.append(pairs.items())
-        delta[source, action, k] = None
+        delta[s, action, k] = None
     label_alphabet, labels = frozenset(label_alphabet), {}
     for state, label in _items(state_labels):
         if state not in states:
@@ -229,8 +230,8 @@ class Nfts:
 
     @cached_property
     def transitions(self) -> frozenset:
-        """delta as a set of (state, action, distribution)."""
-        return frozenset((s, a, self.distributions[k]) for s, a, k in self.delta)
+        """delta as a set of (state, action, distribution), each state id back to its name."""
+        return frozenset((self.names[s], a, self.distributions[k]) for s, a, k in self.delta)
 
     def size_of_delta(self) -> int:
         """|delta| plus the summed support sizes over distinct distributions."""

@@ -77,7 +77,7 @@ def _text(source: Union[str, Path]) -> str:
     document is an object, so a name such as ``[draft].json`` is a path)."""
     if isinstance(source, str) and ("\n" in source or (line := source.strip()).startswith("{") and line.endswith("}")):
         return source
-    return Path(source).read_text()
+    return Path(source).read_text(encoding="utf-8")
 
 
 def _document(source: Union[str, Path]) -> "_Document":
@@ -234,8 +234,8 @@ def _lines(text: str) -> tuple:
 def model_to_document(model: Nfts) -> dict:
     names, dists, texts = model.names, model.dists, [format_degree(x) for x in model.pool]
     transitions = [
-        {"from": source, "action": action, "targets": {names[j]: texts[r] for _, j, r in sorted(dists[k])}}
-        for source, action, k in sorted(model.delta)
+        {"from": names[i], "action": action, "targets": {names[j]: texts[r] for _, j, r in sorted(dists[k])}}
+        for i, action, k in sorted(model.delta)  # ids follow the sorted names
     ]
     doc = {"format_version": FORMAT_VERSION, "kind": "nfts", "states": list(names), "actions": sorted(model.actions),
            "transitions": transitions}

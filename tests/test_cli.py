@@ -317,11 +317,33 @@ def test_python_dash_m_runs_the_cli(capsys, example_path):
     assert done.stdout == invoke(capsys, "crisp-partition", str(example_path))[1]
 
 
-def _fresh_process(*argv):
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    done = subprocess.run([sys.executable, "-m", "fuzzybisim", *argv], capture_output=True, text=True, env=env,
-                          timeout=60)
+def _fresh_process(*argv, flags=()):
+    """Run the CLI in a new interpreter, started with the given interpreter flags, its output as UTF-8."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, *flags, "-m", "fuzzybisim", *argv], capture_output=True, text=True,
+                          encoding="utf-8", errors="backslashreplace", env=env, timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_a_name_that_cannot_be_encoded_is_a_domain_error(tmp_path):
+    # A lone surrogate reads from a JSON escape, but UTF-8 output cannot carry it.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"states": ["\ud800"], "actions": ["a"], "transitions": []}), encoding="utf-8")
+    for argv in (["crisp-partition", str(model)], ["crisp-sim", str(model), str(model)]):
+        code, _, err = _fresh_process(*argv)
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err, (argv, err)
+
+
+def test_documents_are_read_and_written_as_utf8_whatever_the_locale(example_path, tmp_path):
+    # warn_default_encoding warns of each text file opened without an encoding; -W makes the warning an error.
+    relation = tmp_path / "relation.json"
+    relation.write_text('{"kind": "crisp", "pairs": [["s1", "s1"]]}', encoding="utf-8")
+    for argv in (["crisp-partition", str(example_path)],
+                 ["check", str(example_path), str(relation), "--kind", "crisp-bisim"],
+                 ["gen", "--states", "5", "--seed", "1", "--out", str(tmp_path / "generated.json")]):
+        code, _, err = _fresh_process(*argv, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
+        assert code == 0, (argv, err)
+    assert parse_model(tmp_path / "generated.json").names
 
 
 def _comparable(argv, out: str):

@@ -163,8 +163,8 @@ def _union_by_definition(a, b):
     """The disjoint union built by the constructor from the object views."""
     transitions, labels = [], []
     for tag, model in enumerate((a, b)):
-        transitions += [((tag, s), action, {(tag, t): d for t, d in model.distributions[k].items()})
-                        for s, action, k in model.delta]
+        transitions += [((tag, model.names[i]), action, {(tag, t): d for t, d in model.distributions[k].items()})
+                        for i, action, k in model.delta]
         labels += [((tag, s), label) for s, label in labels_of(model).items()]
     return Nflts([(tag, s) for tag, m in enumerate((a, b)) for s in m.states], a.actions, transitions,
                  a.label_alphabet, labels)

@@ -52,7 +52,8 @@ def test_outgoing_filters_by_action():
     assert len(given.outgoing("s1")) == 2
     assert len(given.outgoing("s1", "a")) == 2
     assert given.outgoing("s1", "b") == []
-    assert [(a, mu.index) for a, mu in given.outgoing("s1")] == [(a, k) for s, a, k in model.delta if s == "s1"]
+    assert [(a, mu.index) for a, mu in given.outgoing("s1")] == [
+        (a, k) for i, a, k in model.delta if model.names[i] == "s1"]
 
 
 @pytest.mark.parametrize(
@@ -171,7 +172,7 @@ def test_state_names_that_cannot_be_ordered_are_a_model_error(system):
 def test_a_zero_degree_to_an_unknown_state_is_accepted():
     model = Nfts(["s"], ["a"], [("s", "a", {"s": H, "x": 0}), ("s", "a", {"s": H, "y": Fraction(0)})])
     (mu,) = model.distributions
-    assert dict(mu.items()) == {"s": H} and model.delta == (("s", "a", 0),)
+    assert dict(mu.items()) == {"s": H} and model.delta == ((0, "a", 0),)  # state id 0 is "s"
     labels = labels_of(Nflts(["s"], ["a"], [], ["p"], {"s": {"p": H, "q": 0}}))
     assert {s: dict(label.items()) for s, label in labels.items()} == {"s": {"p": H}}
 
@@ -181,14 +182,14 @@ def _views(model) -> str:
     the entries of each fuzzy set in their order."""
     def fuzzy(f):
         return [(repr(x), type(d).__name__, str(d)) for x, d in f.items()]
-    labels = labels_of(model)
+    labels, delta = labels_of(model), tuple((model.names[i], a, k) for i, a, k in model.delta)  # ids back to names
     return repr((
         [(mu.index, repr(mu), fuzzy(mu), mu.fuzzy is mu, mu == FuzzySet(dict(mu.items())))
          for mu in model.distributions],
         sorted((s, a, mu.index) for s, a, mu in model.transitions),
         [(s, fuzzy(labels.get(s, FuzzySet()))) for s in sorted(model.states)],
-        [(s, [(a, k) for source, a, k in model.delta if source == s]) for s in sorted(model.states)],
-        model.size_of_delta(), model.delta, sorted(model.label_alphabet), type(model).__name__,
+        [(s, [(a, k) for source, a, k in delta if source == s]) for s in sorted(model.states)],
+        model.size_of_delta(), delta, sorted(model.label_alphabet), type(model).__name__,
     ))
 
 

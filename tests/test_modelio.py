@@ -334,7 +334,7 @@ def test_the_json_reader_lays_out_the_constructors_arrays():
         read, built = parse_model(text), Nfts(*read_model(text))
         assert type(read) is type(built)
         assert [getattr(read, name) for name in ARRAYS] == [getattr(built, name) for name in ARRAYS]
-    assert read.pool == [Fraction(1, 2), 1] and read.delta == (("s", "a", 0), ("t", "a", 0))  # one distribution
+    assert read.pool == [Fraction(1, 2), 1] and read.delta == ((0, "a", 0), (1, "a", 0))  # one distribution
 
 
 def _text_twin(doc: dict) -> str:

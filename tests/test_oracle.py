@@ -140,7 +140,8 @@ def test_a_system_is_numbered_as_its_constructor_numbers_it():
         model, system = Nfts(*model_arguments), oracle.System(*model_arguments)
         assert list(map(repr, system.distributions)) == list(map(repr, model.distributions))
         assert [dict(mu.items()) for mu in system.distributions] == [dict(mu.items()) for mu in model.distributions]
-        assert [(s, a, mu.index) for s, a, mu in system.transitions] == list(model.delta)
+        assert [(s, a, mu.index) for s, a, mu in system.transitions] == [
+            (model.names[i], a, k) for i, a, k in model.delta]
 
 
 def test_crisp_checker_on_the_example():
