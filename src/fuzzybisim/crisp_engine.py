@@ -8,7 +8,9 @@ splitting by labels first and then by signatures.  The blocks hold vertex
 ids, and a state block only ids i < |S|: a system query builds one
 partition, of the states ``names[i]``, straight from those blocks.  The
 graph partition, of ``Vertex`` objects, is built only for the graph-level
-API and ``--verbose``.  ``crisp_partition_oracle`` is the naive twin.
+API and ``--verbose``, which refine the whole graph; a system query stops once
+every state stands alone (see `refinement`).  ``crisp_partition_oracle`` is the
+naive twin.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
     ``states`` (for a graph built by ``to_flg``) of its states.  ``verbose``
     traces the splits, then the graph partition."""
     out, preds, label_ids, _ = adjacency(g)
-    state = RefinableMap(preds)
+    state = RefinableMap(preds, len(g.names) if states and not verbose else None)
     assignment = state.assignment
 
     def key(x):

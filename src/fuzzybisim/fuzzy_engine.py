@@ -23,7 +23,8 @@ bisimulation.  The tree is built from the split events as the parent array
 that the partition stores: a block that splits at level i becomes a node of
 degree thresholds[i-1] (0 at level 0), and later splits of its pieces at the
 same level add siblings under that node.  The system's tree is built from
-the events of the state blocks (of ids i < |S|, named ``names[i]``) alone.
+the events of the state blocks (of ids i < |S|, named ``names[i]``) alone, so a
+system query leaves the sweep once they all stand alone, unless ``verbose``.
 
 ``fuzzy_partition_oracle`` is the engine's naive twin: the definitional
 fixpoint of the graph, restricted to pairs of states.
@@ -51,12 +52,12 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     thresholds = g.pool  # holds 1, the degree of the state mark
     edges, preds, label_ids, label_maps = adjacency(g)
     ranks_of = [set(label.values()) for label in label_maps]
-    # touched[i]: vertices whose key may change at level i.
-    touched = [[] for _ in range(len(thresholds) + 1)]
+    # touched[i]: vertices whose key may change at level i (no level follows the top rank of a state's edges)
+    touched, n = [[] for _ in range(len(thresholds) + 1)], len(g.names)
     for x in range(len(edges)):
-        for rk in {rk for _, _, rk in edges[x]} | ranks_of[label_ids[x]]:
+        for rk in ranks_of[label_ids[x]] if x < n else {rk for _, _, rk in edges[x]}:
             touched[rk + 1].append(x)
-    state = RefinableMap(preds)
+    state = RefinableMap(preds, n if states and not verbose else None)
     assignment = state.assignment
     levels: list = []
 
@@ -74,6 +75,8 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
         levels += [level] * (len(state.events) - len(levels))
         if verbose:
             _trace(f"threshold {format_degree(threshold)}: {len(state.blocks)} blocks")
+        elif not state.shared:
+            break
 
     if verbose or not states:
         graph = CompactFuzzyPartition(_tree_from_events(state, levels, thresholds, g.by_id))

@@ -18,21 +18,28 @@ than the marked group, so a split costs O(marked).  Keys refer to blocks by
 id, so a vertex keeps its key unless it is a predecessor of a moved vertex;
 those predecessors are marked.  Each split is recorded as a (new block,
 parent block) event, from which the fuzzy engine builds its tree.
+
+A map watches the ids below a bound, all by default, and counts the watched
+ids that share their block; ``refine`` returns when the count reaches 0, as
+the blocks of watched ids are then final.  A system query watches the state ids.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .graph import Flg
 
 
 class RefinableMap:
     """The vertex ids 0..len(preds)-1 in blocks: v's block id ``assignment[v]``,
-    the members ``blocks[bid]`` (a split appends one), and a dirty queue, block
-    id -> marked members, holding the fresh map's one block all marked."""
+    the members ``blocks[bid]`` (a split appends one), a dirty queue, block
+    id -> marked members, holding the fresh map's one block all marked, and
+    ``shared``, the number of ids below ``watched`` not alone in their block."""
 
-    def __init__(self, preds: list):
+    def __init__(self, preds: list, watched: Optional[int] = None):
+        self.watched = len(preds) if watched is None else min(watched, len(preds))
+        self.shared = self.watched if len(preds) > 1 else 0
         self.assignment: List[int] = [0] * len(preds)
         self.blocks: List[Set[int]] = [set(range(len(preds)))]
         self.preds = preds
@@ -68,7 +75,7 @@ class RefinableMap:
         elif rest:  # the rest moves with its group, which is smaller than kept
             rest_group += [v for v in members if v not in marked]
         moved = [group for group in groups.values() if group is not kept]
-        assignment, blocks = self.assignment, self.blocks
+        assignment, blocks, watched = self.assignment, self.blocks, self.watched
         for group in moved:
             new_bid = len(blocks)
             blocks.append(set(group))
@@ -76,19 +83,22 @@ class RefinableMap:
             for v in group:
                 assignment[v] = new_bid
             self.events.append((new_bid, bid))
+            self.shared -= len(group) == 1 and group[0] < watched  # a watched id left alone
+        self.shared -= len(members) == 1 and min(members) < watched
         preds = self.preds
         self.mark([p for group in moved for v in group for p in preds[v]])
         return True
 
     def refine(self, key_of: Callable[[int], object], trace=None):
-        """Split queued blocks until the queue is empty.
+        """Split queued blocks until the queue is empty or every watched id stands alone.
 
         The unmarked members of every block must share one key under
         ``key_of``; the result is then the coarsest refinement of the
-        current partition on which ``key_of`` is uniform.  Each split keeps
-        the largest group's id and marks the predecessors of moved vertices.
+        current partition on which ``key_of`` is uniform, or one that agrees
+        with it on the watched ids.  Each split keeps the largest group's id
+        and marks the predecessors of moved vertices.
         """
-        while self.dirty:
+        while self.dirty and self.shared:
             bid, marked = self.dirty.popitem()
             if self.split_block(bid, key_of, marked) and trace is not None:
                 trace(f"block {bid} split; {len(self.blocks)} blocks now")

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from fuzzybisim.cli import ENGINES, _json_text, run
 from fuzzybisim.partition import Block, CfpRelation
 from fuzzybisim.generate import random_spec
 
-from conftest import EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT, example_fuzzy_table
+from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT, example_fuzzy_table
 from test_cli_golden import _models, _runs
 
 
@@ -156,6 +157,19 @@ def test_json_result_schema(capsys, example_path):
     assert doc["result"] == "0.4"
     assert doc["engine"] == "efficient"
     assert isinstance(doc["wall_time_ms"], float)
+
+
+def test_wall_time_counts_the_writing_of_the_result(monkeypatch, capsys, example_path):
+    real = cli._json_pieces
+
+    def slow(doc):
+        time.sleep(0.2)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "_json_pieces", slow)
+    code, out, _ = invoke(capsys, "fuzzy-partition", str(example_path), "--json")
+    assert code == 0 and json.loads(out)["wall_time_ms"] >= 200
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_verbose_prints_intermediate_partitions(capsys, example_path):
@@ -764,6 +778,29 @@ def test_deep_fuzzy_partition_json_output_parses(capsys, tmp_path):
         depth = max(depth, level)
         stack.extend((child, level + 1) for child in node.get("subblocks", ()))
     assert depth == count - 1
+
+
+def test_fuzzy_partition_json_is_written_from_the_tree_arrays(monkeypatch, capsys, tmp_path):
+    # one leaf; random-sweep's flat tree (40 degrees, nothing merges); a tree of depth 699
+    flat = generate(GenSpec(state_count=60, action_count=2, distributions_per_state_action=(1, 2),
+                            support_size=(1, 3), value_pool_size=40, seed=7))
+    models = [Nflts(["s"], ["a"], []), flat, CATERPILLARS["label caterpillar"](700)]
+    paths, results = [], []
+    for i, model in enumerate(models):
+        paths.append(tmp_path / f"m{i}.json")
+        paths[-1].write_text(json.dumps(model_to_document(model)))
+        results.append(fuzzy_partition_system(parse_model(paths[-1])).to_json())
+    assert [len(r.get("subblocks", ())) for r in results[:2]] == [0, 60]
+    monkeypatch.setattr(CompactFuzzyPartition, "to_json", lambda self: pytest.fail("the writer built the node dicts"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10 * 700)  # json.loads and json.dumps recurse once per nesting level
+    try:
+        for path, result in zip(paths, results):
+            code, out, err = invoke(capsys, "fuzzy-partition", str(path), "--json")
+            assert code == 0, err
+            assert out == json.dumps({**json.loads(out), "result": result}, indent=2) + "\n", path.name
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _verbose_levels(err: str, prefix: str):

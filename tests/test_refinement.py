@@ -3,12 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzybisim import Nflts, fuzzy_partition_system, generate, greatest_fuzzy_bisim_cfp_flg, to_flg
-from fuzzybisim.crisp_engine import greatest_crisp_bisim_partition_flg
+from fuzzybisim import (
+    GenSpec, Nflts, Nfts, crisp_partition_system, fuzzy_partition_system, generate, greatest_fuzzy_bisim_cfp_flg,
+    to_flg,
+)
+from fuzzybisim.crisp_engine import greatest_crisp_bisim_partition_flg, restrict_to_states
 from fuzzybisim.refinement import RefinableMap, adjacency
 
 from conftest import CATERPILLARS, make_example
+from test_fuzzy_engine import state_tree_by_restriction
 from test_workloads import load_workloads
 
 
@@ -133,6 +138,17 @@ def test_singleton_blocks_are_never_queued():
     assert state.dirty == {0: {2}}
 
 
+def test_refine_stops_once_every_watched_id_stands_alone():
+    # 2 -> 0 and 3 -> 1; labels a, b, c, c: the first split leaves 0 and 1 alone and marks 2 and 3
+    succ, label = [[], [], [0], [1]], "abcc"
+    for watched, blocks in ((2, [{2, 3}, {0}, {1}]), (None, [{2}, {0}, {1}, {3}])):
+        state = RefinableMap([[2], [3], [], []], watched)
+        assert state.shared == (watched or 4)
+        state.refine(lambda v: (label[v], frozenset(state.assignment[y] for y in succ[v])))
+        assert state.blocks == blocks and state.shared == 0
+        assert state.dirty == ({0: {2, 3}} if watched else {})
+
+
 # -- work counts: keyed vertices stay linear on deep partitions ---------------
 
 
@@ -218,3 +234,52 @@ def test_adjacency_matches_the_graph():
         assert sorted((r, vertices[j], pool[rk]) for r, j, rk in out[i]) == sorted(g.out_edges(v))
         assert sorted(preds[i]) == sorted(x for x, edges in enumerate(out) for _, j, _ in edges if j == i)
         assert {p: pool[rk] for p, rk in maps[ids[i]].items()} == dict(g.labels[v].items())
+
+
+# -- a system query stops once every state stands alone -------------------------
+
+
+def _graph_partition_of_states(g):
+    """The graph-level crisp partition (``states=False``) restricted to the states."""
+    ids = {v: i for i, v in enumerate(g.by_id)}
+    return restrict_to_states([[ids[v] for v in block] for block in greatest_crisp_bisim_partition_flg(g).blocks],
+                              g.names)
+
+
+def test_a_system_query_stops_refining_once_every_state_stands_alone(monkeypatch):
+    # random-sweep's shape: 40 degrees, nothing merges
+    model = generate(GenSpec(state_count=60, action_count=2, distributions_per_state_action=(1, 2),
+                             support_size=(1, 3), value_pool_size=40, seed=7))
+    g = to_flg(model)
+    assert len(crisp_partition_system(model)) == len(model.states)
+    counts = count_work(monkeypatch)
+    for engine in (greatest_crisp_bisim_partition_flg, greatest_fuzzy_bisim_cfp_flg):
+        work = []
+        for states in (True, False):
+            counts[:] = [0, 0]
+            engine(g, states=states)
+            work.append(tuple(counts))
+        assert work[0][0] < work[1][0] and work[0][1] < work[1][1], (engine.__name__, work)
+    assert greatest_crisp_bisim_partition_flg(g, states=True) == _graph_partition_of_states(g)
+    assert greatest_fuzzy_bisim_cfp_flg(g, states=True) == state_tree_by_restriction(model)
+
+
+@pytest.mark.parametrize("model", [Nfts(["s"], ["a"], []), Nfts(["s"], ["a"], [("s", "a", {"s": Fraction(1, 2)})])],
+                         ids=["one vertex", "one state"])
+def test_one_state_is_one_block(model):
+    assert crisp_partition_system(model).text() == _graph_partition_of_states(to_flg(model)).text() == "{{s}}"
+    assert fuzzy_partition_system(model).text() == state_tree_by_restriction(model).text() == "{s}:1"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(spec=st.builds(GenSpec, state_count=st.integers(2, 7), action_count=st.integers(1, 2),
+                      distributions_per_state_action=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                      support_size=st.sampled_from([(1, 1), (1, 2)]), value_pool_size=st.integers(3, 8),
+                      label_alphabet_size=st.integers(0, 2), label_density=st.sampled_from([0.0, 0.5, 1.0]),
+                      seed=st.integers(0, 2**32 - 1)))
+def test_system_results_are_the_graph_results_restricted_to_the_states(spec):
+    # The system query stops early; the graph-level call refines the whole graph.
+    model = generate(spec)
+    g = to_flg(model)
+    assert crisp_partition_system(model) == _graph_partition_of_states(g)
+    assert fuzzy_partition_system(model) == state_tree_by_restriction(model)
