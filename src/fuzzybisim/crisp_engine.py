@@ -1,10 +1,12 @@
 """Greatest crisp bisimulation of a graph as a partition, and the
 system-level pipeline (transform, refine, keep the state blocks).
 
-The engine refines one block by a single key: the vertex's label id, and
-the (edge symbol, target block) -> max degree signature, on degree ranks.  The
-coarsest stable refinement is unique, so this is the same partition as
-splitting by labels first and then by signatures.  The blocks hold vertex
+The engine refines the kernel's seeded blocks of states and distributions
+by one key per kind, on degree ranks: a state's label id and (action, target
+block) set, with no max as every action edge has the top rank, and a
+distribution's target block -> max rank signature.  The coarsest stable
+refinement is unique, so this is the same partition as splitting by labels
+first and then by signatures.  The blocks hold vertex
 ids, and a state block only ids i < |S|: a system query builds one
 partition, of the states ``names[i]``, straight from those blocks.  The
 graph partition, of ``Vertex`` objects, is built only for the graph-level
@@ -32,16 +34,18 @@ def greatest_crisp_bisim_partition_flg(g: Flg, verbose: bool = False, *, states:
     ``states`` (for a graph built by ``to_flg``) of its states.  ``verbose``
     traces the splits, then the graph partition."""
     out, preds, label_ids, _ = adjacency(g)
-    state = RefinableMap(preds, len(g.names) if states and not verbose else None)
+    n = len(g.names)
+    state = RefinableMap(preds, n if states and not verbose else None, n)
     assignment = state.assignment
 
     def key(x):
+        if x < n:  # every action edge has the top rank
+            return label_ids[x], frozenset([(r, assignment[y]) for r, y, _ in out[x]])
         best = {}
-        for r, y, rk in out[x]:
-            edge = (r, assignment[y])
-            if best.get(edge, -1) < rk:
-                best[edge] = rk
-        return label_ids[x], frozenset(best.items())
+        for _, y, rk in out[x]:
+            if best.get(assignment[y], -1) < rk:
+                best[assignment[y]] = rk
+        return frozenset(best.items())
 
     state.refine(key, trace=_trace if verbose else None)
     if verbose:

@@ -6,7 +6,8 @@ vertex ids and degree ranks of ``refinement.adjacency``: rank i is the i-th
 threshold of the sorted degree pool, with 1 always included.  It sweeps the
 levels i = 0, 1, ... in ascending order.  At level i two vertices stay together iff
 their labels agree, with every rank >= i in one bucket, and they reach the
-same blocks over edges of rank >= i.  Both conditions form one key; since
+same blocks over edges of rank >= i.  Both conditions form one key, by kind:
+a state's edges all have the top rank, and a distribution has no label.  Since
 the coarsest stable refinement is unique, this gives the same partition as
 splitting by labels first and then refining.  ``to_flg`` interns the labels
 once per graph, so a level makes the label part of a key once per label id,
@@ -14,9 +15,10 @@ on first use.
 
 The partition left by level i-1 is stable for its key, and at level i the
 key changes only for vertices with an out-edge or a label at rank i-1.  So
-level 0 keys the one initial block, and level i > 0 marks only those
-vertices: the key of every other vertex changes by one shared bijection, so
-the unmarked members of each block still share one key (see `refinement`).
+level 0 keys the two seeded blocks, and level i > 0 marks only those
+vertices, listed once the sweep passes level 0: the key of every other
+vertex changes by one shared bijection, so the unmarked members of each
+block still share one key (see `refinement`).
 
 The chain of partitions is the chain of cuts of the greatest fuzzy
 bisimulation.  The tree is built from the split events as the parent array
@@ -51,13 +53,8 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
     ``verbose`` traces the blocks per threshold, then the graph partition."""
     thresholds = g.pool  # holds 1, the degree of the state mark
     edges, preds, label_ids, label_maps = adjacency(g)
-    ranks_of = [set(label.values()) for label in label_maps]
-    # touched[i]: vertices whose key may change at level i (no level follows the top rank of a state's edges)
-    touched, n = [[] for _ in range(len(thresholds) + 1)], len(g.names)
-    for x in range(len(edges)):
-        for rk in ranks_of[label_ids[x]] if x < n else {rk for _, _, rk in edges[x]}:
-            touched[rk + 1].append(x)
-    state = RefinableMap(preds, n if states and not verbose else None)
+    n = len(g.names)
+    state = RefinableMap(preds, n if states and not verbose else None, n)
     assignment = state.assignment
     levels: list = []
 
@@ -65,12 +62,19 @@ def greatest_fuzzy_bisim_cfp_flg(g: Flg, verbose: bool = False, *, states: bool 
         table = [None] * len(label_maps)  # label id -> its key part at this level, made on first use
 
         def key(x):
+            if x >= n:
+                return frozenset([assignment[y] for _, y, rk in edges[x] if rk >= level])
             i = label_ids[x]
             if table[i] is None:
                 table[i] = frozenset([(p, min(rk, level)) for p, rk in label_maps[i].items()])
-            return table[i], frozenset([(r, assignment[y]) for r, y, rk in edges[x] if rk >= level])
+            return table[i], frozenset([(r, assignment[y]) for r, y, _ in edges[x]])  # all of the top rank
 
-        state.mark(touched[level])
+        if level == 1:  # touched[i]: vertices whose key may change at level i (none after a state edge's top rank)
+            ranks_of, touched = [set(label.values()) for label in label_maps], [[] for _ in range(len(thresholds) + 1)]
+            for x in range(len(edges)):
+                for rk in ranks_of[label_ids[x]] if x < n else {rk for _, _, rk in edges[x]}:
+                    touched[rk + 1].append(x)
+        state.mark(touched[level] if level else ())
         state.refine(key)
         levels += [level] * (len(state.events) - len(levels))
         if verbose:
@@ -93,9 +97,9 @@ def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, names
     ``len(names)``, ``kept``, with ``names[x]`` in the leaves, parents first.
     Each block id has a leaf (``node_of``) under a node (``parent_of``); its
     first split at a level turns its leaf into a node of that level's degree,
-    with a new leaf for it and for each piece split off then.  The state mark
-    splits states from distributions at level 0, so only the root can lose
-    subblocks to ``kept``; left with one, it gives way."""
+    with a new leaf for it and for each piece split off then.  Block 0, the
+    root, keeps a state, so each split of it leaves the root two children or
+    more; a state tree skips the seeded split (1, 0), not in ``kept``."""
     kept = {bid for bid, members in enumerate(state.blocks) if next(iter(members)) < len(names)}
     parent, degrees = [-1], [ONE]
     node_of, parent_of = {0: 0}, {0: -1}
@@ -117,8 +121,6 @@ def _tree_from_events(state: RefinableMap, levels: list, thresholds: list, names
     elements = [None] * len(parent)
     for bid in kept:
         elements[node_of[bid]] = frozenset(map(names.__getitem__, state.blocks[bid]))
-    if parent.count(0) == 1:  # the root's one subblock is node 1
-        return [-1, *(p - 1 for p in parent[2:])], degrees[1:], elements[1:]
     return parent, degrees, elements
 
 

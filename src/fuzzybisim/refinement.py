@@ -19,6 +19,11 @@ id, so a vertex keeps its key unless it is a predecessor of a moved vertex;
 those predecessors are marked.  Each split is recorded as a (new block,
 parent block) event, from which the fuzzy engine builds its tree.
 
+No bisimulation of a graph built by ``to_flg`` relates a state with a
+distribution (see ``graph``), so the kernel starts from that split, given the
+state count: the state ids as block 0 and the rest as block 1, both queued
+with every member marked, and the event (1, 0).  The engines key each kind apart.
+
 A map watches the ids below a bound, all by default, and counts the watched
 ids that share their block; ``refine`` returns when the count reaches 0, as
 the blocks of watched ids are then final.  A system query watches the state ids.
@@ -34,17 +39,20 @@ from .graph import Flg
 class RefinableMap:
     """The vertex ids 0..len(preds)-1 in blocks: v's block id ``assignment[v]``,
     the members ``blocks[bid]`` (a split appends one), a dirty queue, block
-    id -> marked members, holding the fresh map's one block all marked, and
-    ``shared``, the number of ids below ``watched`` not alone in their block."""
+    id -> marked members, and ``shared``, the number of ids below ``watched``
+    not alone in their block.  A fresh map queues the ids below ``states`` and
+    the rest, all marked, as blocks 0 and 1 (one block if either is empty)."""
 
-    def __init__(self, preds: list, watched: Optional[int] = None):
+    def __init__(self, preds: list, watched: Optional[int] = None, states: int = 0):
+        ids = range(len(preds))
         self.watched = len(preds) if watched is None else min(watched, len(preds))
-        self.shared = self.watched if len(preds) > 1 else 0
-        self.assignment: List[int] = [0] * len(preds)
-        self.blocks: List[Set[int]] = [set(range(len(preds)))]
+        parts = [part for part in (ids[:states], ids[states:]) if part] or [ids]
+        self.shared = sum(len(part) > 1 and len(range(part.start, min(part.stop, self.watched))) for part in parts)
+        self.assignment: List[int] = [bid for bid, part in enumerate(parts) for _ in part]
+        self.blocks: List[Set[int]] = [set(part) for part in parts]
         self.preds = preds
-        self.dirty: Dict[int, Set[int]] = defaultdict(set, {0: set(self.blocks[0])})
-        self.events: List[Tuple[int, int]] = []
+        self.dirty: Dict[int, Set[int]] = defaultdict(set, {bid: set(part) for bid, part in enumerate(parts)})
+        self.events: List[Tuple[int, int]] = [(1, 0)] if len(parts) == 2 else []
 
     def mark(self, vertices: Iterable[int]):
         """Queue each vertex's block with the vertex marked; never a block of one."""

@@ -24,7 +24,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fuzzybisim import GenSpec, generate, model_to_document, parse_model, to_flg, as_nflts
+from fuzzybisim import (
+    CrispPartition, GenSpec, as_nflts, disjoint_union, generate, model_to_document, oracle, parse_model, to_flg,
+)
 from fuzzybisim.cli import run
 from fuzzybisim.generate import random_spec
 
@@ -112,6 +114,16 @@ def test_cli_output_matches_the_recorded_digests(tmp_path):
     assert not wrong
 
 
+def test_crisp_verbose_traces_end_with_the_oracle_graph_partition(tmp_path):
+    # The split lines number blocks as the kernel does; the last line is checked by content.
+    for name, path, sibling in _models(tmp_path):
+        a, b = parse_model(path), parse_model(sibling)
+        for argv, model in ((["crisp-partition", str(path)], a),
+                            (["bisim-between", str(path), str(sibling), "--mode", "crisp"], disjoint_union(a, b)[0])):
+            expected = CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(to_flg(model))).text()
+            assert _invoke([*argv, "--verbose"])[2].splitlines()[-1] == f"[crisp] graph partition: {expected}", argv
+
+
 def _output_under_hash_seed(seed: int, *argv) -> tuple:
     env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(REPO_ROOT / "src")}
     done = subprocess.run([sys.executable, "-m", "fuzzybisim.cli", *argv], capture_output=True,
@@ -142,7 +154,7 @@ def test_verbose_traces_do_not_depend_on_the_hash_seed(tmp_path):
 # case -> (text stdout, --json stdout, --verbose stderr), sha256 prefixes.
 # Distribution vertices in --verbose traces are numbered in document order.
 GOLDEN = {
-    'example crisp-partition efficient': ('308456de564f', '3b2e7dbdde3c', '199e0fbcbc7c'),
+    'example crisp-partition efficient': ('308456de564f', '3b2e7dbdde3c', 'f1aca7ce418f'),
     'example fuzzy-partition efficient': ('af1d73c8af25', '3b4e6242062e', '4327bc462109'),
     'example degree efficient': ('c36fdbcf57ed', '6a11dedc284c', '4327bc462109'),
     'example crisp-sim efficient': ('7ee8011703b1', '4f7d9f7ff81f', 'f43ff12d771f'),
@@ -152,9 +164,9 @@ GOLDEN = {
     'example degree oracle': ('c36fdbcf57ed', '526dfe8e3218', 'e3b0c44298fc'),
     'example crisp-sim oracle': ('7ee8011703b1', 'f4ac89c75ecf', 'e3b0c44298fc'),
     'example fuzzy-sim oracle': ('cf6ee96dab5d', 'e74b36b68080', 'e3b0c44298fc'),
-    'example bisim-between crisp': ('7ee8011703b1', 'be8a12adff97', '4a48c51807b6'),
+    'example bisim-between crisp': ('7ee8011703b1', 'be8a12adff97', '565552d13458'),
     'example bisim-between fuzzy': ('9bd763a73497', 'bfe38294e1dd', '5c3288aa219b'),
-    'empty-support crisp-partition efficient': ('7a3937d8ac31', '2e21a4077fed', '6a0f140eb832'),
+    'empty-support crisp-partition efficient': ('7a3937d8ac31', '2e21a4077fed', '1d21c8ef3231'),
     'empty-support fuzzy-partition efficient': ('294a23854cc3', 'd59a3fba8889', 'fd330b5b40a3'),
     'empty-support degree efficient': ('9a271f2a916b', '297c08b78e62', 'fd330b5b40a3'),
     'empty-support crisp-sim efficient': ('16636762a6ba', '1e111c9d881b', '2e64d288bf3e'),
@@ -164,9 +176,9 @@ GOLDEN = {
     'empty-support degree oracle': ('9a271f2a916b', 'cb776ce2e8ce', 'e3b0c44298fc'),
     'empty-support crisp-sim oracle': ('16636762a6ba', '2c1b1af8f10d', 'e3b0c44298fc'),
     'empty-support fuzzy-sim oracle': ('0ea86c5ef471', 'b90a184b5dc2', 'e3b0c44298fc'),
-    'empty-support bisim-between crisp': ('2acde3ef1003', '295270cf8caa', '4849a9fcb574'),
+    'empty-support bisim-between crisp': ('2acde3ef1003', '295270cf8caa', 'c2ef52b773f3'),
     'empty-support bisim-between fuzzy': ('ead2042dc4fd', '1cc8f654d4df', '5dea413ddefc'),
-    'gen0 crisp-partition efficient': ('e8b080da64fa', 'c02cf848db60', 'c5cc69a0e068'),
+    'gen0 crisp-partition efficient': ('e8b080da64fa', 'c02cf848db60', '84b261045c19'),
     'gen0 fuzzy-partition efficient': ('98e43695c184', 'be312a0463fb', 'e627a6f18c00'),
     'gen0 degree efficient': ('9a271f2a916b', '8e37bff604aa', 'e627a6f18c00'),
     'gen0 crisp-sim efficient': ('f1903923ca57', '16b7f1ed1a4a', '699fbac5182f'),
@@ -176,7 +188,7 @@ GOLDEN = {
     'gen0 degree oracle': ('9a271f2a916b', 'fdba85d8b499', 'e3b0c44298fc'),
     'gen0 crisp-sim oracle': ('f1903923ca57', '2adc2dde70a6', 'e3b0c44298fc'),
     'gen0 fuzzy-sim oracle': ('3713d234bf48', '167fe2a9d135', 'e3b0c44298fc'),
-    'gen0 bisim-between crisp': ('f1903923ca57', 'bb5ae4f67945', 'cd87d9b2e75c'),
+    'gen0 bisim-between crisp': ('f1903923ca57', 'bb5ae4f67945', '4ebe0319eb66'),
     'gen0 bisim-between fuzzy': ('3713d234bf48', '1664c2c853a8', 'abd7739ce52c'),
     'gen1 crisp-partition efficient': ('542c5af6d5cb', '2b1e3e449771', '94e125c5452f'),
     'gen1 fuzzy-partition efficient': ('921ef6ac61cf', '863dc35d9ebf', '6b822a062a22'),
@@ -190,7 +202,7 @@ GOLDEN = {
     'gen1 fuzzy-sim oracle': ('0468a3de864c', 'd371d278518f', 'e3b0c44298fc'),
     'gen1 bisim-between crisp': ('b4946c673451', '8e05b1cc12d2', '75dea0241757'),
     'gen1 bisim-between fuzzy': ('a68b7fedbdbf', 'f8f91c9e387f', '60793bfeb75e'),
-    'gen2 crisp-partition efficient': ('9f0a10f7bf2a', '109040c3b8dc', 'd0e844015c72'),
+    'gen2 crisp-partition efficient': ('9f0a10f7bf2a', '109040c3b8dc', '2e9453b0073b'),
     'gen2 fuzzy-partition efficient': ('cda3a55ae0d3', 'c6c31ee558d4', 'c3882660b467'),
     'gen2 degree efficient': ('9a271f2a916b', '2a634356f6a4', 'c3882660b467'),
     'gen2 crisp-sim efficient': ('3170366d6fc3', 'c92cc096ec03', '7a8102beafa2'),
@@ -200,7 +212,7 @@ GOLDEN = {
     'gen2 degree oracle': ('9a271f2a916b', 'b68543458ea2', 'e3b0c44298fc'),
     'gen2 crisp-sim oracle': ('3170366d6fc3', '6ece51eb2919', 'e3b0c44298fc'),
     'gen2 fuzzy-sim oracle': ('dab627b6e0ec', '4ce9dcd264c9', 'e3b0c44298fc'),
-    'gen2 bisim-between crisp': ('18b2cbb79103', 'd525ea828f79', 'c6acc75264b7'),
+    'gen2 bisim-between crisp': ('18b2cbb79103', 'd525ea828f79', 'f7f050182ef7'),
     'gen2 bisim-between fuzzy': ('4f2038fce79b', 'a1d49077bf25', '8b02fd92ae91'),
     'gen3 crisp-partition efficient': ('e8b080da64fa', '8c27ca9edaeb', '3a1c19a8bc27'),
     'gen3 fuzzy-partition efficient': ('98e43695c184', '8a66e37f2cbb', '3d84f542918f'),
@@ -214,7 +226,7 @@ GOLDEN = {
     'gen3 fuzzy-sim oracle': ('68b4cefc093f', 'f7383074fae5', 'e3b0c44298fc'),
     'gen3 bisim-between crisp': ('f1903923ca57', 'fb1e2c55e422', '11c2b6108911'),
     'gen3 bisim-between fuzzy': ('3713d234bf48', 'd0dff7545b4e', 'e9641dc8ab30'),
-    'gen4 crisp-partition efficient': ('b95dd5fd7fc5', 'a4305ffcb689', 'ade83c656e53'),
+    'gen4 crisp-partition efficient': ('b95dd5fd7fc5', 'a4305ffcb689', '01c23a4c8050'),
     'gen4 fuzzy-partition efficient': ('12ea1a56f20a', 'c08947cb368b', '8322220484f3'),
     'gen4 degree efficient': ('4355a46b19d3', '73baf709ea58', '8322220484f3'),
     'gen4 crisp-sim efficient': ('59341c4c5d53', '4a950259fe1f', 'e692d1eaef76'),
@@ -224,9 +236,9 @@ GOLDEN = {
     'gen4 degree oracle': ('4355a46b19d3', 'dd7e4f60ff60', 'e3b0c44298fc'),
     'gen4 crisp-sim oracle': ('59341c4c5d53', '6d2a1845e09e', 'e3b0c44298fc'),
     'gen4 fuzzy-sim oracle': ('88be20c7475f', '420c2f3979b3', 'e3b0c44298fc'),
-    'gen4 bisim-between crisp': ('94c760b92a17', 'ef429497c53a', '1756fd7a47cd'),
+    'gen4 bisim-between crisp': ('94c760b92a17', 'ef429497c53a', 'd526b5e0c187'),
     'gen4 bisim-between fuzzy': ('612cc78826ef', '8c86d709d2dc', '08b57a7f6afc'),
-    'gen5 crisp-partition efficient': ('d74bcb02956b', '61aac632ec37', 'ca0dfedab0fc'),
+    'gen5 crisp-partition efficient': ('d74bcb02956b', '61aac632ec37', 'c95a71b637e9'),
     'gen5 fuzzy-partition efficient': ('b2822f762b75', '4d2dc2e9dfa0', 'c109beceea99'),
     'gen5 degree efficient': ('9a271f2a916b', 'd170a71ee0fe', 'c109beceea99'),
     'gen5 crisp-sim efficient': ('94c760b92a17', '55db0be4bb2b', '92a40f7636b3'),
@@ -236,7 +248,7 @@ GOLDEN = {
     'gen5 degree oracle': ('9a271f2a916b', '0131914311ca', 'e3b0c44298fc'),
     'gen5 crisp-sim oracle': ('94c760b92a17', '1dd0226bd7e8', 'e3b0c44298fc'),
     'gen5 fuzzy-sim oracle': ('97e0ca463c7a', '4c5d3955f6bc', 'e3b0c44298fc'),
-    'gen5 bisim-between crisp': ('94c760b92a17', 'b0ceef572be5', '0d1994a30a69'),
+    'gen5 bisim-between crisp': ('94c760b92a17', 'b0ceef572be5', 'e1f954d61ada'),
     'gen5 bisim-between fuzzy': ('a30f8142dcd3', '6c39c46c6c16', 'ff72a2b2a6c7'),
     'gen6 crisp-partition efficient': ('542c5af6d5cb', 'dd0adcdd8c5e', '94e125c5452f'),
     'gen6 fuzzy-partition efficient': ('921ef6ac61cf', '6ee4261a7bf5', '6b822a062a22'),
@@ -250,7 +262,7 @@ GOLDEN = {
     'gen6 fuzzy-sim oracle': ('d79468a10f84', '6196ecf4cee0', 'e3b0c44298fc'),
     'gen6 bisim-between crisp': ('c12bce042d75', '7e5814ef4fc2', 'e4c7b0bfdc17'),
     'gen6 bisim-between fuzzy': ('d79468a10f84', '6a9ed10dcced', '1cc758c5bf61'),
-    'gen7 crisp-partition efficient': ('62f30c14ac26', '22cc4ee198bc', '1eabb7a99f9d'),
+    'gen7 crisp-partition efficient': ('62f30c14ac26', '22cc4ee198bc', 'fe994c562344'),
     'gen7 fuzzy-partition efficient': ('70365f9543eb', 'a5b5dbfd40ec', '3868b5901f3c'),
     'gen7 degree efficient': ('9a271f2a916b', 'eba2e6e2c689', '3868b5901f3c'),
     'gen7 crisp-sim efficient': ('94c760b92a17', 'ee102fab66a9', 'f2630cfeb0cf'),
@@ -260,9 +272,9 @@ GOLDEN = {
     'gen7 degree oracle': ('9a271f2a916b', '5a548fa8d780', 'e3b0c44298fc'),
     'gen7 crisp-sim oracle': ('94c760b92a17', '2d896612714d', 'e3b0c44298fc'),
     'gen7 fuzzy-sim oracle': ('a30f8142dcd3', '10c251761517', 'e3b0c44298fc'),
-    'gen7 bisim-between crisp': ('94c760b92a17', '56996d67eb24', '23d8bad4784e'),
+    'gen7 bisim-between crisp': ('94c760b92a17', '56996d67eb24', 'd73a6f8ea214'),
     'gen7 bisim-between fuzzy': ('a30f8142dcd3', '8f83fc6a74b8', 'ce2c70746d25'),
-    'gen8 crisp-partition efficient': ('de36187c5b8d', '0cc782bfc959', 'c38b1cd265e8'),
+    'gen8 crisp-partition efficient': ('de36187c5b8d', '0cc782bfc959', 'bc88c9214829'),
     'gen8 fuzzy-partition efficient': ('0196e46bf02a', 'e3875bb5ba8c', '201070f11f33'),
     'gen8 degree efficient': ('4355a46b19d3', '40ad965e7405', '201070f11f33'),
     'gen8 crisp-sim efficient': ('e1d1f9b99a5f', '7547dfe89c29', '1818a810145c'),
@@ -272,9 +284,9 @@ GOLDEN = {
     'gen8 degree oracle': ('4355a46b19d3', '52b30f6d2370', 'e3b0c44298fc'),
     'gen8 crisp-sim oracle': ('e1d1f9b99a5f', '9725b798358e', 'e3b0c44298fc'),
     'gen8 fuzzy-sim oracle': ('af028c81bb9b', '39a8b3796f6c', 'e3b0c44298fc'),
-    'gen8 bisim-between crisp': ('94c760b92a17', 'b7541f0c75fa', '6c69b6d84f49'),
+    'gen8 bisim-between crisp': ('94c760b92a17', 'b7541f0c75fa', 'cf233d9c4038'),
     'gen8 bisim-between fuzzy': ('a30f8142dcd3', '42f77ce3a3b3', '3c3c4010690d'),
-    'gen9 crisp-partition efficient': ('542c5af6d5cb', 'ade28336ac46', 'a8afb727aa5d'),
+    'gen9 crisp-partition efficient': ('542c5af6d5cb', 'ade28336ac46', '5703f8235b69'),
     'gen9 fuzzy-partition efficient': ('921ef6ac61cf', '9eff16a9ec43', '581d81bd860a'),
     'gen9 degree efficient': ('4355a46b19d3', 'b83615aa4be5', '581d81bd860a'),
     'gen9 crisp-sim efficient': ('c12bce042d75', '354fb4805f2d', '4f81e23026f3'),
@@ -284,9 +296,9 @@ GOLDEN = {
     'gen9 degree oracle': ('4355a46b19d3', '964149cc60cd', 'e3b0c44298fc'),
     'gen9 crisp-sim oracle': ('c12bce042d75', 'f4e67b04642b', 'e3b0c44298fc'),
     'gen9 fuzzy-sim oracle': ('d79468a10f84', '589cf846458b', 'e3b0c44298fc'),
-    'gen9 bisim-between crisp': ('c12bce042d75', '0c56a1b6743c', 'd4752f6fe47f'),
+    'gen9 bisim-between crisp': ('c12bce042d75', '0c56a1b6743c', '4b7219ff5855'),
     'gen9 bisim-between fuzzy': ('d79468a10f84', 'c07eb9fa0dfa', 'f066720f4ccb'),
-    'gen10 crisp-partition efficient': ('e84babbdbc43', '00271aa7f465', 'db079342974e'),
+    'gen10 crisp-partition efficient': ('e84babbdbc43', '00271aa7f465', '2262fc5caa71'),
     'gen10 fuzzy-partition efficient': ('db47d910a375', '0b1bf06dc80c', 'f6c3dcbf847a'),
     'gen10 degree efficient': ('9a271f2a916b', '5e43c741dc7e', 'f6c3dcbf847a'),
     'gen10 crisp-sim efficient': ('e0c4fbae559a', '890478b1d4b6', '0d9df50efc16'),
@@ -296,7 +308,7 @@ GOLDEN = {
     'gen10 degree oracle': ('9a271f2a916b', '2f199ac834d3', 'e3b0c44298fc'),
     'gen10 crisp-sim oracle': ('e0c4fbae559a', '6eb2df816761', 'e3b0c44298fc'),
     'gen10 fuzzy-sim oracle': ('1aaea1bb1c3d', '9c2cb51b7f2e', 'e3b0c44298fc'),
-    'gen10 bisim-between crisp': ('94c760b92a17', '23dab570a728', '46968100ca76'),
+    'gen10 bisim-between crisp': ('94c760b92a17', '23dab570a728', '16386e5ba86e'),
     'gen10 bisim-between fuzzy': ('a30f8142dcd3', '55b6d17166f2', '7cafee2a0777'),
     'gen11 crisp-partition efficient': ('e8b080da64fa', 'b26abe4e2599', '3a1c19a8bc27'),
     'gen11 fuzzy-partition efficient': ('20740d76d334', '671f795c0478', 'd71bda82d5a4'),
@@ -308,7 +320,7 @@ GOLDEN = {
     'gen11 degree oracle': ('387d5314aec5', 'fa106318cd71', 'e3b0c44298fc'),
     'gen11 crisp-sim oracle': ('e18fe9bd3d96', '17bb15907db6', 'e3b0c44298fc'),
     'gen11 fuzzy-sim oracle': ('500c15d16feb', 'b91f71e9934e', 'e3b0c44298fc'),
-    'gen11 bisim-between crisp': ('94c760b92a17', '2ed3604be56d', '65f1c488f845'),
+    'gen11 bisim-between crisp': ('94c760b92a17', '2ed3604be56d', 'e6a9fbe83e4d'),
     'gen11 bisim-between fuzzy': ('86ab1b48b720', 'be093b6bd865', '9cc800035ce7'),
 }
 

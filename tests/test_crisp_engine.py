@@ -22,7 +22,8 @@ from fuzzybisim.cli import run
 from fuzzybisim.crisp_engine import restrict_to_states
 from fuzzybisim.generate import draw, generate, random_spec
 
-from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, REPO_ROOT, make_example
+from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, REPO_ROOT, labels_of, make_example
+from test_workloads import load_workloads
 
 H = Fraction(1, 2)
 
@@ -138,3 +139,26 @@ def test_system_queries_build_one_crisp_partition(monkeypatch, capsys, tmp_path)
             assert run(argv) == 0
             assert len(built) == 1, argv
     capsys.readouterr()
+
+
+def _reversed_names(model):
+    """The model with its states renamed so that their name order, and so their ids, reverse; and the renaming."""
+    rename = {s: f"t{len(model.names) - i:04d}" for i, s in enumerate(model.names)}
+    renamed = Nflts([rename[s] for s in model.states], model.actions,
+                    [(rename[s], a, {rename[t]: d for t, d in mu.fuzzy.items()}) for s, a, mu in model.transitions],
+                    model.label_alphabet, {rename[s]: label for s, label in labels_of(model).items()})
+    assert renamed.names == tuple(rename[s] for s in reversed(model.names))
+    return renamed, rename
+
+
+def test_reversing_the_state_ids_renames_the_partition(monkeypatch):
+    rng = random.Random(1)
+    models = [generate(random_spec(rng, max_states=8, labeled=i % 2 == 1)) for i in range(30)]
+    workloads = load_workloads(monkeypatch)
+    rng = random.Random(1)  # the first seed-1 planted-merge model
+    base = generate(workloads._base_spec(20, 12, rng.getrandbits(32)))
+    models.append(workloads.planted(base, 16, 8, 0.005, rng)[0])
+    for model in models:
+        renamed, rename = _reversed_names(model)
+        expected = CrispPartition([rename[s] for s in block] for block in crisp_partition_system(model).blocks)
+        assert crisp_partition_system(renamed) == expected

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzybisim import (
-    GenSpec, Nflts, Nfts, crisp_partition_system, fuzzy_partition_system, generate, greatest_fuzzy_bisim_cfp_flg,
-    to_flg,
+    CrispPartition, GenSpec, Nflts, Nfts, cfp_from_relation, crisp_partition_system, fuzzy_partition_system, generate,
+    greatest_fuzzy_bisim_cfp_flg, oracle, to_flg,
 )
 from fuzzybisim.crisp_engine import greatest_crisp_bisim_partition_flg, restrict_to_states
 from fuzzybisim.refinement import RefinableMap, adjacency
@@ -149,6 +149,60 @@ def test_refine_stops_once_every_watched_id_stands_alone():
         assert state.dirty == ({0: {2, 3}} if watched else {})
 
 
+# -- the seeded start: states and distributions in blocks 0 and 1 --------------
+
+
+def test_a_seeded_map_starts_with_the_states_and_the_distributions_apart():
+    # states 0..2, distributions 3 and 4; only states are watched
+    state = RefinableMap([[3], [4], [], [0, 1], [0, 2]], 3, 3)
+    assert state.blocks == [{0, 1, 2}, {3, 4}] and state.assignment == [0, 0, 0, 1, 1]
+    assert state.events == [(1, 0)] and state.dirty == {0: {0, 1, 2}, 1: {3, 4}}
+    assert state.shared == 3
+    assert RefinableMap([[3], [4], [], [0, 1], [0, 2]], None, 3).shared == 5
+
+
+def test_a_system_with_no_transitions_is_one_block():
+    model = Nfts(["s", "t", "u"], ["a"], [])
+    g = to_flg(model)
+    state = RefinableMap(g.preds, len(g.names), len(g.names))
+    assert state.blocks == [{0, 1, 2}] and not state.events and state.shared == 3
+    assert crisp_partition_system(model).text() == "{{s,t,u}}"
+    assert fuzzy_partition_system(model).text() == "{s,t,u}:1"
+
+
+def test_one_state_with_distributions_shares_nothing_watched(monkeypatch):
+    model = Nfts(["s"], ["a"], [("s", "a", {"s": Fraction(1, 2)}), ("s", "a", {"s": Fraction(1, 3)})])
+    g = to_flg(model)
+    assert RefinableMap(g.preds, 1, 1).shared == 0
+    assert RefinableMap(g.preds, None, 1).shared == 2
+    counts = count_work(monkeypatch)
+    assert crisp_partition_system(model).text() == "{{s}}" and fuzzy_partition_system(model).text() == "{s}:1"
+    assert counts == [0, 0]  # nothing is refined once the one state stands alone
+    assert greatest_crisp_bisim_partition_flg(g).text() == "{{s},{mu1},{mu2}}"
+
+
+def test_an_empty_support_distribution_is_a_vertex_with_no_out_edge():
+    # s and t both reach an empty distribution; t also reaches {s: 1/2}
+    model = Nfts(["s", "t"], ["a"], [("s", "a", {}), ("t", "a", {}), ("t", "a", {"s": Fraction(1, 2)})])
+    g = to_flg(model)
+    assert g.out[2] == [] and RefinableMap(g.preds, None, 2).blocks == [{0, 1}, {2, 3}]
+    assert greatest_crisp_bisim_partition_flg(g).text() == "{{s},{t},{mu1},{mu2}}"
+    assert greatest_crisp_bisim_partition_flg(g) == CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(g))
+    assert greatest_fuzzy_bisim_cfp_flg(g) == cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(g))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(spec=st.builds(GenSpec, state_count=st.integers(2, 6), action_count=st.integers(1, 2),
+                      distributions_per_state_action=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                      support_size=st.sampled_from([(0, 1), (1, 1), (1, 2)]), value_pool_size=st.integers(3, 6),
+                      label_alphabet_size=st.integers(0, 2), label_density=st.sampled_from([0.0, 0.5, 1.0]),
+                      seed=st.integers(0, 2**32 - 1)))
+def test_graph_partitions_are_the_oracle_fixpoints(spec):
+    g = to_flg(generate(spec))
+    assert greatest_crisp_bisim_partition_flg(g) == CrispPartition.from_relation(oracle.gfp_crisp_bisim_flg(g))
+    assert greatest_fuzzy_bisim_cfp_flg(g) == cfp_from_relation(oracle.gfp_fuzzy_bisim_flg(g))
+
+
 # -- work counts: keyed vertices stay linear on deep partitions ---------------
 
 
@@ -199,9 +253,9 @@ def test_deep_label_partition_keys_each_vertex_about_three_times(monkeypatch):
 # work.  Blocks are int sets, so the counts do not depend on the hash seed.
 WORK = {
     "label caterpillar": {"crisp": (1, 250), "fuzzy": (250, 748)},
-    "edge caterpillar": {"crisp": (2, 750), "fuzzy": (500, 1746)},
-    "two hubs": {"crisp": (2, 754), "fuzzy": (748, 2248)},
-    "planted": {"crisp": (288, 3462), "fuzzy": (620, 6743)},
+    "edge caterpillar": {"crisp": (2, 500), "fuzzy": (500, 1496)},
+    "two hubs": {"crisp": (2, 502), "fuzzy": (748, 1996)},
+    "planted": {"crisp": (288, 3142), "fuzzy": (620, 5863)},
 }
 
 
