@@ -2,9 +2,8 @@
 
 Every subcommand loads models from JSON or text documents, runs the selected engine and prints a
 deterministic result; ``--json`` wraps it in the machine schema {command, input, result, engine,
-wall_time_ms}, written by one writer that never recurses, in the bytes of ``json.dumps(doc, indent=2)``;
-a fuzzy ``bisim-between`` table goes straight from its grouped LCA pass to the text or JSON writer, and a
-compact fuzzy partition from its pre-order arrays.
+wall_time_ms}, written by one writer in the bytes of ``json.dumps(doc, indent=2)``; a fuzzy
+``bisim-between`` table goes straight from its grouped LCA pass to the text or JSON writer.
 Exit codes: 0 on success, 1 on a domain error, 2 on a usage error.  A command runs with the cyclic
 garbage collector off: no command leaves a reference cycle for it to free
 (``test_cli.test_commands_leave_no_cyclic_garbage``).
@@ -22,7 +21,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .degrees import ONE, format_degree
+from .degrees import format_degree
 from .model import ModelError, Nfts
 from .modelio import (
     DocumentError,
@@ -35,7 +34,7 @@ from .modelio import (
 from .graph import to_flg, as_nflts, on_states, require_shared_alphabets
 from .crisp_engine import crisp_partition_oracle, crisp_partition_system
 from .fuzzy_engine import fuzzy_partition_oracle, fuzzy_partition_system
-from .partition import CfpRelation, CompactFuzzyPartition, NotAnEquivalenceError
+from .partition import CfpRelation, NotAnEquivalenceError
 from .simulation import (
     bisimulation_between_nflts,
     crisp_simulation_nflts,
@@ -150,48 +149,48 @@ def _json_text(doc) -> str:  # ``json.dumps(doc, indent=2)`` byte for byte: the 
 
 
 def _json_pieces(doc) -> list:
-    """The text of ``json.dumps(doc, indent=2)`` in pieces, for string keys, from an explicit stack (no depth
-    is too deep: a compact fuzzy partition nests a level per degree); each distinct string is encoded
-    once, a string list in one join, a table from pieces, a `CfpRelation` (its rows) by `_cfp_table`, and a
-    `CompactFuzzyPartition` (its ``to_json()``) by `_cfp_tree`."""
-    strings = functools.lru_cache(maxsize=None)(encode_basestring_ascii)  # each distinct string once
-    out, todo = [], [("", doc, "")]  # (text before the value, value, its indent)
-    while todo:
-        text, value, indent = todo.pop()
-        out.append(text)
-        if indent is None:  # the text closes a container
-            continue
-        if type(value) is str:
-            out.append(strings(value))
-        elif type(value) is CfpRelation:
-            _cfp_table(value, indent, strings, out)
-        elif type(value) is CompactFuzzyPartition:
-            _cfp_tree(value, indent, strings, out)
-        elif not value or not isinstance(value, (dict, list, tuple)):
-            out.append(json.dumps(value))
-        elif isinstance(value, dict) or not _table(value, indent, strings, out):
-            inner, is_dict = indent + "  ", isinstance(value, dict)
-            items = [(strings(k) + ": ", v) for k, v in value.items()] if is_dict else [("", v) for v in value]
-            todo.append(("\n" + indent + ("}" if is_dict else "]"), None, None))
-            todo += [(",\n" + inner + key, item, inner) for key, item in reversed(items)]
-            todo[-1] = (("{\n" if is_dict else "[\n") + inner + items[0][0], items[0][1], inner)  # no comma
+    """The text of ``json.dumps(doc, indent=2)`` in pieces, for string keys: each distinct string is encoded
+    once, a list of strings or ints in one join, a table from pieces, and a `CfpRelation` (its rows) by
+    `_cfp_table`.  It recurses once per level, and no command's document nests more than five."""
+    out = []
+    _json_value(doc, "", functools.lru_cache(maxsize=None)(encode_basestring_ascii), out)
     return out
 
 
+def _json_value(value, indent: str, strings, out: list):
+    """Append the JSON text at ``indent`` of ``value`` to ``out``, ``strings`` encoding each string."""
+    if type(value) is str:
+        out.append(strings(value))
+    elif type(value) is CfpRelation:
+        _cfp_table(value, indent, strings, out)
+    elif not value or not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict) or not _table(value, indent, strings, out):
+        inner, is_dict = indent + "  ", isinstance(value, dict)
+        keys = [strings(k) + ": " for k in value] if is_dict else repeat("")
+        for i, (key, item) in enumerate(zip(keys, value.values() if is_dict else value)):
+            out.append(("," if i else "{" if is_dict else "[") + "\n" + inner + key)
+            _json_value(item, inner, strings, out)
+        out.append("\n" + indent + ("}" if is_dict else "]"))
+
+
 def _table(rows, indent: str, strings, out: list) -> bool:
-    """Append the JSON text at ``indent`` of a list of strings or of non-empty lists of strings to
-    ``out`` and return True, else return False with ``out`` as it was.  A row is a head per run of
-    equal first cells, then each later cell's piece after its separator, the last with the close."""
+    """Append the JSON text at ``indent`` of a list of strings, of ints, or of nulls and non-empty lists
+    of strings to ``out`` and return True, else return False with ``out`` as it was.  A row is a head per
+    run of equal first cells, then each later cell's piece after its separator, the last with the close."""
     types, row, cell = set(map(type, rows)), indent + "  ", indent + "    "
-    if types == {str}:
-        out.append(f"[\n{row}" + f",\n{row}".join(map(strings, rows)) + f"\n{indent}]")
+    if types == {str} or types == {int}:
+        out.append(f"[\n{row}" + f",\n{row}".join(map(strings if str in types else str, rows)) + f"\n{indent}]")
         return True
-    if not types <= {list, tuple} or not all(rows):
+    if not types <= {list, tuple, type(None)} or not all(r or r is None for r in rows):
         return False
-    opening, separator, close = f",\n{row}[\n{cell}", f",\n{cell}", f"\n{row}]"
+    opening, separator, close, null = f",\n{row}[\n{cell}", f",\n{cell}", f"\n{row}]", f",\n{row}null"
     start, later, last, first = len(out), {}, {}, object()  # later, last: cell -> its piece, made on first use
     try:  # a cell that is unhashable or not a string raises
         for r in rows:
+            if r is None:
+                out.append(null)
+                continue
             if r[0] != first:
                 first, head = r[0], opening + strings(r[0])
             out.append(head)
@@ -217,26 +216,6 @@ def _cfp_table(relation: CfpRelation, indent: str, strings, out: list):
     if len(out) > start:
         out[start] = "[" + out[start][1:]  # the first head opens the table, with no comma
     out.append(f"\n{indent}]" if len(out) > start else "[]")
-
-
-def _cfp_tree(cfp: CompactFuzzyPartition, indent: str, strings, out: list):
-    """Append the JSON text at ``indent`` of ``cfp.to_json()`` to ``out`` in one pass over its pre-order
-    arrays, as `CompactFuzzyPartition.text` walks them: an inner node stays open until a node that is not
-    below it, and a node is indented 4 spaces deeper than its parent.  No node dict is built."""
-    close, path = "\n{0}  ]\n{0}}}".format, []  # close(at): a node's list and brace; path: the open inner nodes
-    one = strings(format_degree(ONE))  # every leaf's degree
-    for i, (p, d, leaf) in enumerate(zip(cfp._parent, cfp._degrees, cfp._elements)):
-        while path and path[-1][0] != p:
-            out.append(close(path.pop()[1]))
-        at = path[-1][1] + "    " if path else indent
-        out.append((("\n" if p == i - 1 else ",\n") + at if path else "") + "{\n" + at + '  "degree": ')
-        if leaf is None:
-            out.append(strings(format_degree(d)) + f',\n{at}  "subblocks": [')
-            path.append((i, at))
-        else:
-            row = f",\n{at}    "
-            out += [one, f',\n{at}  "elements": [', row[1:], row.join(map(strings, sorted(map(str, leaf)))), close(at)]
-    out += [close(at) for _, at in reversed(path)]
 
 
 def _inputs(args):
@@ -281,7 +260,7 @@ def _dispatch(args, started: float) -> int:
         if args.command == "crisp-partition":
             _emit(args, started, lambda: [list(b) for b in result.blocks], result.text)
         elif args.command == "fuzzy-partition":
-            _emit(args, started, lambda: result, result.text)
+            _emit(args, started, result.to_json, result.text)
         else:
             value = format_degree(result.degree_of(args.x, args.y))
             _emit(args, started, lambda: value, lambda: value)

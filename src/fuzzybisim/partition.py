@@ -143,6 +143,16 @@ def _json_node(n) -> tuple:
     raise ValueError(f"malformed compact fuzzy partition node {reprlib.repr(n)}")
 
 
+def _json_arrays(doc: dict) -> tuple:
+    """The constructor's arrays of a flat `to_json` document: ints, decimal strings, and a leaf's names or null."""
+    parent, degrees, elements = arrays = [doc.get(key) for key in ("parent", "degree", "elements")]
+    if (len(doc) == 3 and all(type(a) is list for a in arrays) and {*map(type, parent)} <= {int}
+            and {*map(type, degrees)} <= {str}
+            and all(leaf is None or type(leaf) is list and {*map(type, leaf)} == {str} for leaf in elements)):
+        return parent, [*map(parse_degree, degrees)], [leaf if leaf is None else frozenset(leaf) for leaf in elements]
+    raise ValueError(f"malformed compact fuzzy partition document {reprlib.repr(doc)}")
+
+
 class CompactFuzzyPartition:
     """A validated, canonically ordered compact fuzzy partition with LCA queries."""
 
@@ -152,9 +162,13 @@ class CompactFuzzyPartition:
         parent, degrees, elements = tree
         if not parent:
             raise ValueError("compact fuzzy partition tree has no nodes")
+        if not len(parent) == len(degrees) == len(elements) or parent[0] != -1:
+            raise ValueError("the tree's arrays must be of one length, with the root's parent -1")
         children: List[list] = [[] for _ in parent]
         for i in range(1, len(parent)):
-            children[parent[i]].append(i)
+            if not -1 < (p := parent[i]) < i or elements[p] is not None:
+                raise ValueError(f"node {i}'s parent {p!r} is not an earlier inner node")
+            children[p].append(i)
         least, seen = [None] * len(parent), set()  # least element below each node
         for i in reversed(range(len(parent))):  # children before their parent
             leaf, below = elements[i], children[i]
@@ -279,21 +293,14 @@ class CompactFuzzyPartition:
         return "".join(out)
 
     def to_json(self) -> dict:
-        nodes: List[dict] = []
-        for p, d, leaf in zip(self._parent, self._degrees, self._elements):
-            node = {"degree": format_degree(d)}
-            if leaf is None:
-                node["subblocks"] = []
-            else:
-                node["elements"] = sorted(map(str, leaf))
-            if p >= 0:
-                nodes[p]["subblocks"].append(node)
-            nodes.append(node)
-        return nodes[0]
+        """The three arrays: parents, degrees as decimal strings, and a leaf's sorted names (None inside)."""
+        return {"parent": [*self._parent], "degree": [*map(format_degree, self._degrees)],
+                "elements": [None if leaf is None else sorted(map(str, leaf)) for leaf in self._elements]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "CompactFuzzyPartition":
-        return cls(_flatten(data, _json_node))
+    def from_json(cls, data) -> "CompactFuzzyPartition":
+        """From a `to_json` document, or the nested {"degree", "elements" | "subblocks"} one it replaced."""
+        return cls(_json_arrays(data) if isinstance(data, dict) and "parent" in data else _flatten(data, _json_node))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CompactFuzzyPartition) and (self._parent, self._degrees, self._elements) == (

@@ -205,7 +205,7 @@ def test_deep_fuzzy_partition_is_not_a_recursion_error(capsys, tmp_path):
     assert out.startswith("{{s0}:1,{{s1}:1,")
     code, out, _ = invoke(capsys, "fuzzy-partition", str(path), "--json")
     assert code == 0
-    assert json.loads(out)["result"]["degree"] == "0.001"
+    assert json.loads(out)["result"]["degree"][0] == "0.001"
 
 
 def test_missing_file_is_a_domain_error(capsys):
@@ -592,6 +592,15 @@ def test_json_writer_matches_json_dumps():
         assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
+def test_json_writer_matches_json_dumps_on_int_lists_and_null_rows():
+    docs = [
+        [-1, 0, 1, 1, 0], [0], [True, 1], [1, 1.0], [None], [None, None], [None, ["a"]], [["a", "b"], None, ["a"]],
+        [None, []], [None, "a"], [None, [None]], {"parent": [-1, 0, 0], "elements": [None, ["s1"], ["s2", "s5"]]},
+    ]
+    for doc in docs:
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
 # names with non-ASCII characters, quotes, backslashes, spaces and line breaks, and the empty string
 _CELLS = st.text(st.sampled_from(["s", "1", "é", "名", "😀", '"', "\\", " ", "\n", "\u2028"]), max_size=3)
 
@@ -751,7 +760,7 @@ def test_json_output_of_the_goldens_is_json_dumps(capsys, example_path, tmp_path
 
 def test_deep_fuzzy_partition_json_output_parses(capsys, tmp_path):
     # 700 unconnected states with distinct label degrees: a CFP of depth 699,
-    # deeper than the json encoder's recursion allows
+    # whose flat document is linear in size and parses at the default recursion limit
     count = 700
     doc = {
         "kind": "nflts",
@@ -765,22 +774,17 @@ def test_deep_fuzzy_partition_json_output_parses(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = invoke(capsys, "fuzzy-partition", str(path), "--json")
     assert code == 0, err
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10 * count)  # json.loads recurses once per nesting level
-    try:
-        result = json.loads(out)["result"]
-    finally:
-        sys.setrecursionlimit(limit)
-    assert result["degree"] == "0.001"
-    depth, stack = 0, [(result, 0)]
-    while stack:
-        node, level = stack.pop()
-        depth = max(depth, level)
-        stack.extend((child, level + 1) for child in node.get("subblocks", ()))
-    assert depth == count - 1
+    assert len(out.encode()) < 100_000
+    result = json.loads(out)["result"]
+    assert result["degree"][0] == "0.001"
+    depth = [0]
+    for p in result["parent"][1:]:
+        depth.append(depth[p] + 1)
+    assert max(depth) == count - 1
+    assert CompactFuzzyPartition.from_json(result) == fuzzy_partition_system(parse_model(path))
 
 
-def test_fuzzy_partition_json_is_written_from_the_tree_arrays(monkeypatch, capsys, tmp_path):
+def test_fuzzy_partition_json_is_written_from_the_tree_arrays(capsys, tmp_path):
     # one leaf; random-sweep's flat tree (40 degrees, nothing merges); a tree of depth 699
     flat = generate(GenSpec(state_count=60, action_count=2, distributions_per_state_action=(1, 2),
                             support_size=(1, 3), value_pool_size=40, seed=7))
@@ -790,17 +794,11 @@ def test_fuzzy_partition_json_is_written_from_the_tree_arrays(monkeypatch, capsy
         paths.append(tmp_path / f"m{i}.json")
         paths[-1].write_text(json.dumps(model_to_document(model)))
         results.append(fuzzy_partition_system(parse_model(paths[-1])).to_json())
-    assert [len(r.get("subblocks", ())) for r in results[:2]] == [0, 60]
-    monkeypatch.setattr(CompactFuzzyPartition, "to_json", lambda self: pytest.fail("the writer built the node dicts"))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10 * 700)  # json.loads and json.dumps recurse once per nesting level
-    try:
-        for path, result in zip(paths, results):
-            code, out, err = invoke(capsys, "fuzzy-partition", str(path), "--json")
-            assert code == 0, err
-            assert out == json.dumps({**json.loads(out), "result": result}, indent=2) + "\n", path.name
-    finally:
-        sys.setrecursionlimit(limit)
+    assert [len(r["parent"]) for r in results] == [1, 61, 1399]
+    for path, result in zip(paths, results):
+        code, out, err = invoke(capsys, "fuzzy-partition", str(path), "--json")
+        assert code == 0, err
+        assert out == json.dumps({**json.loads(out), "result": result}, indent=2) + "\n", path.name
 
 
 def _verbose_levels(err: str, prefix: str):

@@ -1,6 +1,7 @@
 """Crisp partitions and compact fuzzy partitions (construction, queries,
 round trips, validation)."""
 import random
+import reprlib
 from itertools import accumulate
 from fractions import Fraction
 
@@ -133,6 +134,27 @@ def test_json_round_trip():
         with pytest.raises(ValueError) as info:
             CompactFuzzyPartition.from_json(document)
         assert str(info.value) == f"malformed compact fuzzy partition node {node}"
+    flat = {"parent": [-1, 0, 0], "degree": ["0", "1", "1"], "elements": [None, ["a"], ["b"]]}
+    assert CompactFuzzyPartition.from_json(flat).to_json() == flat
+    for document in [
+        {"parent": [-1], "degree": ["1"]},  # a key missing
+        {**flat, "subblocks": []},  # a key too many
+        {**flat, "parent": [-1, False, 0]},
+        {**flat, "parent": [-1, "0", 0]},
+        {**flat, "degree": [0, "1", "1"]},
+        {**flat, "elements": "ab"},  # not the leaf {a, b}
+        {**flat, "elements": [None, ["a"], []]},
+    ]:
+        with pytest.raises(ValueError) as info:
+            CompactFuzzyPartition.from_json(document)
+        assert str(info.value) == f"malformed compact fuzzy partition document {reprlib.repr(document)}"
+    # the example's to_json() while the document was a nested tree
+    nested = {"degree": "0", "subblocks": [
+        {"degree": "0.4", "subblocks": [{"degree": "1", "elements": ["s1"]}, {"degree": "1", "elements": ["s2", "s5"]}]},
+        {"degree": "1", "elements": ["s3", "s4"]}]}
+    cfp = cfp_from_relation(example_fuzzy_table())
+    assert CompactFuzzyPartition.from_json(nested) == cfp
+    assert CompactFuzzyPartition.from_json(nested).text() == cfp.text() == "{{{s1}:1,{s2,s5}:1}:0.4,{s3,s4}:1}:0"
 
 
 def test_leaf_partition_is_the_one_cut():
@@ -175,6 +197,21 @@ def test_tree_validation_names_the_broken_law():
         (tree((H, [leaf("a"), (ZERO, [leaf("b"), leaf("c")])])), "strictly increase"),
         (tree((ONE, [leaf("a"), leaf("b")])), "strictly increase"),  # leaf children only
         (tree((H, [leaf("a", "b"), leaf("b", "c")])), "'b' appears in two leaves"),
+    ]
+    for arrays, message in cases:
+        with pytest.raises(ValueError, match=message):
+            CompactFuzzyPartition(arrays)
+
+
+def test_the_constructor_rejects_malformed_arrays():
+    a, b, c = leaf("a"), leaf("b"), leaf("c")
+    cases = [
+        (([-1, 1, 0, 0], [ZERO, ONE, ONE, ONE], [None, a, b, c]), "node 1's parent 1 is not an earlier inner node"),
+        (([-1, -1, 0], [ZERO, ONE, ONE], [None, a, b]), "node 1's parent -1 is not an earlier inner node"),
+        (([-1, 0, 1, 0], [ZERO, ONE, ONE, ONE], [None, a, b, c]), "node 2's parent 1 is not an earlier inner node"),
+        (([-1, 0, 5], [ZERO, ONE, ONE], [None, a, b]), "node 2's parent 5 is not an earlier inner node"),
+        (([-1, 0, 0], [ZERO, ONE], [None, a, b]), "arrays must be of one length, with the root's parent -1"),
+        (([0, 0, 0], [ZERO, ONE, ONE], [None, a, b]), "arrays must be of one length, with the root's parent -1"),
     ]
     for arrays, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
-"""README's `## Library` example runs and prints what its comments say.
+"""README's `## Library` example runs and prints what its comments say, and its
+compact fuzzy partition document is what the library writes for the example.
 
 Run this file as a script (``python tests/test_readme.py``) to check the
 example against whichever ``fuzzybisim`` the interpreter imports, such as an
@@ -6,6 +7,7 @@ installed package when started outside the checkout.
 """
 import contextlib
 import io
+import json
 import os
 import re
 import sys
@@ -34,6 +36,15 @@ def run_library_example() -> tuple:
 def test_readme_library_example_prints_its_comments():
     printed, expected = run_library_example()
     assert expected and printed == expected
+
+
+def test_readme_compact_fuzzy_partition_document_is_to_json_of_the_example():
+    from fuzzybisim import fuzzy_partition_system, parse_model
+
+    readme = (REPO_ROOT / "README.md").read_text()
+    (document,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfp = fuzzy_partition_system(parse_model(REPO_ROOT / "models" / "example.json"))
+    assert json.loads(document) == cfp.to_json()
 
 
 if __name__ == "__main__":
