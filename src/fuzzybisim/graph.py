@@ -14,7 +14,8 @@ arrays, where id i < |S| is the state ``names[i]``.
 ``labels``, ``out_edges`` and ``degree_pool`` are built on first access for
 the graph fixpoints and for ``perfbench/``, their reader until the benchmark
 reads the arrays; the system-level oracles read ``oracle.System``.
-``disjoint_union`` builds the union system, and lays nothing out.
+``disjoint_union`` builds the union of two built systems, and lays nothing
+out; ``modelio.parse_union`` reads two documents straight into that union.
 ``as_nflts`` is the identity: one class holds plain and labeled systems.
 """
 from __future__ import annotations

@@ -8,7 +8,9 @@ distinct positive degrees, each degree its rank there; ``dists[k]``,
 distribution k as its epsilon-edges (EPSILON, j, rank) per state id j, equal
 targets being one distribution, in first-use order; and ``labels``, each
 labeled state's id -> its label as a symbol -> rank map, in id order.  Each
-degree object is range-checked once and compared by value.  ``graph.to_flg``
+degree object is range-checked once and compared by value.  The interner also
+walks two parts (``modelio.parse_union``) into one disjoint union, with one
+degree table, one distribution interning and one pool.  ``graph.to_flg``
 lays the system's graph out from these fields.  The views ``distributions``
 and ``transitions``, built on first access from the pool's exact
 ``Fraction``s, serve ``perfbench/`` until the benchmark reads the fields; the
@@ -118,27 +120,18 @@ class Distribution(FuzzySet):
         return f"mu{self.index + 1}"
 
 
-def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), read=None) -> tuple:
-    """The arguments of ``_system`` for a system, in the order of the checks: states
-    and actions, each transition (source, action, degrees, unknown targets), then labels.
-    A document's degrees are strings, and ``read(text, element)`` gives their values."""
-    states, actions = frozenset(states), frozenset(actions)
-    if not states:
-        raise ModelError("state set must be non-empty")
-    if not actions:
-        raise ModelError("action set must be non-empty")
-    try:
-        names = tuple(sorted(states))
-    except TypeError as exc:  # the ids number the states in sorted order
-        raise ModelError(f"state names cannot be ordered: {exc}") from None
-    index = {s: i for i, s in enumerate(names)}
+def _intern(parts) -> tuple:
+    """``_system``'s arguments for one part's system, or the union of parts, their states (tag, name) in
+    turn.  A part, the constructor's arguments and ``read``, is taken once the one before is walked, and
+    checked: states and actions, each transition (source, action, degrees, unknown targets), labels, then
+    alphabets against the first part's.  ``read(text, element)`` values a document's degree strings."""
     # ``values`` maps each distinct (numerator, denominator) to its degree id, in
     # first-use order, and ``exact`` holds its value as a Fraction.  ``seen`` maps
     # each degree string, and each other degree object's id(), to its degree id, -1
     # for zero, and ``alive`` holds the objects, so no id() is reused meanwhile.
     values, exact, seen, alive = {}, [], {}, []
 
-    def degree_id(degree, element) -> int:
+    def degree_id(degree, element) -> int:  # with the ``read`` of the part being walked
         key = degree if type(degree) is str else id(degree)
         d = seen.get(key)
         if d is None:
@@ -150,53 +143,69 @@ def _intern(states, actions, transitions, label_alphabet=(), state_labels=(), re
                 exact.append(value if type(value) is Fraction else Fraction(*pair))
         return d
 
-    interned, targets, delta = {}, [], {}  # delta: an ordered set
-    for source, action, target in transitions:
-        s = index.get(source)
-        if s is None:
-            raise ModelError(f"transition from unknown state {source!r}")
-        if action not in actions:
-            raise ModelError(f"transition with unknown action {action!r}")
-        pairs, unknown = {}, []
-        for element, degree in target.items() if type(target) is dict else _items(target):
-            d = seen.get(degree if type(degree) is str else id(degree))  # degree_id's lookup, inlined on this hot path
-            if d is None:
-                d = degree_id(degree, element)
-            if d >= 0:
-                i = index.get(element)
-                if i is None:
-                    unknown.append(element)
-                else:
-                    pairs[i] = d
-        if unknown:  # checked before interning: no interned distribution has an unknown state
-            raise ModelError(f"distribution refers to unknown states {sorted(map(str, set(unknown)))}")
-        k = interned.setdefault(frozenset(pairs.items()), len(targets))
-        if k == len(targets):
-            targets.append(pairs.items())
-        delta[s, action, k] = None
-    label_alphabet, labels = frozenset(label_alphabet), {}
-    for state, label in _items(state_labels):
-        if state not in states:
-            raise ModelError(f"label on unknown state {state!r}")
-        ids = {p: d for p, degree in _items(label) if (d := degree_id(degree, p)) >= 0}
-        if not ids.keys() <= label_alphabet:
-            raise ModelError(f"label of {state!r} uses symbols outside the alphabet")
-        labels[index[state]] = ids  # a state given twice keeps its last label, an empty one too
+    names, interned, targets, delta, labels = [], {}, [], {}, {}  # delta: an ordered set
+    for states, actions, transitions, label_alphabet, state_labels, read in parts:
+        states, actions = frozenset(states), frozenset(actions)
+        if not states:
+            raise ModelError("state set must be non-empty")
+        if not actions:
+            raise ModelError("action set must be non-empty")
+        try:
+            part = tuple(sorted(states))
+        except TypeError as exc:  # the ids number the states in sorted order
+            raise ModelError(f"state names cannot be ordered: {exc}") from None
+        index = {s: i for i, s in enumerate(part, sum(map(len, names)))}
+        for source, action, target in transitions:
+            s = index.get(source)
+            if s is None:
+                raise ModelError(f"transition from unknown state {source!r}")
+            if action not in actions:
+                raise ModelError(f"transition with unknown action {action!r}")
+            pairs, unknown = {}, []
+            for element, degree in target.items() if type(target) is dict else _items(target):
+                d = seen.get(degree if type(degree) is str else id(degree))  # degree_id's lookup, inlined: the hot path
+                if d is None:
+                    d = degree_id(degree, element)
+                if d >= 0:
+                    i = index.get(element)
+                    if i is None:
+                        unknown.append(element)
+                    else:
+                        pairs[i] = d
+            if unknown:  # checked before interning: no interned distribution has an unknown state
+                raise ModelError(f"distribution refers to unknown states {sorted(map(str, set(unknown)))}")
+            k = interned.setdefault(frozenset(pairs.items()), len(targets))
+            if k == len(targets):
+                targets.append(pairs.items())
+            delta[s, action, k] = None
+        label_alphabet = frozenset(label_alphabet)
+        for state, label in _items(state_labels):
+            if state not in states:
+                raise ModelError(f"label on unknown state {state!r}")
+            ids = {p: d for p, degree in _items(label) if (d := degree_id(degree, p)) >= 0}
+            if not ids.keys() <= label_alphabet:
+                raise ModelError(f"label of {state!r} uses symbols outside the alphabet")
+            labels[index[state]] = ids  # a state given twice keeps its last label, an empty one too
+        if names and (actions, label_alphabet) != shared:  # graph.require_shared_alphabets' rule and messages
+            raise ModelError(f"systems must share the {'action' if actions != shared[0] else 'label'} alphabet")
+        names.append(part)
+        shared = actions, label_alphabet
     # The degree ids by value: floats order them, and Fractions, whose comparison goes
     # through the numbers.Rational ABC, only break float ties.
     order = sorted(range(len(exact)), key=lambda d: (float(exact[d]), exact[d]))
     rank = sorted(range(len(order)), key=order.__getitem__)  # order inverted: degree id -> rank
     # Turned into the system's fields by the caller, once the tables above are freed.
-    return index, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank
+    names = names[0] if len(names) == 1 else tuple((tag, s) for tag, part in enumerate(names) for s in part)
+    return names, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank
 
 
-def _system(index, actions, delta, targets, labels, label_alphabet, pool, rank) -> tuple:
-    """``_nfts``'s fields from the state ids by name, distribution k as (state id,
+def _system(names, actions, delta, targets, labels, label_alphabet, pool, rank) -> tuple:
+    """``_nfts``'s fields from the state names by id, distribution k as (state id,
     degree id) pairs ``targets[k]``, the labels as state id -> symbol -> degree id
     maps, and ``rank[d]``, the rank of degree id d in ``pool``."""
     dists = [[(EPSILON, j, rank[d]) for j, d in entries] for entries in targets]
     labels = {i: {p: rank[d] for p, d in labels[i].items()} for i in sorted(labels) if labels[i]}
-    return tuple(index), actions, delta, label_alphabet, pool, dists, labels
+    return names, actions, delta, label_alphabet, pool, dists, labels
 
 
 def _nfts(names, actions, delta, label_alphabet, pool, dists, labels, model=None) -> "Nfts":
@@ -219,7 +228,7 @@ class Nfts:
 
     def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple], label_alphabet: Iterable = (),
                  state_labels: Mapping = ()):
-        _nfts(*_system(*_intern(states, actions, transitions, label_alphabet, state_labels)), self)
+        _nfts(*_system(*_intern([(states, actions, transitions, label_alphabet, state_labels, None)])), self)
 
     @cached_property
     def distributions(self) -> tuple:

@@ -22,6 +22,7 @@ and a system is written as an nflts exactly when its label alphabet is not
 empty.  ``parse_model`` builds a model in one walk: the constructor's interner
 reads the decoded ``targets`` and ``state_labels`` objects as they stand, each
 entry checked when the walk meets it and each distinct degree string parsed once.
+``parse_union`` walks two documents in turn into their disjoint union.
 
 Text model document::
 
@@ -62,7 +63,15 @@ def _degree(text, context):  # an error names the field context(), built only th
 
 def parse_model(source: Union[str, Path]) -> Nfts:
     """Parse a model from a path or from document text."""
-    return _document(source).model()
+    return _model([_document(source)])
+
+
+def parse_union(left: Union[str, Path], right: Union[str, Path]) -> tuple:
+    """``graph.disjoint_union(parse_model(left), parse_model(right))``, read in one walk: a source
+    given twice is decoded once, and the left document is walked whole before the right one is opened."""
+    documents: dict = {}
+    union = _model(documents.get(s) or documents.setdefault(s, _document(s)) for s in (left, right))
+    return union, *({s: (tag, s) for tag, s in union.names if tag == side} for side in (0, 1))
 
 
 def read_model(source: Union[str, Path]) -> tuple:
@@ -116,11 +125,6 @@ def _known_keys(doc: dict, keys: frozenset, what: str):
         raise DocumentError(f"{what} document: unknown key {min(map(repr, set(doc) - keys))}")
 
 
-def model_from_document(doc) -> Nfts:
-    """The system of a decoded JSON model document, interned in one walk over its entries."""
-    return _Document(doc).model()
-
-
 class _Document:
     """A model document as its constructor's arguments, with its degree strings as they
     stand.  A walk checks each transition and label when it meets it, so faults come in
@@ -143,15 +147,6 @@ class _Document:
         alphabet = doc.get("label_alphabet", [])  # a fault in its type comes after the labels' faults
         self.alphabet = alphabet if isinstance(alphabet, list) and all(isinstance(p, str) for p in alphabet) else ()
         self.doc, self.texts = doc, {} if texts is None else texts
-
-    def model(self) -> Nfts:
-        """The system, interned in one walk over the entries."""
-        try:
-            interned = _intern(self.states, self.actions, self.transitions(), self.alphabet, self.labels(), self.read)
-        except ModelError as exc:  # a document fault later in the document comes first: read it through
-            self.arguments()
-            raise DocumentError(str(exc)) from exc
-        return _nfts(*_system(*interned))
 
     def transitions(self):
         self.field = "transitions[{}].targets"
@@ -186,6 +181,20 @@ class _Document:
         labels = {state: {p: read(t, p) for p, t in label.items()} for state, label in self.labels()}
         arguments = self.states, self.actions, transitions
         return arguments + (self.alphabet, labels) if self.kind == "nflts" else arguments
+
+
+def _model(documents) -> Nfts:
+    """The system of the documents, or their union, in one walk: each is walked whole before the next
+    one is made, and a model fault in it is raised after any document fault later in it."""
+    walked: list = []  # the documents met: a model fault is in the last one
+    parts = ((doc.states, doc.actions, doc.transitions(), doc.alphabet, doc.labels(), doc.read)
+             for doc in documents if not walked.append(doc))
+    try:
+        interned = _intern(parts)
+    except ModelError as exc:  # a document fault later in the document comes first: read it through
+        walked[-1].arguments()
+        raise DocumentError(str(exc)) from exc
+    return _nfts(*_system(*interned))
 
 
 def _lines(text: str) -> tuple:

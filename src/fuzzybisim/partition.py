@@ -136,7 +136,7 @@ def _json_node(n) -> tuple:
     """A `to_json` node, {"degree", "elements": [names]} or {"degree", "subblocks": [nodes]}."""
     if isinstance(n, dict) and isinstance(n.get("degree"), str):
         elements = n.get("elements")
-        if isinstance(elements, list) and all(isinstance(x, str) for x in elements):
+        if isinstance(elements, list) and {*map(type, elements)} <= {str} and len({*elements}) == len(elements):
             return parse_degree(n["degree"]), frozenset(elements), ()
         if "elements" not in n and isinstance(n.get("subblocks"), list):
             return parse_degree(n["degree"]), None, n["subblocks"]
@@ -148,7 +148,8 @@ def _json_arrays(doc: dict) -> tuple:
     parent, degrees, elements = arrays = [doc.get(key) for key in ("parent", "degree", "elements")]
     if (len(doc) == 3 and all(type(a) is list for a in arrays) and {*map(type, parent)} <= {int}
             and {*map(type, degrees)} <= {str}
-            and all(leaf is None or type(leaf) is list and {*map(type, leaf)} == {str} for leaf in elements)):
+            and all(leaf is None or type(leaf) is list and {*map(type, leaf)} == {str} and len({*leaf}) == len(leaf)
+                    for leaf in elements)):
         return parent, [*map(parse_degree, degrees)], [leaf if leaf is None else frozenset(leaf) for leaf in elements]
     raise ValueError(f"malformed compact fuzzy partition document {reprlib.repr(doc)}")
 

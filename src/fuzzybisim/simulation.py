@@ -1,6 +1,7 @@
 """Greatest crisp/fuzzy simulations between two graphs or systems, by one
 counter-based kernel (Henzinger, Henzinger & Kopke, FOCS 1995; README "How it
-works", step 4), and between-system bisimulations via disjoint union."""
+works", step 4), and between-system bisimulations on the disjoint union,
+built from two systems or read from two documents (``bisimulation_of_union``)."""
 from __future__ import annotations
 
 import sys
@@ -175,18 +176,20 @@ def fuzzy_simulation_nflts(a: Nfts, b: Nfts, verbose: bool = False) -> FuzzyRela
 
 
 def bisimulation_between_nflts(a: Nfts, b: Nfts, mode: str = "crisp", verbose: bool = False):
-    """Greatest crisp/fuzzy bisimulation between two systems.
+    """Greatest crisp/fuzzy bisimulation between two systems: ``bisimulation_of_union`` of their
+    ``disjoint_union``."""
+    return bisimulation_of_union(*disjoint_union(as_nflts(a), as_nflts(b)), mode, verbose)
 
-    Reduced to the auto-bisimulation of the disjoint union; the cross pairs
-    are read off through the injections.
-    """
-    a, b = as_nflts(a), as_nflts(b)
-    union, inject_a, inject_b = disjoint_union(a, b)
+
+def bisimulation_of_union(union: Nfts, inject_a: dict, inject_b: dict, mode: str = "crisp", verbose: bool = False):
+    """Greatest crisp/fuzzy bisimulation between two systems, from their disjoint union and its
+    injections (``disjoint_union`` of built systems, ``modelio.parse_union`` of two documents):
+    the union's auto-bisimulation, its cross pairs read off through the injections."""
     if mode == "crisp":
         # A block of the union pairs each of its states (0, s) of a with each (1, t) of b.
         sides = ([[s for tag, s in block if tag == side] for side in (0, 1)]
                  for block in crisp_partition_system(union, verbose).blocks)
-        return CrispRelation(a.states, b.states, [(s, t) for left, right in sides for s in left for t in right])
+        return CrispRelation(inject_a, inject_b, [(s, t) for left, right in sides for s in left for t in right])
     if mode == "fuzzy":
         return CfpRelation(fuzzy_partition_system(union, verbose), inject_a, inject_b)
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,4 +1,5 @@
 """Model and relation documents: JSON and text parsing, round trips, errors."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,6 +14,7 @@ from fuzzybisim import (
     FuzzySet,
     FuzzyRelation,
     Nflts,
+    disjoint_union,
     model_to_document,
     parse_model,
     parse_relation,
@@ -23,10 +25,15 @@ from fuzzybisim import format_degree, modelio
 from fuzzybisim.cli import run
 from fuzzybisim.generate import generate, random_spec
 from fuzzybisim.model import ModelError, Nfts
-from fuzzybisim.modelio import model_from_document, read_model
+from fuzzybisim.modelio import read_model
 
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
-from test_cli_golden import EMPTY_SUPPORT
+from test_cli_golden import EMPTY_SUPPORT, _models
+
+
+def model_from_document(doc):
+    """The system of a decoded JSON model document: its text, with a line break so that it is not a path."""
+    return parse_model("\n" + json.dumps(doc))
 
 
 def test_parse_example_file(example_path):
@@ -560,3 +567,43 @@ def test_model_documents_format_each_distinct_degree_once(monkeypatch):
         monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
     assert model_to_document(parse_model(json.dumps(expected))) == expected
     assert len(calls) == len(set(calls)) == len(model.pool) and built == []
+
+
+def _joint_read_pairs(directory):
+    """(left, right) paths: the golden models with their siblings (the example with itself among
+    them), then 20 generated pairs, plain and labeled, the two sides over different pools unless
+    they are one model.  In turn: two models; one model with its degrees spelled two other equal
+    ways on each side ("0.5" and "0.50"); an empty distribution on both sides; one path given
+    twice; a right side in the text format."""
+    yield from ((path, sibling) for _, path, sibling in _models(directory))
+    rng = random.Random(20261020)
+    for i in range(20):
+        spec = random_spec(rng, 8, labeled=i % 2 == 1)
+        sibling = dataclasses.replace(spec, seed=spec.seed + 1, value_pool_size=spec.value_pool_size + 3)
+        left, right = (model_to_document(generate(s)) for s in (spec, sibling))
+        if i % 5 == 1:
+            left, right = _respelled(left, rng), _respelled(left, rng)
+        elif i % 5 == 2:
+            for doc, targets in ((left, {}), (right, {"s0": "0"})):
+                doc["transitions"].append({"from": "s0", "action": "a0", "targets": targets})
+        paths = [directory / f"joint{i}-left.json", directory / f"joint{i}-right.json"]
+        paths[0].write_text(json.dumps(left))
+        if i % 5 == 4:
+            paths[1] = directory / f"joint{i}-right.txt"
+        paths[1].write_text(_text_twin(right) if i % 5 == 4 else json.dumps(right))
+        yield paths[0], paths[0] if i % 5 == 3 else paths[1]
+
+
+def test_the_joint_read_is_the_union_of_the_two_reads(tmp_path, monkeypatch):
+    # parse_union reads two documents straight into their union: the union that
+    # disjoint_union builds from the two systems, field by field, each path read once.
+    reads = []
+    monkeypatch.setattr(modelio, "_text", lambda source, real=modelio._text: reads.append(source) or real(source))
+    for left, right in _joint_read_pairs(tmp_path):
+        reads.clear()
+        union, inject_a, inject_b = modelio.parse_union(left, right)
+        assert reads == list(dict.fromkeys([left, right]))
+        expected, expected_a, expected_b = disjoint_union(parse_model(left), parse_model(right))
+        for field in (*ARRAYS, "actions", "label_alphabet", "states"):
+            assert getattr(union, field) == getattr(expected, field), (left, right, field)
+        assert (inject_a, inject_b) == (expected_a, expected_b), (left, right)

@@ -130,6 +130,8 @@ def test_json_round_trip():
         ({"degree": 1, "elements": ["a"]}, "{'degree': 1, 'elements': ['a']}"),
         ({"degree": "0", "subblocks": {"a": leaf}}, "{'degree': '0', 'subblocks': {'a': {'degree': '1', 'elements': ['a']}}}"),
         ({"degree": "0", "subblocks": [leaf, "b"]}, "'b'"),
+        ({"degree": "0", "subblocks": [{"degree": "1", "elements": ["a", "a"]}, {"degree": "1", "elements": ["b"]}]},
+         "{'degree': '1', 'elements': ['a', 'a']}"),  # a leaf that names a state twice
     ]:
         with pytest.raises(ValueError) as info:
             CompactFuzzyPartition.from_json(document)
@@ -144,6 +146,7 @@ def test_json_round_trip():
         {**flat, "degree": [0, "1", "1"]},
         {**flat, "elements": "ab"},  # not the leaf {a, b}
         {**flat, "elements": [None, ["a"], []]},
+        {**flat, "elements": [None, ["a", "a"], ["b"]]},  # a leaf that names a state twice
     ]:
         with pytest.raises(ValueError) as info:
             CompactFuzzyPartition.from_json(document)
