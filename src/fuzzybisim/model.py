@@ -8,17 +8,18 @@ distinct positive degrees, each degree its rank there; ``dists[k]``,
 distribution k as its epsilon-edges (EPSILON, j, rank) per state id j, equal
 targets being one distribution, in first-use order; and ``labels``, each
 labeled state's id -> its label as a symbol -> rank map, in id order.  Each
-degree object is range-checked once and compared by value.  The interner also
-walks two parts (``modelio.parse_union``) into one disjoint union, with one
-degree table, one distribution interning and one pool.  ``graph.to_flg``
-lays the system's graph out from these fields.  The views ``distributions``
-and ``transitions``, built on first access from the pool's exact
-``Fraction``s, serve ``perfbench/`` until the benchmark reads the fields; the
-oracles read ``oracle.System``.
+distinct degree is range-checked and ranked once, before the walk writes each
+edge with its rank.  The interner also walks two parts
+(``modelio.parse_union``) into one disjoint union, with one distribution
+interning and one pool.  ``graph.to_flg`` lays the system's graph out from
+these fields.  The views ``distributions`` and ``transitions``, built on first
+access from the pool's exact ``Fraction``s, serve ``perfbench/`` until the
+benchmark reads the fields; the oracles read ``oracle.System``.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Tuple
@@ -121,30 +122,32 @@ class Distribution(FuzzySet):
 
 
 def _intern(parts) -> tuple:
-    """``_system``'s arguments for one part's system, or the union of parts, their states (tag, name) in
-    turn.  A part, the constructor's arguments and ``read``, is taken once the one before is walked, and
-    checked: states and actions, each transition (source, action, degrees, unknown targets), labels, then
-    alphabets against the first part's.  ``read(text, element)`` values a document's degree strings."""
-    # ``values`` maps each distinct (numerator, denominator) to its degree id, in
-    # first-use order, and ``exact`` holds its value as a Fraction.  ``seen`` maps
-    # each degree string, and each other degree object's id(), to its degree id, -1
-    # for zero, and ``alive`` holds the objects, so no id() is reused meanwhile.
-    values, exact, seen, alive = {}, [], {}, []
+    """``_nfts``'s fields for one part's system, or the union of parts, their states (tag, name) in turn.  A part, the
+    constructor's arguments and ``document`` (None, or their ``modelio._Document``), is taken once the one before is
+    walked, and checked: states, actions, transitions (source, action, degrees, unknown targets), labels, alphabets."""
+    # Before a part's walk, its distinct degrees are valued and ranked: a document's strings, each other degree
+    # object by id().  Nothing there raises.  The walk writes an entry whose lookups all hit as it stands; one that
+    # misses takes the checks (``checked``, the labels' miss branch), which raise its first fault or drop its zeros.
+    names, interned, dists, delta, labels, pool = [], {}, [], {}, {}, []
 
-    def degree_id(degree, element) -> int:  # with the ``read`` of the part being walked
-        key = degree if type(degree) is str else id(degree)
-        d = seen.get(key)
-        if d is None:
-            value = degree if read is None else read(degree, element)
-            pair = _exact(value, element)
-            d = seen[key] = values.setdefault(pair, len(values)) if pair[0] else -1
-            alive.append(degree)
-            if d == len(exact):
-                exact.append(value if type(value) is Fraction else Fraction(*pair))
-        return d
+    def checked(at, transition) -> tuple:
+        source, action, target = document.transition(at) if document else transition
+        if (s := index.get(source)) is None:
+            raise ModelError(f"transition from unknown state {source!r}")
+        if action not in actions:
+            raise ModelError(f"transition with unknown action {action!r}")
+        edges, unknown = {}, []
+        for element, degree in _items(target):
+            if (pair := _exact(degree, element))[0]:
+                if (j := index.get(element)) is None:
+                    unknown.append(element)
+                else:
+                    edges[j] = position[pair]
+        if unknown:  # checked before interning: no interned distribution has an unknown state
+            raise ModelError(f"distribution refers to unknown states {sorted(map(str, set(unknown)))}")
+        return s, [(EPSILON, j, r) for j, r in edges.items()]
 
-    names, interned, targets, delta, labels = [], {}, [], {}, {}  # delta: an ordered set
-    for states, actions, transitions, label_alphabet, state_labels, read in parts:
+    for states, actions, transitions, label_alphabet, state_labels, document in parts:
         states, actions = frozenset(states), frozenset(actions)
         if not states:
             raise ModelError("state set must be non-empty")
@@ -155,57 +158,58 @@ def _intern(parts) -> tuple:
         except TypeError as exc:  # the ids number the states in sorted order
             raise ModelError(f"state names cannot be ordered: {exc}") from None
         index = {s: i for i, s in enumerate(part, sum(map(len, names)))}
-        for source, action, target in transitions:
-            s = index.get(source)
-            if s is None:
-                raise ModelError(f"transition from unknown state {source!r}")
-            if action not in actions:
-                raise ModelError(f"transition with unknown action {action!r}")
-            pairs, unknown = {}, []
-            for element, degree in target.items() if type(target) is dict else _items(target):
-                d = seen.get(degree if type(degree) is str else id(degree))  # degree_id's lookup, inlined: the hot path
-                if d is None:
-                    d = degree_id(degree, element)
-                if d >= 0:
-                    i = index.get(element)
-                    if i is None:
-                        unknown.append(element)
-                    else:
-                        pairs[i] = d
-            if unknown:  # checked before interning: no interned distribution has an unknown state
-                raise ModelError(f"distribution refers to unknown states {sorted(map(str, set(unknown)))}")
-            k = interned.setdefault(frozenset(pairs.items()), len(targets))
-            if k == len(targets):
-                targets.append(pairs.items())
+        degrees, found = document.texts if document else {}, {}  # found: key -> (numerator, denominator), if positive
+        if document is None:  # read twice: the lists hold each degree object, so no id() is reused meanwhile
+            transitions, state_labels = [*transitions], [*_items(state_labels)]
+            with suppress(LookupError, TypeError, ValueError):  # a fault ends it: the walk meets that fault first
+                degrees.update((id(d), d) for entry in (*transitions, *state_labels) for _, d in _items(entry[-1]))
+        with suppress(TypeError, ValueError):  # so does a degree's fault
+            found.update((key, pair) for key, d in degrees.items() if (pair := _exact(d, None))[0])
+        # Floats order the pool; Fractions, compared through the numbers.Rational ABC, only break float ties.
+        old, pool = pool, sorted({*pool, *(Fraction(*pair) for pair in {*found.values()})}, key=lambda x: (float(x), x))
+        position = {(x.numerator, x.denominator): r for r, x in enumerate(pool)}
+        if 0 < len(old) < len(pool):  # a later part brings a degree new to the pool: what is written moves
+            move = [position[x.numerator, x.denominator] for x in old]  # only the empty distribution is shared,
+            dists[:] = [[(EPSILON, j, move[r]) for _, j, r in edges] for edges in dists]  # so no key moves
+            labels = {i: {p: move[r] for p, r in ids.items()} for i, ids in labels.items()}
+        rank = {key: position[pair] for key, pair in found.items()}
+        for at, (source, action, target) in enumerate(transitions):
+            try:  # loops, not comprehensions, which are calls before Python 3.12
+                s, edges = index[source], []
+                for e, d in target.items():
+                    edges.append((EPSILON, index[e], rank[d if document else id(d)]))
+                if action not in actions:
+                    edges = None
+            except (KeyError, TypeError, AttributeError):
+                edges = None
+            if edges is None:
+                s, edges = checked(at, (source, action, target))
+            if (k := interned.setdefault(frozenset(edges), n := len(dists))) == n:
+                dists.append(edges)
             delta[s, action, k] = None
         label_alphabet = frozenset(label_alphabet)
         for state, label in _items(state_labels):
-            if state not in states:
-                raise ModelError(f"label on unknown state {state!r}")
-            ids = {p: d for p, degree in _items(label) if (d := degree_id(degree, p)) >= 0}
+            try:
+                i, ids = index[state], {}
+                for p, d in label.items():
+                    ids[p] = rank[d if document else id(d)]
+            except (KeyError, TypeError, AttributeError):
+                ids = None
+            if ids is None:
+                label = label if document is None else document.label(state)
+                if (i := index.get(state)) is None:
+                    raise ModelError(f"label on unknown state {state!r}")
+                ids = {p: position[pair] for p, degree in _items(label) if (pair := _exact(degree, p))[0]}
             if not ids.keys() <= label_alphabet:
                 raise ModelError(f"label of {state!r} uses symbols outside the alphabet")
-            labels[index[state]] = ids  # a state given twice keeps its last label, an empty one too
+            labels[i] = ids  # a state given twice keeps its last label, an empty one too
         if names and (actions, label_alphabet) != shared:  # graph.require_shared_alphabets' rule and messages
             raise ModelError(f"systems must share the {'action' if actions != shared[0] else 'label'} alphabet")
         names.append(part)
         shared = actions, label_alphabet
-    # The degree ids by value: floats order them, and Fractions, whose comparison goes
-    # through the numbers.Rational ABC, only break float ties.
-    order = sorted(range(len(exact)), key=lambda d: (float(exact[d]), exact[d]))
-    rank = sorted(range(len(order)), key=order.__getitem__)  # order inverted: degree id -> rank
-    # Turned into the system's fields by the caller, once the tables above are freed.
     names = names[0] if len(names) == 1 else tuple((tag, s) for tag, part in enumerate(names) for s in part)
-    return names, actions, tuple(delta), targets, labels, label_alphabet, [exact[d] for d in order], rank
-
-
-def _system(names, actions, delta, targets, labels, label_alphabet, pool, rank) -> tuple:
-    """``_nfts``'s fields from the state names by id, distribution k as (state id,
-    degree id) pairs ``targets[k]``, the labels as state id -> symbol -> degree id
-    maps, and ``rank[d]``, the rank of degree id d in ``pool``."""
-    dists = [[(EPSILON, j, rank[d]) for j, d in entries] for entries in targets]
-    labels = {i: {p: rank[d] for p, d in labels[i].items()} for i in sorted(labels) if labels[i]}
-    return names, actions, delta, label_alphabet, pool, dists, labels
+    labels = {i: labels[i] for i in sorted(labels) if labels[i]}
+    return names, actions, tuple(delta), label_alphabet, pool, dists, labels
 
 
 def _nfts(names, actions, delta, label_alphabet, pool, dists, labels, model=None) -> "Nfts":
@@ -222,13 +226,13 @@ class Nfts:
     """A nondeterministic fuzzy transition system <S, A, delta>, with fuzzy
     state labels over an alphabet sigma (none by default).
 
-    ``transitions`` entries are (state, action, target) where the target is a
-    FuzzySet or a plain mapping state -> degree.  Duplicate triples collapse.
+    ``transitions`` entries are (state, action, target) where the target, read twice, is
+    a FuzzySet or a plain mapping state -> degree.  Duplicate triples collapse.
     """
 
     def __init__(self, states: Iterable, actions: Iterable, transitions: Iterable[tuple], label_alphabet: Iterable = (),
                  state_labels: Mapping = ()):
-        _nfts(*_system(*_intern([(states, actions, transitions, label_alphabet, state_labels, None)])), self)
+        _nfts(*_intern([(states, actions, transitions, label_alphabet, state_labels, None)]), self)
 
     @cached_property
     def distributions(self) -> tuple:

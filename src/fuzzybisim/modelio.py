@@ -19,10 +19,10 @@ JSON model document::
 
 A JSON model or relation document with any other top-level key is an error,
 and a system is written as an nflts exactly when its label alphabet is not
-empty.  ``parse_model`` builds a model in one walk: the constructor's interner
-reads the decoded ``targets`` and ``state_labels`` objects as they stand, each
-entry checked when the walk meets it and each distinct degree string parsed once.
-``parse_union`` walks two documents in turn into their disjoint union.
+empty.  ``parse_model`` parses and ranks each distinct degree string, then
+builds the model in one walk of the constructor's interner, which writes a
+``targets`` or label object whose lookups all hit as it stands and checks one
+that misses.  ``parse_union`` walks two documents into their disjoint union.
 
 Text model document::
 
@@ -36,16 +36,20 @@ Text model document::
 from __future__ import annotations
 
 import json
+from contextlib import suppress
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Union
 
 from .degrees import DegreeError, parse_degree, format_degree
-from .model import Nfts, ModelError, _intern, _nfts, _system
+from .model import Nfts, ModelError, _intern, _nfts
 from .partition import CfpRelation
 from .relations import CrispRelation, FuzzyRelation
 
 FORMAT_VERSION = "1"
 _JSON = ("{", "[")  # the first non-space character of a JSON model document
+_TRANSITION, _TARGETS = itemgetter("from", "action", "targets"), itemgetter(2)  # a transition item's fields
 
 
 class DocumentError(ValueError):
@@ -86,7 +90,7 @@ def _text(source: Union[str, Path]) -> str:
     document is an object, so a name such as ``[draft].json`` is a path)."""
     if isinstance(source, str) and ("\n" in source or (line := source.strip()).startswith("{") and line.endswith("}")):
         return source
-    return Path(source).read_text(encoding="utf-8")
+    return Path(source).read_text(encoding="utf-8-sig")  # a byte-order mark is no part of the text
 
 
 def _document(source: Union[str, Path]) -> "_Document":
@@ -126,10 +130,9 @@ def _known_keys(doc: dict, keys: frozenset, what: str):
 
 
 class _Document:
-    """A model document as its constructor's arguments, with its degree strings as they
-    stand.  A walk checks each transition and label when it meets it, so faults come in
-    document order.  ``read`` parses each distinct degree string not in ``texts`` once;
-    its fault names the entry the walk is at, ``field`` formatted with ``at``."""
+    """A model document as its constructor's arguments, its degree strings as they stand.  ``texts`` values each
+    distinct well-formed one, parsed once: by the line scan, or by ``part`` before a walk.  The walk checks an entry
+    (``transition``, ``label``) only when one of its lookups misses, so faults come in document order."""
 
     def __init__(self, doc, texts=None):
         if not isinstance(doc, dict):
@@ -146,55 +149,68 @@ class _Document:
             raise DocumentError("transitions: list required")
         alphabet = doc.get("label_alphabet", [])  # a fault in its type comes after the labels' faults
         self.alphabet = alphabet if isinstance(alphabet, list) and all(isinstance(p, str) for p in alphabet) else ()
-        self.doc, self.texts = doc, {} if texts is None else texts
+        self.doc, self.texts, self.whole = doc, {} if texts is None else texts, False
 
-    def transitions(self):
-        self.field = "transitions[{}].targets"
-        for self.at, item in enumerate(self.doc.get("transitions", [])):
-            if not isinstance(item, dict) or "from" not in item or "action" not in item or "targets" not in item:
-                raise DocumentError(f"transitions[{self.at}]: needs 'from', 'action' and 'targets'")
-            source, action, targets = item["from"], item["action"], item["targets"]
-            if not isinstance(source, str) or not isinstance(action, str):
-                raise DocumentError(f"transitions[{self.at}]: 'from' and 'action' must be strings")
-            yield source, action, targets if isinstance(targets, dict) else _object(targets, self.field.format(self.at))
+    def part(self) -> tuple:
+        """The part that ``model._intern`` walks: an entry of the wrong shape raises the document's first fault."""
+        try:
+            transitions = [*map(_TRANSITION, self.doc.get("transitions", []))]
+            strings = () if self.texts else {*chain.from_iterable(map(dict.values, chain(  # else a line scan, or
+                map(_TARGETS, transitions), dict.values(self.doc.get("state_labels", {})))))}  # a walk, valued them
+        except (KeyError, TypeError):
+            self.arguments()  # which raises it: a document fault comes before any model fault
+        for text in strings:  # a malformed degree, or one that is no string, misses in the walk, which raises it
+            with suppress(DegreeError, TypeError):
+                self.texts[text] = parse_degree(text)
+        return self.states, self.actions, transitions, self.alphabet, self.labels(), self
+
+    def transition(self, at: int) -> tuple:
+        """Transition ``at`` as (from, action, targets), each degree its value: its document faults, in order."""
+        item = self.doc["transitions"][at]
+        if not isinstance(item, dict) or "from" not in item or "action" not in item or "targets" not in item:
+            raise DocumentError(f"transitions[{at}]: needs 'from', 'action' and 'targets'")
+        source, action, targets = _TRANSITION(item)
+        if not isinstance(source, str) or not isinstance(action, str):
+            raise DocumentError(f"transitions[{at}]: 'from' and 'action' must be strings")
+        field = f"transitions[{at}].targets"
+        return source, action, {e: self.read(t, lambda: f"{field}[{e!r}]") for e, t in _object(targets, field).items()}
+
+    def label(self, state) -> dict:
+        """A state's label, each degree its value: its document faults, in entry order."""
+        label, field = self.doc["state_labels"][state], f"state_labels[{state!r}]"
+        return {p: self.read(t, lambda: f"{field}[{p!r}]") for p, t in _object(label, field).items()}
 
     def labels(self):
-        """Each state's label, then the checks that follow the labels."""
+        """Each state's label as it stands, then the checks that follow the labels."""
         if self.kind == "nflts":
-            self.field = "state_labels[{!r}]"
-            for self.at, label in _object(self.doc.get("state_labels", {}), "state_labels").items():
-                yield self.at, label if isinstance(label, dict) else _object(label, self.field.format(self.at))
+            yield from _object(self.doc.get("state_labels", {}), "state_labels").items()
         elif "state_labels" in self.doc or "label_alphabet" in self.doc:
             raise DocumentError("kind 'nfts' does not take labels")
         _strings(self.doc, "label_alphabet")
+        self.whole = True  # walked whole: no document fault is left in it
 
-    def read(self, text, element):
+    def read(self, text, context):
         value = self.texts.get(text) if type(text) is str else None
-        if value is None:
-            value = self.texts[text] = _degree(text, lambda: f"{self.field.format(self.at)}[{element!r}]")
-        return value
+        return self.texts.setdefault(text, _degree(text, context)) if value is None else value
 
     def arguments(self) -> tuple:
         """The constructor's arguments, as ``read_model`` gives them: each degree a Fraction."""
-        read = self.read
-        transitions = [(s, a, {e: read(t, e) for e, t in targets.items()}) for s, a, targets in self.transitions()]
-        labels = {state: {p: read(t, p) for p, t in label.items()} for state, label in self.labels()}
-        arguments = self.states, self.actions, transitions
+        arguments = self.states, self.actions, [*map(self.transition, range(len(self.doc.get("transitions", []))))]
+        labels = {state: self.label(state) for state, _ in self.labels()}
         return arguments + (self.alphabet, labels) if self.kind == "nflts" else arguments
 
 
 def _model(documents) -> Nfts:
-    """The system of the documents, or their union, in one walk: each is walked whole before the next
-    one is made, and a model fault in it is raised after any document fault later in it."""
+    """The system of the documents, or their union, in one walk: each is walked whole before the next one is made, and
+    a model fault in it is raised after any document fault later in it, save the shared-alphabet rule that follows."""
     walked: list = []  # the documents met: a model fault is in the last one
-    parts = ((doc.states, doc.actions, doc.transitions(), doc.alphabet, doc.labels(), doc.read)
-             for doc in documents if not walked.append(doc))
     try:
-        interned = _intern(parts)
+        return _nfts(*_intern(doc.part() for doc in documents if not walked.append(doc)))
     except ModelError as exc:  # a document fault later in the document comes first: read it through
+        if walked[-1].whole:
+            raise
         walked[-1].arguments()
         raise DocumentError(str(exc)) from exc
-    return _nfts(*_system(*interned))
 
 
 def _lines(text: str) -> tuple:

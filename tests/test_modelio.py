@@ -24,7 +24,7 @@ from fuzzybisim import (
 from fuzzybisim import format_degree, modelio
 from fuzzybisim.cli import run
 from fuzzybisim.generate import generate, random_spec
-from fuzzybisim.model import ModelError, Nfts
+from fuzzybisim.model import EPSILON, ModelError, Nfts
 from fuzzybisim.modelio import read_model
 
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
@@ -34,6 +34,11 @@ from test_cli_golden import EMPTY_SUPPORT, _models
 def model_from_document(doc):
     """The system of a decoded JSON model document: its text, with a line break so that it is not a path."""
     return parse_model("\n" + json.dumps(doc))
+
+
+def _move(source, targets, action="a") -> dict:
+    """A transition item of a JSON model document."""
+    return {"from": source, "action": action, "targets": targets}
 
 
 def test_parse_example_file(example_path):
@@ -369,6 +374,48 @@ def test_text_and_json_twins_read_alike():
     assert _text_twin(SPELLINGS).splitlines()[3] == "trans s a s:0.5 t:0.50 u:0"
 
 
+def _reference_arrays(doc: dict) -> list:
+    """``ARRAYS`` of a decoded JSON model document, built straight from it rather than through the interner:
+    Fraction degrees, zeros dropped, the pool sorted, distributions numbered in first use."""
+    names, labels = tuple(sorted(doc["states"])), doc.get("state_labels", {})
+    index = {s: i for i, s in enumerate(names)}
+    pool = sorted({Fraction(t) for entries in [*(item["targets"] for item in doc["transitions"]), *labels.values()]
+                   for t in entries.values()} - {0})
+    rank = {x: r for r, x in enumerate(pool)}
+    dists, numbers, delta = [], {}, {}
+    for item in doc["transitions"]:
+        edges = [(EPSILON, index[s], rank[Fraction(t)]) for s, t in item["targets"].items() if Fraction(t)]
+        if (k := numbers.setdefault(frozenset(edges), len(dists))) == len(dists):
+            dists.append(edges)
+        delta[index[item["from"]], item["action"], k] = None
+    ranked = {index[s]: {p: rank[Fraction(t)] for p, t in label.items() if Fraction(t)} for s, label in labels.items()}
+    return [names, tuple(delta), pool, dists, {i: ranked[i] for i in sorted(ranked) if ranked[i]}]
+
+
+# A zero degree, one value spelled three ways, an empty distribution, a duplicate transition, and a label
+# degree (0.3) that no transition has; then a plain document whose one distribution is empty, given twice.
+HAND_MADE = [
+    {"kind": "nflts", "states": ["s", "t", "u"], "actions": ["a", "b"], "label_alphabet": ["p", "q"],
+     "transitions": [_move("s", {"s": "0", "t": "0.5"}), _move("t", {"s": "0.50", "u": "1/2"}), _move("u", {}, "b"),
+                     _move("s", {"s": "0", "t": "0.5"}), _move("t", {"u": "0.5", "s": "1/2"}), _move("t", {"t": "1"}, "b")],
+     "state_labels": {"s": {"p": "0.3"}, "t": {"q": "0.50", "p": "0"}, "u": {}}},
+    {"states": ["s"], "actions": ["a"], "transitions": [_move("s", {}), _move("s", {})]},
+]
+
+
+def test_the_reader_gives_the_reference_arrays():
+    rng = random.Random(33)
+    docs = [model_to_document(generate(dataclasses.replace(random_spec(rng, 12, labeled=i % 2 == 1),
+                                                           value_pool_size=rng.randint(4, 42)))) for i in range(30)]
+    assert max(len(parse_model(json.dumps(doc)).pool) for doc in docs) > 20
+    for doc in docs + HAND_MADE:
+        expected = _reference_arrays(doc)
+        for source in (json.dumps(doc), _text_twin(doc)):
+            assert [getattr(parse_model(source), name) for name in ARRAYS] == expected, source
+    assert _reference_arrays(HAND_MADE[0])[2:] == [[Fraction(3, 10), Fraction(1, 2), 1], [
+        [(EPSILON, 1, 1)], [(EPSILON, 0, 1), (EPSILON, 2, 1)], [], [(EPSILON, 1, 2)]], {0: {"p": 0}, 1: {"q": 1}}]
+
+
 @pytest.mark.parametrize("change,message", [
     (lambda doc: doc["transitions"].append({"from": "x", "action": "a", "targets": {}}),
      "transition from unknown state 'x'"),
@@ -427,6 +474,23 @@ def test_a_one_line_name_that_is_not_a_json_object_is_a_path(tmp_path, monkeypat
     for text in ('{"states": []}', ' {"states": []} '):  # a one-line JSON object is document text
         with pytest.raises(DocumentError, match=r"^states: non-empty list of strings required$"):
             parse_model(text)
+
+
+def test_a_byte_order_mark_is_no_part_of_a_document(tmp_path, capsys):
+    # A JSON model used to fail as text, "line 1: unknown directive '\ufeff{"format_version":'",
+    # and a relation as "invalid JSON: Unexpected UTF-8 BOM".
+    model, doc = make_example(), json.loads(serialize_model(make_example()))
+    relation = {"kind": "fuzzy", "degrees": [["s1", "s2", "0.4"], ["s2", "s1", "0.4"]]}
+    texts = {"model.json": json.dumps(doc), "model.txt": _text_twin(doc), "relation.json": json.dumps(relation)}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / name).read_bytes()[:3] == b"\xef\xbb\xbf"
+    for name in ("model.json", "model.txt"):
+        assert model_to_document(parse_model(tmp_path / name)) == doc
+        assert read_model(tmp_path / name) == read_model(texts[name])
+    assert parse_relation(tmp_path / "relation.json", model) == parse_relation(texts["relation.json"], model)
+    assert run(["check", str(tmp_path / "model.txt"), str(tmp_path / "relation.json"), "--kind", "fuzzy-bisim"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["nfts", "nflts"])
@@ -525,6 +589,24 @@ def test_interned_text_degree_errors_keep_their_line(monkeypatch, line, message)
     ('{"states": ["s"], "actions": ["a"], "transitions": [{"from": "s", "action": "a", "targets": {"x": "0.5"}}, 7]}',
      "transitions[1]: needs 'from', 'action' and 'targets'"),
     ("states s\nactions a\ntrans x a s:0.5\ntrans s a s:y", "line 4: malformed degree 'y'"),
+    # the degrees are parsed and ranked before the walk, so that pass meets the later fault first: it raises none
+    *((json.dumps({"states": ["s"], "actions": ["a"], **doc}), message) for doc, message in [
+        ({"transitions": [_move("s", {"x": "0.5"}), _move("s", {"s": "y"})]},
+         "transitions[1].targets['s']: malformed degree 'y'"),
+        ({"transitions": [_move("s", {"x": "0.25"}), _move("s", {"s": "0.5", "x": "1/0"})]},
+         "transitions[1].targets['x']: malformed degree '1/0'"),
+        ({"kind": "nflts", "label_alphabet": ["p"], "transitions": [_move("s", {"s": "0.5"}, "b")],
+          "state_labels": {"s": {"p": "x"}}}, "state_labels['s']['p']: malformed degree 'x'"),
+        ({"kind": "nflts", "label_alphabet": ["p"], "transitions": [_move("s", {"s": "0.5"}, "b")],
+          "state_labels": {"s": {"p": 1}}}, "state_labels['s']['p']: degree must be a decimal string, got 1"),
+        ({"transitions": [_move("s", ["s"]), _move("s", {"s": "1.5"})]}, "transitions[0].targets: JSON object required"),
+        ({"transitions": [_move("s", {"s": "1.5"}), _move("s", ["s"])]},
+         "transitions[0].targets['s']: degree '1.5' outside [0, 1]"),
+        ({"transitions": [_move("s", {"s": "0", "x": "0.5"})]}, "distribution refers to unknown states ['x']"),
+        ({"transitions": [_move("s", {"x": "0", "s": "0.5"}), _move("s", {"s": "0.0", "y": "1"})]},
+         "distribution refers to unknown states ['y']"),
+        ({"transitions": [_move("x", {"s": "0.5"}), ["s", "a", {}]]}, "transitions[1]: needs 'from', 'action' and 'targets'"),
+    ]),
 ])
 def test_documents_report_the_first_of_two_faults(text, message):
     with pytest.raises(DocumentError) as info:
@@ -607,3 +689,20 @@ def test_the_joint_read_is_the_union_of_the_two_reads(tmp_path, monkeypatch):
         for field in (*ARRAYS, "actions", "label_alphabet", "states"):
             assert getattr(union, field) == getattr(expected, field), (left, right, field)
         assert (inject_a, inject_b) == (expected_a, expected_b), (left, right)
+
+
+def test_the_joint_read_raises_the_alphabet_rule_as_the_union_of_two_reads_does(tmp_path, monkeypatch):
+    # it used to raise a DocumentError, once it had read the right document through again for a document fault
+    left = {"kind": "nflts", "states": ["s"], "actions": ["a"], "transitions": [], "label_alphabet": ["p"]}
+    for key, other, kind in (("actions", ["b"], "action"), ("label_alphabet", ["q"], "label")):
+        paths = tmp_path / "left.json", tmp_path / f"right-{kind}.json"
+        paths[0].write_text(json.dumps(left))
+        paths[1].write_text(json.dumps({**left, key: other}))
+        with pytest.raises(ModelError) as expected:
+            disjoint_union(*map(parse_model, paths))
+        with monkeypatch.context() as patch:
+            patch.setattr(modelio._Document, "arguments", lambda self: pytest.fail("a document read through again"))
+            with pytest.raises(ModelError) as info:
+                modelio.parse_union(*paths)
+        assert type(info.value) is type(expected.value) is ModelError
+        assert str(info.value) == str(expected.value) == f"systems must share the {kind} alphabet"
