@@ -26,7 +26,6 @@ from .modelio import (
     parse_model,
     parse_relation,
     model_to_document,
-    serialize_model,
     relation_to_document,
 )
 from .generate import GenSpec, GenSpecError, generate
@@ -45,6 +44,6 @@ __all__ = [
     "greatest_crisp_simulation_flg", "greatest_fuzzy_simulation_flg",
     "crisp_simulation_nflts", "fuzzy_simulation_nflts", "bisimulation_between_nflts",
     "DocumentError", "parse_model", "parse_relation",
-    "model_to_document", "serialize_model", "relation_to_document",
+    "model_to_document", "relation_to_document",
     "GenSpec", "GenSpecError", "generate",
 ]

@@ -95,11 +95,11 @@ def biresiduum(x: Degree, y: Degree) -> Degree:
     return min(residuum(x, y), residuum(y, x))
 
 
-def inf(values, default: Degree = ONE) -> Degree:
-    """Minimum of an iterable of degrees (`default` when empty)."""
-    return min(values, default=default)
+def inf(values) -> Degree:
+    """Minimum of an iterable of degrees (1 when empty)."""
+    return min(values, default=ONE)
 
 
-def sup(values, default: Degree = ZERO) -> Degree:
-    """Maximum of an iterable of degrees (`default` when empty)."""
-    return max(values, default=default)
+def sup(values) -> Degree:
+    """Maximum of an iterable of degrees (0 when empty)."""
+    return max(values, default=ZERO)

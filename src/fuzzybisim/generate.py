@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .model import Nfts
 
@@ -93,20 +93,3 @@ def draw(spec: GenSpec) -> tuple:
         if entries:
             labels[state] = entries
     return states, actions, transitions, alphabet, labels
-
-
-def random_spec(rng: random.Random, max_states: int, max_actions: int = 2, max_pool: int = 7,
-                labeled: Optional[bool] = None) -> GenSpec:
-    """A small random GenSpec, used by the differential test batteries."""
-    states = rng.randint(1, max_states)
-    labeled = rng.random() < 0.5 if labeled is None else labeled
-    return GenSpec(
-        state_count=states,
-        action_count=rng.randint(1, max_actions),
-        distributions_per_state_action=(0, rng.randint(1, 2)),
-        support_size=(1, max(1, min(states, rng.randint(1, 3)))),
-        value_pool_size=rng.randint(3, max_pool),
-        label_alphabet_size=rng.randint(1, 2) if labeled else 0,
-        label_density=0.6 if labeled else 0.0,
-        seed=rng.getrandbits(32),
-    )

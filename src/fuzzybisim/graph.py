@@ -51,14 +51,6 @@ class Vertex(NamedTuple):
         return self.name
 
 
-def state_vertex(state) -> Vertex:
-    return Vertex(_STATE, state)
-
-
-def dist_vertex(index: int) -> Vertex:
-    return Vertex(_DIST, index)
-
-
 class Flg:
     """A fuzzy labeled graph <V, E, L, Sigma_V, Sigma_E> on dense ids.
 

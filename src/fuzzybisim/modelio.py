@@ -270,10 +270,6 @@ def model_to_document(model: Nfts) -> dict:
     return doc
 
 
-def serialize_model(model: Nfts) -> str:
-    return json.dumps(model_to_document(model), indent=2)
-
-
 # -- relation documents -----------------------------------------------------
 
 

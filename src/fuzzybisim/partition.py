@@ -73,10 +73,6 @@ class CrispPartition:
     def same_block(self, x, y) -> bool:
         return self._block_of[x] == self._block_of[y]
 
-    def to_relation(self) -> CrispRelation:
-        pairs = {(x, y) for block in self.blocks for x in block for y in block}
-        return CrispRelation(self.universe, self.universe, pairs)
-
     def refines(self, coarser: "CrispPartition") -> bool:
         """True when every block here lies inside one block of `coarser`."""
         return all(
@@ -271,11 +267,6 @@ class CompactFuzzyPartition:
                 groups[i] = [made.get(n) or made.setdefault(n, cell(b, degree[n]))
                              for b, k, made in right if (n := nodes[k]) >= low]
             yield a, groups[i]
-
-    def to_relation(self) -> FuzzyRelation:
-        """The fuzzy equivalence relation this tree encodes (quadratic output)."""
-        identity = {x: x for x in self.universe}
-        return CfpRelation(self, identity, identity)
 
     def leaf_partition(self) -> CrispPartition:
         return CrispPartition(leaf for leaf in self._elements if leaf is not None)

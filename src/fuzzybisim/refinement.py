@@ -62,13 +62,12 @@ class RefinableMap:
             if len(blocks[bid]) > 1:
                 dirty[bid].add(v)
 
-    def split_block(self, bid: int, key_of: Callable[[int], object], marked=None) -> bool:
-        """Split a block by keying its ``marked`` members (all when None) and one
-        other member; returns True when it split."""
+    def split_block(self, bid: int, key_of: Callable[[int], object], marked: Set[int]) -> bool:
+        """Split a block by keying its ``marked`` members and one other member;
+        returns True when it split."""
         members = self.blocks[bid]
         if len(members) == 1:
             return False
-        marked = members if marked is None else marked
         rest = len(members) - len(marked)
         groups: Dict[object, list] = {}
         for v in marked:

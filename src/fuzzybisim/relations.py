@@ -42,9 +42,6 @@ class CrispRelation:
     def __hash__(self) -> int:
         return hash((self.left, self.right, self.pairs))
 
-    def converse(self) -> "CrispRelation":
-        return CrispRelation(self.right, self.left, {(y, x) for x, y in self.pairs})
-
     def forward(self, x) -> set:
         """The image {y | x R y}."""
         return {b for a, b in self.pairs if a == x}
@@ -94,14 +91,6 @@ class FuzzyRelation:
     def __hash__(self) -> int:
         return hash((self.left, self.right, frozenset(self.entries.items())))
 
-    def converse(self) -> "FuzzyRelation":
-        return FuzzyRelation(self.right, self.left, {(y, x): d for (x, y), d in self.entries.items()})
-
-    def cut(self, threshold: Degree) -> CrispRelation:
-        """The crisp relation of pairs with degree >= threshold."""
-        kept = {pair for pair, d in self.entries.items() if d >= threshold}
-        return CrispRelation(self.left, self.right, kept)
-
     def __repr__(self) -> str:
         return f"<FuzzyRelation: {len(self.entries)} positive entries>"
 
@@ -149,13 +138,3 @@ def relation_laws(r: FuzzyRelation) -> LawReport:
         if done:
             break
     return report
-
-
-def identity_relation(universe: Iterable) -> CrispRelation:
-    universe = frozenset(universe)
-    return CrispRelation(universe, universe, {(x, x) for x in universe})
-
-
-def full_fuzzy_relation(universe: Iterable) -> FuzzyRelation:
-    universe = frozenset(universe)
-    return FuzzyRelation(universe, universe, {(x, y): ONE for x in universe for y in universe})

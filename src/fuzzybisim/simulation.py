@@ -7,7 +7,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter, defaultdict
-from itertools import compress, count
+from itertools import compress
 
 from .degrees import format_degree, joint_ranks
 from .graph import Flg, to_flg, as_nflts, disjoint_union, require_same_signature, require_shared_alphabets
@@ -28,7 +28,7 @@ class _Kernel:
     sources bound at the level die.  ``dies[pair]``: the level the pair dies
     at, 0 if unseeded, ``levels`` while alive."""
 
-    def __init__(self, edges, edges_prime, rows: list, width: int, levels: int = 1):
+    def __init__(self, edges, edges_prime, rows: list, width: int, levels: int):
         self.width, self.levels, height = width, levels, len(rows)
         constraints, needs = defaultdict(list), [set() for _ in rows]
         for x, r, y, rank in edges:
@@ -101,13 +101,6 @@ class _Kernel:
                         if not counts[base + slot]:
                             zeros.append((sources, x_prime))
         return dies
-
-
-def _simulate(edges, edges_prime, alive: set, width: int) -> set:
-    """The kernel's single run inside ``alive``, on edges (x, r, y, need) and (x', r, y', rank)."""
-    height = 1 + max([pair // width for pair in alive] + [max(x, y) for x, _, y, _ in edges], default=-1)
-    rows = [bytes(x * width + x_prime in alive for x_prime in range(width)) for x in range(height)]
-    return set(compress(count(), _Kernel(edges, edges_prime, rows, width).advance(0)))
 
 
 def _simulation(g: Flg, g_prime: Flg, graded: bool, states: bool = False, verbose: bool = False):

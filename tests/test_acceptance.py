@@ -27,10 +27,10 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import draw, random_spec
-from fuzzybisim.graph import state_vertex
+from fuzzybisim.generate import draw
 from fuzzybisim.model import EPSILON, Nfts
 
+from testlib import random_spec, state_vertex, to_relation
 from conftest import (
     EXAMPLE_CRISP_TEXT,
     EXAMPLE_FUZZY_TEXT,
@@ -59,7 +59,7 @@ def test_criterion_2(example_path):
     model = parse_model(example_path)
     cfp = fuzzy_partition_system(model)
     assert cfp.text() == EXAMPLE_FUZZY_TEXT
-    expanded = cfp.to_relation()
+    expanded = to_relation(cfp)
     table = example_fuzzy_table()
     for s in model.states:
         for t in model.states:
@@ -87,7 +87,7 @@ def _crisp_sides(model, given):
 
 def _fuzzy_sides(model, given):
     """Criterion 5's sides: the fuzzy pipeline on the built system, the oracle on the given one."""
-    return fuzzy_partition_system(model).to_relation(), oracle.gfp_fuzzy_bisim_nfts(given)
+    return to_relation(fuzzy_partition_system(model)), oracle.gfp_fuzzy_bisim_nfts(given)
 
 
 def test_criterion_4():
@@ -161,11 +161,11 @@ def test_criterion_7():
     """Every pipeline output passes its own definitional checker and laws."""
     for model, given in _battery(100, max_states=6, seed=44):
         partition = crisp_partition_system(model)
-        crisp = partition.to_relation()
+        crisp = to_relation(partition)
         assert oracle.is_crisp_bisim_nfts(crisp, given)
 
         cfp = fuzzy_partition_system(model)
-        fuzzy = cfp.to_relation()
+        fuzzy = to_relation(cfp)
         assert relation_laws(fuzzy).is_equivalence
         assert oracle.is_fuzzy_bisim_nfts(fuzzy, given)
 
@@ -265,7 +265,7 @@ def test_criterion_10(request):
         seed=13 + 1000 * 800,
     ))
     cfp = fuzzy_partition_system(model)
-    expanded = cfp.to_relation()
+    expanded = to_relation(cfp)
     states = sorted(model.states)
     rng = random.Random(47)
     pairs = [(rng.choice(states), rng.choice(states)) for _ in range(10_000)]

@@ -30,14 +30,13 @@ from fuzzybisim import (
     greatest_fuzzy_simulation_flg,
     model_to_document,
     parse_model,
-    serialize_model,
     to_flg,
 )
 from fuzzybisim import bisimulation_between_nflts, cli, format_degree, fuzzy_partition_system, relation_to_document
 from fuzzybisim.cli import ENGINES, _json_text, run
 from fuzzybisim.partition import Block, CfpRelation
-from fuzzybisim.generate import random_spec
 
+from testlib import cut, random_spec
 from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_FUZZY_TEXT, REPO_ROOT, example_fuzzy_table
 from test_cli_golden import _models, _runs
 
@@ -524,7 +523,8 @@ def test_check_reads_a_label_on_the_state_mark_symbol(capsys, tmp_path):
     # s carries "state*" at 1 and u no label: a relation joining them is no
     # bisimulation, though the graph engines refuse the alphabet
     model, relation = tmp_path / "model.json", tmp_path / "relation.json"
-    model.write_text(serialize_model(Nflts(["s", "u"], ["a"], [], ["state*"], {"s": {"state*": 1}})))
+    built = Nflts(["s", "u"], ["a"], [], ["state*"], {"s": {"state*": 1}})
+    model.write_text(json.dumps(model_to_document(built), indent=2))
     for pairs, expected in ([["s", "s"], ["u", "u"]], "holds"), ([["s", "u"], ["u", "s"]], "violates"):
         relation.write_text(json.dumps({"kind": "crisp", "pairs": pairs}))
         code, out, _ = invoke(capsys, "check", str(model), str(relation), "--kind", "crisp-bisim")
@@ -565,7 +565,8 @@ def test_commands_leave_no_cyclic_garbage(capsys, example_path, tmp_path, argv):
     # because no command leaves a reference cycle for a collection to free.
     files = {"M": example_path, "L": tmp_path / "l.json", "C": tmp_path / "c.json", "F": tmp_path / "f.json",
              "G": tmp_path / "g.json"}
-    files["L"].write_text(serialize_model(generate(GenSpec(state_count=12, label_alphabet_size=2, seed=4))))
+    labeled = generate(GenSpec(state_count=12, label_alphabet_size=2, seed=4))
+    files["L"].write_text(json.dumps(model_to_document(labeled), indent=2))
     files["C"].write_text(json.dumps({"kind": "crisp", "pairs": [["s3", "s4"], ["s1", "s1"]]}))
     files["F"].write_text(json.dumps(relation_to_document(example_fuzzy_table())))
     gc.collect()
@@ -886,7 +887,7 @@ def test_simulation_verbose_reports_each_level(capsys, example_path):
         assert [t for t, _, _ in levels] == sorted(set(g.degree_pool()) | {1})
         previous = len(g.vertices) ** 2
         for threshold, alive, removed in levels:
-            assert alive == len(fuzzy.cut(threshold)) and removed == previous - alive
+            assert alive == len(cut(fuzzy, threshold)) and removed == previous - alive
             previous = alive
 
 

@@ -28,7 +28,8 @@ from fuzzybisim import (
     CrispPartition, GenSpec, as_nflts, disjoint_union, generate, model_to_document, oracle, parse_model, to_flg,
 )
 from fuzzybisim.cli import run
-from fuzzybisim.generate import random_spec
+
+from testlib import random_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = REPO_ROOT / "models" / "example.json"

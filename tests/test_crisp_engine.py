@@ -20,8 +20,9 @@ from fuzzybisim import (
 from fuzzybisim import oracle
 from fuzzybisim.cli import run
 from fuzzybisim.crisp_engine import restrict_to_states
-from fuzzybisim.generate import draw, generate, random_spec
+from fuzzybisim.generate import draw, generate
 
+from testlib import random_spec
 from conftest import CATERPILLARS, EXAMPLE_CRISP_TEXT, EXAMPLE_GRAPH_CRISP_TEXT, REPO_ROOT, labels_of, make_example
 from test_workloads import load_workloads
 

@@ -19,8 +19,9 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import GenSpec, draw, generate, random_spec
+from fuzzybisim.generate import GenSpec, draw, generate
 
+from testlib import random_spec, to_relation
 from conftest import (
     CATERPILLARS,
     REPO_ROOT,
@@ -46,7 +47,7 @@ def test_golden_graph_partition():
 
 def test_expanded_relation_matches_the_table():
     cfp = fuzzy_partition_system(make_example())
-    assert cfp.to_relation() == example_fuzzy_table()
+    assert to_relation(cfp) == example_fuzzy_table()
     assert cfp.degree_of("s1", "s5") == Fraction("0.4")
     assert cfp.degree_of("s2", "s5") == 1
     assert cfp.degree_of("s1", "s3") == 0
@@ -93,7 +94,7 @@ def test_matches_the_system_level_oracle():
     rng = random.Random(303)
     for _ in range(50):
         arguments = draw(random_spec(rng, max_states=5))
-        got = fuzzy_partition_system(Nfts(*arguments)).to_relation()
+        got = to_relation(fuzzy_partition_system(Nfts(*arguments)))
         assert got == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 
@@ -168,7 +169,7 @@ def test_planted_copies_match_the_oracle():
         model = Nfts(*arguments)
         assert_graph_cfp_matches_oracle(model)
         got = fuzzy_partition_system(model)
-        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
+        assert to_relation(got) == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 
 def test_many_distinct_label_degrees_match_the_oracle():
@@ -195,7 +196,7 @@ def test_models_without_transitions_match_the_oracle():
         model = Nflts(*arguments)
         assert_graph_cfp_matches_oracle(model)
         got = fuzzy_partition_system(model)
-        assert got.to_relation() == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
+        assert to_relation(got) == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
 
 
 def test_no_transitions_keeps_a_positive_root_over_many_top_blocks():
@@ -215,7 +216,7 @@ def test_no_transitions_keeps_a_positive_root_over_many_top_blocks():
     cfp = fuzzy_partition_system(model)
     assert cfp.root.degree == d("0.5") and len(cfp.root.subblocks) == 4
     assert cfp == fuzzy_partition_oracle(model)
-    expanded = cfp.to_relation()
+    expanded = to_relation(cfp)
     assert expanded == oracle.gfp_fuzzy_bisim_nfts(oracle.System(*arguments))
     for x in model.states:
         for y in model.states:
@@ -266,7 +267,7 @@ def test_renaming_states_renames_the_partition():
 def state_tree_by_restriction(model):
     """The state tree by the definition: the graph tree's relation on pairs of
     states, rebuilt as a tree."""
-    graph = greatest_fuzzy_bisim_cfp_flg(to_flg(model)).to_relation()
+    graph = to_relation(greatest_fuzzy_bisim_cfp_flg(to_flg(model)))
     entries = {(x.key, y.key): d for (x, y), d in graph.entries.items() if x.is_state and y.is_state}
     return cfp_from_relation(FuzzyRelation(model.states, model.states, entries))
 

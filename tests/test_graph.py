@@ -8,10 +8,11 @@ import pytest
 
 from fuzzybisim import (Distribution, FuzzySet, ModelError, Nflts, Nfts, as_nflts, bisimulation_between_nflts,
                         crisp_simulation_nflts, disjoint_union, fuzzy_simulation_nflts, oracle, parse_model, to_flg)
-from fuzzybisim.generate import generate, random_spec
-from fuzzybisim.graph import EPSILON, STATE_MARK, dist_vertex, on_states, state_vertex
+from fuzzybisim.generate import generate
+from fuzzybisim.graph import EPSILON, STATE_MARK, on_states
 from fuzzybisim.refinement import adjacency
 
+from testlib import dist_vertex, random_spec, state_vertex
 from conftest import REPO_ROOT, labels_of, make_example
 
 H = Fraction(1, 2)

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fuzzybisim import ONE, FuzzySet, ModelError, Nflts, Nfts, oracle, parse_model, to_flg
-from fuzzybisim.generate import draw, generate, random_spec
+from fuzzybisim.generate import draw, generate
 from fuzzybisim.model import STATE_MARK
 
+from testlib import random_spec
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
 
 H = Fraction(1, 2)

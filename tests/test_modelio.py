@@ -19,14 +19,14 @@ from fuzzybisim import (
     parse_model,
     parse_relation,
     relation_to_document,
-    serialize_model,
 )
 from fuzzybisim import format_degree, modelio
 from fuzzybisim.cli import run
-from fuzzybisim.generate import generate, random_spec
+from fuzzybisim.generate import generate
 from fuzzybisim.model import EPSILON, ModelError, Nfts
 from fuzzybisim.modelio import read_model
 
+from testlib import random_spec
 from conftest import REPO_ROOT, example_arguments, labels_of, make_example
 from test_cli_golden import EMPTY_SUPPORT, _models
 
@@ -62,7 +62,7 @@ def test_a_model_is_read_as_its_constructor_arguments(example_path):
 
 def test_json_round_trip():
     model = make_example()
-    again = parse_model(serialize_model(model))
+    again = parse_model(json.dumps(model_to_document(model), indent=2))
     assert model_to_document(again) == model_to_document(model)
 
 
@@ -75,7 +75,7 @@ def test_labeled_round_trip():
     )
     doc = model_to_document(model)
     assert doc["kind"] == "nflts"
-    again = parse_model(serialize_model(model))
+    again = parse_model(json.dumps(model_to_document(model), indent=2))
     assert isinstance(again, Nflts)
     assert labels_of(again)["s"]("p") == Fraction("0.7")
     assert model_to_document(again) == doc
@@ -464,7 +464,7 @@ def test_a_model_document_that_starts_with_a_bracket_is_json(tmp_path, capsys):
 def test_a_one_line_name_that_is_not_a_json_object_is_a_path(tmp_path, monkeypatch):
     # it used to be read as JSON text: "invalid JSON: Expecting value"
     monkeypatch.chdir(tmp_path)
-    text, relation = serialize_model(make_example()), '{"kind": "crisp", "pairs": [["s1", "s1"]]}'
+    text, relation = json.dumps(model_to_document(make_example()), indent=2), '{"kind": "crisp", "pairs": [["s1", "s1"]]}'
     for name in ("[draft].json", "{draft}.json", " [draft] .json"):
         (tmp_path / name).write_text(text)
         (tmp_path / f"relation {name}").write_text(relation)
@@ -479,7 +479,7 @@ def test_a_one_line_name_that_is_not_a_json_object_is_a_path(tmp_path, monkeypat
 def test_a_byte_order_mark_is_no_part_of_a_document(tmp_path, capsys):
     # A JSON model used to fail as text, "line 1: unknown directive '\ufeff{"format_version":'",
     # and a relation as "invalid JSON: Unexpected UTF-8 BOM".
-    model, doc = make_example(), json.loads(serialize_model(make_example()))
+    model, doc = make_example(), json.loads(json.dumps(model_to_document(make_example()), indent=2))
     relation = {"kind": "fuzzy", "degrees": [["s1", "s2", "0.4"], ["s2", "s1", "0.4"]]}
     texts = {"model.json": json.dumps(doc), "model.txt": _text_twin(doc), "relation.json": json.dumps(relation)}
     for name, text in texts.items():
@@ -615,10 +615,11 @@ def test_documents_report_the_first_of_two_faults(text, message):
 
 
 def test_written_model_documents_keep_their_bytes():
-    # Digest of serialize_model on 20 generated models, plain and labeled, as
-    # written when the writer read the object views.
+    # Digest of the indented JSON text of 20 generated models, plain and
+    # labeled, as written when the writer read the object views.
     rng = random.Random(2026)
-    texts = [serialize_model(generate(random_spec(rng, 8, labeled=i % 2 == 1))) for i in range(20)]
+    models = [generate(random_spec(rng, 8, labeled=i % 2 == 1)) for i in range(20)]
+    texts = [json.dumps(model_to_document(model), indent=2) for model in models]
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == DOCUMENTS_DIGEST
 
 
@@ -631,9 +632,9 @@ def test_a_model_on_the_reserved_symbols_keeps_its_bytes_and_its_labels():
     half = Fraction(1, 2)
     built = Nflts(["s", "t", "u"], ["eps*", "a"], [("s", "eps*", {"t": half, "s": 1}), ("t", "a", {"t": half})],
                   ["state*", "p"], {"s": {"state*": Fraction(1, 4)}, "t": {"p": 1, "state*": 1}})
-    text = serialize_model(built)
+    text = json.dumps(model_to_document(built), indent=2)
     model = parse_model(text)
-    assert serialize_model(model) == text
+    assert json.dumps(model_to_document(model), indent=2) == text
     assert json.loads(text)["state_labels"] == {"s": {"state*": "0.25"}, "t": {"p": "1", "state*": "1"}}
     assert labels_of(model) == {"s": FuzzySet({"state*": Fraction(1, 4)}), "t": FuzzySet({"p": 1, "state*": 1})}
 

@@ -14,11 +14,10 @@ from fuzzybisim import (
     to_flg,
 )
 from fuzzybisim import oracle
-from fuzzybisim.generate import draw, generate, random_spec
-from fuzzybisim.graph import state_vertex
+from fuzzybisim.generate import draw, generate
 from fuzzybisim.model import Nfts
-from fuzzybisim.relations import full_fuzzy_relation
 
+from testlib import converse, full_fuzzy_relation, random_spec, state_vertex, to_relation
 from conftest import (
     EXAMPLE_CRISP_TEXT,
     EXAMPLE_GRAPH_CRISP_TEXT,
@@ -31,7 +30,7 @@ ONE = Fraction(1)
 
 
 def example_crisp_relation() -> CrispRelation:
-    return CrispPartition([["s1"], ["s2", "s5"], ["s3", "s4"]]).to_relation()
+    return to_relation(CrispPartition([["s1"], ["s2", "s5"], ["s3", "s4"]]))
 
 
 def distributions(model):
@@ -92,10 +91,10 @@ def test_lifting_symmetry_small_random():
         for mu in model.distributions:
             for nu in model.distributions:
                 assert oracle.lifted_crisp(R, mu, nu) == oracle.lifted_crisp(
-                    R.converse(), nu, mu
+                    converse(R), nu, mu
                 )
                 assert oracle.lifted_fuzzy(F, mu, nu) == oracle.lifted_fuzzy(
-                    F.converse(), nu, mu
+                    converse(F), nu, mu
                 )
 
 
@@ -218,7 +217,7 @@ def test_gfp_outputs_satisfy_the_laws():
         crisp = oracle.gfp_crisp_bisim_nfts(model)
         # an equivalence: reflexive, symmetric, transitive
         assert all((s, s) in crisp.pairs for s in model.states)
-        assert crisp.converse() == crisp
+        assert converse(crisp) == crisp
         fuzzy = oracle.gfp_fuzzy_bisim_nfts(model)
         assert relation_laws(fuzzy).is_equivalence
 
@@ -246,13 +245,13 @@ def test_graph_checkers_accept_the_greatest_bisimulations_and_nothing_larger():
     for _ in range(16):
         g = to_flg(generate(random_spec(rng, max_states=5)))
         vertices = sorted(g.vertices)
-        crisp = greatest_crisp_bisim_partition_flg(g).to_relation()
+        crisp = to_relation(greatest_crisp_bisim_partition_flg(g))
         assert oracle.is_crisp_bisim_flg(crisp, g).holds
         for pair in [(x, y) for x in vertices for y in vertices if (x, y) not in crisp.pairs]:
             larger = CrispRelation(crisp.left, crisp.right, crisp.pairs | {pair})
             assert not oracle.is_crisp_bisim_flg(larger, g).holds, pair
 
-        fuzzy = greatest_fuzzy_bisim_cfp_flg(g).to_relation()
+        fuzzy = to_relation(greatest_fuzzy_bisim_cfp_flg(g))
         assert oracle.is_fuzzy_bisim_flg(fuzzy, g).holds
         degrees = sorted(set(g.degree_pool()) | {Fraction(1)})
         below_one = [(x, y) for x in vertices for y in vertices if fuzzy(x, y) < 1]

@@ -21,6 +21,7 @@ from fuzzybisim import (
 from fuzzybisim import partition
 from fuzzybisim.partition import Block, CfpRelation
 
+from testlib import to_relation
 from conftest import SEVEN_ELEMENT_TEXT, example_fuzzy_table, root_arrays, seven_element_relation
 
 H = Fraction(1, 2)
@@ -68,7 +69,7 @@ def test_overlapping_blocks_rejected():
 
 def test_from_relation_and_back():
     p = CrispPartition([["a", "b"], ["c"]])
-    assert CrispPartition.from_relation(p.to_relation()) == p
+    assert CrispPartition.from_relation(to_relation(p)) == p
 
 
 def test_refines():
@@ -99,12 +100,12 @@ def test_example_table_round_trip():
     table = example_fuzzy_table()
     cfp = cfp_from_relation(table)
     assert cfp.text() == "{{{s1}:1,{s2,s5}:1}:0.4,{s3,s4}:1}:0"
-    assert cfp.to_relation() == table
+    assert to_relation(cfp) == table
 
 
 def test_lca_matches_expanded_relation():
     cfp = cfp_from_relation(seven_element_relation())
-    expanded = cfp.to_relation()
+    expanded = to_relation(cfp)
     for x in cfp.universe:
         for y in cfp.universe:
             assert cfp.degree_of(x, y) == expanded(x, y)
@@ -256,7 +257,7 @@ def random_equivalence(rng: random.Random, size: int) -> FuzzyRelation:
     root = build(list(names), 0)
     if isinstance(root, frozenset):
         return FuzzyRelation(names, names, {(x, y): Fraction(1) for x in names for y in names})
-    return CompactFuzzyPartition(tree(root)).to_relation()
+    return to_relation(CompactFuzzyPartition(tree(root)))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -264,7 +265,7 @@ def test_random_equivalences_round_trip(seed):
     rng = random.Random(seed)
     r = random_equivalence(rng, rng.randint(1, 12))
     cfp = cfp_from_relation(r)
-    assert cfp.to_relation() == r
+    assert to_relation(cfp) == r
     for x in cfp.universe:
         for y in cfp.universe:
             assert cfp.degree_of(x, y) == r(x, y)
@@ -309,7 +310,7 @@ def test_leaf_order_index_on_a_deep_and_wide_tree():
         node = Fraction(level, 50), children
     cfp = CompactFuzzyPartition(tree(node))
     assert len(cfp.leaf_partition()) > 64
-    expanded = cfp.to_relation()
+    expanded = to_relation(cfp)
     for x in cfp.universe:
         for y in cfp.universe:
             assert cfp.degree_of(x, y) == expanded(x, y), (x, y)

@@ -30,7 +30,7 @@ def test_starts_as_one_block():
 
 def test_split_by_key():
     state = fresh_map()
-    assert state.split_block(0, lambda v: v in (0, 1))
+    assert state.split_block(0, lambda v: v in (0, 1), state.blocks[0])
     assert len(state.blocks) == 2
     assert state.assignment[0] == state.assignment[1]
     assert state.assignment[0] != state.assignment[2]
@@ -38,7 +38,7 @@ def test_split_by_key():
 
 def test_constant_key_is_a_no_op():
     state = fresh_map()
-    assert not state.split_block(0, lambda v: 0)
+    assert not state.split_block(0, lambda v: 0, state.blocks[0])
     assert len(state.blocks) == 1
     before = state.snapshot()
     state.refine(lambda v: "same")
@@ -56,7 +56,7 @@ def test_refine_reaches_a_fixpoint():
 def test_snapshot_is_independent():
     state = fresh_map()
     snap = state.snapshot()
-    state.split_block(0, lambda v: v)
+    state.split_block(0, lambda v: v, state.blocks[0])
     assert snap == [0, 0, 0, 0]
 
 
@@ -64,10 +64,10 @@ def test_split_requeues_only_predecessors_of_new_groups():
     a, b, c, p, q = range(5)
     # p points only into a, q only into c
     state = RefinableMap([[p], [], [q], [], []])
-    state.split_block(0, lambda v: "pq" if v in (p, q) else "abc")
+    state.split_block(0, lambda v: "pq" if v in (p, q) else "abc", state.blocks[0])
     state.dirty.clear()
     bid = state.assignment[a]
-    assert state.split_block(bid, lambda v: v == c)
+    assert state.split_block(bid, lambda v: v == c, state.blocks[bid])
     # the larger group {a, b} keeps the id, so p's signature is unchanged
     assert state.assignment[a] == state.assignment[b] == bid
     assert state.dirty == {state.assignment[q]: {q}}
@@ -130,7 +130,7 @@ def test_singleton_blocks_are_never_queued():
     preds = [[] for _ in range(10)]
     preds[1], preds[4] = [9], [9, 2]
     state = ten_in_one_block(preds)
-    assert state.split_block(0, lambda v: v if v in (1, 9) else -1)
+    assert state.split_block(0, lambda v: v if v in (1, 9) else -1, state.blocks[0])
     assert len(state.blocks) == 3 and not state.dirty
     state.mark([1, 9, 4])
     assert state.dirty == {0: {4}}

@@ -4,6 +4,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import compress, count
 
 import pytest
 
@@ -31,9 +32,10 @@ from fuzzybisim import (
 from fuzzybisim import oracle, simulation
 from fuzzybisim.cli import run
 from fuzzybisim.degrees import inf, residuum
-from fuzzybisim.graph import dist_vertex, on_states, state_vertex
+from fuzzybisim.graph import on_states
 from fuzzybisim.generate import GenSpec, generate
 
+from testlib import converse, cut, dist_vertex, state_vertex
 from conftest import edge_caterpillar, label_caterpillar, labels_of, make_example
 
 H = Fraction(1, 2)
@@ -144,7 +146,7 @@ def test_between_system_bisimulation_fuzzy():
     assert Z("s2", "s5") == 1
     assert Z("s1", "s3") == 0
     # symmetric because both sides are the same system
-    assert Z.converse() == Z
+    assert converse(Z) == Z
 
 
 def _between_pairs(count: int, seed: int):
@@ -177,8 +179,8 @@ def test_fuzzy_between_view_equals_the_pairwise_relation():
         assert view == pairwise and pairwise == view and hash(view) == hash(pairwise)
         assert all(view(s, t) == pairwise(s, t) for s in a.states for t in b.states)
         for threshold in {ZERO, ONE, *pairwise.entries.values()}:
-            assert view.cut(threshold) == pairwise.cut(threshold)
-        assert view.converse() == pairwise.converse()
+            assert cut(view, threshold) == cut(pairwise, threshold)
+        assert converse(view) == converse(pairwise)
         zero_pairs += len(a.states) * len(b.states) - len(pairwise.entries)
     assert zero_pairs > 0
 
@@ -249,6 +251,13 @@ def test_kernel_matches_the_oracles_on_labeled_systems():
         assert greatest_fuzzy_simulation_flg(ga, gb) == oracle.gfp_fuzzy_sim_flg(ga, gb)
 
 
+def _simulate(edges, edges_prime, alive: set, width: int) -> set:
+    """The kernel's single run inside ``alive``, on edges (x, r, y, need) and (x', r, y', rank)."""
+    height = 1 + max([pair // width for pair in alive] + [max(x, y) for x, _, y, _ in edges], default=-1)
+    rows = [bytes(x * width + x_prime in alive for x_prime in range(width)) for x in range(height)]
+    return set(compress(count(), simulation._Kernel(edges, edges_prime, rows, width, 1).advance(0)))
+
+
 def test_each_cut_is_the_kernel_on_the_edges_at_or_above_it():
     # The t-cut of Z is the greatest crisp simulation, inside the cut below
     # t and the pairs with label cap >= t, between the graphs that keep only
@@ -271,10 +280,10 @@ def test_each_cut_is_the_kernel_on_the_edges_at_or_above_it():
             }
             edges = [(index[x], r, index[y], 0) for (x, r, y), d in ga.edges.items() if d >= t]
             edges_prime = [(index_prime[x], r, index_prime[y], 0) for (x, r, y), d in gb.edges.items() if d >= t]
-            alive = simulation._simulate(edges, edges_prime, start, width)
-            cut = {(left[p // width], right[p % width]) for p in alive}
-            assert cut == set(fuzzy.cut(t).pairs)
-            previous = cut
+            alive = _simulate(edges, edges_prime, start, width)
+            kept = {(left[p // width], right[p % width]) for p in alive}
+            assert kept == set(cut(fuzzy, t).pairs)
+            previous = kept
 
 
 def test_cuts_are_not_simulations_of_the_graphs_clipped_at_the_threshold():
